@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``filter``, ``optimal-b``, ``example``, ``simulate``,
-``validate``, ``scale``.  Exit codes: 0 on success, 1 on input errors, 2
-when a validation report contains a FAIL.  All randomness flows from the
+``validate``, ``scale``.  Exit codes: 0 on success, 1 on input errors
+(including non-finite numbers and models the algebra rejects), 2 when a
+validation report contains a FAIL.  All randomness flows from the
 configured seed; outputs are byte-identical for identical (config, seed).
 """
 
@@ -16,22 +17,45 @@ from pathlib import Path
 import numpy as np
 
 from . import instances
-from .filter import FilterProblem, solve_filter
-from .gaussian import GaussianModel, sample_joint
+from .filter import (
+    FilterProblem,
+    FilterSolveError,
+    PositivityError,
+    filter_multipliers,
+    solve_filter,
+)
+from .gaussian import GaussianModel, ModelError, sample_joint
 from .operators import (
     BASIS_EUCLIDEAN,
     BASIS_SINE,
+    BasisMismatchError,
     CoeffVector,
+    DimensionMismatchError,
+    apply,
     sine_basis_matrix,
 )
 from .scales import rescaled_covariances, scale_weights, scaled_optimal_b, trace_class_threshold
-from .smoothing import optimal_b
+from .smoothing import SingularCovarianceError, optimal_b
 from .specs import RunConfig, SpecError, build_model, load_config, operator_to_json, parse_scale
 from .validate import run_validation, white_noise_scale_check
 
 
 class InputError(ValueError):
     """Bad user input (maps to exit code 1)."""
+
+
+# Errors that mean the request cannot be served from its input; each exits 1.
+DOMAIN_ERRORS = (
+    InputError,
+    SpecError,
+    OSError,
+    PositivityError,
+    SingularCovarianceError,
+    ModelError,
+    DimensionMismatchError,
+    BasisMismatchError,
+    FilterSolveError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +114,8 @@ def read_series_csv(path: Path) -> tuple[np.ndarray | None, np.ndarray]:
         raise InputError(f"input series {path} is empty")
     if ts and len(ts) != len(values):
         raise InputError(f"input series {path} mixes row formats")
+    if not np.all(np.isfinite([*ts, *values])):
+        raise InputError(f"input series {path} has non-finite values")
     return (np.asarray(ts) if ts else None, np.asarray(values))
 
 
@@ -193,13 +219,7 @@ def cmd_filter(args) -> int:
     t_in, values = read_series_csv(cfg.input_path)
     x, grid = project_series(t_in, values, model.dim, model.a.domain_basis)
     if args.estimate_y0:
-        comp = model.pinv_bundle.projector_complement
-        y0_est = CoeffVector(
-            comp.multipliers * x.coeffs
-            if comp.is_diagonal
-            else comp.as_matrix() @ x.coeffs,
-            x.basis_id,
-        )
+        y0_est = apply(model.pinv_bundle.projector_complement, x)
         model = GaussianModel.build(
             model.a, model.sigma_u, model.sigma_v, y0=y0_est
         )
@@ -212,7 +232,7 @@ def cmd_filter(args) -> int:
     summary = {
         "bhat": operator_to_json(bhat),
         "filter_multipliers": (
-            [float(v) for v in 1.0 / (1.0 + bhat.multipliers * model.a.multipliers**2)]
+            [float(v) for v in filter_multipliers(model.a, bhat)]
             if model.is_diagonal
             else None
         ),
@@ -379,6 +399,10 @@ def cmd_validate(args) -> int:
     return 0 if report.passed else 2
 
 
+def _multipliers(op) -> list | None:
+    return [float(v) for v in op.multipliers] if op.is_diagonal else None
+
+
 def cmd_scale(args) -> int:
     cfg = _load(args)
     model, decay = _model(cfg)
@@ -408,15 +432,9 @@ def cmd_scale(args) -> int:
         "indices": [int(i) for i in weights.indices],
         "kappa": [float(v) for v in weights.kappa],
         "weights": [float(v) for v in weights.weights],
-        "sigma_u_rescaled": (
-            [float(v) for v in su.multipliers] if su.is_diagonal else None
-        ),
-        "sigma_v_rescaled": (
-            [float(v) for v in sv.multipliers] if sv.is_diagonal else None
-        ),
-        "scaled_bhat_multipliers": (
-            [float(v) for v in scaled.multipliers] if scaled.is_diagonal else None
-        ),
+        "sigma_u_rescaled": _multipliers(su),
+        "sigma_v_rescaled": _multipliers(sv),
+        "scaled_bhat_multipliers": _multipliers(scaled),
         "white_noise_check": white.to_json(),
     }
     write_json(out / "scale.json", doc)
@@ -490,10 +508,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SpecError, OSError) as exc:
+    except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

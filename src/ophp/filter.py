@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    DIAGONAL,
+    EIG_RTOL,
     CoeffVector,
     DimensionMismatchError,
     OperatorRep,
@@ -103,7 +103,7 @@ def positivity_check(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if b.kind == DIAGONAL and np.all(b.multipliers >= 0.0):
+    if b.is_diagonal and np.all(b.multipliers >= 0.0):
         return PositivityReport(
             passed=True, method="analytic", min_value=0.0, witness=None, trials=0
         )
@@ -120,7 +120,7 @@ def positivity_check(
         if value < min_value:
             min_value = value
             witness = h
-    tol = 1e-12 * (1.0 + float(np.abs(eigvals).max(initial=0.0)))
+    tol = EIG_RTOL * (1.0 + float(np.abs(eigvals).max(initial=0.0)))
     return PositivityReport(
         passed=min_value >= -tol,
         method="spectral+sampling",
@@ -132,7 +132,7 @@ def positivity_check(
 
 def filter_multipliers(a: OperatorRep, b: OperatorRep) -> np.ndarray:
     """Componentwise trend multipliers ``1 / (1 + b_j a_j^2)`` (diagonal only)."""
-    if a.kind != DIAGONAL or b.kind != DIAGONAL:
+    if not (a.is_diagonal and b.is_diagonal):
         raise DimensionMismatchError("filter multipliers require diagonal operators")
     return 1.0 / (1.0 + b.multipliers * a.multipliers**2)
 
@@ -156,7 +156,7 @@ def solve_filter(
                 f"(minimum quadratic form {report.min_value:.3e})"
             )
     a, b, x = problem.a, problem.b, problem.x
-    if a.kind == DIAGONAL and b.kind == DIAGONAL:
+    if a.is_diagonal and b.is_diagonal:
         return CoeffVector(x.coeffs * filter_multipliers(a, b), x.basis_id)
     amat = a.as_matrix()
     system = np.eye(a.dim_in) + amat.T @ b.as_matrix() @ amat

@@ -16,14 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    DIAGONAL,
+    EIG_RTOL,
+    STRUCTURE_TOL,
+    SYMMETRY_RTOL,
     BasisMismatchError,
     CoeffVector,
     DimensionMismatchError,
     OperatorRep,
     PinvBundle,
     add,
+    adjoint,
+    apply,
+    apply_rows,
+    compose,
+    operator_power,
     pinv,
+    psd_inverse,
+    symmetric_eig,
+    symmetrize,
 )
 
 
@@ -51,41 +61,23 @@ class DecayDeclaration:
     sigma_v_decay: float
 
 
-def _symmetry_defect(mat: np.ndarray) -> float:
-    return float(np.abs(mat - mat.T).max(initial=0.0))
-
-
 def _check_covariance(op: OperatorRep, dim: int, basis_id: str, label: str) -> None:
     if op.domain_basis != basis_id or op.codomain_basis != basis_id:
         raise BasisMismatchError(f"{label} must act on basis {basis_id!r}")
     if op.dim_in != dim or op.dim_out != dim:
         raise DimensionMismatchError(f"{label} must be square of dimension {dim}")
-    if op.kind == DIAGONAL:
-        eigvals = op.multipliers
-        scale = 1.0 + float(np.abs(eigvals).max(initial=0.0))
-    else:
-        mat = op.matrix
-        scale = 1.0 + float(np.abs(mat).max(initial=0.0))
-        if _symmetry_defect(mat) > 1e-12 * scale:
-            raise ModelError(f"{label} is not symmetric to tolerance")
-        eigvals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    if float(np.min(eigvals, initial=0.0)) < -1e-12 * scale:
+    stored = op.multipliers if op.is_diagonal else op.matrix
+    scale = 1.0 + float(np.abs(stored).max(initial=0.0))
+    if float(np.abs(stored - stored.T).max(initial=0.0)) > SYMMETRY_RTOL * scale:
+        raise ModelError(f"{label} is not symmetric to tolerance")
+    eigvals, _ = symmetric_eig(op, vectors=False)
+    if float(np.min(eigvals, initial=0.0)) < -EIG_RTOL * scale:
         raise ModelError(f"{label} has an eigenvalue below the PSD floor")
 
 
 def covariance_sqrt(op: OperatorRep) -> OperatorRep:
     """Symmetric square root; negative round-off eigenvalues are clipped at 0."""
-    if op.kind == DIAGONAL:
-        return OperatorRep(
-            DIAGONAL,
-            op.domain_basis,
-            op.codomain_basis,
-            multipliers=np.sqrt(np.clip(op.multipliers, 0.0, None)),
-        )
-    mat = 0.5 * (op.matrix + op.matrix.T)
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    root = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
-    return OperatorRep("dense", op.domain_basis, op.codomain_basis, matrix=root)
+    return operator_power(op, 0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +108,7 @@ class GaussianModel:
 
     @property
     def is_diagonal(self) -> bool:
-        return (
-            self.a.kind == DIAGONAL
-            and self.sigma_u.kind == DIAGONAL
-            and self.sigma_v.kind == DIAGONAL
-        )
+        return all(op.is_diagonal for op in (self.a, self.sigma_u, self.sigma_v))
 
     @classmethod
     def build(
@@ -146,25 +134,22 @@ class GaussianModel:
         if y0.basis_id != a.domain_basis or y0.dim != a.dim_in:
             raise DimensionMismatchError("y0 must live in the operator domain")
         pi = bundle.projector_pi
-        if pi.kind == DIAGONAL:
-            pi_y0 = float(np.linalg.norm(pi.multipliers * y0.coeffs))
-        else:
-            pi_y0 = float(np.linalg.norm(pi.as_matrix() @ y0.coeffs))
-        if pi_y0 > 1e-10 * (1.0 + y0.norm()):
+        pi_y0 = apply(pi, y0).norm()
+        if pi_y0 > STRUCTURE_TOL * (1.0 + y0.norm()):
             raise ModelError(
                 "y0 must lie in the null space of the operator "
                 f"(projector residual {pi_y0:.3e})"
             )
-        if pi.kind == DIAGONAL and sigma_u.kind == DIAGONAL:
+        if pi.is_diagonal and sigma_u.is_diagonal:
             commutator = 0.0
         else:
             pm = pi.as_matrix()
             sm = sigma_u.as_matrix()
             commutator = float(np.linalg.norm(pm @ sm - sm @ pm))
         if commuting_sigma_u is None:
-            commuting = commutator <= 1e-10
+            commuting = commutator <= STRUCTURE_TOL
         elif commuting_sigma_u:
-            if commutator > 1e-10:
+            if commutator > STRUCTURE_TOL:
                 raise ModelError(
                     f"declared commuting sigma_u has commutator norm {commutator:.3e}"
                 )
@@ -190,21 +175,7 @@ class GaussianModel:
 def qv(model: GaussianModel) -> OperatorRep:
     """Covariance ``pinv(A) sigma_v pinv(A)*`` of the signal component."""
     p = model.pinv_bundle.pinv
-    if p.kind == DIAGONAL and model.sigma_v.kind == DIAGONAL:
-        return OperatorRep(
-            DIAGONAL,
-            model.a.domain_basis,
-            model.a.domain_basis,
-            multipliers=p.multipliers**2 * model.sigma_v.multipliers,
-        )
-    pm = p.as_matrix()
-    mat = pm @ model.sigma_v.as_matrix() @ pm.T
-    return OperatorRep(
-        "dense",
-        model.a.domain_basis,
-        model.a.domain_basis,
-        matrix=0.5 * (mat + mat.T),
-    )
+    return symmetrize(compose(compose(p, model.sigma_v), adjoint(p)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,50 +211,19 @@ def regression_slope(model: GaussianModel) -> OperatorRep:
     emitted.
     """
     q = qv(model)
-    total = add(model.sigma_u, q)
-    if total.kind == DIAGONAL:
-        diag = total.multipliers
-        largest = float(diag.max(initial=0.0))
-        keep = diag > 1e-12 * largest if largest > 0.0 else np.zeros_like(diag, bool)
-        if not keep.all():
-            warnings.warn(
-                "sigma_u + Q_v is rank deficient; using the generalized inverse",
-                RankDeficiencyWarning,
-                stacklevel=2,
-            )
-        slope = np.zeros_like(diag)
-        np.divide(q.multipliers, diag, out=slope, where=keep)
-        return OperatorRep(
-            DIAGONAL, model.a.domain_basis, model.a.domain_basis, multipliers=slope
-        )
-    mat = 0.5 * (total.as_matrix() + total.as_matrix().T)
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    largest = float(eigvals[-1]) if eigvals.size else 0.0
-    keep = eigvals > 1e-12 * largest if largest > 0.0 else np.zeros_like(eigvals, bool)
-    if not keep.all():
+    inv, full_rank = psd_inverse(add(model.sigma_u, q))
+    if not full_rank:
         warnings.warn(
             "sigma_u + Q_v is rank deficient; using the generalized inverse",
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    inv = (eigvecs[:, keep] / eigvals[keep]) @ eigvecs[:, keep].T
-    return OperatorRep(
-        "dense",
-        model.a.domain_basis,
-        model.a.domain_basis,
-        matrix=q.as_matrix() @ inv,
-    )
+    return compose(q, inv)
 
 
 def conditional_mean(model: GaussianModel, x: CoeffVector) -> CoeffVector:
     """Best predictor ``y0 + Q_v (sigma_u + Q_v)^{-1} (x - y0)`` of the signal."""
-    slope = regression_slope(model)
-    shifted = x - model.y0
-    if slope.kind == DIAGONAL:
-        adjusted = slope.multipliers * shifted.coeffs
-    else:
-        adjusted = slope.matrix @ shifted.coeffs
-    return CoeffVector(model.y0.coeffs + adjusted, x.basis_id)
+    return model.y0 + apply(regression_slope(model), x - model.y0)
 
 
 # ---------------------------------------------------------------------------
@@ -319,31 +259,7 @@ def hs_diagnostics(
     Hilbert-Schmidt norm is then computed on the positive part.
     """
     q = qv(model)
-    total = add(model.sigma_u, q)
-    if total.kind == DIAGONAL:
-        qdiag = q.multipliers
-        sdiag = total.multipliers
-        trace_q = float(qdiag.sum())
-        trace_u = float(model.sigma_u.multipliers.sum())
-        largest = float(sdiag.max(initial=0.0))
-        keep = sdiag > 1e-12 * largest if largest > 0.0 else np.zeros_like(sdiag, bool)
-        injective = bool(keep.all()) and sdiag.size > 0
-        hs_sq = float((qdiag[keep] ** 2 / sdiag[keep]).sum())
-    else:
-        qmat = q.as_matrix()
-        smat = 0.5 * (total.as_matrix() + total.as_matrix().T)
-        trace_q = float(np.trace(qmat))
-        trace_u = float(np.trace(model.sigma_u.as_matrix()))
-        eigvals, eigvecs = np.linalg.eigh(smat)
-        largest = float(eigvals[-1]) if eigvals.size else 0.0
-        keep = (
-            eigvals > 1e-12 * largest
-            if largest > 0.0
-            else np.zeros_like(eigvals, bool)
-        )
-        injective = bool(keep.all()) and eigvals.size > 0
-        inv_root = (eigvecs[:, keep] / np.sqrt(eigvals[keep])) @ eigvecs[:, keep].T
-        hs_sq = float(np.linalg.norm(qmat @ inv_root) ** 2)
+    inv_root, injective = psd_inverse(add(model.sigma_u, q), 0.5)
 
     qv_sum = su_sum = hs_sum = None
     if decay is not None:
@@ -353,9 +269,9 @@ def hs_diagnostics(
         t_decay = q_decay - min(decay.sigma_u_decay, q_decay) / 2.0
         hs_sum = t_decay > 0.5
     return HsReport(
-        trace_qv=trace_q,
-        trace_sigma_u=trace_u,
-        hs_norm=float(np.sqrt(hs_sq)),
+        trace_qv=float(np.trace(q.as_matrix())),
+        trace_sigma_u=float(np.trace(model.sigma_u.as_matrix())),
+        hs_norm=float(np.linalg.norm(compose(q, inv_root).as_matrix())),
         injective=injective,
         qv_trace_summable=qv_sum,
         sigma_u_trace_summable=su_sum,
@@ -382,12 +298,6 @@ class JointSample:
     @property
     def count(self) -> int:
         return int(self.x.shape[0])
-
-
-def _apply_rows(op: OperatorRep, rows: np.ndarray) -> np.ndarray:
-    if op.kind == DIAGONAL:
-        return rows * op.multipliers[None, :]
-    return rows @ op.matrix.T
 
 
 DEFAULT_CHUNK = 1 << 14
@@ -420,11 +330,11 @@ def sample_joint(
         rng = np.random.default_rng([seed, chunk])
         zu = rng.standard_normal((rows, model.dim))
         zv = rng.standard_normal((rows, model.codim))
-        u = _apply_rows(root_u, zu)
-        v = _apply_rows(range_proj, _apply_rows(root_v, zv))
+        u = apply_rows(root_u, zu)
+        v = apply_rows(range_proj, apply_rows(root_v, zv))
         blocks_u.append(u)
         blocks_v.append(v)
-        blocks_y.append(model.y0.coeffs[None, :] + _apply_rows(ainv, v))
+        blocks_y.append(model.y0.coeffs[None, :] + apply_rows(ainv, v))
     u = np.vstack(blocks_u)
     v = np.vstack(blocks_v)
     y = np.vstack(blocks_y)

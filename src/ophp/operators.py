@@ -1,7 +1,7 @@
 """Linear operators on finite orthonormal-basis truncations.
 
 Everything downstream works with coefficient sequences relative to a declared
-orthonormal basis, so operators are stored in whichever of three
+orthonormal basis, so operators are stored in whichever of two
 representations keeps their structure explicit:
 
 ``diagonal``
@@ -9,15 +9,16 @@ representations keeps their structure explicit:
     dense storage implicitly; promotion happens only through
     :meth:`OperatorRep.as_matrix`.
 ``dense``
-    A rectangular matrix between two (possibly different) bases.
-``kernel``
-    An integral kernel on [0, 1] sampled on a composite-trapezoid quadrature
-    grid and projected onto the sine basis.  After construction the projected
-    matrix is used for all arithmetic.
+    A rectangular matrix between two (possibly different) bases.  An
+    integral kernel on [0, 1], sampled on a composite-trapezoid quadrature
+    grid and projected onto the sine basis, is stored this way and keeps its
+    recipe as provenance.
 
-The module also provides the Moore-Penrose generalized inverse together with
-the orthogonal projector onto the complement of the null space, which is the
-backbone of the filtering and covariance algebra built on top of it.
+This is the only module that looks at the storage.  Besides the operator
+algebra it provides the Moore-Penrose generalized inverse with its projector
+algebra and the symmetric spectral primitives (symmetric part,
+eigendecomposition, thresholded PSD inverse, PSD power) that the covariance
+algebra built on top of it is written in.
 """
 
 from __future__ import annotations
@@ -32,7 +33,16 @@ BASIS_SINE = "sine-dirichlet"
 
 DENSE = "dense"
 DIAGONAL = "diagonal"
-KERNEL = "kernel"
+
+# Eigenvalues at or below EIG_RTOL times the largest one count as zero (the
+# rank cutoff of PSD inverses), and an operator is PSD when no eigenvalue lies
+# below -EIG_RTOL times its scale.
+EIG_RTOL = 1e-12
+# Largest entrywise asymmetry accepted, relative to 1 + the largest entry.
+SYMMETRY_RTOL = 1e-12
+# Structural residuals: y0 outside the null space, the commutator of sigma_u
+# with the null-space projector.
+STRUCTURE_TOL = 1e-10
 
 
 class BasisMismatchError(ValueError):
@@ -130,9 +140,8 @@ class OperatorRep:
     """A linear operator between two basis truncations.
 
     ``kind`` selects the storage: ``diagonal`` keeps ``multipliers``,
-    ``dense`` and ``kernel`` keep ``matrix`` (for kernels this is the
-    quadrature-projected matrix in the sine basis; the sampling grid is
-    retained for diagnostics).
+    ``dense`` keeps ``matrix``.  An operator discretized from an integral
+    kernel is dense; ``kernel_name`` and ``grid`` record its recipe.
     """
 
     kind: str
@@ -150,7 +159,7 @@ class OperatorRep:
                 raise DimensionMismatchError("diagonal multipliers must be 1-d")
             mult.setflags(write=False)
             object.__setattr__(self, "multipliers", mult)
-        elif self.kind in (DENSE, KERNEL):
+        elif self.kind == DENSE:
             mat = np.array(self.matrix, dtype=float, copy=True)
             if mat.ndim != 2 or mat.size == 0:
                 raise DimensionMismatchError("dense matrix must be 2-d")
@@ -290,10 +299,10 @@ def kernel_operator(
     weighted = grid.weights[:, None] * samples * grid.weights[None, :]
     projected = basis_vals.T @ weighted @ basis_vals
     scale = 1.0 + np.abs(samples).max()
-    if np.abs(samples - samples.T).max() <= 1e-12 * scale:
+    if np.abs(samples - samples.T).max() <= SYMMETRY_RTOL * scale:
         projected = 0.5 * (projected + projected.T)
     return OperatorRep(
-        kind=KERNEL,
+        kind=DENSE,
         domain_basis=basis_id,
         codomain_basis=basis_id,
         matrix=projected,
@@ -305,6 +314,11 @@ def kernel_operator(
 # ---------------------------------------------------------------------------
 # Operator algebra
 # ---------------------------------------------------------------------------
+
+
+def _matrix(op: OperatorRep) -> np.ndarray:
+    # Like as_matrix, without copying a dense operator's read-only matrix.
+    return np.diag(op.multipliers) if op.kind == DIAGONAL else op.matrix
 
 
 def apply(op: OperatorRep, x: CoeffVector) -> CoeffVector:
@@ -322,31 +336,29 @@ def apply(op: OperatorRep, x: CoeffVector) -> CoeffVector:
         raise DimensionMismatchError(
             f"operator expects dimension {op.dim_in}, got {x.dim}"
         )
+    return CoeffVector(apply_rows(op, x.coeffs), op.codomain_basis)
+
+
+def apply_rows(op: OperatorRep, rows: np.ndarray) -> np.ndarray:
+    """Apply the operator to every row of ``rows`` (one vector per row)."""
     if op.kind == DIAGONAL:
-        out = op.multipliers * x.coeffs
-    else:
-        out = op.matrix @ x.coeffs
-    return CoeffVector(out, op.codomain_basis)
+        return rows * op.multipliers
+    return rows @ op.matrix.T
 
 
 def adjoint(op: OperatorRep) -> OperatorRep:
     """Adjoint with respect to the orthonormal bases.
 
-    Dense operators transpose; diagonal operators are self-adjoint;
-    symmetric kernel operators return themselves.
+    Dense operators transpose; diagonal operators and symmetric square dense
+    operators on one basis return themselves.
     """
-    if op.kind == DIAGONAL:
-        if op.domain_basis == op.codomain_basis:
-            return op
-        return diagonal_operator(op.multipliers, op.codomain_basis, op.domain_basis)
-    if op.kind == KERNEL and np.array_equal(op.matrix, op.matrix.T):
+    if op.domain_basis == op.codomain_basis and (
+        op.kind == DIAGONAL or np.array_equal(op.matrix, op.matrix.T)
+    ):
         return op
-    return OperatorRep(
-        kind=DENSE,
-        domain_basis=op.codomain_basis,
-        codomain_basis=op.domain_basis,
-        matrix=op.matrix.T,
-    )
+    if op.kind == DIAGONAL:
+        return diagonal_operator(op.multipliers, op.codomain_basis, op.domain_basis)
+    return dense_operator(op.matrix.T, op.codomain_basis, op.domain_basis)
 
 
 def compose(s: OperatorRep, t: OperatorRep) -> OperatorRep:
@@ -368,12 +380,7 @@ def compose(s: OperatorRep, t: OperatorRep) -> OperatorRep:
         return diagonal_operator(
             s.multipliers * t.multipliers, t.domain_basis, s.codomain_basis
         )
-    return OperatorRep(
-        kind=DENSE,
-        domain_basis=t.domain_basis,
-        codomain_basis=s.codomain_basis,
-        matrix=s.as_matrix() @ t.as_matrix(),
-    )
+    return dense_operator(_matrix(s) @ _matrix(t), t.domain_basis, s.codomain_basis)
 
 
 def add(s: OperatorRep, t: OperatorRep) -> OperatorRep:
@@ -386,12 +393,7 @@ def add(s: OperatorRep, t: OperatorRep) -> OperatorRep:
         return diagonal_operator(
             s.multipliers + t.multipliers, s.domain_basis, s.codomain_basis
         )
-    return OperatorRep(
-        kind=DENSE,
-        domain_basis=s.domain_basis,
-        codomain_basis=s.codomain_basis,
-        matrix=s.as_matrix() + t.as_matrix(),
-    )
+    return dense_operator(_matrix(s) + _matrix(t), s.domain_basis, s.codomain_basis)
 
 
 def scalar_multiple(op: OperatorRep, c: float) -> OperatorRep:
@@ -400,12 +402,7 @@ def scalar_multiple(op: OperatorRep, c: float) -> OperatorRep:
         return diagonal_operator(
             op.multipliers * float(c), op.domain_basis, op.codomain_basis
         )
-    return OperatorRep(
-        kind=DENSE,
-        domain_basis=op.domain_basis,
-        codomain_basis=op.codomain_basis,
-        matrix=op.as_matrix() * float(c),
-    )
+    return dense_operator(op.matrix * float(c), op.domain_basis, op.codomain_basis)
 
 
 def operator_norm(op: OperatorRep) -> float:
@@ -413,6 +410,68 @@ def operator_norm(op: OperatorRep) -> float:
     if op.kind == DIAGONAL:
         return float(np.abs(op.multipliers).max())
     return float(np.linalg.norm(op.matrix, 2))
+
+
+# ---------------------------------------------------------------------------
+# Symmetric spectral primitives
+# ---------------------------------------------------------------------------
+
+
+def symmetrize(op: OperatorRep) -> OperatorRep:
+    """Symmetric part ``(op + op*) / 2`` of a square operator."""
+    if op.kind == DIAGONAL:
+        return op
+    return dense_operator(
+        0.5 * (op.matrix + op.matrix.T), op.domain_basis, op.codomain_basis
+    )
+
+
+def symmetric_eig(
+    op: OperatorRep, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues and eigenvectors of the symmetric part of a square operator.
+
+    Diagonal operators return their multipliers (in storage order) and no
+    eigenvectors; dense operators return ascending eigenvalues and the
+    matching orthonormal eigenvector columns, or ``None`` in their place
+    when ``vectors`` is false.
+    """
+    if op.kind == DIAGONAL:
+        return op.multipliers, None
+    sym = 0.5 * (op.matrix + op.matrix.T)
+    return np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
+
+
+def psd_inverse(op: OperatorRep, power: float = 1.0) -> tuple[OperatorRep, bool]:
+    """Thresholded inverse power ``op^(-power)`` of a symmetric PSD operator.
+
+    Eigenvalues at or below ``EIG_RTOL`` times the largest one count as zero
+    and stay zero in the result, which is then the generalized inverse on the
+    numerical range.  Returns the result, stored like ``op``, and whether no
+    eigenvalue was dropped.
+    """
+    vals, vecs = symmetric_eig(op)
+    largest = float(vals.max(initial=0.0))
+    keep = vals > EIG_RTOL * largest if largest > 0.0 else np.zeros(vals.shape, bool)
+    full_rank = bool(keep.all())
+    if vecs is None:
+        inv = np.zeros_like(vals)
+        inv[keep] = 1.0 / vals[keep] ** power
+        return diagonal_operator(inv, op.domain_basis, op.codomain_basis), full_rank
+    inv = (vecs[:, keep] / vals[keep] ** power) @ vecs[:, keep].T
+    return dense_operator(inv, op.domain_basis, op.codomain_basis), full_rank
+
+
+def operator_power(op: OperatorRep, power: float) -> OperatorRep:
+    """``op**power`` of a symmetric PSD operator, stored like ``op``.
+
+    Negative round-off eigenvalues are clipped at zero first.
+    """
+    vals, vecs = symmetric_eig(op)
+    vals = np.clip(vals, 0.0, None) ** power
+    if vecs is None:
+        return diagonal_operator(vals, op.domain_basis, op.codomain_basis)
+    return dense_operator((vecs * vals) @ vecs.T, op.domain_basis, op.codomain_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -496,19 +555,12 @@ def pinv(a: OperatorRep, rcond: float | None = None) -> PinvBundle:
         pi_mat = np.zeros((a.dim_in, a.dim_in))
         range_mat = np.zeros((a.dim_out, a.dim_out))
     return PinvBundle(
-        pinv=OperatorRep(DENSE, a.codomain_basis, a.domain_basis, matrix=inv_mat),
+        pinv=dense_operator(inv_mat, a.codomain_basis, a.domain_basis),
         numerical_rank=rank,
         sv_threshold=threshold,
-        projector_pi=OperatorRep(DENSE, a.domain_basis, a.domain_basis, matrix=pi_mat),
-        projector_complement=OperatorRep(
-            DENSE,
-            a.domain_basis,
-            a.domain_basis,
-            matrix=np.eye(a.dim_in) - pi_mat,
-        ),
-        range_projector=OperatorRep(
-            DENSE, a.codomain_basis, a.codomain_basis, matrix=range_mat
-        ),
+        projector_pi=dense_operator(pi_mat, a.domain_basis),
+        projector_complement=dense_operator(np.eye(a.dim_in) - pi_mat, a.domain_basis),
+        range_projector=dense_operator(range_mat, a.codomain_basis),
         svd=(u, s, vt),
     )
 

@@ -18,18 +18,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .gaussian import DecayDeclaration, GaussianModel
 from .operators import (
-    DENSE,
-    DIAGONAL,
     CoeffVector,
     DimensionMismatchError,
     OperatorRep,
     PinvBundle,
+    adjoint,
+    compose,
     default_rcond,
+    symmetrize,
 )
 from .smoothing import _assemble
 
@@ -39,9 +41,11 @@ class ScaleWeights:
     """Weights kappa_j**n over the retained spectral components.
 
     ``indices`` are the positions of the retained components in the
-    operator's representation (coordinate index for diagonal operators,
-    singular-value rank otherwise); components with zero singular value are
-    excluded, so the weights are strictly positive.
+    operator's spectral coordinates: the coefficients themselves for
+    diagonal operators, or the coefficients rotated by ``rotation`` (the
+    right singular vectors ``Vt``, rows in singular-value rank) otherwise.
+    Components with zero singular value are excluded, so the weights are
+    strictly positive.
     """
 
     n: int
@@ -49,17 +53,22 @@ class ScaleWeights:
     kappa: np.ndarray
     weights: np.ndarray
     decay_exponent: float | None = None
+    rotation: np.ndarray | None = None
+
+    def _retained(self, x) -> np.ndarray:
+        coeffs = x.coeffs if isinstance(x, CoeffVector) else np.asarray(x, float)
+        if self.rotation is not None:
+            coeffs = self.rotation @ coeffs
+        return coeffs[self.indices]
 
     def dual_norm(self, x) -> float:
         """Norm with reciprocal weights; mass off the retained components
         (the null space of the operator) contributes zero."""
-        coeffs = x.coeffs if isinstance(x, CoeffVector) else np.asarray(x, float)
-        return float(np.linalg.norm(coeffs[self.indices] / self.weights))
+        return float(np.linalg.norm(self._retained(x) / self.weights))
 
     def scale_norm(self, x) -> float:
         """Norm with direct weights, over the retained components."""
-        coeffs = x.coeffs if isinstance(x, CoeffVector) else np.asarray(x, float)
-        return float(np.linalg.norm(coeffs[self.indices] * self.weights))
+        return float(np.linalg.norm(self._retained(x) * self.weights))
 
 
 def scale_weights(
@@ -76,7 +85,8 @@ def scale_weights(
     """
     if n < 0:
         raise ValueError("scale index n must be nonnegative")
-    if a.kind == DIAGONAL:
+    rotation = None
+    if a.is_diagonal:
         mult = a.multipliers
         threshold = default_rcond(a) * float(np.abs(mult).max(initial=0.0))
         keep = np.abs(mult) > threshold
@@ -88,22 +98,19 @@ def scale_weights(
                 "dense operator has no computed singular values; pre-diagonalize "
                 "it or pass the pinv bundle holding its SVD"
             )
-        _, s, _ = bundle.svd
+        _, s, vt = bundle.svd
         rank = bundle.numerical_rank
         indices = np.arange(rank)
         kappa = s[:rank] ** 2
+        rotation = vt
     return ScaleWeights(
         n=int(n),
         indices=indices,
         kappa=kappa,
         weights=kappa ** float(n),
         decay_exponent=decay_exponent,
+        rotation=rotation,
     )
-
-
-def _rescale_diagonal(values: np.ndarray, inv_sq: np.ndarray) -> np.ndarray:
-    # inv_sq holds pinv multipliers squared: 1/kappa on range, 0 elsewhere.
-    return values * inv_sq
 
 
 def rescaled_covariances(
@@ -111,52 +118,23 @@ def rescaled_covariances(
 ) -> tuple[OperatorRep, OperatorRep]:
     """Covariances conjugated by the n-th power of the inverse scale operator.
 
-    Spectral models become diagonal with entries sigma_j / kappa_j**(2n) on
-    the range components; for n >= 1 the null-space components are zeroed.
-    At n = 0 the inputs are returned unchanged.
+    Each covariance becomes ``W sigma W``, with ``W = (pinv(A) pinv(A)*)^n``
+    on the domain and ``(pinv(A)* pinv(A))^n`` on the codomain.  Spectral
+    models stay diagonal with entries sigma_j / kappa_j**(2n) on the range
+    components; for n >= 1 the null-space components are zeroed.  At n = 0
+    the inputs are returned unchanged.
     """
     if n < 0:
         raise ValueError("scale index n must be nonnegative")
     if n == 0:
         return model.sigma_u, model.sigma_v
-    bundle = model.pinv_bundle
-    if model.is_diagonal:
-        inv_sq = bundle.pinv.multipliers ** 2
-        factor = inv_sq ** (2 * n)
-        su = model.sigma_u.multipliers * factor
-        sv = model.sigma_v.multipliers * factor
-        return (
-            OperatorRep(
-                DIAGONAL, model.a.domain_basis, model.a.domain_basis, multipliers=su
-            ),
-            OperatorRep(
-                DIAGONAL, model.a.codomain_basis, model.a.codomain_basis, multipliers=sv
-            ),
-        )
-    if bundle.svd is None:
-        raise DimensionMismatchError(
-            "rescaling a dense model requires the SVD from its pinv bundle"
-        )
-    u, s, vt = bundle.svd
-    rank = bundle.numerical_rank
-    inv_pow = s[:rank] ** (-2.0 * n)
-    w_domain = (vt[:rank].T * inv_pow) @ vt[:rank]
-    w_codomain = (u[:, :rank] * inv_pow) @ u[:, :rank].T
-    su = w_domain @ model.sigma_u.as_matrix() @ w_domain
-    sv = w_codomain @ model.sigma_v.as_matrix() @ w_codomain
+    p = model.pinv_bundle.pinv
+    # Powers by repeated composition: no factorization beyond the pinv's.
+    w_domain = reduce(compose, [compose(p, adjoint(p))] * n)
+    w_codomain = reduce(compose, [compose(adjoint(p), p)] * n)
     return (
-        OperatorRep(
-            DENSE,
-            model.a.domain_basis,
-            model.a.domain_basis,
-            matrix=0.5 * (su + su.T),
-        ),
-        OperatorRep(
-            DENSE,
-            model.a.codomain_basis,
-            model.a.codomain_basis,
-            matrix=0.5 * (sv + sv.T),
-        ),
+        symmetrize(compose(w_domain, compose(model.sigma_u, w_domain))),
+        symmetrize(compose(w_codomain, compose(model.sigma_v, w_codomain))),
     )
 
 

@@ -19,15 +19,15 @@ import numpy as np
 from .filter import FilterProblem, solve_filter
 from .gaussian import GaussianModel, RankDeficiencyWarning, conditional_mean, regression_slope
 from .operators import (
-    DENSE,
-    DIAGONAL,
     CoeffVector,
     DimensionMismatchError,
     OperatorRep,
     PinvBundle,
     adjoint,
     compose,
+    dense_operator,
     diagonal_operator,
+    psd_inverse,
 )
 
 
@@ -35,17 +35,9 @@ class SingularCovarianceError(ValueError):
     """sigma_v is not invertible on the range of the operator."""
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothingCandidate:
-    """A smoothing operator, optionally tagged with its family parameters."""
-
-    b: OperatorRep
-    family_params: np.ndarray | None = None
-
-
 def _range_basis(a: OperatorRep, bundle: PinvBundle) -> np.ndarray:
     """Orthonormal basis of the range of ``a`` as codomain columns."""
-    if a.kind == DIAGONAL:
+    if a.is_diagonal:
         mask = bundle.range_projector.multipliers > 0.5
         return np.eye(a.dim_out)[:, mask]
     u, _, _ = bundle.svd
@@ -58,7 +50,7 @@ def _assemble(
     sigma_u: OperatorRep,
     sigma_v: OperatorRep,
 ) -> OperatorRep:
-    if a.kind == DIAGONAL and sigma_u.kind == DIAGONAL and sigma_v.kind == DIAGONAL:
+    if a.is_diagonal and sigma_u.is_diagonal and sigma_v.is_diagonal:
         mask = bundle.range_projector.multipliers > 0.5
         sv = sigma_v.multipliers
         if mask.any():
@@ -75,20 +67,14 @@ def _assemble(
         mult = bundle.pinv.multipliers * sigma_u.multipliers * a.multipliers * inv_sv
         return diagonal_operator(mult, a.codomain_basis)
     basis = _range_basis(a, bundle)
-    restricted = basis.T @ sigma_v.as_matrix() @ basis
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (restricted + restricted.T))
-    largest = float(eigvals[-1]) if eigvals.size else 0.0
-    if eigvals.size and float(eigvals[0]) <= 1e-12 * largest:
-        bad = np.nonzero(eigvals <= 1e-12 * largest)[0].tolist()
-        raise SingularCovarianceError(
-            f"sigma_v is singular on range spectral components {bad}"
-        )
-    if eigvals.size:
-        inv_restricted = (eigvecs / eigvals) @ eigvecs.T
-        inv_full = basis @ inv_restricted @ basis.T
-    else:
-        inv_full = np.zeros((a.dim_out, a.dim_out))
-    sv_inv = OperatorRep(DENSE, a.codomain_basis, a.codomain_basis, matrix=inv_full)
+    inv_full = np.zeros((a.dim_out, a.dim_out))
+    if basis.size:
+        restricted = dense_operator(basis.T @ sigma_v.as_matrix() @ basis)
+        inv_restricted, full_rank = psd_inverse(restricted)
+        if not full_rank:
+            raise SingularCovarianceError("sigma_v is singular on the range of A")
+        inv_full = basis @ inv_restricted.matrix @ basis.T
+    sv_inv = dense_operator(inv_full, a.codomain_basis)
     return compose(
         adjoint(bundle.pinv), compose(sigma_u, compose(adjoint(a), sv_inv))
     )
@@ -243,7 +229,7 @@ def grid_search_oracle(
     """
     bhat = optimal_b(model)
     if family is None:
-        if bhat.kind != DIAGONAL:
+        if not bhat.is_diagonal:
             raise DimensionMismatchError(
                 "grid search requires a diagonal family; supply one explicitly"
             )
@@ -256,10 +242,7 @@ def grid_search_oracle(
             indices=tuple(int(i) for i in active),
             basis_id=model.a.codomain_basis,
         )
-    if bhat.kind == DIAGONAL:
-        bhat_params = bhat.multipliers[list(family.indices)]
-    else:
-        bhat_params = np.diag(bhat.as_matrix())[list(family.indices)]
+    bhat_params = np.diag(bhat.as_matrix())[list(family.indices)]
     if grid is None:
         grid = lattice_around(bhat_params, points=points, rel_halfwidth=rel_halfwidth)
     if len(grid) != len(family.indices):

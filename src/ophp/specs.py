@@ -6,6 +6,9 @@ Operator documents::
     {"kind": "dense", "rows": [[...], ...], "basis": ..., "codomain_basis": ...}
     {"kind": "kernel", "name": "dirichlet_green", "grid_points": 512}
 
+A kernel document builds a dense operator that keeps the kernel recipe, so
+it serializes back to the same document.  Every number must be finite.
+
 Covariance documents::
 
     {"kind": "diagonal", "values": [...]}
@@ -45,6 +48,13 @@ class SpecError(ValueError):
     """A JSON document does not satisfy its schema."""
 
 
+def _finite(values, what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise SpecError(f"{what} must be finite")
+    return arr
+
+
 def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:
     """Build an operator from its JSON description.
 
@@ -59,13 +69,13 @@ def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:
         if mult is None:
             raise SpecError("diagonal operator spec needs 'multipliers'")
         basis = obj.get("basis", BASIS_EUCLIDEAN)
-        op = diagonal_operator(np.asarray(mult, dtype=float), basis)
+        op = diagonal_operator(_finite(mult, "operator multipliers"), basis)
     elif kind == "dense":
         rows = obj.get("rows")
         if rows is None:
             raise SpecError("dense operator spec needs 'rows'")
         op = dense_operator(
-            np.asarray(rows, dtype=float),
+            _finite(rows, "operator rows"),
             obj.get("basis", BASIS_EUCLIDEAN),
             obj.get("codomain_basis"),
         )
@@ -105,7 +115,7 @@ def parse_covariance(
         values = obj.get("values")
         if values is None:
             raise SpecError("diagonal covariance spec needs 'values'")
-        values = np.asarray(values, dtype=float)
+        values = _finite(values, "covariance values")
         if values.shape != (dim,):
             raise SpecError(f"covariance values must have length {dim}")
         return diagonal_operator(values, basis_id), None
@@ -113,13 +123,13 @@ def parse_covariance(
         rows = obj.get("rows")
         if rows is None:
             raise SpecError("dense covariance spec needs 'rows'")
-        mat = np.asarray(rows, dtype=float)
+        mat = _finite(rows, "covariance rows")
         if mat.shape != (dim, dim):
             raise SpecError(f"covariance matrix must be {dim}x{dim}")
         return dense_operator(mat, basis_id), None
     if kind == "power_decay":
-        scale = float(obj.get("scale", 1.0))
-        exponent = float(obj.get("exponent", 0.0))
+        scale = float(_finite(obj.get("scale", 1.0), "covariance scale"))
+        exponent = float(_finite(obj.get("exponent", 0.0), "covariance exponent"))
         n = np.arange(1, dim + 1, dtype=float)
         return diagonal_operator(scale * n ** (-exponent), basis_id), exponent
     raise SpecError(f"unknown covariance kind {kind!r}")
@@ -127,13 +137,13 @@ def parse_covariance(
 
 def operator_to_json(op: OperatorRep) -> dict:
     """JSON description of an operator (kernel ops keep their recipe)."""
-    if op.kind == "diagonal":
+    if op.is_diagonal:
         return {
             "kind": "diagonal",
             "multipliers": [float(v) for v in op.multipliers],
             "basis": op.domain_basis,
         }
-    if op.kind == "kernel":
+    if op.kernel_name is not None:
         return {
             "kind": "kernel",
             "name": op.kernel_name,
@@ -249,7 +259,7 @@ def build_model(cfg: RunConfig) -> tuple[GaussianModel, DecayDeclaration | None]
     )
     y0 = None
     if cfg.y0 is not None:
-        y0 = CoeffVector(np.asarray(cfg.y0, dtype=float), operator.domain_basis)
+        y0 = CoeffVector(_finite(cfg.y0, "y0"), operator.domain_basis)
     model = GaussianModel.build(
         operator,
         sigma_u,

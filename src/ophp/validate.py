@@ -19,7 +19,13 @@ from .gaussian import (
     regression_slope,
     sample_joint,
 )
-from .operators import dense_operator, moore_penrose_residuals, operator_norm, pinv
+from .operators import (
+    STRUCTURE_TOL,
+    dense_operator,
+    moore_penrose_residuals,
+    operator_norm,
+    pinv,
+)
 from .scales import scaled_optimal_b, trace_class_threshold
 from .smoothing import grid_search_oracle, optimal_b
 
@@ -225,7 +231,7 @@ def grid_argmin_check(
 
 def commutation_check(model: GaussianModel) -> CheckResult:
     """Noise covariance commutes with the null-space projector."""
-    passed = model.commutator_norm <= 1e-10
+    passed = model.commutator_norm <= STRUCTURE_TOL
     return CheckResult(
         "noise-projector-commutation",
         PASS if passed else FAIL,

@@ -314,6 +314,119 @@ class TestOtherCommands:
         assert (a / "x.csv").read_bytes() != (b / "x.csv").read_bytes()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _eye_with(dim, value):
+    rows = np.eye(dim).tolist()
+    rows[1][1] = value
+    return rows
+
+
+def _two_dim_config(operator_rows, sigma_u, sigma_v, **extra):
+    doc = {
+        "operator": {"kind": "dense", "rows": operator_rows},
+        "sigma_u": sigma_u,
+        "sigma_v": sigma_v,
+        "truncation_dim": 2,
+        "seed": 0,
+        "input_path": "x.csv",
+    }
+    doc.update(extra)
+    return doc
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            # sigma_v does not commute with sigma_u: the optimal smoother
+            # fails the positivity check (PositivityError).
+            (
+                "filter",
+                _two_dim_config(
+                    [[1.0, 0.0], [0.0, 1.0]],
+                    {"kind": "diagonal", "values": [1.0, 0.01]},
+                    {"kind": "dense", "rows": [[50.005, -49.995], [-49.995, 50.005]]},
+                ),
+            ),
+            # sigma_v vanishes on the range (SingularCovarianceError).
+            (
+                "optimal-b",
+                _two_dim_config(
+                    [[1.0, 0.0], [0.0, 2.0]],
+                    {"kind": "diagonal", "values": [1.0, 1.0]},
+                    {"kind": "diagonal", "values": [1.0, 0.0]},
+                ),
+            ),
+            # Rescaling by s^-4 spans 16 decades: the rescaled sigma_v is
+            # singular at working precision (SingularCovarianceError).
+            (
+                "scale",
+                _two_dim_config(
+                    [[1.0, 0.0], [0.0, 1e-4]],
+                    {"kind": "diagonal", "values": [1.0, 1.0]},
+                    {"kind": "diagonal", "values": [1.0, 1.0]},
+                    scale_n=1,
+                ),
+            ),
+        ],
+        ids=["positivity", "singular-sigma-v", "singular-rescaled-sigma-v"],
+    )
+    def test_domain_errors_exit_one(self, tmp_path, capsys, command, doc):
+        (tmp_path / "x.csv").write_text("1.0\n2.0\n")
+        cfg = _write_config(tmp_path / "config.json", doc)
+        assert _run(command, "--config", cfg, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_series_rejected(self, ramp_config, tmp_path, bad):
+        cfg_path, dim = ramp_config
+        series = tmp_path / "x.csv"
+        series.write_text("\n".join(["1.0"] * (dim - 1) + [bad]) + "\n")
+        assert _run("filter", "--config", cfg_path, "--input", series) == 1
+
+    @pytest.mark.parametrize(
+        "key, spec",
+        [
+            ("operator", {"kind": "diagonal", "multipliers": [0, 2, NAN, 4, 5]}),
+            ("operator", {"kind": "dense", "rows": _eye_with(5, INF)}),
+            ("sigma_u", {"kind": "diagonal", "values": [1, 1, INF, 1, 1]}),
+            ("sigma_v", {"kind": "dense", "rows": _eye_with(5, INF)}),
+            ("sigma_u", {"kind": "power_decay", "scale": INF}),
+            ("sigma_v", {"kind": "power_decay", "exponent": NAN}),
+            ("y0", [NAN, 0, 0, 0, 0]),
+        ],
+    )
+    def test_non_finite_config_rejected(self, ramp_config, tmp_path, key, spec):
+        cfg_path, _ = ramp_config
+        doc = json.loads(cfg_path.read_text())
+        doc[key] = spec
+        _write_config(cfg_path, doc)  # json writes NaN and Infinity literals
+        assert _run("optimal-b", "--config", cfg_path, "--out", tmp_path / "out") == 1
+
+    def test_scale_mixed_model_matches_diagonal(self, tmp_path):
+        # Diagonal operator with the same covariance stored dense.
+        doc = {
+            "operator": {"kind": "diagonal", "multipliers": [0.0, 2.0, 3.0]},
+            "sigma_u": {"kind": "diagonal", "values": [1.0, 0.5, 2.0]},
+            "sigma_v": {"kind": "diagonal", "values": [0.7, 1.5, 1.0]},
+            "truncation_dim": 3,
+            "seed": 0,
+            "scale_n": 1,
+        }
+        diag_cfg = _write_config(tmp_path / "diag.json", doc)
+        doc["sigma_v"] = {"kind": "dense", "rows": np.diag([0.7, 1.5, 1.0]).tolist()}
+        mixed_cfg = _write_config(tmp_path / "mixed.json", doc)
+        assert _run("scale", "--config", diag_cfg, "--out", tmp_path / "d") == 0
+        assert _run("scale", "--config", mixed_cfg, "--out", tmp_path / "m") == 0
+        diag_doc = json.loads((tmp_path / "d" / "scale.json").read_text())
+        mixed_doc = json.loads((tmp_path / "m" / "scale.json").read_text())
+        assert mixed_doc["sigma_v_rescaled"] is None  # stored dense
+        assert mixed_doc["sigma_u_rescaled"] == diag_doc["sigma_u_rescaled"]
+        assert mixed_doc["kappa"] == diag_doc["kappa"]
+
+
 class TestSeriesProjection:
     def test_euclidean_requires_exact_length(self):
         with pytest.raises(Exception):

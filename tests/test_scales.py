@@ -8,6 +8,7 @@ from ophp import (
     DecayDeclaration,
     GaussianModel,
     dense_operator,
+    diagonal_operator,
     hs_diagnostics,
     optimal_b,
     pinv,
@@ -64,6 +65,17 @@ class TestScaleWeights:
         assert weights.dual_norm(h) * weights.scale_norm(h) == pytest.approx(
             h.norm() ** 2, rel=1e-12
         )
+
+    def test_dense_norms_match_diagonal(self):
+        # Dense weights are indexed by singular-value rank, so the
+        # coefficients must be rotated into that order before weighting.
+        diag = scale_weights(diagonal_operator([1.0, 2.0]), 1)
+        op = dense_operator(np.diag([1.0, 2.0]))
+        dense = scale_weights(op, 1, bundle=pinv(op))
+        for coeffs in ([1.0, 0.0], [0.0, 1.0], [0.3, -1.2]):
+            h = CoeffVector(coeffs)
+            assert dense.dual_norm(h) == pytest.approx(diag.dual_norm(h), rel=1e-12)
+            assert dense.scale_norm(h) == pytest.approx(diag.scale_norm(h), rel=1e-12)
 
     def test_null_space_has_zero_dual_norm(self):
         weights = scale_weights(ramp_operator(4), 1)

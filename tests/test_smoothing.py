@@ -219,21 +219,19 @@ class TestGridSearchOracle:
         for a, b in zip(probes, again):
             np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
-    def test_smoothing_candidate_carries_family_params(self):
+    def test_family_build_sets_params(self):
         model = ramp_model(3, 1.0, 1.0)
-        from ophp import SmoothingCandidate
-
         params = np.array([0.5, 1.5])
         family = DiagonalFamily(
             base=optimal_b(model).multipliers.copy(),
             indices=(1, 2),
             basis_id=model.a.codomain_basis,
         )
-        candidate = SmoothingCandidate(b=family.build(params), family_params=params)
-        np.testing.assert_array_equal(candidate.b.multipliers[1:], params)
+        b = family.build(params)
+        np.testing.assert_array_equal(b.multipliers[1:], params)
         from ophp.filter import positivity_check
 
-        assert positivity_check(model.a, candidate.b).passed
+        assert positivity_check(model.a, b).passed
 
     def test_inactive_component_allows_negative_entries(self):
         # A negative multiplier on a component the operator annihilates still

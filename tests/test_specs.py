@@ -32,7 +32,8 @@ class TestOperatorSpecs:
         op = parse_operator(
             {"kind": "kernel", "name": "dirichlet_green", "grid_points": 64}, dim=4
         )
-        assert op.kind == "kernel"
+        assert op.kind == "dense"
+        assert op.kernel_name == "dirichlet_green"
         assert op.dim_in == 4
 
     def test_kernel_needs_dim(self):
