@@ -34,8 +34,8 @@ from .operators import (
     apply,
     sine_basis_matrix,
 )
-from .scales import rescaled_covariances, scale_weights, scaled_optimal_b, trace_class_threshold
-from .smoothing import SingularCovarianceError, optimal_b
+from .scales import rescaled_covariances, scale_weights, trace_class_threshold
+from .smoothing import SingularCovarianceError, _assemble, optimal_b
 from .specs import RunConfig, SpecError, build_model, load_config, operator_to_json, parse_scale
 from .validate import run_validation, white_noise_scale_check
 
@@ -424,7 +424,7 @@ def cmd_scale(args) -> int:
         decay_exponent=decay.kappa_decay if decay else None,
     )
     su, sv = rescaled_covariances(model, n)
-    scaled = scaled_optimal_b(model, n)
+    scaled = _assemble(model.a, model.pinv_bundle, su, sv)
     white = white_noise_scale_check(model, decay=decay, n=n)
     doc = {
         "n": int(n),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +89,9 @@ class GaussianModel:
     commutes with the projector onto the complement of the null space of
     ``a`` (making the projected and complementary noise parts independent);
     ``commutator_norm`` holds the measured defect.
+
+    The model is immutable, so ``Q_v`` and the regression slope, which depend
+    on nothing else, are computed on first use and kept.
     """
 
     a: OperatorRep
@@ -109,6 +113,16 @@ class GaussianModel:
     @property
     def is_diagonal(self) -> bool:
         return all(op.is_diagonal for op in (self.a, self.sigma_u, self.sigma_v))
+
+    @cached_property
+    def _q_v(self) -> OperatorRep:
+        p = self.pinv_bundle.pinv
+        return symmetrize(compose(compose(p, self.sigma_v), adjoint(p)))
+
+    @cached_property
+    def _slope(self) -> tuple[OperatorRep, bool]:
+        inv, full_rank = psd_inverse(add(self.sigma_u, self._q_v))
+        return compose(self._q_v, inv), full_rank
 
     @classmethod
     def build(
@@ -174,8 +188,7 @@ class GaussianModel:
 
 def qv(model: GaussianModel) -> OperatorRep:
     """Covariance ``pinv(A) sigma_v pinv(A)*`` of the signal component."""
-    p = model.pinv_bundle.pinv
-    return symmetrize(compose(compose(p, model.sigma_v), adjoint(p)))
+    return model._q_v
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +211,7 @@ class JointCovariance:
 
 def joint_covariance(model: GaussianModel) -> JointCovariance:
     """Blocks ((sigma_u + Q_v, Q_v), (Q_v, Q_v))."""
-    q = qv(model)
+    q = model._q_v
     xx = add(model.sigma_u, q)
     return JointCovariance(q_v=q, block=((xx, q), (q, q)))
 
@@ -208,17 +221,16 @@ def regression_slope(model: GaussianModel) -> OperatorRep:
 
     When ``sigma_u + Q_v`` is rank deficient at working precision the
     generalized inverse is used and a :class:`RankDeficiencyWarning` is
-    emitted.
+    emitted on every call.
     """
-    q = qv(model)
-    inv, full_rank = psd_inverse(add(model.sigma_u, q))
+    slope, full_rank = model._slope
     if not full_rank:
         warnings.warn(
             "sigma_u + Q_v is rank deficient; using the generalized inverse",
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    return compose(q, inv)
+    return slope
 
 
 def conditional_mean(model: GaussianModel, x: CoeffVector) -> CoeffVector:
@@ -258,7 +270,7 @@ def hs_diagnostics(
     A zero in the spectrum of ``sigma_u + Q_v`` flags non-injectivity; the
     Hilbert-Schmidt norm is then computed on the positive part.
     """
-    q = qv(model)
+    q = model._q_v
     inv_root, injective = psd_inverse(add(model.sigma_u, q), 0.5)
 
     qv_sum = su_sum = hs_sum = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filter import FilterProblem, solve_filter
+from .filter import RESIDUAL_RTOL, FilterProblem, _solve_trend, solve_filter
 from .gaussian import GaussianModel, RankDeficiencyWarning, conditional_mean, regression_slope
 from .operators import (
     CoeffVector,
@@ -202,12 +202,14 @@ def _average_gaps_generic(
     param_rows: np.ndarray,
     x_set: list[CoeffVector],
 ) -> np.ndarray:
+    # The probe means do not depend on the smoother, and each lattice point's
+    # trend system is solved for all probes at once.
+    probes = np.stack([x.coeffs for x in x_set], axis=1)
+    means = np.stack([conditional_mean(model, x).coeffs for x in x_set], axis=1)
     totals = np.zeros(param_rows.shape[0])
     for i, row in enumerate(param_rows):
-        b = family.build(row)
-        totals[i] = float(
-            np.mean([gap(model, b, x, check_positivity=False) for x in x_set])
-        )
+        trends = _solve_trend(model.a, family.build(row), probes, RESIDUAL_RTOL)
+        totals[i] = float(np.mean(np.linalg.norm(means - trends, axis=0)))
     return totals
 
 

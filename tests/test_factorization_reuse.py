@@ -1,0 +1,117 @@
+"""Work that depends only on the model or on the trend system is done once.
+
+Counts the symmetric eigensolver calls (and SVDs) made through numpy, so a
+change that factorizes ``sigma_u + Q_v`` per conditional mean, or
+eigendecomposes ``A* B A`` for a passing positivity check, fails here.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from ophp import (
+    CoeffVector,
+    FilterProblem,
+    GaussianModel,
+    PositivityError,
+    RankDeficiencyWarning,
+    add,
+    compose,
+    conditional_mean,
+    dense_operator,
+    diagonal_operator,
+    positivity_check,
+    qv,
+    regression_slope,
+    solve_filter,
+)
+from ophp.instances import ramp_model
+from ophp.operators import psd_inverse
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def _spd(dim, rng, low=0.5, high=2.0):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q @ np.diag(rng.uniform(low, high, dim)) @ q.T
+
+
+def _dense_model(dim=6, seed=0):
+    rng = np.random.default_rng(seed)
+    a = dense_operator(rng.standard_normal((dim, dim)))
+    return GaussianModel.build(
+        a, dense_operator(_spd(dim, rng)), dense_operator(_spd(dim, rng))
+    )
+
+
+class TestModelCache:
+    def test_second_conditional_mean_does_no_factorization(self, calls):
+        model = _dense_model()
+        x = CoeffVector(np.linspace(-1.0, 1.0, model.dim))
+        first = conditional_mean(model, x)
+        assert calls["eigh"] + calls["eigvalsh"] >= 1
+        before = dict(calls)
+        second = conditional_mean(model, x)
+        assert calls == before
+        np.testing.assert_array_equal(first.coeffs, second.coeffs)
+
+    def test_cached_slope_is_bitwise_the_formula(self):
+        model = _dense_model(seed=1)
+        q = qv(model)
+        expected = compose(q, psd_inverse(add(model.sigma_u, q))[0])
+        np.testing.assert_array_equal(regression_slope(model).matrix, expected.matrix)
+        assert qv(model) is q
+
+    def test_rank_deficiency_warns_on_every_call(self):
+        model = ramp_model(3, np.array([0.0, 1.0, 1.0]), 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            regression_slope(model)
+            regression_slope(model)
+        hits = [w for w in caught if issubclass(w.category, RankDeficiencyWarning)]
+        assert len(hits) == 2
+
+
+class TestTrendSystem:
+    def test_dense_pass_is_one_eigvalsh_and_no_eigh(self, calls):
+        rng = np.random.default_rng(2)
+        a = dense_operator(rng.standard_normal((5, 5)))
+        b = dense_operator(_spd(5, rng))
+        solve_filter(FilterProblem(a, CoeffVector(rng.standard_normal(5)), b))
+        assert calls["eigvalsh"] == 1
+        assert calls["eigh"] == 0
+
+    def test_fail_computes_one_witness(self, calls):
+        rng = np.random.default_rng(3)
+        a = dense_operator(rng.standard_normal((5, 5)))
+        b = dense_operator(_spd(5, rng, -1.0, 1.0))
+        with pytest.raises(PositivityError):
+            solve_filter(FilterProblem(a, CoeffVector(rng.standard_normal(5)), b))
+        assert calls["eigh"] == 1
+        calls["eigh"] = 0
+        report = positivity_check(a, b)
+        assert calls["eigh"] == 1
+        assert not report.passed and report.trials == 0
+        h = report.witness
+        assert np.linalg.norm(h) == pytest.approx(1.0, rel=1e-12)
+        value = float((a.matrix @ h) @ (b.matrix @ (a.matrix @ h)))
+        assert value == pytest.approx(report.min_value, rel=1e-9)
+
+    def test_nonnegative_diagonal_needs_no_eigensolver(self, calls):
+        a = diagonal_operator([1.0, 2.0, 3.0])
+        report = positivity_check(a, diagonal_operator([0.0, 1.0, 2.0]))
+        assert report.passed and report.witness is None
+        assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}

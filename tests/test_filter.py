@@ -80,13 +80,9 @@ class TestPositivityCheck:
         rng = np.random.default_rng(5)
         q = _random_orthogonal(4, rng)
         b = dense_operator(q @ np.diag([-0.1, 0.3, 0.5, 1.0]) @ q.T)
-        report = positivity_check(identity_operator(4), b, trials=32, seed=1)
+        report = positivity_check(identity_operator(4), b)
         assert not report.passed
         assert report.min_value == pytest.approx(-0.1, abs=1e-9)
-
-    def test_trials_validated(self):
-        with pytest.raises(ValueError):
-            positivity_check(identity_operator(2), identity_operator(2), trials=0)
 
 
 class TestSolveFilter:

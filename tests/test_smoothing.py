@@ -7,6 +7,7 @@ from ophp import (
     CoeffVector,
     GaussianModel,
     SingularCovarianceError,
+    dense_operator,
     diagonal_operator,
     gap,
     grid_search_oracle,
@@ -235,10 +236,47 @@ class TestGridSearchOracle:
 
     def test_inactive_component_allows_negative_entries(self):
         # A negative multiplier on a component the operator annihilates still
-        # passes the empirical positivity check.
+        # passes the spectral positivity check.
         from ophp.filter import positivity_check
 
         model = ramp_model(3, 1.0, 1.0)
         candidate = diagonal_operator([-5.0, 1.0, 1.0])
         report = positivity_check(model.a, candidate)
         assert report.passed and report.method != "analytic"
+
+    @pytest.mark.parametrize("dense_a", [False, True], ids=["diagonal-a", "dense-a"])
+    def test_generic_search_matches_per_probe_gaps(self, dense_a):
+        # Non-diagonal models take the batched path; each lattice average
+        # must equal the mean of gap() over the probes, point by point.
+        dim = 6
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        a_mat = np.diag(np.arange(1.0, dim + 1.0))
+        if dense_a:
+            a_mat = a_mat + 0.05 * rng.standard_normal((dim, dim))
+        model = GaussianModel.build(
+            dense_operator(a_mat) if dense_a else diagonal_operator(np.diag(a_mat)),
+            dense_operator(q @ np.diag(rng.uniform(0.5, 2.0, dim)) @ q.T),
+            diagonal_operator(rng.uniform(0.5, 2.0, dim)),
+        )
+        family = DiagonalFamily(
+            base=np.abs(np.diag(optimal_b(model).as_matrix())),
+            indices=(0, 2),
+            basis_id=model.a.codomain_basis,
+        )
+        grid = lattice_around(family.base[[0, 2]], points=3)
+        probes = probe_vectors(dim, model.a.domain_basis, count=8, seed=4)
+        report = grid_search_oracle(model, family=family, grid=grid, x_set=probes)
+        rows = [(p0, p1) for p0 in grid[0] for p1 in grid[1]]
+        expected = [
+            np.mean([gap(model, family.build(row), x) for x in probes])
+            for row in rows
+        ]
+        best = int(np.argmin(expected))
+        np.testing.assert_array_equal(report.argmin_params, rows[best])
+        assert report.gap_at_argmin == pytest.approx(expected[best], abs=1e-12)
+        bhat_gap = np.mean(
+            [gap(model, family.build(report.bhat_params), x) for x in probes]
+        )
+        assert report.gap_at_bhat == pytest.approx(bhat_gap, abs=1e-12)
+        assert report.points_evaluated == len(rows)
