@@ -90,8 +90,10 @@ class GaussianModel:
     ``a`` (making the projected and complementary noise parts independent);
     ``commutator_norm`` holds the measured defect.
 
-    The model is immutable, so ``Q_v`` and the regression slope, which depend
-    on nothing else, are computed on first use and kept.
+    The model is immutable, so what depends on nothing else is computed on
+    first use and kept: ``Q_v``, the eigendecomposition of ``sigma_u + Q_v``
+    (shared by the regression slope and the Hilbert-Schmidt diagnostics), the
+    slope itself, and the covariance square roots used by the sampler.
     """
 
     a: OperatorRep
@@ -120,9 +122,22 @@ class GaussianModel:
         return symmetrize(compose(compose(p, self.sigma_v), adjoint(p)))
 
     @cached_property
+    def _xx_eig(self) -> tuple[OperatorRep, tuple]:
+        xx = add(self.sigma_u, self._q_v)
+        return xx, symmetric_eig(xx)
+
+    def _xx_inverse(self, power: float) -> tuple[OperatorRep, bool]:
+        xx, eig = self._xx_eig
+        return psd_inverse(xx, power, eig)
+
+    @cached_property
     def _slope(self) -> tuple[OperatorRep, bool]:
-        inv, full_rank = psd_inverse(add(self.sigma_u, self._q_v))
+        inv, full_rank = self._xx_inverse(1.0)
         return compose(self._q_v, inv), full_rank
+
+    @cached_property
+    def _roots(self) -> tuple[OperatorRep, OperatorRep]:
+        return covariance_sqrt(self.sigma_u), covariance_sqrt(self.sigma_v)
 
     @classmethod
     def build(
@@ -271,7 +286,7 @@ def hs_diagnostics(
     Hilbert-Schmidt norm is then computed on the positive part.
     """
     q = model._q_v
-    inv_root, injective = psd_inverse(add(model.sigma_u, q), 0.5)
+    inv_root, injective = model._xx_inverse(0.5)
 
     qv_sum = su_sum = hs_sum = None
     if decay is not None:
@@ -326,28 +341,34 @@ def sample_joint(
     are identically zero.  Draws are produced in fixed-size chunks whose
     streams are seeded by (seed, chunk index) — the declared splitting rule —
     so chunked or parallel generation yields identical output; within a chunk
-    the u block is drawn before the v block.
+    the u block is drawn before the v block.  Each chunk's streams are drawn
+    and transformed straight into that chunk's rows of the preallocated
+    outputs; the only scratch array is one chunk of ``v`` rows.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
-    root_u = covariance_sqrt(model.sigma_u)
-    root_v = covariance_sqrt(model.sigma_v)
+    root_u, root_v = model._roots
     range_proj = model.pinv_bundle.range_projector
     ainv = model.pinv_bundle.pinv
-    blocks_u, blocks_v, blocks_y = [], [], []
-    for chunk in range((count + chunk_size - 1) // chunk_size):
-        rows = min(chunk_size, count - chunk * chunk_size)
-        rng = np.random.default_rng([seed, chunk])
-        zu = rng.standard_normal((rows, model.dim))
-        zv = rng.standard_normal((rows, model.codim))
-        u = apply_rows(root_u, zu)
-        v = apply_rows(range_proj, apply_rows(root_v, zv))
-        blocks_u.append(u)
-        blocks_v.append(v)
-        blocks_y.append(model.y0.coeffs[None, :] + apply_rows(ainv, v))
-    u = np.vstack(blocks_u)
-    v = np.vstack(blocks_v)
-    y = np.vstack(blocks_y)
-    return JointSample(u=u, v=v, y=y, x=y + u, seed=seed, chunk_size=chunk_size)
+    u = np.empty((count, model.dim))
+    v = np.empty((count, model.codim))
+    y = np.empty((count, model.dim))
+    x = np.empty((count, model.dim))
+    scratch = np.empty((min(chunk_size, count), model.codim))
+    for start in range(0, count, chunk_size):
+        rows = slice(start, min(start + chunk_size, count))
+        tmp = scratch[: rows.stop - start]
+        rng = np.random.default_rng([seed, start // chunk_size])
+        # The standard normals land in rows that are overwritten below: the u
+        # block in y, the v block in v.
+        rng.standard_normal(out=y[rows])
+        rng.standard_normal(out=v[rows])
+        apply_rows(root_u, y[rows], out=u[rows])
+        apply_rows(root_v, v[rows], out=tmp)
+        apply_rows(range_proj, tmp, out=v[rows])
+        apply_rows(ainv, v[rows], out=y[rows])
+        y[rows] += model.y0.coeffs
+        np.add(y[rows], u[rows], out=x[rows])
+    return JointSample(u=u, v=v, y=y, x=x, seed=seed, chunk_size=chunk_size)

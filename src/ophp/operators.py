@@ -339,11 +339,17 @@ def apply(op: OperatorRep, x: CoeffVector) -> CoeffVector:
     return CoeffVector(apply_rows(op, x.coeffs), op.codomain_basis)
 
 
-def apply_rows(op: OperatorRep, rows: np.ndarray) -> np.ndarray:
-    """Apply the operator to every row of ``rows`` (one vector per row)."""
+def apply_rows(
+    op: OperatorRep, rows: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Apply the operator to every row of ``rows`` (one vector per row).
+
+    ``out``, when given, receives the result and must not overlap ``rows``;
+    the values are the same as without it.
+    """
     if op.kind == DIAGONAL:
-        return rows * op.multipliers
-    return rows @ op.matrix.T
+        return np.multiply(rows, op.multipliers, out=out)
+    return np.matmul(rows, op.matrix.T, out=out)
 
 
 def adjoint(op: OperatorRep) -> OperatorRep:
@@ -442,15 +448,18 @@ def symmetric_eig(
     return np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
 
 
-def psd_inverse(op: OperatorRep, power: float = 1.0) -> tuple[OperatorRep, bool]:
+def psd_inverse(
+    op: OperatorRep, power: float = 1.0, eig: tuple | None = None
+) -> tuple[OperatorRep, bool]:
     """Thresholded inverse power ``op^(-power)`` of a symmetric PSD operator.
 
     Eigenvalues at or below ``EIG_RTOL`` times the largest one count as zero
     and stay zero in the result, which is then the generalized inverse on the
     numerical range.  Returns the result, stored like ``op``, and whether no
-    eigenvalue was dropped.
+    eigenvalue was dropped.  ``eig`` is ``symmetric_eig(op)`` when the caller
+    already has it, so several powers can share one factorization.
     """
-    vals, vecs = symmetric_eig(op)
+    vals, vecs = symmetric_eig(op) if eig is None else eig
     largest = float(vals.max(initial=0.0))
     keep = vals > EIG_RTOL * largest if largest > 0.0 else np.zeros(vals.shape, bool)
     full_rank = bool(keep.all())

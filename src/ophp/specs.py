@@ -140,7 +140,7 @@ def operator_to_json(op: OperatorRep) -> dict:
     if op.is_diagonal:
         return {
             "kind": "diagonal",
-            "multipliers": [float(v) for v in op.multipliers],
+            "multipliers": op.multipliers.tolist(),
             "basis": op.domain_basis,
         }
     if op.kernel_name is not None:
@@ -151,7 +151,7 @@ def operator_to_json(op: OperatorRep) -> dict:
         }
     return {
         "kind": "dense",
-        "rows": [[float(v) for v in row] for row in op.matrix],
+        "rows": op.matrix.tolist(),
         "basis": op.domain_basis,
         "codomain_basis": op.codomain_basis,
     }

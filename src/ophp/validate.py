@@ -114,6 +114,29 @@ def mp_residual_suite(
     )
 
 
+def _regress_signal_on_data(
+    model: GaussianModel, draws: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares slope of the sampled signal on the sampled data, the
+    inverse Gram matrix and the residual variance of each signal component.
+
+    The sample is private to this call, so it is centred in place, the
+    residual and its square share one buffer, and all of it is freed before
+    the caller draws the next seed's sample.
+    """
+    data = sample_joint(model, draws, seed)
+    x, y = data.x, data.y
+    x -= model.y0.coeffs
+    y -= model.y0.coeffs
+    gram_inv = np.linalg.pinv(x.T @ x)
+    slope_hat = y.T @ x @ gram_inv
+    resid = np.matmul(x, slope_hat.T)
+    np.subtract(y, resid, out=resid)
+    np.square(resid, out=resid)
+    sigma2 = resid.sum(axis=0) / max(draws - model.dim, 1)
+    return slope_hat, gram_inv, sigma2
+
+
 def conditional_mean_check(
     model: GaussianModel,
     draws: int = 100_000,
@@ -131,19 +154,12 @@ def conditional_mean_check(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
         target = regression_slope(model).as_matrix()
-    dim = model.dim
     entry_hits = np.zeros_like(target, dtype=int)
     worst = 0.0
     for k in range(n_seeds):
-        data = sample_joint(model, draws, seed + 7919 * k)
-        x = data.x - model.y0.coeffs[None, :]
-        y = data.y - model.y0.coeffs[None, :]
-        gram = x.T @ x
-        gram_inv = np.linalg.pinv(gram)
-        slope_hat = y.T @ x @ gram_inv
-        resid = y - x @ slope_hat.T
-        dof = max(draws - dim, 1)
-        sigma2 = (resid**2).sum(axis=0) / dof
+        slope_hat, gram_inv, sigma2 = _regress_signal_on_data(
+            model, draws, seed + 7919 * k
+        )
         stderr = np.sqrt(np.outer(sigma2, np.diag(gram_inv)))
         deviation = np.abs(slope_hat - target)
         ok = deviation <= 3.0 * stderr + 1e-12

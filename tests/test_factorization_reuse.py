@@ -21,13 +21,16 @@ from ophp import (
     conditional_mean,
     dense_operator,
     diagonal_operator,
+    hs_diagnostics,
     positivity_check,
     qv,
     regression_slope,
+    sample_joint,
     solve_filter,
 )
 from ophp.instances import ramp_model
 from ophp.operators import psd_inverse
+from ophp.validate import conditional_mean_check
 
 
 @pytest.fixture
@@ -74,6 +77,33 @@ class TestModelCache:
         expected = compose(q, psd_inverse(add(model.sigma_u, q))[0])
         np.testing.assert_array_equal(regression_slope(model).matrix, expected.matrix)
         assert qv(model) is q
+
+    def test_hs_diagnostics_reuses_the_slope_factorization(self, calls):
+        model = _dense_model(seed=4)
+        regression_slope(model)
+        assert calls["eigh"] == 1
+        first = hs_diagnostics(model)
+        second = hs_diagnostics(model)
+        assert calls["eigh"] == 1
+        q = qv(model)
+        inv_root, injective = psd_inverse(add(model.sigma_u, q), 0.5)
+        expected = float(np.linalg.norm(compose(q, inv_root).matrix))
+        assert first.hs_norm == second.hs_norm == expected
+        assert first.injective == injective
+
+    def test_second_sample_does_no_factorization(self, calls):
+        model = _dense_model(seed=5)
+        first = sample_joint(model, 50, seed=9)
+        assert calls["eigh"] == 2
+        second = sample_joint(model, 50, seed=9)
+        assert calls["eigh"] == 2
+        np.testing.assert_array_equal(first.x, second.x)
+
+    def test_conditional_mean_check_factorizes_three_times(self, calls):
+        model = _dense_model(seed=6)
+        conditional_mean_check(model, draws=200)
+        # The slope's sigma_u + Q_v, then the roots of sigma_u and sigma_v.
+        assert calls["eigh"] == 3
 
     def test_rank_deficiency_warns_on_every_call(self):
         model = ramp_model(3, np.array([0.0, 1.0, 1.0]), 1.0)

@@ -1,0 +1,159 @@
+"""The sampler and the lattice search work in place without changing a bit.
+
+``sample_joint`` fills preallocated outputs chunk by chunk, and the diagonal
+grid search walks the lattice in row blocks.  Both are compared bitwise with
+the whole-array algorithms they replaced, kept here as references, and the
+sampler's peak allocation is bounded so that full-size temporaries cannot
+come back unnoticed.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ophp import (
+    CoeffVector,
+    GaussianModel,
+    covariance_sqrt,
+    dense_operator,
+    regression_slope,
+    sample_joint,
+)
+from ophp.instances import ramp_model
+from ophp.operators import apply_rows
+from ophp.smoothing import (
+    GAP_BLOCK_ROWS,
+    DiagonalFamily,
+    _average_gaps_diagonal,
+    lattice_around,
+    optimal_b,
+    probe_vectors,
+)
+
+
+def _reference_sample_joint(model, count, seed, chunk_size):
+    # The chunk-list + vstack sampler that sample_joint replaced.
+    root_u = covariance_sqrt(model.sigma_u)
+    root_v = covariance_sqrt(model.sigma_v)
+    range_proj = model.pinv_bundle.range_projector
+    ainv = model.pinv_bundle.pinv
+    blocks_u, blocks_v, blocks_y = [], [], []
+    for chunk in range((count + chunk_size - 1) // chunk_size):
+        rows = min(chunk_size, count - chunk * chunk_size)
+        rng = np.random.default_rng([seed, chunk])
+        zu = rng.standard_normal((rows, model.dim))
+        zv = rng.standard_normal((rows, model.codim))
+        u = apply_rows(root_u, zu)
+        v = apply_rows(range_proj, apply_rows(root_v, zv))
+        blocks_u.append(u)
+        blocks_v.append(v)
+        blocks_y.append(model.y0.coeffs[None, :] + apply_rows(ainv, v))
+    u = np.vstack(blocks_u)
+    v = np.vstack(blocks_v)
+    y = np.vstack(blocks_y)
+    return u, v, y, y + u
+
+
+def _spd(dim, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q @ np.diag(rng.uniform(0.5, 2.0, dim)) @ q.T
+
+
+def _diagonal_model():
+    # The ramp's first component spans the null space, where y0 may live.
+    y0 = CoeffVector([1.5, 0.0, 0.0, 0.0, 0.0, 0.0])
+    return ramp_model(6, np.linspace(0.5, 2.0, 6), 0.8, y0=y0)
+
+
+def _dense_model(dim=6, seed=0):
+    rng = np.random.default_rng(seed)
+    a = dense_operator(rng.standard_normal((dim, dim)))
+    return GaussianModel.build(
+        a, dense_operator(_spd(dim, rng)), dense_operator(_spd(dim, rng))
+    )
+
+
+def _rectangular_model():
+    # Rank 3 from a 6-dim domain to a 4-dim codomain, y0 in the null space.
+    rng = np.random.default_rng(1)
+    a = dense_operator(rng.standard_normal((4, 3)) @ rng.standard_normal((3, 6)))
+    probe = GaussianModel.build(
+        a, dense_operator(_spd(6, rng)), dense_operator(_spd(4, rng))
+    )
+    comp = probe.pinv_bundle.projector_complement.matrix
+    y0 = CoeffVector(comp @ rng.standard_normal(6))
+    return GaussianModel.build(a, probe.sigma_u, probe.sigma_v, y0=y0)
+
+
+MODELS = {
+    "diagonal": _diagonal_model,
+    "dense": _dense_model,
+    "rectangular": _rectangular_model,
+}
+
+
+class TestSampleJoint:
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    @pytest.mark.parametrize(
+        "count,chunk_size", [(1, 4), (37, 5), (40_000, 16_384)]
+    )
+    def test_matches_chunk_list_algorithm_bitwise(self, kind, count, chunk_size):
+        model = MODELS[kind]()
+        assert model.is_diagonal == (kind == "diagonal")
+        # A full-rank square A leaves no null space for y0.
+        assert np.any(model.y0.coeffs != 0.0) == (kind != "dense")
+        data = sample_joint(model, count, 23, chunk_size)
+        expected = _reference_sample_joint(model, count, 23, chunk_size)
+        for got, want in zip((data.u, data.v, data.y, data.x), expected):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "dense"])
+    def test_peak_allocation_is_outputs_plus_one_chunk(self, kind):
+        dim, count = 64, 20_000
+        if kind == "dense":
+            model = _dense_model(dim)
+        else:
+            model = ramp_model(dim, np.linspace(0.5, 2.0, dim), 0.8)
+        outputs = 4 * count * dim * 8
+        chunk_draws = min(count, 16_384) * (model.dim + model.codim) * 8
+        tracemalloc.start()
+        try:
+            data = sample_joint(model, count, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.count == count
+        assert peak <= outputs + chunk_draws + (1 << 20)
+
+
+class TestBlockedLatticeSearch:
+    def test_blocked_gaps_match_one_shot_formula_bitwise(self):
+        dim = 40
+        model = ramp_model(dim, np.linspace(0.3, 3.0, dim), 0.7)
+        bhat = optimal_b(model)
+        family = DiagonalFamily(bhat.multipliers.copy(), (1, 2, 5), "abstract-euclidean")
+        grid = lattice_around(bhat.multipliers[[1, 2, 5]], points=7)
+        mesh = np.meshgrid(*grid, indexing="ij")
+        param_rows = np.stack([m.ravel() for m in mesh], axis=-1)
+        assert param_rows.shape[0] > GAP_BLOCK_ROWS
+        assert param_rows.shape[0] % GAP_BLOCK_ROWS
+        x_set = probe_vectors(dim, "abstract-euclidean", seed=4)
+
+        # The whole-lattice formula the blocked walk replaced.
+        a_mult = model.a.multipliers
+        slope = regression_slope(model).multipliers
+        y0 = model.y0.coeffs
+        mult = np.tile(family.base, (param_rows.shape[0], 1))
+        mult[:, list(family.indices)] = param_rows
+        denom = 1.0 + a_mult[None, :] ** 2 * mult
+        totals = np.zeros(param_rows.shape[0])
+        for x in x_set:
+            trend = x.coeffs[None, :] / denom
+            mean = y0 + slope * (x.coeffs - y0)
+            totals += np.sqrt(((mean[None, :] - trend) ** 2).sum(axis=1))
+        expected = totals / len(x_set)
+
+        got = _average_gaps_diagonal(model, family, param_rows, x_set)
+        np.testing.assert_array_equal(got, expected)

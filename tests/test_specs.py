@@ -52,6 +52,21 @@ class TestOperatorSpecs:
         doc = {"kind": "diagonal", "multipliers": [0.0, 2.0], "basis": "abstract-euclidean"}
         assert operator_to_json(parse_operator(doc)) == doc
 
+    def test_stored_values_serialize_like_per_entry_floats(self):
+        tiny = np.nextafter(0.0, 1.0)
+        values = [-0.0, tiny, -5e-320, 1.7976931348623157e308, -1e308, 0.1]
+        dense = parse_operator({"kind": "dense", "rows": [values, values[::-1]]})
+        diag = parse_operator({"kind": "diagonal", "multipliers": values})
+        # The per-entry comprehensions the documents were built with before.
+        old_rows = [[float(v) for v in row] for row in dense.matrix]
+        old_mult = [float(v) for v in diag.multipliers]
+        new_rows = operator_to_json(dense)["rows"]
+        new_mult = operator_to_json(diag)["multipliers"]
+        assert json.dumps(new_rows) == json.dumps(old_rows)
+        assert json.dumps(new_mult) == json.dumps(old_mult)
+        assert all(type(v) is float for row in new_rows for v in row)
+        assert all(type(v) is float for v in new_mult)
+
 
 class TestCovarianceSpecs:
     def test_diagonal_values(self):
