@@ -91,9 +91,8 @@ class GaussianModel:
     ``commutator_norm`` holds the measured defect.
 
     The model is immutable, so what depends on nothing else is computed on
-    first use and kept: ``Q_v``, the eigendecomposition of ``sigma_u + Q_v``
-    (shared by the regression slope and the Hilbert-Schmidt diagnostics), the
-    slope itself, and the covariance square roots used by the sampler.
+    first use and kept: ``Q_v``, the regression slope, and the covariance
+    square roots used by the sampler.
     """
 
     a: OperatorRep
@@ -122,17 +121,8 @@ class GaussianModel:
         return symmetrize(compose(compose(p, self.sigma_v), adjoint(p)))
 
     @cached_property
-    def _xx_eig(self) -> tuple[OperatorRep, tuple]:
-        xx = add(self.sigma_u, self._q_v)
-        return xx, symmetric_eig(xx)
-
-    def _xx_inverse(self, power: float) -> tuple[OperatorRep, bool]:
-        xx, eig = self._xx_eig
-        return psd_inverse(xx, power, eig)
-
-    @cached_property
     def _slope(self) -> tuple[OperatorRep, bool]:
-        inv, full_rank = self._xx_inverse(1.0)
+        inv, full_rank = psd_inverse(add(self.sigma_u, self._q_v))
         return compose(self._q_v, inv), full_rank
 
     @cached_property
@@ -286,7 +276,7 @@ def hs_diagnostics(
     Hilbert-Schmidt norm is then computed on the positive part.
     """
     q = model._q_v
-    inv_root, injective = model._xx_inverse(0.5)
+    inv_root, injective = psd_inverse(add(model.sigma_u, q), 0.5)
 
     qv_sum = su_sum = hs_sum = None
     if decay is not None:

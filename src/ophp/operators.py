@@ -448,18 +448,15 @@ def symmetric_eig(
     return np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
 
 
-def psd_inverse(
-    op: OperatorRep, power: float = 1.0, eig: tuple | None = None
-) -> tuple[OperatorRep, bool]:
+def psd_inverse(op: OperatorRep, power: float = 1.0) -> tuple[OperatorRep, bool]:
     """Thresholded inverse power ``op^(-power)`` of a symmetric PSD operator.
 
     Eigenvalues at or below ``EIG_RTOL`` times the largest one count as zero
     and stay zero in the result, which is then the generalized inverse on the
     numerical range.  Returns the result, stored like ``op``, and whether no
-    eigenvalue was dropped.  ``eig`` is ``symmetric_eig(op)`` when the caller
-    already has it, so several powers can share one factorization.
+    eigenvalue was dropped.
     """
-    vals, vecs = symmetric_eig(op) if eig is None else eig
+    vals, vecs = symmetric_eig(op)
     largest = float(vals.max(initial=0.0))
     keep = vals > EIG_RTOL * largest if largest > 0.0 else np.zeros(vals.shape, bool)
     full_rank = bool(keep.all())

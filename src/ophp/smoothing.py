@@ -174,8 +174,8 @@ class GridSearchReport:
         }
 
 
-# Lattice points per block of the diagonal gap average; each block reuses two
-# (block, dim) buffers instead of materializing the whole lattice.
+# Lattice points per block of the diagonal gap average, so the (points, dim)
+# temporaries stay small on large lattices.
 GAP_BLOCK_ROWS = 256
 
 
@@ -185,30 +185,22 @@ def _average_gaps_diagonal(
     param_rows: np.ndarray,
     x_set: list[CoeffVector],
 ) -> np.ndarray:
-    a_sq = model.a.multipliers ** 2
+    a_mult = model.a.multipliers
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
         slope = regression_slope(model).multipliers
     y0 = model.y0.coeffs
-    means = [y0 + slope * (x.coeffs - y0) for x in x_set]
-    count = param_rows.shape[0]
-    denom_buf = np.empty((min(GAP_BLOCK_ROWS, count), a_sq.size))
-    diff_buf = np.empty_like(denom_buf)
-    totals = np.zeros(count)
-    for start in range(0, count, GAP_BLOCK_ROWS):
-        rows = slice(start, min(start + GAP_BLOCK_ROWS, count))
-        denom = denom_buf[: rows.stop - start]
-        diff = diff_buf[: rows.stop - start]
-        # denom = 1 + a**2 * b for the block's smoothers b.
-        denom[:] = family.base
-        denom[:, list(family.indices)] = param_rows[rows]
-        np.multiply(a_sq, denom, out=denom)
-        denom += 1.0
-        for x, mean in zip(x_set, means):
-            np.divide(x.coeffs, denom, out=diff)
-            np.subtract(mean, diff, out=diff)
-            np.square(diff, out=diff)
-            totals[rows] += np.sqrt(diff.sum(axis=1))
+    totals = np.zeros(param_rows.shape[0])
+    for start in range(0, param_rows.shape[0], GAP_BLOCK_ROWS):
+        block = param_rows[start : start + GAP_BLOCK_ROWS]
+        mult = np.tile(family.base, (block.shape[0], 1))
+        mult[:, list(family.indices)] = block
+        denom = 1.0 + a_mult[None, :] ** 2 * mult
+        for x in x_set:
+            trend = x.coeffs[None, :] / denom
+            mean = y0 + slope * (x.coeffs - y0)
+            gaps = np.sqrt(((mean[None, :] - trend) ** 2).sum(axis=1))
+            totals[start : start + block.shape[0]] += gaps
     return totals / len(x_set)
 
 

@@ -21,7 +21,6 @@ from ophp import (
     conditional_mean,
     dense_operator,
     diagonal_operator,
-    hs_diagnostics,
     positivity_check,
     qv,
     regression_slope,
@@ -77,19 +76,6 @@ class TestModelCache:
         expected = compose(q, psd_inverse(add(model.sigma_u, q))[0])
         np.testing.assert_array_equal(regression_slope(model).matrix, expected.matrix)
         assert qv(model) is q
-
-    def test_hs_diagnostics_reuses_the_slope_factorization(self, calls):
-        model = _dense_model(seed=4)
-        regression_slope(model)
-        assert calls["eigh"] == 1
-        first = hs_diagnostics(model)
-        second = hs_diagnostics(model)
-        assert calls["eigh"] == 1
-        q = qv(model)
-        inv_root, injective = psd_inverse(add(model.sigma_u, q), 0.5)
-        expected = float(np.linalg.norm(compose(q, inv_root).matrix))
-        assert first.hs_norm == second.hs_norm == expected
-        assert first.injective == injective
 
     def test_second_sample_does_no_factorization(self, calls):
         model = _dense_model(seed=5)
