@@ -63,19 +63,65 @@ DOMAIN_ERRORS = (
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+# Draws of ``simulate`` formatted and written per block; bounds the text held
+# in memory to one block of rows.
+SAMPLE_BLOCK_DRAWS = 64
+
+# Item types that send a container to the C encoder in one call.  Matched
+# exactly so one set test covers every item; subclasses such as numpy's
+# float64 take the item-by-item path, which writes the same bytes.
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for ``obj`` at indent ``pad``.
+
+    ``json`` runs its pure-Python encoder whenever ``indent`` is set.  Here
+    every container whose items are all plain scalars goes to the C encoder
+    in one call, with the indented item separator; only the nesting above
+    them is walked in Python.
+    """
+    if isinstance(obj, dict):
+        items, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = obj, "[]"
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if set(map(type, items)) <= _JSON_SCALARS:
+        body = json.dumps(obj, sort_keys=True, separators=(sep, ": "))[1:-1]
+    elif not isinstance(obj, dict):
+        body = sep.join([_json_text(v, inner) for v in obj])
+    elif all(isinstance(k, str) for k in obj):
+        body = sep.join(
+            [f"{json.dumps(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj)]
+        )
+    else:  # non-str keys: let json coerce and order them
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
 
 
 def write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(obj) + "\n")
+
+
+def _csv_rows(keys, columns) -> str:
+    """One CSV line per entry of ``keys``: the key, then one field per column.
+
+    Floats are written as Python's shortest round-trip ``repr``, converted
+    for the whole block at C level.
+    """
+    cells = [map(repr, np.asarray(c, dtype=float).ravel().tolist()) for c in columns]
+    text = "\n".join(map(",".join, zip(keys, *cells)))
+    return text + "\n" if text else ""
 
 
 def write_series_csv(path: Path, t: np.ndarray, values: np.ndarray) -> None:
-    lines = ["index,t,value"]
-    for i, (ti, vi) in enumerate(zip(t, values)):
-        lines.append(f"{i},{_fmt(ti)},{_fmt(vi)}")
-    path.write_text("\n".join(lines) + "\n")
+    keys = map(str, range(len(values)))
+    path.write_text("index,t,value\n" + _csv_rows(keys, (t, values)))
 
 
 def read_series_csv(path: Path) -> tuple[np.ndarray | None, np.ndarray]:
@@ -221,7 +267,11 @@ def cmd_filter(args) -> int:
     if args.estimate_y0:
         y0_est = apply(model.pinv_bundle.projector_complement, x)
         model = GaussianModel.build(
-            model.a, model.sigma_u, model.sigma_v, y0=y0_est
+            model.a,
+            model.sigma_u,
+            model.sigma_v,
+            y0=y0_est,
+            commuting_sigma_u=cfg.commuting_sigma_u,
         )
     bhat = optimal_b(model)
     trend = solve_filter(FilterProblem(model.a, x, bhat))
@@ -232,7 +282,7 @@ def cmd_filter(args) -> int:
     summary = {
         "bhat": operator_to_json(bhat),
         "filter_multipliers": (
-            [float(v) for v in filter_multipliers(model.a, bhat)]
+            filter_multipliers(model.a, bhat).tolist()
             if model.is_diagonal
             else None
         ),
@@ -318,11 +368,11 @@ def cmd_example(args) -> int:
 
     operator_doc = {
         "kind": "diagonal",
-        "multipliers": [float(v) for v in a_mult],
+        "multipliers": a_mult.tolist(),
         "basis": basis,
     }
-    sigma_u_doc = {"kind": "diagonal", "values": [float(v) for v in su]}
-    sigma_v_doc = {"kind": "diagonal", "values": [float(v) for v in sv]}
+    sigma_u_doc = {"kind": "diagonal", "values": su.tolist()}
+    sigma_v_doc = {"kind": "diagonal", "values": sv.tolist()}
     config_doc = {
         "operator": operator_doc,
         "sigma_u": sigma_u_doc,
@@ -340,8 +390,8 @@ def cmd_example(args) -> int:
     write_json(
         out / "expected.json",
         {
-            "bhat_multipliers": [float(v) for v in bhat_expected],
-            "filter_multipliers": [float(v) for v in filter_expected],
+            "bhat_multipliers": bhat_expected.tolist(),
+            "filter_multipliers": filter_expected.tolist(),
         },
     )
     return 0
@@ -355,21 +405,22 @@ def cmd_simulate(args) -> int:
     if count < 1:
         raise InputError("--count must be at least 1")
     data = sample_joint(model, count, cfg.seed)
-    lines = ["draw,component,u,v,y,x"]
-    for i in range(count):
-        for j in range(model.dim):
-            lines.append(
-                f"{i},{j},{_fmt(data.u[i, j])},{_fmt(data.v[i, j])},"
-                f"{_fmt(data.y[i, j])},{_fmt(data.x[i, j])}"
-            )
-    (out / "samples.csv").write_text("\n".join(lines) + "\n")
+    components = [f",{j}" for j in range(model.dim)]
+    with open(out / "samples.csv", "w") as fh:
+        fh.write("draw,component,u,v,y,x\n")
+        for start in range(0, count, SAMPLE_BLOCK_DRAWS):
+            draws = range(start, min(start + SAMPLE_BLOCK_DRAWS, count))
+            keys = [f"{i}{c}" for i in draws for c in components]
+            block = slice(start, draws.stop)
+            columns = (data.u[block], data.v[block], data.y[block], data.x[block])
+            fh.write(_csv_rows(keys, columns))
     write_json(
         out / "simulate_summary.json",
         {
             "count": count,
             "seed": cfg.seed,
             "dim": model.dim,
-            "mean_x": [float(v) for v in data.x.mean(axis=0)],
+            "mean_x": data.x.mean(axis=0).tolist(),
             "mean_u_norm": float(np.linalg.norm(data.u.mean(axis=0))),
         },
     )
@@ -400,7 +451,7 @@ def cmd_validate(args) -> int:
 
 
 def _multipliers(op) -> list | None:
-    return [float(v) for v in op.multipliers] if op.is_diagonal else None
+    return op.multipliers.tolist() if op.is_diagonal else None
 
 
 def cmd_scale(args) -> int:
@@ -429,9 +480,9 @@ def cmd_scale(args) -> int:
     doc = {
         "n": int(n),
         "threshold_n0": n0,
-        "indices": [int(i) for i in weights.indices],
-        "kappa": [float(v) for v in weights.kappa],
-        "weights": [float(v) for v in weights.weights],
+        "indices": weights.indices.tolist(),
+        "kappa": weights.kappa.tolist(),
+        "weights": weights.weights.tolist(),
         "sigma_u_rescaled": _multipliers(su),
         "sigma_v_rescaled": _multipliers(sv),
         "scaled_bhat_multipliers": _multipliers(scaled),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ophp.cli import main, project_series, read_series_csv
+from ophp.gaussian import GaussianModel
 from ophp.instances import expected_laplacian_filter_multipliers
 from ophp.operators import BASIS_SINE
 
@@ -216,6 +217,29 @@ class TestFilterCommand:
         )
         summary = json.loads((out / "filter_summary.json").read_text())
         assert summary["estimated_y0"] is True
+
+    @pytest.mark.parametrize("commuting", [True, False])
+    def test_estimate_y0_keeps_configured_commuting_flag(
+        self, ramp_config, tmp_path, monkeypatch, commuting
+    ):
+        cfg_path, dim = ramp_config
+        doc = json.loads(cfg_path.read_text())
+        doc["commuting_sigma_u"] = commuting
+        _write_config(cfg_path, doc)
+        series = tmp_path / "x.csv"
+        series.write_text("\n".join(str(float(v)) for v in range(1, dim + 1)) + "\n")
+        flags = []
+        build = GaussianModel.build.__func__
+
+        def spy(cls, *args, **kwargs):
+            flags.append(kwargs.get("commuting_sigma_u"))
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(GaussianModel, "build", classmethod(spy))
+        assert _run("filter", "--config", cfg_path, "--input", series,
+                    "--out", tmp_path / "out", "--estimate-y0") == 0
+        # The configured model, then its rebuild around the estimated y0.
+        assert flags == [commuting, commuting]
 
 
 class TestValidateCommand:
