@@ -7,6 +7,7 @@ not exceptions; the CLI maps an overall FAIL to exit code 2.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -16,15 +17,22 @@ from .gaussian import (
     DecayDeclaration,
     GaussianModel,
     RankDeficiencyWarning,
+    qv,
     regression_slope,
     sample_joint,
 )
 from .operators import (
     STRUCTURE_TOL,
+    OperatorRep,
+    add,
+    apply_rows,
+    compose,
     dense_operator,
     moore_penrose_residuals,
     operator_norm,
     pinv,
+    psd_inverse,
+    scalar_multiple,
 )
 from .scales import scaled_optimal_b, trace_class_threshold
 from .smoothing import grid_search_oracle, optimal_b
@@ -114,68 +122,121 @@ def mp_residual_suite(
     )
 
 
-def _regress_signal_on_data(
-    model: GaussianModel, draws: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares slope of the sampled signal on the sampled data, the
-    inverse Gram matrix and the residual variance of each signal component.
+# Family-wise level of conditional_mean_check, split evenly between its tests.
+CM_ALPHA = 1e-3
 
-    The sample is private to this call, so it is centred in place, the
-    residual and its square share one buffer, and all of it is freed before
-    the caller draws the next seed's sample.
-    """
-    data = sample_joint(model, draws, seed)
-    x, y = data.x, data.y
-    x -= model.y0.coeffs
-    y -= model.y0.coeffs
-    gram_inv = np.linalg.pinv(x.T @ x)
-    slope_hat = y.T @ x @ gram_inv
-    resid = np.matmul(x, slope_hat.T)
-    np.subtract(y, resid, out=resid)
-    np.square(resid, out=resid)
-    sigma2 = resid.sum(axis=0) / max(draws - model.dim, 1)
-    return slope_hat, gram_inv, sigma2
+
+def _wilson_hilferty(chi2: float, df: int) -> float:
+    """Normal deviate of a chi-square value (Wilson and Hilferty 1931)."""
+    s2 = 2.0 / (9.0 * df)
+    return ((chi2 / df) ** (1.0 / 3.0) - (1.0 - s2)) / math.sqrt(s2)
+
+
+def _sidak_threshold(alpha: float, entries: int) -> float:
+    """Bound that ``entries`` N(0, 1) deviates all stay within, in absolute
+    value, with probability at least ``1 - alpha`` (Sidak 1967)."""
+    # Imported here, not at module level: importing statistics adds about
+    # 4 ms to every CLI start.
+    from statistics import NormalDist
+
+    per_entry = -math.expm1(math.log1p(-alpha) / entries)
+    return NormalDist().inv_cdf(1.0 - per_entry / 2.0)
+
+
+def _whitened_rank(white: OperatorRep, cov: OperatorRep) -> int:
+    """Rank kept by a whitening: the trace of the projector ``white cov white``."""
+    return round(float(np.trace(compose(white, compose(cov, white)).as_matrix())))
 
 
 def conditional_mean_check(
-    model: GaussianModel,
-    draws: int = 100_000,
-    seed: int = 1,
-    n_seeds: int = 5,
-    min_pass: int = 4,
+    model: GaussianModel, draws: int = 20_000, seed: int = 1
 ) -> CheckResult:
-    """Monte-Carlo regression of the signal on the data.
+    """Monte-Carlo test that ``y0 + S (x - y0)``, with the model's slope
+    ``S = Q_v (sigma_u + Q_v)^{-1}``, is the conditional mean of the signal.
 
-    For each of ``n_seeds`` derived seeds, the least-squares slope of the
-    sampled signal on the sampled data must match the model slope within 3
-    standard errors entrywise; each entry must pass for at least
-    ``min_pass`` of the seeds.
+    On one sample of ``n = draws`` joint draws, the residual
+    ``r = (y - y0) - S (x - y0)`` is independent of ``x`` under the model,
+    with covariance ``Sigma_r = Q_v - S Q_v``.  Whitening ``x`` by
+    ``(sigma_u + Q_v)^{-1/2}`` and ``r`` by ``Sigma_r^{-1/2}``, each on its
+    numerical range (of ranks ``k_x`` and ``k_r``), makes the entries of
+    ``Z = x~^T r~ / sqrt(n)`` about iid N(0, 1) on those ranges.  The check
+    FAILs at the family-wise level ``CM_ALPHA``, split evenly between these
+    tests:
+
+    * ``T = |Z|_F^2`` against chi-square with ``k_x k_r`` degrees of freedom:
+      its Wilson-Hilferty deviate ``wh_z`` against the two-sided N(0, 1)
+      threshold ``z_threshold``, since covariances that are too large make
+      ``T`` fall below its mean;
+    * ``max |Z|`` against its Sidak threshold over all entries, which names
+      the entry that is off;
+    * ``trace_z = tr Z / sqrt(k_r)`` against ``z_threshold`` (the range of
+      ``Sigma_r`` lies in that of ``sigma_u + Q_v``, so ``tr Z`` has variance
+      ``k_r``): a slope off in the same direction in every mode, as a wrong
+      noise or signal scale makes it, shifts every ``Z_jj`` alike in any
+      basis;
+    * on diagonal models, the structural entries ``Z_jj`` against the Sidak
+      threshold of ``dim`` entries.
+
+    ``T`` has mean ``k_x k_r`` and variance
+    ``2 k_x k_r (1 + (k_x + k_r + 1) / n)``: the inflation over chi-square
+    comes from the sample Gram matrices and is about ``1 + 2 dim / n`` at
+    full rank; ``wh_z`` is divided by its square root.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
-        target = regression_slope(model).as_matrix()
-    entry_hits = np.zeros_like(target, dtype=int)
-    worst = 0.0
-    for k in range(n_seeds):
-        slope_hat, gram_inv, sigma2 = _regress_signal_on_data(
-            model, draws, seed + 7919 * k
-        )
-        stderr = np.sqrt(np.outer(sigma2, np.diag(gram_inv)))
-        deviation = np.abs(slope_hat - target)
-        ok = deviation <= 3.0 * stderr + 1e-12
-        entry_hits += ok.astype(int)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(stderr > 0, deviation / stderr, 0.0)
-        worst = max(worst, float(ratio.max(initial=0.0)))
-    passed = bool(np.all(entry_hits >= min_pass))
+        slope = regression_slope(model)
+    q = qv(model)
+    cov_x = add(model.sigma_u, q)
+    cov_r = add(q, scalar_multiple(compose(slope, q), -1.0))
+    white_x, _ = psd_inverse(cov_x, 0.5)
+    white_r, _ = psd_inverse(cov_r, 0.5)
+
+    # The sample is private to this call: r overwrites y, and the whitened
+    # data and residual go into u and x.
+    data = sample_joint(model, draws, seed)
+    u, x, y = data.u, data.x, data.y
+    x -= model.y0.coeffs
+    y -= model.y0.coeffs
+    apply_rows(slope, x, out=u)
+    y -= u
+    apply_rows(white_x, x, out=u)
+    apply_rows(white_r, y, out=x)
+    z = u.T @ x
+    z /= math.sqrt(draws)
+
+    rank_x, rank_r = _whitened_rank(white_x, cov_x), _whitened_rank(white_r, cov_r)
+    df = rank_x * rank_r
+    chi2 = float(np.vdot(z, z))
+    wh_z = trace_z = 0.0
+    if df:
+        inflation = 1.0 + (rank_x + rank_r + 1) / draws
+        wh_z = _wilson_hilferty(chi2, df) / math.sqrt(inflation)
+        trace_z = float(np.trace(z)) / math.sqrt(rank_r)
+    max_abs_z = float(np.abs(z).max())
+    alpha = CM_ALPHA / (4 if model.is_diagonal else 3)
+    z_threshold = _sidak_threshold(alpha, 1)
+    threshold = _sidak_threshold(alpha, z.size)
+    passed = max(abs(wh_z), abs(trace_z)) <= z_threshold and max_abs_z <= threshold
+    structural = structural_threshold = None
+    if model.is_diagonal:
+        structural = float(np.abs(np.diagonal(z)).max())
+        structural_threshold = _sidak_threshold(alpha, model.dim)
+        passed = passed and structural <= structural_threshold
     return CheckResult(
         "conditional-mean-regression",
         PASS if passed else FAIL,
         {
             "draws": draws,
-            "seeds": n_seeds,
-            "min_entry_passes": int(entry_hits.min()),
-            "worst_deviation_se": worst,
+            "alpha": CM_ALPHA,
+            "df": df,
+            "chi2": chi2,
+            "wh_z": wh_z,
+            "max_abs_z": max_abs_z,
+            "sidak_threshold": threshold,
+            "trace_z": trace_z,
+            "z_threshold": z_threshold,
+            "structural_max_abs_z": structural,
+            "structural_threshold": structural_threshold,
         },
     )
 

@@ -6,10 +6,16 @@ import os
 import numpy as np
 import pytest
 
+from ophp import validate
 from ophp.cli import main, project_series, read_series_csv
-from ophp.gaussian import GaussianModel
-from ophp.instances import expected_laplacian_filter_multipliers
+from ophp.gaussian import GaussianModel, sample_joint
+from ophp.instances import (
+    expected_laplacian_filter_multipliers,
+    ramp_multipliers,
+    seeded_sigmas,
+)
 from ophp.operators import BASIS_SINE
+from ophp.specs import build_model, load_config
 
 
 def _run(*argv):
@@ -270,6 +276,43 @@ class TestValidateCommand:
         statuses = {c["name"]: c["status"] for c in report["checks"]}
         assert statuses["noise-projector-commutation"] == "FAIL"
         assert statuses["moore-penrose"] == "PASS"
+
+    @staticmethod
+    def _dense_64_config(path, sigma_v_scale=1.0, seed=301):
+        """A rotated ramp at dim 64, built like the benchmark's dense-64."""
+        dim = 64
+        q, _ = np.linalg.qr(np.random.default_rng([seed, 11]).standard_normal((dim, dim)))
+        su, sv = seeded_sigmas(dim, [seed, 12])
+
+        def rows(diag):
+            return {"kind": "dense", "rows": ((q * diag) @ q.T).tolist()}
+
+        doc = {
+            "operator": rows(ramp_multipliers(dim)),
+            "sigma_u": rows(su),
+            "sigma_v": rows(sigma_v_scale * sv),
+            "truncation_dim": dim,
+            "seed": seed,
+        }
+        return _write_config(path, doc)
+
+    def test_conditional_mean_verdict_sets_exit_code(self, tmp_path, monkeypatch):
+        correct = self._dense_64_config(tmp_path / "correct.json")
+        assert _run("validate", "--config", correct, "--out", tmp_path / "ok") == 0
+        # The config alone cannot be wrong about its own samples, so the data
+        # are drawn from the correct model while the config claims sigma_v
+        # 1.2 times too large.
+        truth, _ = build_model(load_config(correct))
+        monkeypatch.setattr(
+            validate, "sample_joint", lambda _m, count, s: sample_joint(truth, count, s)
+        )
+        wrong = self._dense_64_config(tmp_path / "wrong.json", sigma_v_scale=1.2)
+        out = tmp_path / "bad"
+        assert _run("validate", "--config", wrong, "--out", out) == 2
+        report = json.loads((out / "validation.json").read_text())
+        statuses = {c["name"]: c["status"] for c in report["checks"]}
+        assert statuses.pop("conditional-mean-regression") == "FAIL"
+        assert "FAIL" not in statuses.values()
 
     def test_white_noise_scaled_instance(self, tmp_path):
         ex = tmp_path / "ex"

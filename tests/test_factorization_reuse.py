@@ -85,11 +85,12 @@ class TestModelCache:
         assert calls["eigh"] == 2
         np.testing.assert_array_equal(first.x, second.x)
 
-    def test_conditional_mean_check_factorizes_three_times(self, calls):
+    def test_conditional_mean_check_factorizes_five_times(self, calls):
         model = _dense_model(seed=6)
         conditional_mean_check(model, draws=200)
-        # The slope's sigma_u + Q_v, then the roots of sigma_u and sigma_v.
-        assert calls["eigh"] == 3
+        # The slope's sigma_u + Q_v, the sampler's roots of sigma_u and
+        # sigma_v, and the whitening roots of sigma_u + Q_v and Sigma_r.
+        assert calls["eigh"] == 5
 
     def test_rank_deficiency_warns_on_every_call(self):
         model = ramp_model(3, np.array([0.0, 1.0, 1.0]), 1.0)

@@ -1,11 +1,15 @@
 """Validation-suite checks and report structure."""
 
 import numpy as np
+import pytest
 
-from ophp import GaussianModel, dense_operator, diagonal_operator
-from ophp.gaussian import DecayDeclaration
-from ophp.instances import laplacian_model, ramp_model, seeded_sigmas
+from ophp import GaussianModel, dense_operator, diagonal_operator, qv, sample_joint
+from ophp import validate
+from ophp.gaussian import DecayDeclaration, regression_slope
+from ophp.instances import laplacian_model, ramp_model, ramp_multipliers, seeded_sigmas
+from ophp.operators import operator_power, psd_inverse
 from ophp.validate import (
+    CM_ALPHA,
     FAIL,
     PASS,
     SKIP,
@@ -48,7 +52,153 @@ def test_conditional_mean_check_passes_on_ramp():
     model = ramp_model(4, su, sv)
     result = conditional_mean_check(model, draws=20_000, seed=9)
     assert result.status == PASS
-    assert result.details["min_entry_passes"] >= 4
+    details = result.details
+    # sigma_u + Q_v has full rank 4; Sigma_r vanishes on the null space of A.
+    assert details["draws"] == 20_000
+    assert details["df"] == 4 * 3
+    assert details["alpha"] == CM_ALPHA
+    assert details["chi2"] > 0.0
+    assert max(abs(details["wh_z"]), abs(details["trace_z"])) <= details["z_threshold"]
+    assert 0.0 < details["max_abs_z"] <= details["sidak_threshold"]
+    assert details["structural_max_abs_z"] <= details["structural_threshold"]
+
+
+def test_conditional_mean_check_reports_no_structural_family_when_dense():
+    model = _noncommuting_model()
+    details = conditional_mean_check(model, draws=2_000, seed=4).details
+    assert details["structural_max_abs_z"] is None
+    assert details["structural_threshold"] is None
+    assert details["df"] == 3 * 2
+
+
+# ---------------------------------------------------------------------------
+# Calibration of the conditional-mean test on correct models
+# ---------------------------------------------------------------------------
+
+
+def _bench_validate_models(seed):
+    """The models of the benchmark's validate workload at one seed."""
+    models = {}
+    for name, dim in (("ramp-64", 64), ("lap-64", 64), ("ramp-256", 256)):
+        su, sv = seeded_sigmas(dim, seed)
+        if name.startswith("lap"):
+            models[name] = laplacian_model(dim, su, sv)
+        else:
+            models[name] = ramp_model(dim, su, sv)
+    q, _ = np.linalg.qr(np.random.default_rng([seed, 11]).standard_normal((64, 64)))
+    su, sv = seeded_sigmas(64, [seed, 12])
+    models["dense-64"] = GaussianModel.build(
+        *(dense_operator((q * d) @ q.T) for d in (ramp_multipliers(64), su, sv))
+    )
+    return models
+
+
+@pytest.mark.parametrize("dim", [8, 32, 64, 128, 256, 512])
+def test_conditional_mean_check_calibrated_across_dims(dim):
+    # T's variance inflation 1 + (k_x + k_r + 1) / n reaches 1.05 at dim 512.
+    model = ramp_model(dim, *seeded_sigmas(dim, 11))
+    result = conditional_mean_check(model, draws=20_000, seed=11)
+    assert result.status == PASS, result.details
+    assert result.details["df"] == dim * (dim - 1)
+
+
+@pytest.mark.parametrize("seed", range(301, 321))
+def test_conditional_mean_check_passes_bench_validate_models(seed):
+    # validate runs the check with the config's seed + 1.
+    for name, model in _bench_validate_models(seed).items():
+        result = conditional_mean_check(model, draws=20_000, seed=seed + 1)
+        assert result.status == PASS, (name, result.details)
+
+
+# ---------------------------------------------------------------------------
+# Power: wrong claims FAIL at the default 20k draws
+# ---------------------------------------------------------------------------
+
+
+def _check_claim(monkeypatch, claim, truth=None, slope=None, seed=21):
+    """Run the check on the model ``claim`` with the sample drawn from
+    ``truth`` and, when given, ``slope`` in place of the claimed slope."""
+    if truth is not None:
+        monkeypatch.setattr(
+            validate, "sample_joint", lambda _m, count, s: sample_joint(truth, count, s)
+        )
+    if slope is not None:
+        monkeypatch.setattr(validate, "regression_slope", lambda _m: slope)
+    return conditional_mean_check(claim, draws=20_000, seed=seed)
+
+
+def _passes_entry_families(details):
+    return details["max_abs_z"] <= details["sidak_threshold"] and (
+        details["structural_max_abs_z"] <= details["structural_threshold"]
+    )
+
+
+def test_power_structural_entry_shifted_by_eight_se(monkeypatch):
+    dim, j, n = 64, 10, 20_000
+    su, sv = seeded_sigmas(dim, 11)
+    model = ramp_model(dim, su, sv)
+    s = regression_slope(model).multipliers
+    q = qv(model).multipliers
+    # Standard error of the least-squares slope of y_j on x_j.
+    se = np.sqrt((q[j] - s[j] * q[j]) / (n * (su[j] + q[j])))
+    shifted = s.copy()
+    shifted[j] += 8.0 * se
+    result = _check_claim(monkeypatch, model, slope=diagonal_operator(shifted))
+    assert result.status == FAIL
+    details = result.details
+    assert details["structural_max_abs_z"] > details["structural_threshold"]
+    # One entry in 4032 degrees of freedom barely moves the aggregates.
+    assert abs(details["wh_z"]) < 3.0 and abs(details["trace_z"]) < 3.0
+
+
+def test_power_dense_slope_rotated_off_its_eigenbasis(monkeypatch):
+    dim, n, angle = 8, 20_000, 0.2
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    su, sv = seeded_sigmas(dim, 11)
+    model = GaussianModel.build(
+        *(dense_operator((q * d) @ q.T) for d in (ramp_multipliers(dim), su, sv))
+    )
+    slope = regression_slope(model).matrix
+    givens = np.eye(dim)
+    givens[1:3, 1:3] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    turn = q @ givens @ q.T
+    rotated = turn @ slope @ turn.T
+    # The mean of Z moves by sqrt(n) (sigma_u + Q_v)^{1/2} dS^T Sigma_r^{-1/2}.
+    cov_x = model.sigma_u.matrix + qv(model).matrix
+    cov_r = qv(model).matrix - slope @ qv(model).matrix
+    root_x = operator_power(dense_operator(cov_x), 0.5).matrix
+    white_r = psd_inverse(dense_operator(cov_r), 0.5)[0].matrix
+    shift = np.sqrt(n) * np.abs(root_x @ (rotated - slope).T @ white_r).max()
+    assert shift > 6.0
+    result = _check_claim(monkeypatch, model, slope=dense_operator(rotated))
+    assert result.status == FAIL
+    assert result.details["max_abs_z"] > result.details["sidak_threshold"]
+
+
+@pytest.mark.parametrize("dim", [8, 64, 256])
+def test_power_sigma_v_too_large_by_a_fifth(monkeypatch, dim):
+    su, sv = seeded_sigmas(dim, 11)
+    truth = ramp_model(dim, su, sv)
+    result = _check_claim(monkeypatch, ramp_model(dim, su, 1.2 * sv), truth=truth)
+    assert result.status == FAIL
+    # Every slope is too large, so every structural entry moves down.
+    assert result.details["trace_z"] < -5.0
+    assert not _passes_entry_families(result.details)
+
+
+def test_power_chi_square_is_two_sided(monkeypatch):
+    # Both covariances 1/0.9 times too large: the slope is right, so no entry
+    # stands out, but every whitened entry has variance 0.81 and T falls
+    # about ten standard deviations below its mean.
+    dim = 64
+    su, sv = seeded_sigmas(dim, 11)
+    truth = ramp_model(dim, 0.9 * su, 0.9 * sv)
+    result = _check_claim(monkeypatch, ramp_model(dim, su, sv), truth=truth)
+    assert result.status == FAIL
+    assert result.details["wh_z"] < -5.0
+    assert abs(result.details["trace_z"]) < 3.0
+    assert _passes_entry_families(result.details)
 
 
 def test_gap_check_passes_and_reports_kernel_mass():
