@@ -36,7 +36,15 @@ from .operators import (
 )
 from .scales import rescaled_covariances, scale_weights, trace_class_threshold
 from .smoothing import SingularCovarianceError, _assemble, optimal_b
-from .specs import RunConfig, SpecError, build_model, load_config, operator_to_json, parse_scale
+from .specs import (
+    RunConfig,
+    SpecError,
+    build_model,
+    load_config,
+    operator_to_json,
+    parse_scale,
+    read_int,
+)
 from .validate import run_validation, white_noise_scale_check
 
 
@@ -235,11 +243,11 @@ def _load(args) -> RunConfig:
         raise InputError(str(exc)) from exc
     updates = {}
     if getattr(args, "seed", None) is not None:
-        updates["seed"] = int(args.seed)
+        updates["seed"] = read_int(args.seed, "--seed", 0)
     if getattr(args, "dim", None) is not None:
-        updates["truncation_dim"] = int(args.dim)
+        updates["truncation_dim"] = read_int(args.dim, "--dim", 2)
     if getattr(args, "scale_n", None) is not None:
-        updates["scale_n"] = int(args.scale_n)
+        updates["scale_n"] = read_int(args.scale_n, "--scale-n", 0)
     if getattr(args, "input", None) is not None:
         updates["input_path"] = Path(args.input)
     if updates:
@@ -318,10 +326,8 @@ def cmd_optimal_b(args) -> int:
 
 def cmd_example(args) -> int:
     which = int(args.which)
-    dim = int(args.dim if args.dim is not None else 8)
-    if dim < 2:
-        raise InputError("--dim must be at least 2")
-    seed = int(args.seed if args.seed is not None else 0)
+    dim = read_int(8 if args.dim is None else args.dim, "--dim", 2)
+    seed = read_int(0 if args.seed is None else args.seed, "--seed", 0)
     out = _out_dir(args)
     grid_points = int(args.grid_points)
     if args.sigma_u is not None:
@@ -438,9 +444,9 @@ def cmd_validate(args) -> int:
     report = run_validation(
         model,
         seed=cfg.seed,
-        draws=int(extras.get("draws", 20_000)),
-        gap_count=int(extras.get("gap_count", 100)),
-        grid_points=int(extras.get("grid_points", 21)),
+        draws=read_int(extras.get("draws", 20_000), "extras.draws", 1),
+        gap_count=read_int(extras.get("gap_count", 100), "extras.gap_count", 1),
+        grid_points=read_int(extras.get("grid_points", 21), "extras.grid_points", 2),
         scale_n=scale_n,
         decay=decay,
     )

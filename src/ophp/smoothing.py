@@ -112,12 +112,19 @@ class DiagonalFamily:
     """Diagonal smoothers with a few free multipliers.
 
     ``base`` fixes every multiplier; the entries at ``indices`` are replaced
-    by the family parameters.
+    by the family parameters.  The indices must be distinct and in range.
     """
 
     base: np.ndarray
     indices: tuple
     basis_id: str
+
+    def __post_init__(self):
+        dim = len(self.base)
+        if len(set(self.indices) & set(range(dim))) != len(self.indices):
+            raise DimensionMismatchError(
+                f"family indices {list(self.indices)} must be distinct and in [0, {dim})"
+            )
 
     def build(self, params) -> OperatorRep:
         mult = np.array(self.base, dtype=float, copy=True)
@@ -128,9 +135,11 @@ class DiagonalFamily:
 def lattice_around(values, points: int = 21, rel_halfwidth: float = 0.5) -> list:
     """Per-parameter lattices centered on the given values, clipped at zero.
 
-    A strictly positive center sits exactly on the middle lattice point; a
-    zero center produces a one-sided lattice starting at zero, so the center
-    is the first point.
+    A strictly positive center is the midpoint of its lattice when
+    ``rel_halfwidth <= 1``: the middle point for odd ``points``, halfway
+    between the two middle points for even ``points``.  A zero center
+    produces a one-sided lattice starting at zero, so the center is the
+    first point.
     """
     vals = np.atleast_1d(np.asarray(values, dtype=float))
     fallback = float(max(np.abs(vals).max(initial=0.0), 1.0))
@@ -174,33 +183,31 @@ class GridSearchReport:
         }
 
 
-# Lattice points per block of the diagonal gap average, so the (points, dim)
-# temporaries stay small on large lattices.
-GAP_BLOCK_ROWS = 256
-
-
 def _average_gaps_diagonal(
     model: GaussianModel,
     family: DiagonalFamily,
     param_rows: np.ndarray,
     x_set: list[CoeffVector],
 ) -> np.ndarray:
-    a_mult = model.a.multipliers
+    # Only the family's k entries vary across the lattice, so each probe's
+    # squared gap is a sum over the fixed entries, taken once, plus k terms
+    # per lattice point.
+    a_sq = model.a.multipliers ** 2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
         slope = regression_slope(model).multipliers
     y0 = model.y0.coeffs
+    free = list(family.indices)
+    fixed = np.setdiff1d(np.arange(a_sq.shape[0]), free)
+    fixed_denom = 1.0 + a_sq[fixed] * family.base[fixed]
+    free_denom = 1.0 + a_sq[free, None] * param_rows.T
     totals = np.zeros(param_rows.shape[0])
-    for start in range(0, param_rows.shape[0], GAP_BLOCK_ROWS):
-        block = param_rows[start : start + GAP_BLOCK_ROWS]
-        mult = np.tile(family.base, (block.shape[0], 1))
-        mult[:, list(family.indices)] = block
-        denom = 1.0 + a_mult[None, :] ** 2 * mult
-        for x in x_set:
-            trend = x.coeffs[None, :] / denom
-            mean = y0 + slope * (x.coeffs - y0)
-            gaps = np.sqrt(((mean[None, :] - trend) ** 2).sum(axis=1))
-            totals[start : start + block.shape[0]] += gaps
+    for x in x_set:
+        mean = y0 + slope * (x.coeffs - y0)
+        sq = ((mean[fixed] - x.coeffs[fixed] / fixed_denom) ** 2).sum()
+        for j, denom in zip(free, free_denom):
+            sq = sq + (mean[j] - x.coeffs[j] / denom) ** 2
+        totals += np.sqrt(sq)
     return totals / len(x_set)
 
 
@@ -262,16 +269,9 @@ def grid_search_oracle(
 
     mesh = np.meshgrid(*grid, indexing="ij")
     param_rows = np.stack([m.ravel() for m in mesh], axis=-1)
-    if model.is_diagonal:
-        averages = _average_gaps_diagonal(model, family, param_rows, x_set)
-        gap_bhat = float(
-            _average_gaps_diagonal(model, family, bhat_params[None, :], x_set)[0]
-        )
-    else:
-        averages = _average_gaps_generic(model, family, param_rows, x_set)
-        gap_bhat = float(
-            _average_gaps_generic(model, family, bhat_params[None, :], x_set)[0]
-        )
+    average = _average_gaps_diagonal if model.is_diagonal else _average_gaps_generic
+    averages = average(model, family, param_rows, x_set)
+    gap_bhat = float(average(model, family, bhat_params[None, :], x_set)[0])
     best = int(np.argmin(averages))
     argmin_params = param_rows[best]
     steps = [float(g[1] - g[0]) if len(g) > 1 else 0.0 for g in grid]

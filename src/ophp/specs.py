@@ -55,6 +55,21 @@ def _finite(values, what: str) -> np.ndarray:
     return arr
 
 
+def read_int(value, what: str, minimum: int) -> int:
+    """An integral JSON number of at least ``minimum``.
+
+    Booleans, strings and fractional numbers are rejected, not coerced.
+    """
+    integral = isinstance(value, int) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise SpecError(f"{what} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:
     """Build an operator from its JSON description.
 
@@ -85,10 +100,9 @@ def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:
             raise SpecError("kernel operator spec needs 'name'")
         if dim is None:
             raise SpecError("kernel operator spec needs a truncation dimension")
+        points = obj.get("grid_points", DEFAULT_GRID_POINTS)
         try:
-            op = kernel_operator(
-                name, dim, int(obj.get("grid_points", DEFAULT_GRID_POINTS))
-            )
+            op = kernel_operator(name, dim, read_int(points, "grid_points", 1))
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
     else:
@@ -163,9 +177,7 @@ def parse_scale(obj: dict) -> tuple[int | None, DecayDeclaration | None]:
         raise SpecError("scale spec must be an object")
     n = obj.get("n")
     if n is not None:
-        n = int(n)
-        if n < 0:
-            raise SpecError("scale index n must be nonnegative")
+        n = read_int(n, "scale index n", 0)
     keys = ("kappa_decay", "sigma_u_decay", "sigma_v_decay")
     if all(k in obj for k in keys):
         decay = DecayDeclaration(*(float(obj[k]) for k in keys))
@@ -203,12 +215,11 @@ def parse_config(obj: dict, base_dir: Path | None = None) -> RunConfig:
     missing = [k for k in ("operator", "sigma_u", "sigma_v") if k not in obj]
     if missing:
         raise SpecError(f"configuration is missing {missing}")
-    dim = int(obj.get("truncation_dim", 0))
-    if dim < 2:
-        raise SpecError("truncation_dim must be at least 2")
-    seed = int(obj.get("seed", 0))
-    if seed < 0:
-        raise SpecError("seed must be nonnegative")
+    dim = read_int(obj.get("truncation_dim", 0), "truncation_dim", 2)
+    seed = read_int(obj.get("seed", 0), "seed", 0)
+    extras = obj.get("extras")
+    if extras is not None and not isinstance(extras, dict):
+        raise SpecError("extras must be an object")
     base = Path(".") if base_dir is None else base_dir
 
     def resolve(key):
@@ -225,13 +236,13 @@ def parse_config(obj: dict, base_dir: Path | None = None) -> RunConfig:
         sigma_v_spec=obj["sigma_v"],
         truncation_dim=dim,
         seed=seed,
-        scale_n=None if scale_n is None else int(scale_n),
+        scale_n=None if scale_n is None else read_int(scale_n, "scale_n", 0),
         scale=obj.get("scale"),
         input_path=resolve("input_path"),
         output_path=resolve("output_path"),
         y0=obj.get("y0"),
         commuting_sigma_u=obj.get("commuting_sigma_u"),
-        extras=obj.get("extras"),
+        extras=extras,
     )
 
 

@@ -446,6 +446,42 @@ class TestErrorExits:
         assert _run(command, "--config", cfg, "--out", tmp_path / "out") == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", "x"),
+            ("seed", 2.7),
+            ("seed", True),
+            ("extras", [1, 2]),
+            ("extras", {"grid_points": 0}),
+            ("extras", {"grid_points": 1}),
+            ("extras", {"grid_points": True}),
+            ("extras", {"gap_count": -3}),
+            ("extras", {"draws": 0}),
+            ("extras", {"draws": 2000.5}),
+        ],
+    )
+    def test_malformed_integer_fields_exit_one(
+        self, ramp_config, tmp_path, capsys, field, value
+    ):
+        cfg_path, _ = ramp_config
+        doc = json.loads(cfg_path.read_text())
+        doc[field] = value
+        _write_config(cfg_path, doc)
+        out = tmp_path / "out"
+        assert _run("validate", "--config", cfg_path, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (out / "validation.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["--seed", "-1"], ["--dim", "1"], ["--scale-n", "-2"]]
+    )
+    def test_out_of_range_overrides_exit_one(self, ramp_config, tmp_path, capsys, argv):
+        cfg_path, _ = ramp_config
+        assert _run("scale", "--config", cfg_path, "--out", tmp_path, *argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {argv[0]} must be")
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_series_rejected(self, ramp_config, tmp_path, bad):
         cfg_path, dim = ramp_config

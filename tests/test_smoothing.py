@@ -1,5 +1,7 @@
 """Optimal smoother assembly, gap functional, and the grid-search oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,13 @@ from ophp import (
     zero_operator,
 )
 from ophp.instances import laplacian_model, ramp_model
-from ophp.smoothing import DiagonalFamily, lattice_around, probe_vectors
+from ophp.operators import DimensionMismatchError
+from ophp.smoothing import (
+    DiagonalFamily,
+    _average_gaps_diagonal,
+    lattice_around,
+    probe_vectors,
+)
 
 
 class TestOptimalB:
@@ -243,6 +251,44 @@ class TestGridSearchOracle:
         candidate = diagonal_operator([-5.0, 1.0, 1.0])
         report = positivity_check(model.a, candidate)
         assert report.passed and report.method != "analytic"
+
+    @pytest.mark.parametrize("indices", [(1, 1), (0, 3), (-1,)])
+    def test_family_rejects_repeated_or_out_of_range_indices(self, indices):
+        with pytest.raises(DimensionMismatchError):
+            DiagonalFamily(np.ones(3), indices, "abstract-euclidean")
+
+    def test_diagonal_search_matches_per_probe_gaps(self):
+        # The separable diagonal sum must equal the mean of gap() over the
+        # probes at every lattice point, with y0 in the null space and free
+        # entries on the null component and the last component.
+        dim = 6
+        y0 = CoeffVector([1.5, 0.0, 0.0, 0.0, 0.0, 0.0])
+        model = ramp_model(dim, np.linspace(0.5, 2.0, dim), 0.8, y0=y0)
+        assert model.is_diagonal and model.a.multipliers[0] == 0.0
+        indices = (0, 2, dim - 1)
+        family = DiagonalFamily(
+            base=optimal_b(model).multipliers.copy(),
+            indices=indices,
+            basis_id=model.a.codomain_basis,
+        )
+        grid = lattice_around(family.base[list(indices)], points=3)
+        probes = probe_vectors(dim, model.a.domain_basis, count=8, seed=4)
+        rows = np.array(list(itertools.product(*grid)))
+        expected = [
+            np.mean([gap(model, family.build(row), x) for x in probes])
+            for row in rows
+        ]
+        got = _average_gaps_diagonal(model, family, rows, probes)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+        report = grid_search_oracle(model, family=family, grid=grid, x_set=probes)
+        best = int(np.argmin(expected))
+        np.testing.assert_array_equal(report.argmin_params, rows[best])
+        assert report.gap_at_argmin == pytest.approx(expected[best], rel=1e-12)
+        bhat_gap = np.mean(
+            [gap(model, family.build(report.bhat_params), x) for x in probes]
+        )
+        assert report.gap_at_bhat == pytest.approx(bhat_gap, rel=1e-12)
+        assert report.points_evaluated == len(rows)
 
     @pytest.mark.parametrize("dense_a", [False, True], ids=["diagonal-a", "dense-a"])
     def test_generic_search_matches_per_probe_gaps(self, dense_a):

@@ -127,6 +127,33 @@ class TestRunConfig:
         with pytest.raises(SpecError):
             parse_config(doc)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", "x"),
+            ("seed", 2.7),
+            ("seed", True),
+            ("seed", -1),
+            ("truncation_dim", 4.5),
+            ("truncation_dim", "3"),
+            ("scale_n", -1),
+            ("scale_n", False),
+            ("extras", [1, 2]),
+        ],
+    )
+    def test_malformed_integer_fields_rejected(self, key, value):
+        doc = self._doc()
+        doc[key] = value
+        with pytest.raises(SpecError, match=key):
+            parse_config(doc)
+
+    def test_integral_floats_accepted(self):
+        doc = self._doc()
+        doc.update(seed=7.0, truncation_dim=3.0, scale_n=2.0)
+        cfg = parse_config(doc)
+        assert (cfg.seed, cfg.truncation_dim, cfg.scale_n) == (7, 3, 2)
+        assert all(type(v) is int for v in (cfg.seed, cfg.truncation_dim, cfg.scale_n))
+
     def test_missing_sections(self):
         with pytest.raises(SpecError):
             parse_config({"operator": {"kind": "diagonal", "multipliers": [1, 2]}})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ophp import GaussianModel, dense_operator, diagonal_operator, qv, sample_joint
-from ophp import validate
+from ophp import scalar_multiple, smoothing, validate
 from ophp.gaussian import DecayDeclaration, regression_slope
 from ophp.instances import laplacian_model, ramp_model, ramp_multipliers, seeded_sigmas
 from ophp.operators import operator_power, psd_inverse
@@ -219,6 +219,23 @@ def test_grid_argmin_check():
     model = ramp_model(4, *seeded_sigmas(4, 7))
     result = grid_argmin_check(model, points=9, seed=2)
     assert result.status == PASS
+
+
+def test_power_grid_argmin_fails_on_doubled_smoother(monkeypatch):
+    # With the claimed smoother at 2 * bhat the lattice spans [bhat, 3 * bhat],
+    # so the true argmin sits ten steps below the claimed centre.
+    model = ramp_model(64, *seeded_sigmas(64, 301))
+    assert grid_argmin_check(model, seed=304).status == PASS
+    true_b = smoothing.optimal_b
+    monkeypatch.setattr(
+        smoothing, "optimal_b", lambda m: scalar_multiple(true_b(m), 2.0)
+    )
+    result = grid_argmin_check(model, seed=304)
+    assert result.status == FAIL
+    assert not result.details["matches_bhat"]
+    np.testing.assert_allclose(
+        result.details["bhat_params"], 2.0 * true_b(model).multipliers[1:4]
+    )
 
 
 def test_white_noise_check_skips_colored_noise():
