@@ -10,6 +10,7 @@ configured seed; outputs are byte-identical for identical (config, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -43,6 +44,7 @@ from .specs import (
     load_config,
     operator_to_json,
     parse_scale,
+    read_float,
     read_int,
 )
 from .validate import run_validation, white_noise_scale_check
@@ -328,16 +330,16 @@ def cmd_example(args) -> int:
     which = int(args.which)
     dim = read_int(8 if args.dim is None else args.dim, "--dim", 2)
     seed = read_int(0 if args.seed is None else args.seed, "--seed", 0)
-    out = _out_dir(args)
-    grid_points = int(args.grid_points)
+    grid_points = read_int(args.grid_points, "--grid-points", 2)
     if args.sigma_u is not None:
-        su = np.full(dim, float(args.sigma_u))
+        su = np.full(dim, read_float(args.sigma_u, "--sigma-u"))
     else:
         su = instances.seeded_sigmas(dim, seed)[0]
     if args.sigma_v is not None:
-        sv = np.full(dim, float(args.sigma_v))
+        sv = np.full(dim, read_float(args.sigma_v, "--sigma-v"))
     else:
         sv = instances.seeded_sigmas(dim, seed)[1]
+    out = _out_dir(args)
 
     if which == 1:
         a_mult = instances.ramp_multipliers(dim)
@@ -560,9 +562,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: building it costs thirty times a parse.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DOMAIN_ERRORS as exc:

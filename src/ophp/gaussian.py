@@ -11,6 +11,7 @@ the covariance algebra, and a reproducible sampler for Monte-Carlo checks.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -318,22 +319,47 @@ class JointSample:
 
 
 DEFAULT_CHUNK = 1 << 14
+# Rows transformed at a time. OpenBLAS's x86-64 DGEMM walks the rows of a
+# product in panels of 192, and a product of a few rows takes another path;
+# blocks of two panels, with a tail under one panel joined to the block
+# before it, give every row the bits of one product over the whole chunk
+# when BLAS runs on one thread.
+BLOCK_ROWS = 384
 
 
-def sample_joint(
-    model: GaussianModel, count: int, seed: int, chunk_size: int = DEFAULT_CHUNK
-) -> JointSample:
-    """Draw joint samples of (u, v, y, x), reproducibly for a fixed seed.
+def _row_blocks(count: int) -> Iterator[slice]:
+    lo = 0
+    while lo < count:
+        hi = lo + BLOCK_ROWS
+        if count - hi < BLOCK_ROWS // 2:
+            hi = count
+        yield slice(lo, hi)
+        lo = hi
+
+
+def sample_joint_blocks(
+    model: GaussianModel,
+    count: int,
+    seed: int,
+    zu: np.ndarray,
+    zv: np.ndarray | None,
+    chunk_size: int = DEFAULT_CHUNK,
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Draw ``count`` joint samples of (u, v, y, x) and yield them a block
+    of rows at a time, as ``(rows, u, v, y, x)``.
 
     Noise is generated through symmetric square roots of the covariances
     applied to standard normal coefficient vectors; the signal-noise draw is
     projected onto the range of the operator, so components orthogonal to it
     are identically zero.  Draws are produced in fixed-size chunks whose
-    streams are seeded by (seed, chunk index) — the declared splitting rule —
-    so chunked or parallel generation yields identical output; within a chunk
-    the u block is drawn before the v block.  Each chunk's streams are drawn
-    and transformed straight into that chunk's rows of the preallocated
-    outputs; the only scratch array is one chunk of ``v`` rows.
+    streams are seeded by (seed, chunk index) -- the declared splitting rule
+    -- so chunked or parallel generation yields identical output.  Each
+    chunk's u block is drawn into its rows of ``zu`` (``count x dim``), then
+    its v block into its rows of ``zv`` (``count x codim``, or one chunk of
+    scratch when ``None``).  The draws are transformed a block of rows at a
+    time into scratch arrays of one block, which are yielded and then reused
+    for the next block.  Once a block is yielded, the caller may overwrite
+    its rows of ``zu`` and ``zv``.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -342,23 +368,45 @@ def sample_joint(
     root_u, root_v = model._roots
     range_proj = model.pinv_bundle.range_projector
     ainv = model.pinv_bundle.pinv
+    y0 = model.y0.coeffs
+    if zv is None:
+        zv_chunk = np.empty((min(chunk_size, count), model.codim))
+    rows = min(count, chunk_size, BLOCK_ROWS + BLOCK_ROWS // 2)
+    u, y, x = (np.empty((rows, model.dim)) for _ in range(3))
+    v, tmp = (np.empty((rows, model.codim)) for _ in range(2))
+    for start in range(0, count, chunk_size):
+        stop = min(start + chunk_size, count)
+        rng = np.random.default_rng([seed, start // chunk_size])
+        zu_rows = zu[start:stop]
+        zv_rows = zv_chunk[: stop - start] if zv is None else zv[start:stop]
+        rng.standard_normal(out=zu_rows)
+        rng.standard_normal(out=zv_rows)
+        for block in _row_blocks(stop - start):
+            n = block.stop - block.start
+            bu, bv, by, bx, bt = u[:n], v[:n], y[:n], x[:n], tmp[:n]
+            apply_rows(root_u, zu_rows[block], out=bu)
+            apply_rows(root_v, zv_rows[block], out=bt)
+            apply_rows(range_proj, bt, out=bv)
+            apply_rows(ainv, bv, out=by)
+            by += y0
+            np.add(by, bu, out=bx)
+            yield slice(start + block.start, start + block.stop), bu, bv, by, bx
+
+
+def sample_joint(
+    model: GaussianModel, count: int, seed: int, chunk_size: int = DEFAULT_CHUNK
+) -> JointSample:
+    """Draw joint samples of (u, v, y, x), reproducibly for a fixed seed.
+
+    The draws are those of :func:`sample_joint_blocks`, copied into four
+    ``count``-row arrays; the standard normals are drawn into the rows of
+    ``y`` and ``v`` that their transforms then overwrite.
+    """
     u = np.empty((count, model.dim))
     v = np.empty((count, model.codim))
     y = np.empty((count, model.dim))
     x = np.empty((count, model.dim))
-    scratch = np.empty((min(chunk_size, count), model.codim))
-    for start in range(0, count, chunk_size):
-        rows = slice(start, min(start + chunk_size, count))
-        tmp = scratch[: rows.stop - start]
-        rng = np.random.default_rng([seed, start // chunk_size])
-        # The standard normals land in rows that are overwritten below: the u
-        # block in y, the v block in v.
-        rng.standard_normal(out=y[rows])
-        rng.standard_normal(out=v[rows])
-        apply_rows(root_u, y[rows], out=u[rows])
-        apply_rows(root_v, v[rows], out=tmp)
-        apply_rows(range_proj, tmp, out=v[rows])
-        apply_rows(ainv, v[rows], out=y[rows])
-        y[rows] += model.y0.coeffs
-        np.add(y[rows], u[rows], out=x[rows])
+    for rows, *block in sample_joint_blocks(model, count, seed, y, v, chunk_size):
+        for whole, part in zip((u, v, y, x), block):
+            whole[rows] = part
     return JointSample(u=u, v=v, y=y, x=x, seed=seed, chunk_size=chunk_size)

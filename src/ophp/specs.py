@@ -27,6 +27,7 @@ file's directory.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,6 +69,20 @@ def read_int(value, what: str, minimum: int) -> int:
     if value < minimum:
         raise SpecError(f"{what} must be at least {minimum}, got {value!r}")
     return int(value)
+
+
+def read_float(value, what: str) -> float:
+    """A finite number, given as a number or as the text of one.
+
+    Other text and NaN or infinite values are rejected, not coerced.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise SpecError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise SpecError(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:

@@ -19,7 +19,7 @@ from .gaussian import (
     RankDeficiencyWarning,
     qv,
     regression_slope,
-    sample_joint,
+    sample_joint_blocks,
 )
 from .operators import (
     STRUCTURE_TOL,
@@ -148,6 +148,36 @@ def _whitened_rank(white: OperatorRep, cov: OperatorRep) -> int:
     return round(float(np.trace(compose(white, compose(cov, white)).as_matrix())))
 
 
+def _whitened_z(
+    model: GaussianModel,
+    draws: int,
+    seed: int,
+    slope: OperatorRep,
+    white_x: OperatorRep,
+    white_r: OperatorRep,
+) -> np.ndarray:
+    """``Z = x~^T r~ / sqrt(draws)`` on the sample that ``simulate`` draws.
+
+    The draws of x are whitened into one ``draws x dim`` array and those of
+    ``r`` into another, a block of rows at a time; each array first holds
+    the standard normals that its rows are made from.
+    """
+    y0 = model.y0.coeffs
+    wx = np.empty((draws, model.dim))
+    wr = np.empty((draws, model.dim))
+    zv = wr if model.codim == model.dim else None
+    for rows, u, _, y, x in sample_joint_blocks(model, draws, seed, wx, zv):
+        x -= y0
+        y -= y0
+        apply_rows(slope, x, out=u)
+        y -= u
+        apply_rows(white_x, x, out=wx[rows])
+        apply_rows(white_r, y, out=wr[rows])
+    z = wx.T @ wr
+    z /= math.sqrt(draws)
+    return z
+
+
 def conditional_mean_check(
     model: GaussianModel, draws: int = 20_000, seed: int = 1
 ) -> CheckResult:
@@ -181,6 +211,10 @@ def conditional_mean_check(
     ``2 k_x k_r (1 + (k_x + k_r + 1) / n)``: the inflation over chi-square
     comes from the sample Gram matrices and is about ``1 + 2 dim / n`` at
     full rank; ``wh_z`` is divided by its square root.
+
+    The sample is the one ``simulate`` draws at ``seed``, made a block of
+    rows at a time: besides ``Z``, the check holds two ``draws x dim``
+    arrays (the whitened data and residual) and scratch of a few blocks.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
@@ -191,18 +225,7 @@ def conditional_mean_check(
     white_x, _ = psd_inverse(cov_x, 0.5)
     white_r, _ = psd_inverse(cov_r, 0.5)
 
-    # The sample is private to this call: r overwrites y, and the whitened
-    # data and residual go into u and x.
-    data = sample_joint(model, draws, seed)
-    u, x, y = data.u, data.x, data.y
-    x -= model.y0.coeffs
-    y -= model.y0.coeffs
-    apply_rows(slope, x, out=u)
-    y -= u
-    apply_rows(white_x, x, out=u)
-    apply_rows(white_r, y, out=x)
-    z = u.T @ x
-    z /= math.sqrt(draws)
+    z = _whitened_z(model, draws, seed, slope, white_x, white_r)
 
     rank_x, rank_r = _whitened_rank(white_x, cov_x), _whitened_rank(white_r, cov_r)
     df = rank_x * rank_r

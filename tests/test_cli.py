@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from ophp import validate
+from ophp import cli, validate
 from ophp.cli import main, project_series, read_series_csv
-from ophp.gaussian import GaussianModel, sample_joint
+from ophp.gaussian import GaussianModel, sample_joint_blocks
 from ophp.instances import (
     expected_laplacian_filter_multipliers,
     ramp_multipliers,
@@ -304,7 +304,9 @@ class TestValidateCommand:
         # 1.2 times too large.
         truth, _ = build_model(load_config(correct))
         monkeypatch.setattr(
-            validate, "sample_joint", lambda _m, count, s: sample_joint(truth, count, s)
+            validate,
+            "sample_joint_blocks",
+            lambda _m, *args: sample_joint_blocks(truth, *args),
         )
         wrong = self._dense_64_config(tmp_path / "wrong.json", sigma_v_scale=1.2)
         out = tmp_path / "bad"
@@ -481,6 +483,34 @@ class TestErrorExits:
         cfg_path, _ = ramp_config
         assert _run("scale", "--config", cfg_path, "--out", tmp_path, *argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {argv[0]} must be")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--sigma-u", "x"],
+            ["--sigma-u", "nan"],
+            ["--sigma-v", "inf"],
+            ["--sigma-v=-inf"],
+            ["--sigma-v", ""],
+            ["--grid-points", "0"],
+            ["--grid-points", "1"],
+        ],
+    )
+    def test_bad_example_values_exit_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "ex"
+        assert _run("example", "--which", "2", "--dim", 4, "--out", out, *argv) == 1
+        flag = argv[0].split("=")[0]
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be")
+        assert not out.exists()
+
+    def test_cached_parser_keeps_no_state_between_requests(self):
+        first = cli._parser().parse_args(
+            ["example", "--which", "1", "--sigma-u", "2.0", "--grid-points", "9"]
+        )
+        second = cli._parser().parse_args(["example", "--which", "2"])
+        assert (first.sigma_u, first.grid_points) == ("2.0", 9)
+        assert (second.sigma_u, second.grid_points, second.which) == (None, 257, "2")
+        assert cli._parser() is cli._parser()
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_series_rejected(self, ramp_config, tmp_path, bad):

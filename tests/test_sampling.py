@@ -1,14 +1,16 @@
 """The sampler and the lattice search against the algorithms they replaced.
 
-``sample_joint`` fills preallocated outputs chunk by chunk and is compared
-bitwise with the chunk-list sampler, kept here as a reference; its peak
-allocation is bounded so that full-size temporaries cannot come back
-unnoticed.  The diagonal grid search scores each lattice point on the
-family's free entries only; it sums in a different order from the
-whole-lattice formula, so the two are compared to a relative tolerance and
-must pick the same argmin.
+``sample_joint`` fills preallocated outputs a block of rows at a time and is
+compared bitwise with the chunk-list sampler, kept here as a reference; the
+conditional-mean check streams the same draws and is compared bitwise with
+whitening one whole sample in place.  Peak allocations are bounded so that
+full-size temporaries cannot come back unnoticed.  The diagonal grid search
+scores each lattice point on the family's free entries only; it sums in a
+different order from the whole-lattice formula, so the two are compared to
+a relative tolerance and must pick the same argmin.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,10 +21,13 @@ from ophp import (
     GaussianModel,
     covariance_sqrt,
     dense_operator,
+    pinv,
     regression_slope,
     sample_joint,
+    validate,
 )
-from ophp.instances import ramp_model
+from ophp.gaussian import BLOCK_ROWS
+from ophp.instances import ramp_model, seeded_sigmas
 from ophp.operators import apply_rows
 from ophp.smoothing import (
     DiagonalFamily,
@@ -31,6 +36,7 @@ from ophp.smoothing import (
     optimal_b,
     probe_vectors,
 )
+from ophp.validate import conditional_mean_check
 
 
 def _reference_sample_joint(model, count, seed, chunk_size):
@@ -87,11 +93,38 @@ def _rectangular_model():
     return GaussianModel.build(a, probe.sigma_u, probe.sigma_v, y0=y0)
 
 
+def _rank_deficient_model():
+    # A non-symmetric A of rank 5 on 8 dims, y0 in its null space.
+    rng = np.random.default_rng(2)
+    a = dense_operator(rng.standard_normal((8, 5)) @ rng.standard_normal((5, 8)))
+    assert not np.allclose(a.matrix, a.matrix.T)
+    comp = pinv(a).projector_complement.matrix
+    y0 = CoeffVector(comp @ rng.standard_normal(8))
+    return GaussianModel.build(
+        a, dense_operator(_spd(8, rng)), dense_operator(_spd(8, rng)), y0=y0
+    )
+
+
 MODELS = {
     "diagonal": _diagonal_model,
     "dense": _dense_model,
     "rectangular": _rectangular_model,
+    "rank-deficient": _rank_deficient_model,
 }
+
+
+def _reference_whitened_z(model, draws, seed, slope, white_x, white_r):
+    # The check before it streamed: whiten one whole joint sample in place.
+    u, _, y, x = _reference_sample_joint(model, draws, seed, 16_384)
+    x -= model.y0.coeffs
+    y -= model.y0.coeffs
+    apply_rows(slope, x, out=u)
+    y -= u
+    apply_rows(white_x, x, out=u)
+    apply_rows(white_r, y, out=x)
+    z = u.T @ x
+    z /= math.sqrt(draws)
+    return z
 
 
 class TestSampleJoint:
@@ -127,6 +160,35 @@ class TestSampleJoint:
             tracemalloc.stop()
         assert data.count == count
         assert peak <= outputs + chunk_draws + (1 << 20)
+
+
+class TestStreamedConditionalMean:
+    @pytest.mark.parametrize("kind", ["diagonal", "rank-deficient", "rectangular"])
+    @pytest.mark.parametrize(
+        "draws", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 16_385, 20_000]
+    )
+    def test_details_match_whole_sample_bitwise(self, kind, draws, monkeypatch):
+        model = MODELS[kind]()
+        assert np.any(model.y0.coeffs != 0.0)
+        streamed = conditional_mean_check(model, draws=draws, seed=5)
+        monkeypatch.setattr(validate, "_whitened_z", _reference_whitened_z)
+        expected = conditional_mean_check(model, draws=draws, seed=5)
+        assert streamed.status == expected.status
+        assert streamed.details == expected.details
+
+    def test_peak_allocation_is_two_samples_plus_a_few_blocks(self):
+        dim, draws = 256, 20_000
+        model = ramp_model(dim, *seeded_sigmas(dim, 11))
+        samples = 2 * draws * dim * 8
+        blocks = 5 * (BLOCK_ROWS + BLOCK_ROWS // 2) * dim * 8
+        tracemalloc.start()
+        try:
+            result = conditional_mean_check(model, draws=draws, seed=12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.details["draws"] == draws
+        assert peak <= samples + blocks + (1 << 20)
 
 
 class TestSeparableLatticeSearch:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from ophp import GaussianModel, dense_operator, diagonal_operator, qv, sample_joint
+from ophp import GaussianModel, dense_operator, diagonal_operator, qv
 from ophp import scalar_multiple, smoothing, validate
-from ophp.gaussian import DecayDeclaration, regression_slope
+from ophp.gaussian import DecayDeclaration, regression_slope, sample_joint_blocks
 from ophp.instances import laplacian_model, ramp_model, ramp_multipliers, seeded_sigmas
 from ophp.operators import operator_power, psd_inverse
 from ophp.validate import (
@@ -120,7 +120,9 @@ def _check_claim(monkeypatch, claim, truth=None, slope=None, seed=21):
     ``truth`` and, when given, ``slope`` in place of the claimed slope."""
     if truth is not None:
         monkeypatch.setattr(
-            validate, "sample_joint", lambda _m, count, s: sample_joint(truth, count, s)
+            validate,
+            "sample_joint_blocks",
+            lambda _m, *args: sample_joint_blocks(truth, *args),
         )
     if slope is not None:
         monkeypatch.setattr(validate, "regression_slope", lambda _m: slope)
