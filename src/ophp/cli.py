@@ -4,7 +4,8 @@ Subcommands: ``filter``, ``optimal-b``, ``example``, ``simulate``,
 ``validate``, ``scale``.  Exit codes: 0 on success, 1 on input errors
 (including non-finite numbers and models the algebra rejects), 2 when a
 validation report contains a FAIL.  All randomness flows from the
-configured seed; outputs are byte-identical for identical (config, seed).
+configured seed; outputs are byte-identical for identical (config, seed) at a
+fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .operators import (
     sine_basis_matrix,
 )
 from .scales import rescaled_covariances, scale_weights, trace_class_threshold
-from .smoothing import SingularCovarianceError, _assemble, optimal_b
+from .smoothing import LATTICE_POINTS, SingularCovarianceError, _assemble, optimal_b
 from .specs import (
     RunConfig,
     SpecError,
@@ -47,7 +48,7 @@ from .specs import (
     read_float,
     read_int,
 )
-from .validate import run_validation, white_noise_scale_check
+from .validate import CM_DRAWS, GAP_INPUTS, run_validation, white_noise_scale_check
 
 
 class InputError(ValueError):
@@ -446,9 +447,11 @@ def cmd_validate(args) -> int:
     report = run_validation(
         model,
         seed=cfg.seed,
-        draws=read_int(extras.get("draws", 20_000), "extras.draws", 1),
-        gap_count=read_int(extras.get("gap_count", 100), "extras.gap_count", 1),
-        grid_points=read_int(extras.get("grid_points", 21), "extras.grid_points", 2),
+        draws=read_int(extras.get("draws", CM_DRAWS), "extras.draws", 1),
+        gap_count=read_int(extras.get("gap_count", GAP_INPUTS), "extras.gap_count", 1),
+        grid_points=read_int(
+            extras.get("grid_points", LATTICE_POINTS), "extras.grid_points", 2
+        ),
         scale_n=scale_n,
         decay=decay,
     )
@@ -476,12 +479,7 @@ def cmd_scale(args) -> int:
         raise InputError(
             "no scale index: set scale_n or supply decay exponents in 'scale'"
         )
-    weights = scale_weights(
-        model.a,
-        n,
-        bundle=model.pinv_bundle,
-        decay_exponent=decay.kappa_decay if decay else None,
-    )
+    weights = scale_weights(model.a, n, model.pinv_bundle)
     su, sv = rescaled_covariances(model, n)
     scaled = _assemble(model.a, model.pinv_bundle, su, sv)
     white = white_noise_scale_check(model, decay=decay, n=n)
@@ -505,15 +503,19 @@ def cmd_scale(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="path to a run configuration JSON file",
-                        required=False)
+def _add_outputs(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None, help="override the seed")
     parser.add_argument("--dim", type=int, default=None,
                         help="override the truncation dimension")
+    parser.add_argument("--out", default=None, help="output directory")
+
+
+def _add_common(parser: argparse.ArgumentParser):
+    parser.add_argument("--config", help="path to a run configuration JSON file",
+                        required=False)
+    _add_outputs(parser)
     parser.add_argument("--scale-n", dest="scale_n", type=int, default=None,
                         help="override the scale index")
-    parser.add_argument("--out", default=None, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimal_b)
 
     p = sub.add_parser("example", help="emit a self-contained built-in instance")
-    _add_common(p)
+    _add_outputs(p)
     p.add_argument("--which", required=True, choices=["1", "2"],
                    help="1 = ramp sequence operator, 2 = Dirichlet Laplacian")
     p.add_argument("--grid-points", dest="grid_points", type=int, default=257,

@@ -151,17 +151,13 @@ def filter_multipliers(a: OperatorRep, b: OperatorRep) -> np.ndarray:
 
 
 def _solve_trend(
-    a: OperatorRep,
-    b: OperatorRep,
-    rhs: np.ndarray,
-    residual_rtol: float,
-    quad: np.ndarray | None = None,
+    a: OperatorRep, b: OperatorRep, rhs: np.ndarray, quad: np.ndarray | None = None
 ) -> np.ndarray:
     """Trends for every column of ``rhs``.
 
     Diagonal ``a`` and ``b`` use the closed form.  Otherwise ``I + A* B A``
     (from ``quad`` when given) is LU-factorized once, and each column's
-    residual must stay within ``residual_rtol`` times that column's norm.
+    residual must stay within ``RESIDUAL_RTOL`` times that column's norm.
     """
     if a.is_diagonal and b.is_diagonal:
         return rhs * filter_multipliers(a, b)[:, None]
@@ -175,7 +171,7 @@ def _solve_trend(
             f"trend system is singular (cond={np.linalg.cond(system):.3e})"
         ) from exc
     residuals = np.linalg.norm(system @ y - rhs, axis=0)
-    bounds = residual_rtol * np.maximum(
+    bounds = RESIDUAL_RTOL * np.maximum(
         np.linalg.norm(rhs, axis=0), np.finfo(float).tiny
     )
     if np.any(residuals > bounds):
@@ -186,26 +182,22 @@ def _solve_trend(
     return y
 
 
-def solve_filter(
-    problem: FilterProblem,
-    check_positivity: bool = True,
-    residual_rtol: float = RESIDUAL_RTOL,
-) -> CoeffVector:
+def solve_filter(problem: FilterProblem) -> CoeffVector:
     """Unique minimizer of the penalized objective.
 
-    Solves ``(I + A* B A) y = x``: componentwise in closed form when both
-    operators are diagonal, otherwise by dense LU factorization with a
-    residual check at ``residual_rtol * |x|``.  The dense ``A* B A`` is formed
-    once and serves both the positivity check and the solve.
+    Checks that ``b`` keeps the penalty nonnegative, then solves
+    ``(I + A* B A) y = x``: componentwise in closed form when both operators
+    are diagonal, otherwise by dense LU factorization with a residual check
+    at ``RESIDUAL_RTOL * |x|``.  The dense ``A* B A`` is formed once and
+    serves both the positivity check and the solve.
     """
     a, b, x = problem.a, problem.b, problem.x
     quad = None if a.is_diagonal and b.is_diagonal else _trend_matrix(a, b)
-    if check_positivity:
-        report = _positivity(a, b, quad)
-        if not report.passed:
-            raise PositivityError(
-                "smoothing operator fails nonnegativity "
-                f"(minimum quadratic form {report.min_value:.3e})"
-            )
-    y = _solve_trend(a, b, x.coeffs[:, None], residual_rtol, quad)
+    report = _positivity(a, b, quad)
+    if not report.passed:
+        raise PositivityError(
+            "smoothing operator fails nonnegativity "
+            f"(minimum quadratic form {report.min_value:.3e})"
+        )
+    y = _solve_trend(a, b, x.coeffs[:, None], quad)
     return CoeffVector(y[:, 0], x.basis_id)

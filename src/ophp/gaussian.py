@@ -123,8 +123,8 @@ class GaussianModel:
 
     @cached_property
     def _slope(self) -> tuple[OperatorRep, bool]:
-        inv, full_rank = psd_inverse(add(self.sigma_u, self._q_v))
-        return compose(self._q_v, inv), full_rank
+        inv, rank = psd_inverse(add(self.sigma_u, self._q_v))
+        return compose(self._q_v, inv), rank == self.dim
 
     @cached_property
     def _roots(self) -> tuple[OperatorRep, OperatorRep]:
@@ -137,7 +137,6 @@ class GaussianModel:
         sigma_u: OperatorRep,
         sigma_v: OperatorRep,
         y0: CoeffVector | None = None,
-        rcond: float | None = None,
         commuting_sigma_u: bool | None = None,
     ) -> "GaussianModel":
         """Validate the ingredients and assemble a model.
@@ -146,7 +145,7 @@ class GaussianModel:
         automatically; declaring ``True`` raises if the measured defect
         exceeds tolerance.
         """
-        bundle = pinv(a, rcond)
+        bundle = pinv(a)
         _check_covariance(sigma_u, a.dim_in, a.domain_basis, "sigma_u")
         _check_covariance(sigma_v, a.dim_out, a.codomain_basis, "sigma_v")
         if y0 is None:
@@ -277,7 +276,7 @@ def hs_diagnostics(
     Hilbert-Schmidt norm is then computed on the positive part.
     """
     q = model._q_v
-    inv_root, injective = psd_inverse(add(model.sigma_u, q), 0.5)
+    inv_root, rank = psd_inverse(add(model.sigma_u, q), 0.5)
 
     qv_sum = su_sum = hs_sum = None
     if decay is not None:
@@ -290,7 +289,7 @@ def hs_diagnostics(
         trace_qv=float(np.trace(q.as_matrix())),
         trace_sigma_u=float(np.trace(model.sigma_u.as_matrix())),
         hs_norm=float(np.linalg.norm(compose(q, inv_root).as_matrix())),
-        injective=injective,
+        injective=rank == model.dim,
         qv_trace_summable=qv_sum,
         sigma_u_trace_summable=su_sum,
         hs_summable=hs_sum,

@@ -24,7 +24,6 @@ algebra built on top of it is written in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -259,53 +258,41 @@ def dirichlet_green_kernel(t, s):
     return np.where(s <= t, (1.0 - t) * s, t * (1.0 - s))
 
 
-KERNELS: dict[str, Callable] = {"dirichlet_green": dirichlet_green_kernel}
+# Registered kernels, all symmetric: Green functions of self-adjoint problems.
+KERNELS = {"dirichlet_green": dirichlet_green_kernel}
 
 DEFAULT_GRID_POINTS = 512
 
 
 def kernel_operator(
-    kernel: Callable | str,
-    dim: int,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    basis_id: str = BASIS_SINE,
-    name: str | None = None,
+    name: str, dim: int, grid_points: int = DEFAULT_GRID_POINTS
 ) -> OperatorRep:
-    """Integral operator on [0, 1] discretized by trapezoid quadrature.
+    """Integral operator on [0, 1] with the registered kernel ``name``,
+    discretized by trapezoid quadrature.
 
     The kernel is sampled on a uniform closed grid and the operator matrix
     is formed in the sine basis, so downstream arithmetic works on
-    coefficients.  Symmetric kernels yield an exactly symmetric matrix.
+    coefficients.  The registered kernels are symmetric, and so is the
+    matrix, exactly.
     """
-    if basis_id != BASIS_SINE:
-        raise BasisMismatchError("kernel operators are realized in the sine basis")
-    if isinstance(kernel, str):
-        name = kernel
-        try:
-            kernel = KERNELS[kernel]
-        except KeyError:
-            raise ValueError(f"unknown kernel name {name!r}") from None
+    try:
+        kernel = KERNELS[name]
+    except KeyError:
+        raise ValueError(f"unknown kernel name {name!r}") from None
     if grid_points < dim + 2:
         raise DimensionMismatchError(
             f"grid of {grid_points} points cannot resolve {dim} sine modes"
         )
     grid = trapezoid_grid(grid_points)
-    tt = grid.nodes[:, None]
-    ss = grid.nodes[None, :]
-    samples = np.asarray(kernel(tt, ss), dtype=float)
-    if samples.shape != (grid_points, grid_points):
-        raise DimensionMismatchError("kernel must broadcast to a square sample grid")
+    samples = kernel(grid.nodes[:, None], grid.nodes[None, :])
     basis_vals = sine_basis_matrix(grid.nodes, dim)
     weighted = grid.weights[:, None] * samples * grid.weights[None, :]
     projected = basis_vals.T @ weighted @ basis_vals
-    scale = 1.0 + np.abs(samples).max()
-    if np.abs(samples - samples.T).max() <= SYMMETRY_RTOL * scale:
-        projected = 0.5 * (projected + projected.T)
     return OperatorRep(
         kind=DENSE,
-        domain_basis=basis_id,
-        codomain_basis=basis_id,
-        matrix=projected,
+        domain_basis=BASIS_SINE,
+        codomain_basis=BASIS_SINE,
+        matrix=0.5 * (projected + projected.T),
         kernel_name=name,
         grid=grid,
     )
@@ -448,24 +435,24 @@ def symmetric_eig(
     return np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
 
 
-def psd_inverse(op: OperatorRep, power: float = 1.0) -> tuple[OperatorRep, bool]:
+def psd_inverse(op: OperatorRep, power: float = 1.0) -> tuple[OperatorRep, int]:
     """Thresholded inverse power ``op^(-power)`` of a symmetric PSD operator.
 
     Eigenvalues at or below ``EIG_RTOL`` times the largest one count as zero
     and stay zero in the result, which is then the generalized inverse on the
-    numerical range.  Returns the result, stored like ``op``, and whether no
-    eigenvalue was dropped.
+    numerical range.  Returns the result, stored like ``op``, and the number
+    of eigenvalues kept (the numerical rank of ``op``).
     """
     vals, vecs = symmetric_eig(op)
     largest = float(vals.max(initial=0.0))
     keep = vals > EIG_RTOL * largest if largest > 0.0 else np.zeros(vals.shape, bool)
-    full_rank = bool(keep.all())
+    rank = int(np.count_nonzero(keep))
     if vecs is None:
         inv = np.zeros_like(vals)
         inv[keep] = 1.0 / vals[keep] ** power
-        return diagonal_operator(inv, op.domain_basis, op.codomain_basis), full_rank
+        return diagonal_operator(inv, op.domain_basis, op.codomain_basis), rank
     inv = (vecs[:, keep] / vals[keep] ** power) @ vecs[:, keep].T
-    return dense_operator(inv, op.domain_basis, op.codomain_basis), full_rank
+    return dense_operator(inv, op.domain_basis, op.codomain_basis), rank
 
 
 def operator_power(op: OperatorRep, power: float) -> OperatorRep:
@@ -505,31 +492,15 @@ class PinvBundle:
     svd: tuple | None = None
 
 
-def default_rcond(op: OperatorRep) -> float:
-    """Relative singular-value cutoff: machine epsilon times the larger dim."""
-    return float(np.finfo(float).eps * max(op.dim_in, op.dim_out))
-
-
-def pinv(a: OperatorRep, rcond: float | None = None) -> PinvBundle:
+def pinv(a: OperatorRep) -> PinvBundle:
     """Moore-Penrose generalized inverse via full SVD with relative cutoff.
 
-    Parameters
-    ----------
-    a :
-        Operator to invert.
-    rcond :
-        Relative cutoff in (0, 1); singular values below ``rcond * sigma_max``
-        are treated as zero.  ``None`` selects the default
-        ``eps * max(dim_in, dim_out)``.
-
-    An all-zero operator is valid input: the result has rank 0 and zero
-    projector.
+    Singular values at or below ``eps * max(dim_in, dim_out)`` times the
+    largest one are treated as zero; this cutoff decides the numerical rank
+    of ``a`` for the whole package.  An all-zero operator is valid input:
+    the result has rank 0 and zero projector.
     """
-    if rcond is None:
-        rcond = default_rcond(a)
-    elif not 0.0 < rcond < 1.0:
-        raise ValueError(f"rcond must lie in (0, 1), got {rcond}")
-
+    rcond = float(np.finfo(float).eps * max(a.dim_in, a.dim_out))
     if a.kind == DIAGONAL:
         mult = a.multipliers
         largest = float(np.abs(mult).max())

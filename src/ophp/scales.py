@@ -25,12 +25,10 @@ import numpy as np
 from .gaussian import DecayDeclaration, GaussianModel
 from .operators import (
     CoeffVector,
-    DimensionMismatchError,
     OperatorRep,
     PinvBundle,
     adjoint,
     compose,
-    default_rcond,
     symmetrize,
 )
 from .smoothing import _assemble
@@ -52,7 +50,6 @@ class ScaleWeights:
     indices: np.ndarray
     kappa: np.ndarray
     weights: np.ndarray
-    decay_exponent: float | None = None
     rotation: np.ndarray | None = None
 
     def _retained(self, x) -> np.ndarray:
@@ -71,44 +68,29 @@ class ScaleWeights:
         return float(np.linalg.norm(self._retained(x) * self.weights))
 
 
-def scale_weights(
-    a: OperatorRep,
-    n: int,
-    bundle: PinvBundle | None = None,
-    decay_exponent: float | None = None,
-) -> ScaleWeights:
+def scale_weights(a: OperatorRep, n: int, bundle: PinvBundle) -> ScaleWeights:
     """Scale eigenvalues and their n-th powers for a spectral operator.
 
-    Diagonal operators are read off directly.  Dense operators need their
-    singular values: pass the pinv bundle holding the SVD, otherwise the
-    call is rejected with instructions to pre-diagonalize.
+    The retained components are those that ``bundle = pinv(a)`` keeps: the
+    range components of a diagonal operator, read off its multipliers, or
+    the leading right singular vectors of a dense one, from the bundle's
+    SVD.
     """
     if n < 0:
         raise ValueError("scale index n must be nonnegative")
     rotation = None
     if a.is_diagonal:
-        mult = a.multipliers
-        threshold = default_rcond(a) * float(np.abs(mult).max(initial=0.0))
-        keep = np.abs(mult) > threshold
-        indices = np.nonzero(keep)[0]
-        kappa = mult[keep] ** 2
+        indices = np.nonzero(bundle.projector_pi.multipliers > 0.5)[0]
+        kappa = a.multipliers[indices] ** 2
     else:
-        if bundle is None or bundle.svd is None:
-            raise DimensionMismatchError(
-                "dense operator has no computed singular values; pre-diagonalize "
-                "it or pass the pinv bundle holding its SVD"
-            )
-        _, s, vt = bundle.svd
-        rank = bundle.numerical_rank
-        indices = np.arange(rank)
-        kappa = s[:rank] ** 2
-        rotation = vt
+        _, s, rotation = bundle.svd
+        indices = np.arange(bundle.numerical_rank)
+        kappa = s[indices] ** 2
     return ScaleWeights(
         n=int(n),
         indices=indices,
         kappa=kappa,
         weights=kappa ** float(n),
-        decay_exponent=decay_exponent,
         rotation=rotation,
     )
 

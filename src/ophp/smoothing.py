@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filter import RESIDUAL_RTOL, FilterProblem, _solve_trend, solve_filter
+from .filter import FilterProblem, _solve_trend, solve_filter
 from .gaussian import GaussianModel, RankDeficiencyWarning, conditional_mean, regression_slope
 from .operators import (
     CoeffVector,
@@ -29,6 +29,12 @@ from .operators import (
     diagonal_operator,
     psd_inverse,
 )
+
+
+# Lattice of the grid search: points per free parameter, and the half-width
+# of each parameter's lattice relative to its center.
+LATTICE_POINTS = 21
+LATTICE_REL_HALFWIDTH = 0.5
 
 
 class SingularCovarianceError(ValueError):
@@ -70,8 +76,8 @@ def _assemble(
     inv_full = np.zeros((a.dim_out, a.dim_out))
     if basis.size:
         restricted = dense_operator(basis.T @ sigma_v.as_matrix() @ basis)
-        inv_restricted, full_rank = psd_inverse(restricted)
-        if not full_rank:
+        inv_restricted, rank = psd_inverse(restricted)
+        if rank < basis.shape[1]:
             raise SingularCovarianceError("sigma_v is singular on the range of A")
         inv_full = basis @ inv_restricted.matrix @ basis.T
     sv_inv = dense_operator(inv_full, a.codomain_basis)
@@ -90,15 +96,10 @@ def optimal_b(model: GaussianModel) -> OperatorRep:
     return _assemble(model.a, model.pinv_bundle, model.sigma_u, model.sigma_v)
 
 
-def gap(
-    model: GaussianModel,
-    b: OperatorRep,
-    x: CoeffVector,
-    check_positivity: bool = True,
-) -> float:
+def gap(model: GaussianModel, b: OperatorRep, x: CoeffVector) -> float:
     """Distance between the conditional mean and the filtered trend at ``x``."""
     mean = conditional_mean(model, x)
-    trend = solve_filter(FilterProblem(model.a, x, b), check_positivity)
+    trend = solve_filter(FilterProblem(model.a, x, b))
     return (mean - trend).norm()
 
 
@@ -132,20 +133,20 @@ class DiagonalFamily:
         return diagonal_operator(mult, self.basis_id)
 
 
-def lattice_around(values, points: int = 21, rel_halfwidth: float = 0.5) -> list:
+def lattice_around(values, points: int = LATTICE_POINTS) -> list:
     """Per-parameter lattices centered on the given values, clipped at zero.
 
-    A strictly positive center is the midpoint of its lattice when
-    ``rel_halfwidth <= 1``: the middle point for odd ``points``, halfway
-    between the two middle points for even ``points``.  A zero center
-    produces a one-sided lattice starting at zero, so the center is the
-    first point.
+    Each lattice reaches ``LATTICE_REL_HALFWIDTH`` times its center's size
+    to either side.  A strictly positive center is the midpoint of its
+    lattice: the middle point for odd ``points``, halfway between the two
+    middle points for even ``points``.  A zero center produces a one-sided
+    lattice starting at zero, so the center is the first point.
     """
     vals = np.atleast_1d(np.asarray(values, dtype=float))
     fallback = float(max(np.abs(vals).max(initial=0.0), 1.0))
     grids = []
     for center in vals:
-        width = rel_halfwidth * (abs(center) if center != 0.0 else fallback)
+        width = LATTICE_REL_HALFWIDTH * (abs(center) if center != 0.0 else fallback)
         lower = max(0.0, center - width)
         grids.append(np.linspace(lower, center + width, points))
     return grids
@@ -223,7 +224,7 @@ def _average_gaps_generic(
     means = np.stack([conditional_mean(model, x).coeffs for x in x_set], axis=1)
     totals = np.zeros(param_rows.shape[0])
     for i, row in enumerate(param_rows):
-        trends = _solve_trend(model.a, family.build(row), probes, RESIDUAL_RTOL)
+        trends = _solve_trend(model.a, family.build(row), probes)
         totals[i] = float(np.mean(np.linalg.norm(means - trends, axis=0)))
     return totals
 
@@ -233,8 +234,7 @@ def grid_search_oracle(
     family: DiagonalFamily | None = None,
     grid: list | None = None,
     x_set: list[CoeffVector] | None = None,
-    points: int = 21,
-    rel_halfwidth: float = 0.5,
+    points: int = LATTICE_POINTS,
     seed: int = 0,
 ) -> GridSearchReport:
     """Exhaustively evaluate the average gap on a diagonal-family lattice.
@@ -261,7 +261,7 @@ def grid_search_oracle(
         )
     bhat_params = np.diag(bhat.as_matrix())[list(family.indices)]
     if grid is None:
-        grid = lattice_around(bhat_params, points=points, rel_halfwidth=rel_halfwidth)
+        grid = lattice_around(bhat_params, points=points)
     if len(grid) != len(family.indices):
         raise DimensionMismatchError("grid must supply one lattice per family index")
     if x_set is None:

@@ -85,6 +85,24 @@ def read_float(value, what: str) -> float:
     return number
 
 
+DECAY_KEYS = ("kappa_decay", "sigma_u_decay", "sigma_v_decay")
+
+
+def decay_declaration(obj: dict) -> DecayDeclaration | None:
+    """The decay exponents of a scale document, or ``None`` unless all three
+    are given.  Each must be a finite JSON number; booleans and strings are
+    rejected, not coerced."""
+    if not all(k in obj for k in DECAY_KEYS):
+        return None
+    for key in DECAY_KEYS:
+        value = obj[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SpecError(f"{key} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise SpecError(f"{key} must be a finite number, got {value!r}")
+    return DecayDeclaration(*(float(obj[k]) for k in DECAY_KEYS))
+
+
 def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:
     """Build an operator from its JSON description.
 
@@ -193,12 +211,7 @@ def parse_scale(obj: dict) -> tuple[int | None, DecayDeclaration | None]:
     n = obj.get("n")
     if n is not None:
         n = read_int(n, "scale index n", 0)
-    keys = ("kappa_decay", "sigma_u_decay", "sigma_v_decay")
-    if all(k in obj for k in keys):
-        decay = DecayDeclaration(*(float(obj[k]) for k in keys))
-    else:
-        decay = None
-    return n, decay
+    return n, decay_declaration(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +306,9 @@ def build_model(cfg: RunConfig) -> tuple[GaussianModel, DecayDeclaration | None]
         y0=y0,
         commuting_sigma_u=cfg.commuting_sigma_u,
     )
-    decay = None
     scale_obj = dict(cfg.scale) if cfg.scale else {}
     if "sigma_u_decay" not in scale_obj and u_decay is not None:
         scale_obj["sigma_u_decay"] = u_decay
     if "sigma_v_decay" not in scale_obj and v_decay is not None:
         scale_obj["sigma_v_decay"] = v_decay
-    if all(
-        k in scale_obj for k in ("kappa_decay", "sigma_u_decay", "sigma_v_decay")
-    ):
-        decay = DecayDeclaration(
-            float(scale_obj["kappa_decay"]),
-            float(scale_obj["sigma_u_decay"]),
-            float(scale_obj["sigma_v_decay"]),
-        )
-    return model, decay
+    return model, decay_declaration(scale_obj)

@@ -503,6 +503,27 @@ class TestErrorExits:
         assert capsys.readouterr().err.startswith(f"error: {flag} must be")
         assert not out.exists()
 
+    def test_example_rejects_config_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _run("example", "--which", "1", "--config", "x")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scale", "validate"])
+    @pytest.mark.parametrize("value", [NAN, INF, True, "2"], ids=["nan", "inf", "bool", "str"])
+    def test_malformed_decay_exponent_exits_one(
+        self, ramp_config, tmp_path, capsys, command, value
+    ):
+        cfg_path, _ = ramp_config
+        doc = json.loads(cfg_path.read_text())
+        doc["scale"] = {"n": 1, "kappa_decay": value, "sigma_u_decay": 0.0,
+                        "sigma_v_decay": 0.0}
+        _write_config(cfg_path, doc)
+        out = tmp_path / "out"
+        assert _run(command, "--config", cfg_path, "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: kappa_decay must be")
+        assert not out.exists() or not list(out.iterdir())
+
     def test_cached_parser_keeps_no_state_between_requests(self):
         first = cli._parser().parse_args(
             ["example", "--which", "1", "--sigma-u", "2.0", "--grid-points", "9"]

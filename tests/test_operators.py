@@ -191,13 +191,6 @@ class TestPinv:
         dense_bundle = pinv(dense_operator(np.zeros((3, 5))))
         assert dense_bundle.numerical_rank == 0
 
-    def test_rcond_validation(self):
-        op = identity_operator(3)
-        with pytest.raises(ValueError):
-            pinv(op, rcond=1.5)
-        with pytest.raises(ValueError):
-            pinv(op, rcond=0.0)
-
 
 class TestCompose:
     def test_diagonal_stays_diagonal(self):

@@ -19,39 +19,35 @@ from ophp import (
     trace_class_threshold,
 )
 from ophp.instances import laplacian_model, laplacian_operator, ramp_model, ramp_operator
-from ophp.operators import DimensionMismatchError
 
 
 class TestScaleWeights:
     def test_ramp_weights(self):
-        weights = scale_weights(ramp_operator(5), 1)
+        weights = scale_weights(ramp_operator(5), 1, pinv(ramp_operator(5)))
         np.testing.assert_array_equal(weights.indices, [1, 2, 3, 4])
         np.testing.assert_allclose(weights.kappa, [4.0, 9.0, 16.0, 25.0])
         np.testing.assert_allclose(weights.weights, [4.0, 9.0, 16.0, 25.0])
 
     def test_zero_index_gives_unit_weights(self):
-        weights = scale_weights(ramp_operator(5), 0)
+        weights = scale_weights(ramp_operator(5), 0, pinv(ramp_operator(5)))
         np.testing.assert_array_equal(weights.weights, np.ones(4))
 
     def test_laplacian_weights(self):
-        weights = scale_weights(laplacian_operator(3), 1)
+        weights = scale_weights(laplacian_operator(3), 1, pinv(laplacian_operator(3)))
         n = np.arange(1, 4, dtype=float)
         np.testing.assert_allclose(weights.kappa, (n * np.pi) ** 4, rtol=1e-12)
 
     def test_dense_requires_svd(self):
         op = dense_operator(np.diag([1.0, 2.0]))
-        with pytest.raises(DimensionMismatchError, match="pre-diagonalize"):
-            scale_weights(op, 1)
-        bundle = pinv(op)
-        weights = scale_weights(op, 1, bundle=bundle)
+        weights = scale_weights(op, 1, pinv(op))
         np.testing.assert_allclose(sorted(weights.kappa), [1.0, 4.0])
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            scale_weights(ramp_operator(3), -1)
+            scale_weights(ramp_operator(3), -1, pinv(ramp_operator(3)))
 
     def test_norm_duality(self):
-        weights = scale_weights(ramp_operator(5), 2)
+        weights = scale_weights(ramp_operator(5), 2, pinv(ramp_operator(5)))
         rng = np.random.default_rng(0)
         for _ in range(20):
             coeffs = np.zeros(5)
@@ -69,18 +65,44 @@ class TestScaleWeights:
     def test_dense_norms_match_diagonal(self):
         # Dense weights are indexed by singular-value rank, so the
         # coefficients must be rotated into that order before weighting.
-        diag = scale_weights(diagonal_operator([1.0, 2.0]), 1)
+        diag_op = diagonal_operator([1.0, 2.0])
+        diag = scale_weights(diag_op, 1, pinv(diag_op))
         op = dense_operator(np.diag([1.0, 2.0]))
-        dense = scale_weights(op, 1, bundle=pinv(op))
+        dense = scale_weights(op, 1, pinv(op))
         for coeffs in ([1.0, 0.0], [0.0, 1.0], [0.3, -1.2]):
             h = CoeffVector(coeffs)
             assert dense.dual_norm(h) == pytest.approx(diag.dual_norm(h), rel=1e-12)
             assert dense.scale_norm(h) == pytest.approx(diag.scale_norm(h), rel=1e-12)
 
     def test_null_space_has_zero_dual_norm(self):
-        weights = scale_weights(ramp_operator(4), 1)
+        weights = scale_weights(ramp_operator(4), 1, pinv(ramp_operator(4)))
         y0 = CoeffVector([3.0, 0.0, 0.0, 0.0])
         assert weights.dual_norm(y0) == 0.0
+
+    def test_keeps_the_components_pinv_keeps(self):
+        # The cutoff of pinv(A) is eps * dim times the largest singular
+        # value, about 1.8e-15 here: 1e-17 lies below it and 1e-12 above it.
+        spectrum = [1e-17, 1.0, 1e-12, 2.0]
+        op = diagonal_operator(spectrum)
+        bundle = pinv(op)
+        weights = scale_weights(op, 1, bundle)
+        assert bundle.numerical_rank == 3
+        np.testing.assert_array_equal(weights.indices, [1, 2, 3])
+        np.testing.assert_array_equal(
+            weights.indices, np.nonzero(bundle.projector_pi.multipliers)[0]
+        )
+        np.testing.assert_array_equal(weights.kappa, [1.0, 1e-24, 4.0])
+        # A dense operator with the same spectrum, rotated: the weights keep
+        # the leading numerical_rank right singular vectors.
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        rotated = dense_operator(q @ np.diag(spectrum) @ q.T)
+        bundle = pinv(rotated)
+        weights = scale_weights(rotated, 1, bundle)
+        assert bundle.numerical_rank == 3
+        np.testing.assert_array_equal(weights.indices, [0, 1, 2])
+        np.testing.assert_allclose(weights.kappa, [4.0, 1.0, 1e-24], rtol=1e-3)
+        kept = weights.rotation[:3].T @ weights.rotation[:3]
+        np.testing.assert_allclose(kept, bundle.projector_pi.matrix, atol=1e-12)
 
 
 class TestRescaledCovariances:

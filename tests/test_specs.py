@@ -103,6 +103,14 @@ class TestScaleSpec:
         n, decay = parse_scale({"n": 2})
         assert n == 2 and decay is None
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), True, "2"], ids=["nan", "inf", "bool", "str"]
+    )
+    def test_malformed_decay_exponent_rejected(self, value):
+        doc = {"n": 1, "kappa_decay": value, "sigma_u_decay": 0.0, "sigma_v_decay": 0.0}
+        with pytest.raises(SpecError, match="kappa_decay"):
+            parse_scale(doc)
+
 
 class TestRunConfig:
     def _doc(self):
@@ -177,6 +185,16 @@ class TestRunConfig:
         assert decay is not None
         assert decay.sigma_u_decay == 2.0
         assert decay.sigma_v_decay == 3.0
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), True, "2"], ids=["nan", "inf", "bool", "str"]
+    )
+    def test_malformed_decay_exponent_rejected_by_build(self, value):
+        doc = self._doc()
+        doc["sigma_v"] = {"kind": "power_decay", "scale": 1.0, "exponent": 3.0}
+        doc["scale"] = {"kappa_decay": 2.0, "sigma_u_decay": value}
+        with pytest.raises(SpecError, match="sigma_u_decay"):
+            build_model(parse_config(doc))
 
     def test_unreadable_config(self, tmp_path):
         with pytest.raises(SpecError):

@@ -35,7 +35,7 @@ def _noncommuting_model(dim=3):
 
 
 def test_mp_residual_suite_passes():
-    result = mp_residual_suite(seed=0, count=100)
+    result = mp_residual_suite(seed=0)
     assert result.status == PASS
     assert result.details["failures"] == 0
 
