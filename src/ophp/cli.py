@@ -37,18 +37,17 @@ from .operators import (
     sine_basis_matrix,
 )
 from .scales import rescaled_covariances, scale_weights, trace_class_threshold
-from .smoothing import LATTICE_POINTS, SingularCovarianceError, _assemble, optimal_b
+from .smoothing import SingularCovarianceError, _assemble, optimal_b
 from .specs import (
     RunConfig,
     SpecError,
     build_model,
     load_config,
     operator_to_json,
-    parse_scale,
     read_float,
     read_int,
 )
-from .validate import CM_DRAWS, GAP_INPUTS, run_validation, white_noise_scale_check
+from .validate import run_validation, white_noise_scale_check
 
 
 class InputError(ValueError):
@@ -77,6 +76,9 @@ DOMAIN_ERRORS = (
 # Draws of ``simulate`` formatted and written per block; bounds the text held
 # in memory to one block of rows.
 SAMPLE_BLOCK_DRAWS = 64
+
+# How far a functional sample grid may reach outside [0, 1].
+GRID_BOUND_TOL = 1e-9
 
 # Item types that send a container to the C encoder in one call.  Matched
 # exactly so one set test covers every item; subclasses such as numpy's
@@ -202,7 +204,7 @@ def project_series(
     values = values[order]
     if np.any(np.diff(t) <= 0):
         raise InputError("sample grid must be strictly increasing")
-    if t[0] < -1e-9 or t[-1] > 1.0 + 1e-9:
+    if t[0] < -GRID_BOUND_TOL or t[-1] > 1.0 + GRID_BOUND_TOL:
         raise InputError("sample grid must lie in [0, 1]")
     if values.shape[0] - 2 < dim:
         raise InputError(
@@ -240,10 +242,7 @@ def _out_dir(args, cfg: RunConfig | None = None) -> Path:
 def _load(args) -> RunConfig:
     if args.config is None:
         raise InputError("--config is required for this command")
-    try:
-        cfg = load_config(args.config)
-    except SpecError as exc:
-        raise InputError(str(exc)) from exc
+    cfg = load_config(args.config)
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["seed"] = read_int(args.seed, "--seed", 0)
@@ -263,7 +262,7 @@ def _load(args) -> RunConfig:
 def _model(cfg: RunConfig):
     try:
         return build_model(cfg)
-    except (SpecError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -277,13 +276,7 @@ def cmd_filter(args) -> int:
     x, grid = project_series(t_in, values, model.dim, model.a.domain_basis)
     if args.estimate_y0:
         y0_est = apply(model.pinv_bundle.projector_complement, x)
-        model = GaussianModel.build(
-            model.a,
-            model.sigma_u,
-            model.sigma_v,
-            y0=y0_est,
-            commuting_sigma_u=cfg.commuting_sigma_u,
-        )
+        model = GaussianModel.build(model.a, model.sigma_u, model.sigma_v, y0=y0_est)
     bhat = optimal_b(model)
     trend = solve_filter(FilterProblem(model.a, x, bhat))
     trend_values = synthesize_series(trend, grid)
@@ -440,20 +433,8 @@ def cmd_validate(args) -> int:
     cfg = _load(args)
     model, decay = _model(cfg)
     out = _out_dir(args, cfg)
-    extras = cfg.extras or {}
-    scale_n = cfg.scale_n
-    if scale_n is None and cfg.scale:
-        scale_n = parse_scale(cfg.scale)[0]
     report = run_validation(
-        model,
-        seed=cfg.seed,
-        draws=read_int(extras.get("draws", CM_DRAWS), "extras.draws", 1),
-        gap_count=read_int(extras.get("gap_count", GAP_INPUTS), "extras.gap_count", 1),
-        grid_points=read_int(
-            extras.get("grid_points", LATTICE_POINTS), "extras.grid_points", 2
-        ),
-        scale_n=scale_n,
-        decay=decay,
+        model, seed=cfg.seed, scale_n=cfg.scale_n, decay=decay, **(cfg.extras or {})
     )
     for check in report.checks:
         print(f"[{check.status}] {check.name}")
@@ -469,12 +450,8 @@ def cmd_scale(args) -> int:
     cfg = _load(args)
     model, decay = _model(cfg)
     out = _out_dir(args, cfg)
-    n = cfg.scale_n
-    if n is None and cfg.scale:
-        n = parse_scale(cfg.scale)[0]
     n0 = trace_class_threshold(model, decay) if decay is not None else None
-    if n is None:
-        n = n0
+    n = n0 if cfg.scale_n is None else cfg.scale_n
     if n is None:
         raise InputError(
             "no scale index: set scale_n or supply decay exponents in 'scale'"

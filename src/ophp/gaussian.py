@@ -86,10 +86,10 @@ def covariance_sqrt(op: OperatorRep) -> OperatorRep:
 class GaussianModel:
     """Operator, noise covariances, and deterministic signal component.
 
-    ``commuting_sigma_u`` records whether the observation-noise covariance
-    commutes with the projector onto the complement of the null space of
-    ``a`` (making the projected and complementary noise parts independent);
-    ``commutator_norm`` holds the measured defect.
+    ``commutator_norm`` is the measured defect of the observation-noise
+    covariance commuting with the projector onto the complement of the null
+    space of ``a``; at zero the projected and complementary noise parts are
+    independent.
 
     The model is immutable, so what depends on nothing else is computed on
     first use and kept: ``Q_v``, the regression slope, and the covariance
@@ -101,7 +101,6 @@ class GaussianModel:
     sigma_u: OperatorRep
     sigma_v: OperatorRep
     y0: CoeffVector
-    commuting_sigma_u: bool
     commutator_norm: float
 
     @property
@@ -137,14 +136,9 @@ class GaussianModel:
         sigma_u: OperatorRep,
         sigma_v: OperatorRep,
         y0: CoeffVector | None = None,
-        commuting_sigma_u: bool | None = None,
     ) -> "GaussianModel":
-        """Validate the ingredients and assemble a model.
-
-        ``commuting_sigma_u=None`` measures the commutator and sets the flag
-        automatically; declaring ``True`` raises if the measured defect
-        exceeds tolerance.
-        """
+        """Validate the ingredients and assemble a model; measures the
+        commutator of ``sigma_u`` with the null-space projector."""
         bundle = pinv(a)
         _check_covariance(sigma_u, a.dim_in, a.domain_basis, "sigma_u")
         _check_covariance(sigma_v, a.dim_out, a.codomain_basis, "sigma_v")
@@ -165,23 +159,12 @@ class GaussianModel:
             pm = pi.as_matrix()
             sm = sigma_u.as_matrix()
             commutator = float(np.linalg.norm(pm @ sm - sm @ pm))
-        if commuting_sigma_u is None:
-            commuting = commutator <= STRUCTURE_TOL
-        elif commuting_sigma_u:
-            if commutator > STRUCTURE_TOL:
-                raise ModelError(
-                    f"declared commuting sigma_u has commutator norm {commutator:.3e}"
-                )
-            commuting = True
-        else:
-            commuting = False
         return cls(
             a=a,
             pinv_bundle=bundle,
             sigma_u=sigma_u,
             sigma_v=sigma_v,
             y0=y0,
-            commuting_sigma_u=commuting,
             commutator_norm=commutator,
         )
 

@@ -479,13 +479,17 @@ class PinvBundle:
     ``projector_pi`` is the orthogonal projector pinv(A) A onto the
     orthogonal complement of the null space of A (acting on the domain);
     ``projector_complement`` is its complement; ``range_projector`` is
-    A pinv(A) on the codomain.  ``svd`` retains the factors (U, s, Vt) for
-    dense inputs so spectral consumers can reuse them.
+    A pinv(A) on the codomain.  ``retained`` indexes the components kept:
+    the positions of the nonzero multipliers of a diagonal operator, or the
+    leading ``numerical_rank`` singular triplets of a dense one.  ``svd``
+    retains the factors (U, s, Vt) for dense inputs so spectral consumers
+    can reuse them.
     """
 
     pinv: OperatorRep
     numerical_rank: int
     sv_threshold: float
+    retained: np.ndarray
     projector_pi: OperatorRep
     projector_complement: OperatorRep
     range_projector: OperatorRep
@@ -513,6 +517,7 @@ def pinv(a: OperatorRep) -> PinvBundle:
             pinv=diagonal_operator(inv, a.codomain_basis, a.domain_basis),
             numerical_rank=int(keep.sum()),
             sv_threshold=threshold,
+            retained=np.nonzero(keep)[0],
             projector_pi=diagonal_operator(pi, a.domain_basis),
             projector_complement=diagonal_operator(1.0 - pi, a.domain_basis),
             range_projector=diagonal_operator(pi, a.codomain_basis),
@@ -535,6 +540,7 @@ def pinv(a: OperatorRep) -> PinvBundle:
         pinv=dense_operator(inv_mat, a.codomain_basis, a.domain_basis),
         numerical_rank=rank,
         sv_threshold=threshold,
+        retained=np.arange(rank),
         projector_pi=dense_operator(pi_mat, a.domain_basis),
         projector_complement=dense_operator(np.eye(a.dim_in) - pi_mat, a.domain_basis),
         range_projector=dense_operator(range_mat, a.codomain_basis),

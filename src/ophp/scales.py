@@ -71,8 +71,8 @@ class ScaleWeights:
 def scale_weights(a: OperatorRep, n: int, bundle: PinvBundle) -> ScaleWeights:
     """Scale eigenvalues and their n-th powers for a spectral operator.
 
-    The retained components are those that ``bundle = pinv(a)`` keeps: the
-    range components of a diagonal operator, read off its multipliers, or
+    The retained components are those that ``bundle = pinv(a)`` keeps
+    (``bundle.retained``): the range components of a diagonal operator, or
     the leading right singular vectors of a dense one, from the bundle's
     SVD.
     """
@@ -80,15 +80,13 @@ def scale_weights(a: OperatorRep, n: int, bundle: PinvBundle) -> ScaleWeights:
         raise ValueError("scale index n must be nonnegative")
     rotation = None
     if a.is_diagonal:
-        indices = np.nonzero(bundle.projector_pi.multipliers > 0.5)[0]
-        kappa = a.multipliers[indices] ** 2
+        kappa = a.multipliers[bundle.retained] ** 2
     else:
         _, s, rotation = bundle.svd
-        indices = np.arange(bundle.numerical_rank)
-        kappa = s[indices] ** 2
+        kappa = s[bundle.retained] ** 2
     return ScaleWeights(
         n=int(n),
-        indices=indices,
+        indices=bundle.retained,
         kappa=kappa,
         weights=kappa ** float(n),
         rotation=rotation,

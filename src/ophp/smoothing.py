@@ -35,6 +35,8 @@ from .operators import (
 # of each parameter's lattice relative to its center.
 LATTICE_POINTS = 21
 LATTICE_REL_HALFWIDTH = 0.5
+# Slack, relative to 1 + |b|, on the argmin lying within one lattice step.
+LATTICE_MATCH_RTOL = 1e-12
 
 
 class SingularCovarianceError(ValueError):
@@ -44,8 +46,7 @@ class SingularCovarianceError(ValueError):
 def _range_basis(a: OperatorRep, bundle: PinvBundle) -> np.ndarray:
     """Orthonormal basis of the range of ``a`` as codomain columns."""
     if a.is_diagonal:
-        mask = bundle.range_projector.multipliers > 0.5
-        return np.eye(a.dim_out)[:, mask]
+        return np.eye(a.dim_out)[:, bundle.retained]
     u, _, _ = bundle.svd
     return u[:, : bundle.numerical_rank]
 
@@ -57,19 +58,17 @@ def _assemble(
     sigma_v: OperatorRep,
 ) -> OperatorRep:
     if a.is_diagonal and sigma_u.is_diagonal and sigma_v.is_diagonal:
-        mask = bundle.range_projector.multipliers > 0.5
+        kept = bundle.retained
         sv = sigma_v.multipliers
-        if mask.any():
-            # Componentwise inversion is exact regardless of dynamic range,
-            # so only genuinely non-positive entries are singular here.
-            bad = mask & ~(sv > np.finfo(float).tiny)
-            if bad.any():
-                raise SingularCovarianceError(
-                    "sigma_v is singular on range components "
-                    f"{np.nonzero(bad)[0].tolist()}"
-                )
+        # Componentwise inversion is exact regardless of dynamic range, so
+        # only genuinely non-positive entries are singular here.
+        bad = kept[~(sv[kept] > np.finfo(float).tiny)]
+        if bad.size:
+            raise SingularCovarianceError(
+                f"sigma_v is singular on range components {bad.tolist()}"
+            )
         inv_sv = np.zeros_like(sv)
-        np.divide(1.0, sv, out=inv_sv, where=mask)
+        inv_sv[kept] = 1.0 / sv[kept]
         mult = bundle.pinv.multipliers * sigma_u.multipliers * a.multipliers * inv_sv
         return diagonal_operator(mult, a.codomain_basis)
     basis = _range_basis(a, bundle)
@@ -250,8 +249,7 @@ def grid_search_oracle(
             raise DimensionMismatchError(
                 "grid search requires a diagonal family; supply one explicitly"
             )
-        mask = model.pinv_bundle.range_projector.multipliers > 0.5
-        active = np.nonzero(mask)[0][:3]
+        active = model.pinv_bundle.retained[:3]
         if active.size == 0:
             active = np.arange(min(3, model.codim))
         family = DiagonalFamily(
@@ -278,7 +276,7 @@ def grid_search_oracle(
     matches = bool(
         np.all(
             np.abs(argmin_params - bhat_params)
-            <= np.asarray(steps) + 1e-12 * (1.0 + np.abs(bhat_params))
+            <= np.asarray(steps) + LATTICE_MATCH_RTOL * (1.0 + np.abs(bhat_params))
         )
     )
     return GridSearchReport(

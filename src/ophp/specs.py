@@ -50,7 +50,10 @@ class SpecError(ValueError):
 
 
 def _finite(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise SpecError(f"{what} must be numbers") from None
     if not np.all(np.isfinite(arr)):
         raise SpecError(f"{what} must be finite")
     return arr
@@ -87,20 +90,17 @@ def read_float(value, what: str) -> float:
 
 DECAY_KEYS = ("kappa_decay", "sigma_u_decay", "sigma_v_decay")
 
+# Smallest value of each integer in ``extras``: the validate suite's sizes.
+EXTRAS_MINIMUMS = {"draws": 1, "gap_count": 1, "grid_points": 2}
 
-def decay_declaration(obj: dict) -> DecayDeclaration | None:
-    """The decay exponents of a scale document, or ``None`` unless all three
-    are given.  Each must be a finite JSON number; booleans and strings are
-    rejected, not coerced."""
-    if not all(k in obj for k in DECAY_KEYS):
-        return None
-    for key in DECAY_KEYS:
-        value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SpecError(f"{key} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise SpecError(f"{key} must be a finite number, got {value!r}")
-    return DecayDeclaration(*(float(obj[k]) for k in DECAY_KEYS))
+
+def _decay_exponent(value, key: str) -> float:
+    """A finite JSON number; booleans and strings are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise SpecError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:
@@ -204,16 +204,6 @@ def operator_to_json(op: OperatorRep) -> dict:
     }
 
 
-def parse_scale(obj: dict) -> tuple[int | None, DecayDeclaration | None]:
-    """Scale index and decay declaration from a scale document."""
-    if not isinstance(obj, dict):
-        raise SpecError("scale spec must be an object")
-    n = obj.get("n")
-    if n is not None:
-        n = read_int(n, "scale index n", 0)
-    return n, decay_declaration(obj)
-
-
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
@@ -221,7 +211,12 @@ def parse_scale(obj: dict) -> tuple[int | None, DecayDeclaration | None]:
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Parsed run configuration with resolved file locations."""
+    """Parsed run configuration with resolved file locations.
+
+    ``scale_n`` is the resolved scale index, ``scale`` holds the decay
+    exponents the scale document gives, and ``extras`` the validate suite's
+    sizes the configuration sets; all are checked.
+    """
 
     operator_spec: dict
     sigma_u_spec: dict
@@ -233,11 +228,15 @@ class RunConfig:
     input_path: Path | None = None
     output_path: Path | None = None
     y0: list | None = None
-    commuting_sigma_u: bool | None = None
     extras: dict | None = None
 
 
 def parse_config(obj: dict, base_dir: Path | None = None) -> RunConfig:
+    """Check every field of a run configuration document; the one reader of it.
+
+    The scale index is the top-level ``scale_n`` if given, else the scale
+    document's ``n`` (a ``--scale-n`` override replaces both).
+    """
     if not isinstance(obj, dict):
         raise SpecError("configuration must be a JSON object")
     missing = [k for k in ("operator", "sigma_u", "sigma_v") if k not in obj]
@@ -245,31 +244,46 @@ def parse_config(obj: dict, base_dir: Path | None = None) -> RunConfig:
         raise SpecError(f"configuration is missing {missing}")
     dim = read_int(obj.get("truncation_dim", 0), "truncation_dim", 2)
     seed = read_int(obj.get("seed", 0), "seed", 0)
-    extras = obj.get("extras")
-    if extras is not None and not isinstance(extras, dict):
-        raise SpecError("extras must be an object")
+
+    def optional(key, kind, what):
+        value = obj.get(key)
+        if value is not None and not isinstance(value, kind):
+            raise SpecError(f"{key} must be {what}, got {value!r}")
+        return value
+
+    extras = optional("extras", dict, "an object") or {}
+    extras = {
+        key: read_int(value, f"extras.{key}", EXTRAS_MINIMUMS[key])
+        for key, value in extras.items()
+        if key in EXTRAS_MINIMUMS
+    }
+    scale = optional("scale", dict, "an object") or {}
+    decay = {k: _decay_exponent(scale[k], k) for k in DECAY_KEYS if k in scale}
+
+    def index(value, what):
+        return None if value is None else read_int(value, what, 0)
+
+    top, inner = index(obj.get("scale_n"), "scale_n"), index(scale.get("n"), "scale.n")
     base = Path(".") if base_dir is None else base_dir
 
     def resolve(key):
-        value = obj.get(key)
+        value = optional(key, str, "a string")
         if value is None:
             return None
         path = Path(value)
         return path if path.is_absolute() else base / path
 
-    scale_n = obj.get("scale_n")
     return RunConfig(
         operator_spec=obj["operator"],
         sigma_u_spec=obj["sigma_u"],
         sigma_v_spec=obj["sigma_v"],
         truncation_dim=dim,
         seed=seed,
-        scale_n=None if scale_n is None else read_int(scale_n, "scale_n", 0),
-        scale=obj.get("scale"),
+        scale_n=inner if top is None else top,
+        scale=decay,
         input_path=resolve("input_path"),
         output_path=resolve("output_path"),
         y0=obj.get("y0"),
-        commuting_sigma_u=obj.get("commuting_sigma_u"),
         extras=extras,
     )
 
@@ -299,16 +313,11 @@ def build_model(cfg: RunConfig) -> tuple[GaussianModel, DecayDeclaration | None]
     y0 = None
     if cfg.y0 is not None:
         y0 = CoeffVector(_finite(cfg.y0, "y0"), operator.domain_basis)
-    model = GaussianModel.build(
-        operator,
-        sigma_u,
-        sigma_v,
-        y0=y0,
-        commuting_sigma_u=cfg.commuting_sigma_u,
-    )
-    scale_obj = dict(cfg.scale) if cfg.scale else {}
-    if "sigma_u_decay" not in scale_obj and u_decay is not None:
-        scale_obj["sigma_u_decay"] = u_decay
-    if "sigma_v_decay" not in scale_obj and v_decay is not None:
-        scale_obj["sigma_v_decay"] = v_decay
-    return model, decay_declaration(scale_obj)
+    model = GaussianModel.build(operator, sigma_u, sigma_v, y0=y0)
+    decay = dict(cfg.scale or {})
+    for key, exponent in (("sigma_u_decay", u_decay), ("sigma_v_decay", v_decay)):
+        if exponent is not None:
+            decay.setdefault(key, exponent)
+    if len(decay) < len(DECAY_KEYS):
+        return model, None
+    return model, DecayDeclaration(*(decay[k] for k in DECAY_KEYS))

@@ -87,6 +87,13 @@ CM_DRAWS = 20_000
 GAP_INPUTS = 100
 # Largest range gap accepted, relative to 1 + |x|.
 GAP_RTOL = 1e-9
+# Largest Moore-Penrose residual accepted, relative to 1 + |A|, and largest
+# inner product of a probe's two projections, relative to its squared norm.
+MP_RTOL = 1e-10
+# Largest spread of a white covariance, and largest spread and deviation
+# from sigma_u / sigma_v of the rescaled smoother, each relative to 1 plus
+# the values compared (the smoother's spread is absolute).
+WHITE_NOISE_RTOL = 1e-12
 
 
 def mp_residual_suite(seed: int = 0) -> CheckResult:
@@ -95,7 +102,8 @@ def mp_residual_suite(seed: int = 0) -> CheckResult:
     ``MP_MATRICES`` matrices of sizes up to ``MP_MAX_SIZE`` square with ranks
     from 0 to the minimal dimension; the four defining residuals, projector
     idempotence and symmetry, and the orthogonal-split identity on
-    ``MP_PROBES`` vectors per matrix must all stay below 1e-10 * (1 + |A|).
+    ``MP_PROBES`` vectors per matrix must all stay below
+    ``MP_RTOL * (1 + |A|)``.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -110,7 +118,7 @@ def mp_residual_suite(seed: int = 0) -> CheckResult:
             mat = np.zeros((rows, cols))
         op = dense_operator(mat)
         bundle = pinv(op)
-        tol = 1e-10 * (1.0 + operator_norm(op))
+        tol = MP_RTOL * (1.0 + operator_norm(op))
         residuals = list(moore_penrose_residuals(op, bundle).values())
         proj = bundle.projector_pi.as_matrix()
         residuals.append(float(np.linalg.norm(proj @ proj - proj)))
@@ -119,7 +127,7 @@ def mp_residual_suite(seed: int = 0) -> CheckResult:
         for _ in range(MP_PROBES):
             xi = rng.standard_normal(cols)
             inner = abs(float((proj @ xi) @ (comp @ xi)))
-            if inner > 1e-10 * float(xi @ xi):
+            if inner > MP_RTOL * float(xi @ xi):
                 failures += 1
         local = max(residuals)
         worst = max(worst, local / tol)
@@ -354,12 +362,13 @@ def white_noise_scale_check(
         return CheckResult(
             "white-noise-ratio", SKIP, {"reason": "model is not diagonal"}
         )
-    mask = model.pinv_bundle.range_projector.multipliers > 0.5
-    if not mask.any():
+    kept = model.pinv_bundle.retained
+    if not kept.size:
         return CheckResult("white-noise-ratio", SKIP, {"reason": "operator is zero"})
-    su = model.sigma_u.multipliers[mask]
-    sv = model.sigma_v.multipliers[mask]
-    if np.ptp(su) > 1e-12 * (1.0 + su.max()) or np.ptp(sv) > 1e-12 * (1.0 + sv.max()):
+    su = model.sigma_u.multipliers[kept]
+    sv = model.sigma_v.multipliers[kept]
+    tol = WHITE_NOISE_RTOL
+    if np.ptp(su) > tol * (1.0 + su.max()) or np.ptp(sv) > tol * (1.0 + sv.max()):
         return CheckResult(
             "white-noise-ratio",
             SKIP,
@@ -374,11 +383,11 @@ def white_noise_scale_check(
             {"reason": "no scale index available", "threshold": n0},
         )
     scaled = scaled_optimal_b(model, n_use)
-    mult = scaled.multipliers[mask]
+    mult = scaled.multipliers[kept]
     spread = float(np.ptp(mult))
     ratio = float(su[0] / sv[0])
     deviation = float(np.abs(mult - ratio).max())
-    passed = spread < 1e-12 and deviation <= 1e-12 * (1.0 + ratio)
+    passed = spread < tol and deviation <= tol * (1.0 + ratio)
     return CheckResult(
         "white-noise-ratio",
         PASS if passed else FAIL,

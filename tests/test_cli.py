@@ -8,7 +8,7 @@ import pytest
 
 from ophp import cli, validate
 from ophp.cli import main, project_series, read_series_csv
-from ophp.gaussian import GaussianModel, sample_joint_blocks
+from ophp.gaussian import sample_joint_blocks
 from ophp.instances import (
     expected_laplacian_filter_multipliers,
     ramp_multipliers,
@@ -223,29 +223,6 @@ class TestFilterCommand:
         )
         summary = json.loads((out / "filter_summary.json").read_text())
         assert summary["estimated_y0"] is True
-
-    @pytest.mark.parametrize("commuting", [True, False])
-    def test_estimate_y0_keeps_configured_commuting_flag(
-        self, ramp_config, tmp_path, monkeypatch, commuting
-    ):
-        cfg_path, dim = ramp_config
-        doc = json.loads(cfg_path.read_text())
-        doc["commuting_sigma_u"] = commuting
-        _write_config(cfg_path, doc)
-        series = tmp_path / "x.csv"
-        series.write_text("\n".join(str(float(v)) for v in range(1, dim + 1)) + "\n")
-        flags = []
-        build = GaussianModel.build.__func__
-
-        def spy(cls, *args, **kwargs):
-            flags.append(kwargs.get("commuting_sigma_u"))
-            return build(cls, *args, **kwargs)
-
-        monkeypatch.setattr(GaussianModel, "build", classmethod(spy))
-        assert _run("filter", "--config", cfg_path, "--input", series,
-                    "--out", tmp_path / "out", "--estimate-y0") == 0
-        # The configured model, then its rebuild around the estimated y0.
-        assert flags == [commuting, commuting]
 
 
 class TestValidateCommand:
@@ -475,6 +452,51 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert not (out / "validation.json").exists()
+
+    @pytest.mark.parametrize(
+        "command", ["filter", "optimal-b", "simulate", "validate", "scale"]
+    )
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("scale", [1, 2]),
+            ("scale", "x"),
+            ("scale", {"n": -1}),
+            ("extras", {"draws": 0}),
+            ("input_path", 5),
+            ("output_path", [1]),
+        ],
+        ids=["scale-list", "scale-str", "scale-n", "extras-draws", "input", "output"],
+    )
+    def test_malformed_config_rejected_by_every_command(
+        self, ramp_config, tmp_path, capsys, command, field, value
+    ):
+        cfg_path, dim = ramp_config
+        (tmp_path / "x.csv").write_text("1.0\n" * dim)
+        doc = json.loads(cfg_path.read_text())
+        doc.update({"input_path": "x.csv", "scale_n": 1, field: value})
+        _write_config(cfg_path, doc)
+        out = tmp_path / "out"
+        assert _run(command, "--config", cfg_path, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
+        assert not out.exists()
+
+    def test_scale_index_precedence(self, ramp_config, tmp_path):
+        cfg_path, _ = ramp_config
+        doc = json.loads(cfg_path.read_text())
+
+        def scale_n(*argv, **fields):
+            _write_config(cfg_path, {**doc, **fields})
+            out = tmp_path / "out"
+            assert _run("scale", "--config", cfg_path, "--out", out, *argv) == 0
+            return json.loads((out / "scale.json").read_text())["n"]
+
+        # --scale-n, then the top-level scale_n, then the scale document's n.
+        assert scale_n("--scale-n", 0, scale_n=1, scale={"n": 2}) == 0
+        assert scale_n(scale_n=1, scale={"n": 2}) == 1
+        assert scale_n(scale={"n": 2}) == 2
 
     @pytest.mark.parametrize(
         "argv", [["--seed", "-1"], ["--dim", "1"], ["--scale-n", "-2"]]

@@ -49,20 +49,16 @@ class TestModelValidation:
         model = ramp_model(3, 1.0, 1.0, y0=CoeffVector([2.0, 0.0, 0.0]))
         assert model.y0.coeffs[0] == 2.0
 
-    def test_commuting_declaration_verified(self):
+    def test_noncommuting_sigma_u_measured(self):
         a = diagonal_operator([0.0, 2.0, 3.0])
         rng = np.random.default_rng(0)
         m = rng.standard_normal((3, 3))
         sigma = dense_operator(m @ m.T)  # generic: does not commute with projector
-        with pytest.raises(ModelError):
-            GaussianModel.build(a, sigma, identity_operator(3), commuting_sigma_u=True)
         model = GaussianModel.build(a, sigma, identity_operator(3))
-        assert not model.commuting_sigma_u
         assert model.commutator_norm > 1e-6
 
     def test_commuting_autodetected_for_diagonal(self):
         model = ramp_model(4, np.array([0.5, 1.0, 1.5, 2.0]), 1.0)
-        assert model.commuting_sigma_u
         assert model.commutator_norm == 0.0
 
 
@@ -260,7 +256,7 @@ class TestSampleJoint:
     def test_projected_noise_split_independence(self):
         count = 50_000
         model = ramp_model(4, np.array([0.5, 1.0, 1.5, 2.0]), 1.0)
-        assert model.commuting_sigma_u
+        assert model.commutator_norm == 0.0
         pi = model.pinv_bundle.projector_pi.multipliers
         data = sample_joint(model, count, seed=80)
         inside = data.u * pi[None, :]

@@ -88,9 +88,7 @@ def test_mixed_matches_diagonal(case):
     diag = GaussianModel.build(
         diagonal_operator(a), diagonal_operator(su), diagonal_operator(sv)
     )
-    mixed = GaussianModel.build(
-        diag.a, dense_operator(np.diag(su)), diag.sigma_v, commuting_sigma_u=True
-    )
+    mixed = GaussianModel.build(diag.a, dense_operator(np.diag(su)), diag.sigma_v)
     _assert_same(mixed, diag, x)
 
 

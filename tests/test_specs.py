@@ -14,7 +14,6 @@ from ophp.specs import (
     parse_config,
     parse_covariance,
     parse_operator,
-    parse_scale,
 )
 
 
@@ -91,17 +90,29 @@ class TestCovarianceSpecs:
             parse_covariance({"kind": "diagonal", "values": [1]}, 2, "abstract-euclidean")
 
 
+def _config(**fields):
+    doc = {
+        "operator": {"kind": "diagonal", "multipliers": [0, 2, 3]},
+        "sigma_u": {"kind": "diagonal", "values": [1, 1, 1]},
+        "sigma_v": {"kind": "diagonal", "values": [1, 1, 1]},
+        "truncation_dim": 3,
+        "seed": 7,
+    }
+    doc.update(fields)
+    return doc
+
+
 class TestScaleSpec:
     def test_full_document(self):
-        n, decay = parse_scale(
-            {"n": 1, "kappa_decay": 2.0, "sigma_u_decay": 0.0, "sigma_v_decay": 0.0}
-        )
-        assert n == 1
-        assert decay.kappa_decay == 2.0
+        cfg = parse_config(_config(scale={
+            "n": 1, "kappa_decay": 2.0, "sigma_u_decay": 0.0, "sigma_v_decay": 0.0
+        }))
+        assert cfg.scale_n == 1
+        assert build_model(cfg)[1].kappa_decay == 2.0
 
     def test_partial_document(self):
-        n, decay = parse_scale({"n": 2})
-        assert n == 2 and decay is None
+        cfg = parse_config(_config(scale={"n": 2}))
+        assert cfg.scale_n == 2 and build_model(cfg)[1] is None
 
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), True, "2"], ids=["nan", "inf", "bool", "str"]
@@ -109,28 +120,24 @@ class TestScaleSpec:
     def test_malformed_decay_exponent_rejected(self, value):
         doc = {"n": 1, "kappa_decay": value, "sigma_u_decay": 0.0, "sigma_v_decay": 0.0}
         with pytest.raises(SpecError, match="kappa_decay"):
-            parse_scale(doc)
+            parse_config(_config(scale=doc))
+
+    def test_lone_decay_exponent_checked(self):
+        # Checked although the other two exponents are absent.
+        with pytest.raises(SpecError, match="sigma_v_decay"):
+            parse_config(_config(scale={"sigma_v_decay": "2"}))
 
 
 class TestRunConfig:
-    def _doc(self):
-        return {
-            "operator": {"kind": "diagonal", "multipliers": [0, 2, 3]},
-            "sigma_u": {"kind": "diagonal", "values": [1, 1, 1]},
-            "sigma_v": {"kind": "diagonal", "values": [1, 1, 1]},
-            "truncation_dim": 3,
-            "seed": 7,
-        }
-
     def test_parse_and_build(self):
-        cfg = parse_config(self._doc())
+        cfg = parse_config(_config())
         assert isinstance(cfg, RunConfig)
         model, decay = build_model(cfg)
         assert model.dim == 3
         assert decay is None
 
     def test_truncation_floor(self):
-        doc = self._doc()
+        doc = _config()
         doc["truncation_dim"] = 1
         with pytest.raises(SpecError):
             parse_config(doc)
@@ -150,24 +157,44 @@ class TestRunConfig:
         ],
     )
     def test_malformed_integer_fields_rejected(self, key, value):
-        doc = self._doc()
+        doc = _config()
         doc[key] = value
         with pytest.raises(SpecError, match=key):
             parse_config(doc)
 
     def test_integral_floats_accepted(self):
-        doc = self._doc()
+        doc = _config()
         doc.update(seed=7.0, truncation_dim=3.0, scale_n=2.0)
         cfg = parse_config(doc)
         assert (cfg.seed, cfg.truncation_dim, cfg.scale_n) == (7, 3, 2)
         assert all(type(v) is int for v in (cfg.seed, cfg.truncation_dim, cfg.scale_n))
+
+    def test_extras_keep_the_suite_sizes(self):
+        doc = _config()
+        doc["extras"] = {"draws": 10.0, "grid_points": 2, "note": "unread"}
+        assert parse_config(doc).extras == {"draws": 10, "grid_points": 2}
+        assert parse_config(_config()).extras == {}
+
+    @pytest.mark.parametrize(
+        "key, spec",
+        [
+            ("operator", {"kind": "diagonal", "multipliers": {"a": 1}}),
+            ("sigma_u", {"kind": "dense", "rows": [[1, 0], [0]]}),
+            ("y0", {"a": 1}),
+        ],
+    )
+    def test_non_numeric_values_rejected(self, key, spec):
+        doc = _config()
+        doc[key] = spec
+        with pytest.raises(SpecError, match="must be numbers"):
+            build_model(parse_config(doc))
 
     def test_missing_sections(self):
         with pytest.raises(SpecError):
             parse_config({"operator": {"kind": "diagonal", "multipliers": [1, 2]}})
 
     def test_paths_resolve_against_config_dir(self, tmp_path):
-        doc = self._doc()
+        doc = _config()
         doc["input_path"] = "x.csv"
         cfg_path = tmp_path / "cfg" / "config.json"
         cfg_path.parent.mkdir()
@@ -176,7 +203,7 @@ class TestRunConfig:
         assert cfg.input_path == tmp_path / "cfg" / "x.csv"
 
     def test_decay_filled_from_power_specs(self):
-        doc = self._doc()
+        doc = _config()
         doc["sigma_u"] = {"kind": "power_decay", "scale": 1.0, "exponent": 2.0}
         doc["sigma_v"] = {"kind": "power_decay", "scale": 1.0, "exponent": 3.0}
         doc["scale"] = {"n": 1, "kappa_decay": 2.0}
@@ -190,7 +217,7 @@ class TestRunConfig:
         "value", [float("nan"), float("inf"), True, "2"], ids=["nan", "inf", "bool", "str"]
     )
     def test_malformed_decay_exponent_rejected_by_build(self, value):
-        doc = self._doc()
+        doc = _config()
         doc["sigma_v"] = {"kind": "power_decay", "scale": 1.0, "exponent": 3.0}
         doc["scale"] = {"kappa_decay": 2.0, "sigma_u_decay": value}
         with pytest.raises(SpecError, match="sigma_u_decay"):
