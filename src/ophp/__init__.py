@@ -6,140 +6,46 @@ smoothing operator that makes the filter reproduce the conditional mean of
 the signal under a Gaussian noise model, and handles non-trace-class
 (white) noise through spectral weight scales that reduce the optimal
 smoother to the classical noise-to-signal ratio.
+
+The package namespace holds the entry points the README documents, the
+constructors they take and the error classes; everything else is imported
+from its submodule.
 """
 
 from .filter import (
     FilterProblem,
     FilterSolveError,
     PositivityError,
-    PositivityReport,
-    filter_multipliers,
-    objective,
-    objective_gradient,
     positivity_check,
     solve_filter,
 )
 from .gaussian import (
-    DecayDeclaration,
     GaussianModel,
-    HsReport,
-    JointCovariance,
-    JointSample,
     ModelError,
     RankDeficiencyWarning,
     conditional_mean,
-    covariance_sqrt,
     hs_diagnostics,
-    joint_covariance,
     qv,
-    regression_slope,
     sample_joint,
 )
 from .operators import (
-    BASIS_EUCLIDEAN,
-    BASIS_SINE,
     BasisMismatchError,
     CoeffVector,
     DimensionMismatchError,
-    OperatorRep,
-    PinvBundle,
-    QuadratureGrid,
-    add,
     adjoint,
     apply,
     compose,
     dense_operator,
     diagonal_operator,
-    dirichlet_green_kernel,
-    identity_operator,
     kernel_operator,
-    moore_penrose_residuals,
-    operator_norm,
     pinv,
-    scalar_multiple,
-    sine_basis_matrix,
-    zero_operator,
 )
 from .scales import (
-    ScaleWeights,
     rescaled_covariances,
     scale_weights,
     scaled_optimal_b,
-    tail_ratio,
     trace_class_threshold,
 )
-from .smoothing import (
-    DiagonalFamily,
-    GridSearchReport,
-    SingularCovarianceError,
-    gap,
-    grid_search_oracle,
-    lattice_around,
-    optimal_b,
-    probe_vectors,
-)
+from .smoothing import SingularCovarianceError, gap, grid_search_oracle, optimal_b
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BASIS_EUCLIDEAN",
-    "BASIS_SINE",
-    "BasisMismatchError",
-    "CoeffVector",
-    "DecayDeclaration",
-    "DiagonalFamily",
-    "DimensionMismatchError",
-    "FilterProblem",
-    "FilterSolveError",
-    "GaussianModel",
-    "GridSearchReport",
-    "HsReport",
-    "JointCovariance",
-    "JointSample",
-    "ModelError",
-    "OperatorRep",
-    "PinvBundle",
-    "PositivityError",
-    "PositivityReport",
-    "QuadratureGrid",
-    "RankDeficiencyWarning",
-    "ScaleWeights",
-    "SingularCovarianceError",
-    "add",
-    "adjoint",
-    "apply",
-    "compose",
-    "conditional_mean",
-    "covariance_sqrt",
-    "dense_operator",
-    "diagonal_operator",
-    "dirichlet_green_kernel",
-    "filter_multipliers",
-    "gap",
-    "grid_search_oracle",
-    "hs_diagnostics",
-    "identity_operator",
-    "joint_covariance",
-    "kernel_operator",
-    "lattice_around",
-    "moore_penrose_residuals",
-    "objective",
-    "objective_gradient",
-    "operator_norm",
-    "optimal_b",
-    "pinv",
-    "positivity_check",
-    "probe_vectors",
-    "qv",
-    "regression_slope",
-    "rescaled_covariances",
-    "sample_joint",
-    "scalar_multiple",
-    "scale_weights",
-    "scaled_optimal_b",
-    "sine_basis_matrix",
-    "solve_filter",
-    "tail_ratio",
-    "trace_class_threshold",
-    "zero_operator",
-]

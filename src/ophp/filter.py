@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    EIG_RTOL,
-    CoeffVector,
-    DimensionMismatchError,
-    OperatorRep,
-    adjoint,
-    apply,
-)
+from .operators import EIG_RTOL, CoeffVector, DimensionMismatchError, OperatorRep
 
 
 # Largest trend-solve residual accepted, relative to the norm of the
@@ -62,22 +55,6 @@ class FilterProblem:
             raise DimensionMismatchError(
                 "smoothing operator must act on the codomain of the data operator"
             )
-
-
-def objective(problem: FilterProblem, y: CoeffVector) -> float:
-    """Value of the penalized objective at a trend candidate."""
-    residual = problem.x - y
-    ay = apply(problem.a, y)
-    bay = apply(problem.b, ay)
-    return residual.norm() ** 2 + ay.dot(bay)
-
-
-def objective_gradient(problem: FilterProblem, y: CoeffVector) -> np.ndarray:
-    """Gradient ``2 (y - x) + 2 A* B A y`` (exact for symmetric ``b``)."""
-    ay = apply(problem.a, y)
-    bay = apply(problem.b, ay)
-    back = apply(adjoint(problem.a), bay)
-    return 2.0 * (y.coeffs - problem.x.coeffs) + 2.0 * back.coeffs
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,7 @@
 The model is ``x = y + u`` with ``A y = v``, where ``u`` and ``v`` are
 independent zero-mean Gaussians with covariances ``sigma_u`` and ``sigma_v``
 and the deterministic component ``y0`` of the signal lies in the null space
-of ``A``.  This module builds the induced joint covariance, the conditional
+of ``A``.  This module builds the signal covariance ``Q_v``, the conditional
 mean of the signal given the data, trace and Hilbert-Schmidt diagnostics of
 the covariance algebra, and a reproducible sampler for Monte-Carlo checks.
 """
@@ -69,17 +69,15 @@ def _check_covariance(op: OperatorRep, dim: int, basis_id: str, label: str) -> N
     if op.dim_in != dim or op.dim_out != dim:
         raise DimensionMismatchError(f"{label} must be square of dimension {dim}")
     stored = op.multipliers if op.is_diagonal else op.matrix
+    # The largest magnitude is NaN or infinite exactly when some entry is.
     scale = 1.0 + float(np.abs(stored).max(initial=0.0))
+    if not np.isfinite(scale):
+        raise ModelError(f"{label} has a non-finite entry")
     if float(np.abs(stored - stored.T).max(initial=0.0)) > SYMMETRY_RTOL * scale:
         raise ModelError(f"{label} is not symmetric to tolerance")
     eigvals, _ = symmetric_eig(op, vectors=False)
     if float(np.min(eigvals, initial=0.0)) < -EIG_RTOL * scale:
         raise ModelError(f"{label} has an eigenvalue below the PSD floor")
-
-
-def covariance_sqrt(op: OperatorRep) -> OperatorRep:
-    """Symmetric square root; negative round-off eigenvalues are clipped at 0."""
-    return operator_power(op, 0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +125,7 @@ class GaussianModel:
 
     @cached_property
     def _roots(self) -> tuple[OperatorRep, OperatorRep]:
-        return covariance_sqrt(self.sigma_u), covariance_sqrt(self.sigma_v)
+        return operator_power(self.sigma_u, 0.5), operator_power(self.sigma_v, 0.5)
 
     @classmethod
     def build(
@@ -177,31 +175,6 @@ class GaussianModel:
 def qv(model: GaussianModel) -> OperatorRep:
     """Covariance ``pinv(A) sigma_v pinv(A)*`` of the signal component."""
     return model._q_v
-
-
-@dataclass(frozen=True, eq=False)
-class JointCovariance:
-    """Joint covariance of (data, signal) as a symmetric 2x2 block operator."""
-
-    q_v: OperatorRep
-    block: tuple
-
-    def as_matrix(self) -> np.ndarray:
-        top = self.block[0]
-        bottom = self.block[1]
-        return np.block(
-            [
-                [top[0].as_matrix(), top[1].as_matrix()],
-                [bottom[0].as_matrix(), bottom[1].as_matrix()],
-            ]
-        )
-
-
-def joint_covariance(model: GaussianModel) -> JointCovariance:
-    """Blocks ((sigma_u + Q_v, Q_v), (Q_v, Q_v))."""
-    q = model._q_v
-    xx = add(model.sigma_u, q)
-    return JointCovariance(q_v=q, block=((xx, q), (q, q)))
 
 
 def regression_slope(model: GaussianModel) -> OperatorRep:
@@ -292,8 +265,6 @@ class JointSample:
     v: np.ndarray
     y: np.ndarray
     x: np.ndarray
-    seed: int
-    chunk_size: int
 
     @property
     def count(self) -> int:
@@ -391,4 +362,4 @@ def sample_joint(
     for rows, *block in sample_joint_blocks(model, count, seed, y, v, chunk_size):
         for whole, part in zip((u, v, y, x), block):
             whole[rows] = part
-    return JointSample(u=u, v=v, y=y, x=x, seed=seed, chunk_size=chunk_size)
+    return JointSample(u=u, v=v, y=y, x=x)

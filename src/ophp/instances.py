@@ -25,7 +25,6 @@ from .operators import (
     CoeffVector,
     OperatorRep,
     diagonal_operator,
-    kernel_operator,
 )
 
 RAMP_KAPPA_DECAY = 2.0  # ramp singular values grow like j
@@ -51,11 +50,6 @@ def laplacian_multipliers(dim: int) -> np.ndarray:
 def laplacian_operator(dim: int) -> OperatorRep:
     """Dirichlet second-derivative operator, diagonal in the sine basis."""
     return diagonal_operator(laplacian_multipliers(dim), BASIS_SINE)
-
-
-def green_operator(dim: int, grid_points: int = 512) -> OperatorRep:
-    """Quadrature discretization of the inverse Dirichlet Laplacian."""
-    return kernel_operator("dirichlet_green", dim, grid_points)
 
 
 def _as_diagonal(values, dim: int, basis_id: str) -> OperatorRep:
@@ -113,11 +107,3 @@ def expected_filter_multipliers(a_multipliers, bhat_multipliers) -> np.ndarray:
     a = np.asarray(a_multipliers, dtype=float)
     b = np.asarray(bhat_multipliers, dtype=float)
     return 1.0 / (a**2 * b + 1.0)
-
-
-def expected_laplacian_filter_multipliers(sigma_u, sigma_v, dim: int) -> np.ndarray:
-    """(1 + n**4 pi**4 su_n/sv_n)**(-1) for n = 1..dim."""
-    su = np.asarray(sigma_u, dtype=float) * np.ones(dim)
-    sv = np.asarray(sigma_v, dtype=float) * np.ones(dim)
-    n = np.arange(1, dim + 1, dtype=float)
-    return 1.0 / (1.0 + n**4 * np.pi**4 * su / sv)

@@ -85,10 +85,6 @@ class CoeffVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def dot(self, other: "CoeffVector") -> float:
-        self._require_compatible(other)
-        return float(self.coeffs @ other.coeffs)
-
     def _require_compatible(self, other: "CoeffVector") -> None:
         if self.basis_id != other.basis_id:
             raise BasisMismatchError(
@@ -108,30 +104,10 @@ class CoeffVector:
         self._require_compatible(other)
         return CoeffVector(self.coeffs - other.coeffs, self.basis_id)
 
-    def __mul__(self, scalar: float) -> "CoeffVector":
-        return CoeffVector(self.coeffs * float(scalar), self.basis_id)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "CoeffVector":
-        return CoeffVector(-self.coeffs, self.basis_id)
-
 
 # ---------------------------------------------------------------------------
 # Operator representation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureGrid:
-    """Composite-trapezoid nodes and weights on [0, 1]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +116,7 @@ class OperatorRep:
 
     ``kind`` selects the storage: ``diagonal`` keeps ``multipliers``,
     ``dense`` keeps ``matrix``.  An operator discretized from an integral
-    kernel is dense; ``kernel_name`` and ``grid`` record its recipe.
+    kernel is dense; ``kernel_name`` and ``grid_points`` record its recipe.
     """
 
     kind: str
@@ -149,7 +125,7 @@ class OperatorRep:
     matrix: np.ndarray | None = None
     multipliers: np.ndarray | None = None
     kernel_name: str | None = None
-    grid: QuadratureGrid | None = None
+    grid_points: int | None = None
 
     def __post_init__(self):
         if self.kind == DIAGONAL:
@@ -218,28 +194,20 @@ def dense_operator(
     )
 
 
-def identity_operator(dim: int, basis_id: str = BASIS_EUCLIDEAN) -> OperatorRep:
-    return diagonal_operator(np.ones(dim), basis_id)
-
-
-def zero_operator(dim: int, basis_id: str = BASIS_EUCLIDEAN) -> OperatorRep:
-    return diagonal_operator(np.zeros(dim), basis_id)
-
-
 # ---------------------------------------------------------------------------
 # Kernel operators on [0, 1]
 # ---------------------------------------------------------------------------
 
 
-def trapezoid_grid(points: int) -> QuadratureGrid:
-    """Uniform closed grid on [0, 1] with composite-trapezoid weights."""
+def trapezoid_grid(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and composite-trapezoid weights of a uniform closed grid on [0, 1]."""
     if points < 3:
         raise DimensionMismatchError("quadrature grid needs at least 3 points")
     nodes = np.linspace(0.0, 1.0, points)
     h = 1.0 / (points - 1)
     weights = np.full(points, h)
     weights[0] = weights[-1] = h / 2.0
-    return QuadratureGrid(nodes, weights)
+    return nodes, weights
 
 
 def sine_basis_matrix(nodes: np.ndarray, dim: int) -> np.ndarray:
@@ -283,10 +251,10 @@ def kernel_operator(
         raise DimensionMismatchError(
             f"grid of {grid_points} points cannot resolve {dim} sine modes"
         )
-    grid = trapezoid_grid(grid_points)
-    samples = kernel(grid.nodes[:, None], grid.nodes[None, :])
-    basis_vals = sine_basis_matrix(grid.nodes, dim)
-    weighted = grid.weights[:, None] * samples * grid.weights[None, :]
+    nodes, weights = trapezoid_grid(grid_points)
+    samples = kernel(nodes[:, None], nodes[None, :])
+    basis_vals = sine_basis_matrix(nodes, dim)
+    weighted = weights[:, None] * samples * weights[None, :]
     projected = basis_vals.T @ weighted @ basis_vals
     return OperatorRep(
         kind=DENSE,
@@ -294,7 +262,7 @@ def kernel_operator(
         codomain_basis=BASIS_SINE,
         matrix=0.5 * (projected + projected.T),
         kernel_name=name,
-        grid=grid,
+        grid_points=int(grid_points),
     )
 
 

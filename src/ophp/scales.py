@@ -23,14 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .gaussian import DecayDeclaration, GaussianModel
-from .operators import (
-    CoeffVector,
-    OperatorRep,
-    PinvBundle,
-    adjoint,
-    compose,
-    symmetrize,
-)
+from .operators import OperatorRep, PinvBundle, adjoint, compose, symmetrize
 from .smoothing import _assemble
 
 
@@ -40,32 +33,16 @@ class ScaleWeights:
 
     ``indices`` are the positions of the retained components in the
     operator's spectral coordinates: the coefficients themselves for
-    diagonal operators, or the coefficients rotated by ``rotation`` (the
-    right singular vectors ``Vt``, rows in singular-value rank) otherwise.
-    Components with zero singular value are excluded, so the weights are
-    strictly positive.
+    diagonal operators, or the coefficients rotated by the right singular
+    vectors ``Vt`` of the pinv bundle's SVD (rows in singular-value rank)
+    otherwise.  Components with zero singular value are excluded, so the
+    weights are strictly positive.
     """
 
     n: int
     indices: np.ndarray
     kappa: np.ndarray
     weights: np.ndarray
-    rotation: np.ndarray | None = None
-
-    def _retained(self, x) -> np.ndarray:
-        coeffs = x.coeffs if isinstance(x, CoeffVector) else np.asarray(x, float)
-        if self.rotation is not None:
-            coeffs = self.rotation @ coeffs
-        return coeffs[self.indices]
-
-    def dual_norm(self, x) -> float:
-        """Norm with reciprocal weights; mass off the retained components
-        (the null space of the operator) contributes zero."""
-        return float(np.linalg.norm(self._retained(x) / self.weights))
-
-    def scale_norm(self, x) -> float:
-        """Norm with direct weights, over the retained components."""
-        return float(np.linalg.norm(self._retained(x) * self.weights))
 
 
 def scale_weights(a: OperatorRep, n: int, bundle: PinvBundle) -> ScaleWeights:
@@ -78,18 +55,12 @@ def scale_weights(a: OperatorRep, n: int, bundle: PinvBundle) -> ScaleWeights:
     """
     if n < 0:
         raise ValueError("scale index n must be nonnegative")
-    rotation = None
     if a.is_diagonal:
         kappa = a.multipliers[bundle.retained] ** 2
     else:
-        _, s, rotation = bundle.svd
-        kappa = s[bundle.retained] ** 2
+        kappa = bundle.svd[1][bundle.retained] ** 2
     return ScaleWeights(
-        n=int(n),
-        indices=bundle.retained,
-        kappa=kappa,
-        weights=kappa ** float(n),
-        rotation=rotation,
+        n=int(n), indices=bundle.retained, kappa=kappa, weights=kappa ** float(n)
     )
 
 
@@ -152,20 +123,3 @@ def scaled_optimal_b(model: GaussianModel, n: int) -> OperatorRep:
     """
     sigma_u, sigma_v = rescaled_covariances(model, n)
     return _assemble(model.a, model.pinv_bundle, sigma_u, sigma_v)
-
-
-def tail_ratio(values) -> float:
-    """Relative growth (S(2N) - S(N)) / S(N) of partial sums of a sequence.
-
-    The input supplies the first 2N terms.  Small ratios indicate a summable
-    tail, ratios near or above one indicate divergence; the test is
-    meaningful for power-law sequences.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 2 or arr.size % 2:
-        raise ValueError("tail_ratio needs a 1-d sequence of even length 2N")
-    half = arr.size // 2
-    s1 = float(arr[:half].sum())
-    if s1 <= 0.0:
-        raise ValueError("partial sum over the first half must be positive")
-    return float(arr[half:].sum()) / s1

@@ -7,7 +7,8 @@ Operator documents::
     {"kind": "kernel", "name": "dirichlet_green", "grid_points": 512}
 
 A kernel document builds a dense operator that keeps the kernel recipe, so
-it serializes back to the same document.  Every number must be finite.
+it serializes back to the same document.  ``basis`` and ``codomain_basis``
+name one of ``BASES``.  Every number must be a finite JSON number.
 
 Covariance documents::
 
@@ -36,6 +37,7 @@ import numpy as np
 from .gaussian import DecayDeclaration, GaussianModel
 from .operators import (
     BASIS_EUCLIDEAN,
+    BASIS_SINE,
     DEFAULT_GRID_POINTS,
     CoeffVector,
     OperatorRep,
@@ -49,14 +51,44 @@ class SpecError(ValueError):
     """A JSON document does not satisfy its schema."""
 
 
+def _leaf_types(value) -> set:
+    """Types of the items of ``value`` at any depth of nested lists."""
+    if not isinstance(value, list):
+        return {type(value)}
+    types = set(map(type, value))
+    if list in types:
+        types.discard(list)
+        types.update(*(_leaf_types(v) for v in value if isinstance(v, list)))
+    return types
+
+
 def _finite(values, what: str) -> np.ndarray:
+    """Finite JSON numbers, alone or in nested lists of one shape.
+
+    Booleans, strings and other JSON values are rejected, not coerced.
+    """
+    types = _leaf_types(values)
+    odd = {t for t in types if t is bool or not issubclass(t, (int, float))}
+    if odd:
+        names = ", ".join(sorted(t.__name__ for t in odd))
+        raise SpecError(f"{what} must be numbers, got {names}")
     try:
         arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise SpecError(f"{what} must be numbers") from None
+    except ValueError:
+        raise SpecError(f"{what} must be numbers in a rectangular array") from None
+    except OverflowError:
+        raise SpecError(f"{what} must be finite") from None
     if not np.all(np.isfinite(arr)):
         raise SpecError(f"{what} must be finite")
     return arr
+
+
+def _number(value, what: str) -> float:
+    """One finite JSON number."""
+    arr = _finite(value, what)
+    if arr.ndim:
+        raise SpecError(f"{what} must be a number, got {value!r}")
+    return float(arr)
 
 
 def read_int(value, what: str, minimum: int) -> int:
@@ -88,19 +120,19 @@ def read_float(value, what: str) -> float:
     return number
 
 
+BASES = (BASIS_EUCLIDEAN, BASIS_SINE)
+
 DECAY_KEYS = ("kappa_decay", "sigma_u_decay", "sigma_v_decay")
 
 # Smallest value of each integer in ``extras``: the validate suite's sizes.
 EXTRAS_MINIMUMS = {"draws": 1, "gap_count": 1, "grid_points": 2}
 
 
-def _decay_exponent(value, key: str) -> float:
-    """A finite JSON number; booleans and strings are rejected, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise SpecError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
+def _basis(value, key: str) -> str:
+    if value not in BASES:
+        names = " or ".join(map(repr, BASES))
+        raise SpecError(f"{key} must be {names}, got {value!r}")
+    return value
 
 
 def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:
@@ -112,21 +144,18 @@ def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecError("operator spec must be an object with a 'kind' field")
     kind = obj["kind"]
+    basis = _basis(obj.get("basis", BASIS_EUCLIDEAN), "basis")
+    codomain = _basis(obj.get("codomain_basis", basis), "codomain_basis")
     if kind == "diagonal":
         mult = obj.get("multipliers")
         if mult is None:
             raise SpecError("diagonal operator spec needs 'multipliers'")
-        basis = obj.get("basis", BASIS_EUCLIDEAN)
         op = diagonal_operator(_finite(mult, "operator multipliers"), basis)
     elif kind == "dense":
         rows = obj.get("rows")
         if rows is None:
             raise SpecError("dense operator spec needs 'rows'")
-        op = dense_operator(
-            _finite(rows, "operator rows"),
-            obj.get("basis", BASIS_EUCLIDEAN),
-            obj.get("codomain_basis"),
-        )
+        op = dense_operator(_finite(rows, "operator rows"), basis, codomain)
     elif kind == "kernel":
         name = obj.get("name")
         if name is None:
@@ -175,10 +204,14 @@ def parse_covariance(
             raise SpecError(f"covariance matrix must be {dim}x{dim}")
         return dense_operator(mat, basis_id), None
     if kind == "power_decay":
-        scale = float(_finite(obj.get("scale", 1.0), "covariance scale"))
-        exponent = float(_finite(obj.get("exponent", 0.0), "covariance exponent"))
+        scale = _number(obj.get("scale", 1.0), "covariance scale")
+        exponent = _number(obj.get("exponent", 0.0), "covariance exponent")
         n = np.arange(1, dim + 1, dtype=float)
-        return diagonal_operator(scale * n ** (-exponent), basis_id), exponent
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = scale * n ** (-exponent)
+        if not np.all(np.isfinite(values)):
+            raise SpecError(f"power_decay covariance is not finite up to n = {dim}")
+        return diagonal_operator(values, basis_id), exponent
     raise SpecError(f"unknown covariance kind {kind!r}")
 
 
@@ -194,7 +227,7 @@ def operator_to_json(op: OperatorRep) -> dict:
         return {
             "kind": "kernel",
             "name": op.kernel_name,
-            "grid_points": int(op.grid.nodes.shape[0]),
+            "grid_points": op.grid_points,
         }
     return {
         "kind": "dense",
@@ -258,7 +291,7 @@ def parse_config(obj: dict, base_dir: Path | None = None) -> RunConfig:
         if key in EXTRAS_MINIMUMS
     }
     scale = optional("scale", dict, "an object") or {}
-    decay = {k: _decay_exponent(scale[k], k) for k in DECAY_KEYS if k in scale}
+    decay = {k: _number(scale[k], k) for k in DECAY_KEYS if k in scale}
 
     def index(value, what):
         return None if value is None else read_int(value, what, 0)

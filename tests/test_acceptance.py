@@ -11,27 +11,25 @@ import pytest
 
 from ophp import (
     CoeffVector,
-    DecayDeclaration,
     FilterProblem,
     apply,
     dense_operator,
     gap,
     hs_diagnostics,
     kernel_operator,
-    moore_penrose_residuals,
-    operator_norm,
     optimal_b,
     pinv,
-    regression_slope,
     sample_joint,
     scaled_optimal_b,
     solve_filter,
-    tail_ratio,
     trace_class_threshold,
 )
+from ophp.gaussian import DecayDeclaration, regression_slope
 from ophp.instances import laplacian_model, ramp_model, seeded_sigmas
-from ophp.operators import BASIS_SINE
+from ophp.operators import BASIS_SINE, moore_penrose_residuals, operator_norm
 from ophp.smoothing import DiagonalFamily, grid_search_oracle
+
+from oracles import tail_ratio
 
 
 def _criterion(name, ok, elapsed, limit, detail):

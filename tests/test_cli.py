@@ -9,13 +9,11 @@ import pytest
 from ophp import cli, validate
 from ophp.cli import main, project_series, read_series_csv
 from ophp.gaussian import sample_joint_blocks
-from ophp.instances import (
-    expected_laplacian_filter_multipliers,
-    ramp_multipliers,
-    seeded_sigmas,
-)
+from ophp.instances import ramp_multipliers, seeded_sigmas
 from ophp.operators import BASIS_SINE
 from ophp.specs import build_model, load_config
+
+from oracles import laplacian_filter_multipliers
 
 
 def _run(*argv):
@@ -161,7 +159,7 @@ class TestFilterCommand:
         out = tmp_path / "out"
         assert _run("filter", "--config", cfg, "--input", series, "--out", out) == 0
         summary = json.loads((out / "filter_summary.json").read_text())
-        mult = expected_laplacian_filter_multipliers(np.array(su), np.array(sv), dim)
+        mult = laplacian_filter_multipliers(np.array(su), np.array(sv), dim)
         _, trend = read_series_csv(out / "trend.csv")
         np.testing.assert_allclose(trend, mult[1] * samples, atol=1e-9)
         assert summary["filter_multipliers"][1] == pytest.approx(
@@ -481,6 +479,68 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["filter", "optimal-b", "simulate", "validate", "scale"]
+    )
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # n**500 overflows at n = 5; times a zero scale it is NaN.
+            ("sigma_u", {"kind": "power_decay", "scale": 1, "exponent": -500}),
+            ("sigma_u", {"kind": "power_decay", "scale": 0, "exponent": -500}),
+            ("sigma_u", {"kind": "power_decay", "scale": "1", "exponent": 0}),
+            ("sigma_v", {"kind": "power_decay", "scale": 1, "exponent": True}),
+            ("operator", {"kind": "diagonal", "multipliers": ["0", "2", True, "4", 5]}),
+            ("sigma_v", {"kind": "diagonal", "values": [True] * 5}),
+            (
+                "sigma_u",
+                {"kind": "dense", "rows": [["1", 0, 0, 0, 0], *np.eye(5)[1:].tolist()]},
+            ),
+            ("y0", [True, 0, 0, 0, 0]),
+            ("operator", {"kind": "diagonal", "multipliers": [1] * 5, "basis": 5}),
+            (
+                "operator",
+                {"kind": "diagonal", "multipliers": [1] * 5, "basis": "sine-dirichelt"},
+            ),
+            (
+                "operator",
+                {"kind": "dense", "rows": np.eye(5).tolist(), "codomain_basis": "sine"},
+            ),
+            ("sigma_u", {"kind": "power_decay", "scale": [1, 2]}),
+            ("operator", {"kind": "diagonal", "multipliers": [10**400] * 5}),
+            ("scale", {"kappa_decay": 10**400}),
+        ],
+        ids=[
+            "power-decay-inf",
+            "power-decay-nan",
+            "scale-str",
+            "exponent-bool",
+            "multipliers",
+            "values",
+            "rows",
+            "y0",
+            "basis-int",
+            "basis-typo",
+            "codomain-basis",
+            "scale-list",
+            "multipliers-huge-int",
+            "decay-huge-int",
+        ],
+    )
+    def test_non_finite_or_non_json_documents_rejected_by_every_command(
+        self, ramp_config, tmp_path, capsys, command, field, value
+    ):
+        cfg_path, dim = ramp_config
+        (tmp_path / "x.csv").write_text("1.0\n" * dim)
+        doc = json.loads(cfg_path.read_text())
+        doc.update({"input_path": "x.csv", "scale_n": 1, field: value})
+        _write_config(cfg_path, doc)
+        out = tmp_path / "out"
+        assert _run(command, "--config", cfg_path, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_scale_index_precedence(self, ramp_config, tmp_path):

@@ -16,19 +16,18 @@ from ophp import (
     GaussianModel,
     PositivityError,
     RankDeficiencyWarning,
-    add,
     compose,
     conditional_mean,
     dense_operator,
     diagonal_operator,
     positivity_check,
     qv,
-    regression_slope,
     sample_joint,
     solve_filter,
 )
+from ophp.gaussian import regression_slope
 from ophp.instances import ramp_model
-from ophp.operators import psd_inverse
+from ophp.operators import add, psd_inverse
 from ophp.validate import conditional_mean_check
 
 

@@ -9,16 +9,14 @@ from ophp import (
     PositivityError,
     dense_operator,
     diagonal_operator,
-    identity_operator,
-    objective,
-    objective_gradient,
     positivity_check,
-    scalar_multiple,
     solve_filter,
-    zero_operator,
 )
 from ophp.instances import laplacian_model, ramp_model, ramp_operator
+from ophp.operators import scalar_multiple
 from ophp.smoothing import optimal_b
+
+from oracles import identity, objective, objective_gradient, zero
 
 
 def _random_orthogonal(dim, rng):
@@ -41,7 +39,7 @@ class TestObjective:
         a = dense_operator(rng.standard_normal((3, 3)))
         x = CoeffVector(rng.standard_normal(3))
         y = CoeffVector(rng.standard_normal(3))
-        problem = FilterProblem(a, x, zero_operator(3))
+        problem = FilterProblem(a, x, zero(3))
         assert objective(problem, y) == pytest.approx((x - y).norm() ** 2)
 
     def test_ramp_componentwise_oracle(self):
@@ -65,8 +63,8 @@ class TestPositivityCheck:
         assert report.passed and report.method == "analytic"
 
     def test_negative_identity_fails(self):
-        a = identity_operator(4)
-        report = positivity_check(a, scalar_multiple(identity_operator(4), -1.0))
+        a = identity(4)
+        report = positivity_check(a, scalar_multiple(identity(4), -1.0))
         assert not report.passed
         assert report.min_value < 0
         assert report.witness is not None
@@ -80,7 +78,7 @@ class TestPositivityCheck:
         rng = np.random.default_rng(5)
         q = _random_orthogonal(4, rng)
         b = dense_operator(q @ np.diag([-0.1, 0.3, 0.5, 1.0]) @ q.T)
-        report = positivity_check(identity_operator(4), b)
+        report = positivity_check(identity(4), b)
         assert not report.passed
         assert report.min_value == pytest.approx(-0.1, abs=1e-9)
 
@@ -90,7 +88,7 @@ class TestSolveFilter:
         rng = np.random.default_rng(3)
         a = dense_operator(rng.standard_normal((5, 5)))
         x = CoeffVector(rng.standard_normal(5))
-        y = solve_filter(FilterProblem(a, x, zero_operator(5)))
+        y = solve_filter(FilterProblem(a, x, zero(5)))
         np.testing.assert_allclose(y.coeffs, x.coeffs, atol=1e-12)
 
     def test_ramp_closed_form(self):
@@ -123,7 +121,7 @@ class TestSolveFilter:
     def test_dense_solution_beats_random_perturbations(self):
         rng = np.random.default_rng(9)
         a = dense_operator(rng.standard_normal((4, 4)))
-        b = scalar_multiple(identity_operator(4), 0.7)
+        b = scalar_multiple(identity(4), 0.7)
         x = CoeffVector(rng.standard_normal(4))
         problem = FilterProblem(a, x, b)
         y = solve_filter(problem)
@@ -135,9 +133,9 @@ class TestSolveFilter:
             assert objective(problem, perturbed) >= best
 
     def test_positivity_gate(self):
-        a = identity_operator(3)
+        a = identity(3)
         x = CoeffVector(np.ones(3))
-        bad = scalar_multiple(identity_operator(3), -2.0)
+        bad = scalar_multiple(identity(3), -2.0)
         with pytest.raises(PositivityError):
             solve_filter(FilterProblem(a, x, bad))
 
@@ -215,7 +213,7 @@ class TestFilterProperties:
         x2 = CoeffVector(rng.standard_normal(dim))
         alpha, beta = 0.7, -1.3
         combined = solve_filter(
-            FilterProblem(a, alpha * x1 + beta * x2, b)
+            FilterProblem(a, CoeffVector(alpha * x1.coeffs + beta * x2.coeffs), b)
         )
         separate = (
             alpha * solve_filter(FilterProblem(a, x1, b)).coeffs

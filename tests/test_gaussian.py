@@ -5,7 +5,6 @@ import pytest
 
 from ophp import (
     CoeffVector,
-    DecayDeclaration,
     GaussianModel,
     ModelError,
     RankDeficiencyWarning,
@@ -13,14 +12,13 @@ from ophp import (
     dense_operator,
     diagonal_operator,
     hs_diagnostics,
-    identity_operator,
-    joint_covariance,
     qv,
-    regression_slope,
     sample_joint,
-    zero_operator,
 )
+from ophp.gaussian import DecayDeclaration, regression_slope
 from ophp.instances import laplacian_model, ramp_model
+
+from oracles import identity, joint_covariance, zero
 
 
 def _cov_se(sigma, count):
@@ -31,16 +29,28 @@ def _cov_se(sigma, count):
 
 class TestModelValidation:
     def test_rejects_asymmetric_covariance(self):
-        a = identity_operator(3)
+        a = identity(3)
         bad = dense_operator([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ModelError):
-            GaussianModel.build(a, bad, identity_operator(3))
+            GaussianModel.build(a, bad, identity(3))
 
     def test_rejects_negative_eigenvalue(self):
-        a = identity_operator(2)
+        a = identity(2)
         bad = diagonal_operator([1.0, -0.5])
         with pytest.raises(ModelError):
-            GaussianModel.build(a, bad, identity_operator(2))
+            GaussianModel.build(a, bad, identity(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_covariance(self, bad):
+        a = identity(2)
+        for sigma in (
+            diagonal_operator([1.0, bad]),
+            dense_operator([[1.0, 0.0], [0.0, bad]]),
+        ):
+            with pytest.raises(ModelError, match="non-finite"):
+                GaussianModel.build(a, sigma, identity(2))
+            with pytest.raises(ModelError, match="non-finite"):
+                GaussianModel.build(a, identity(2), sigma)
 
     def test_rejects_y0_outside_null_space(self):
         with pytest.raises(ModelError):
@@ -54,7 +64,7 @@ class TestModelValidation:
         rng = np.random.default_rng(0)
         m = rng.standard_normal((3, 3))
         sigma = dense_operator(m @ m.T)  # generic: does not commute with projector
-        model = GaussianModel.build(a, sigma, identity_operator(3))
+        model = GaussianModel.build(a, sigma, identity(3))
         assert model.commutator_norm > 1e-6
 
     def test_commuting_autodetected_for_diagonal(self):
@@ -65,7 +75,7 @@ class TestModelValidation:
 class TestQv:
     def test_identity_operator(self):
         model = GaussianModel.build(
-            identity_operator(2), zero_operator(2), diagonal_operator([1.0, 2.0])
+            identity(2), zero(2), diagonal_operator([1.0, 2.0])
         )
         np.testing.assert_allclose(qv(model).multipliers, [1.0, 2.0])
 
@@ -88,9 +98,14 @@ class TestQv:
 
     def test_joint_covariance_blocks(self):
         model = ramp_model(4, 1.0, 1.0)
-        joint = joint_covariance(model)
         q = qv(model).as_matrix()
-        block = joint.as_matrix()
+        block = joint_covariance(model)
+        # The covariance of (x, y) = (y + u, pinv(A) A pinv(A) v) from the
+        # generative map, with unit noise covariances.
+        a = model.a.as_matrix()
+        signal = np.linalg.pinv(a) @ a @ np.linalg.pinv(a)
+        factor = np.block([[np.eye(4), signal], [np.zeros((4, 4)), signal]])
+        np.testing.assert_allclose(block, factor @ factor.T, atol=1e-15)
         np.testing.assert_allclose(block[:4, 4:], q)
         np.testing.assert_allclose(block[4:, :4], q)
         np.testing.assert_allclose(block[4:, 4:], q)
@@ -103,7 +118,7 @@ class TestQv:
 class TestConditionalMean:
     def test_zero_observation_noise_returns_data(self):
         model = GaussianModel.build(
-            identity_operator(3), zero_operator(3), diagonal_operator([1.0, 2.0, 3.0])
+            identity(3), zero(3), diagonal_operator([1.0, 2.0, 3.0])
         )
         x = CoeffVector([0.3, -1.2, 4.0])
         np.testing.assert_allclose(conditional_mean(model, x).coeffs, x.coeffs)
@@ -125,7 +140,8 @@ class TestConditionalMean:
         x1 = CoeffVector(rng.standard_normal(4))
         x2 = CoeffVector(rng.standard_normal(4))
         lam = 0.4
-        mixed = conditional_mean(model, lam * x1 + (1 - lam) * x2)
+        mix = CoeffVector(lam * x1.coeffs + (1 - lam) * x2.coeffs)
+        mixed = conditional_mean(model, mix)
         combo = (
             lam * conditional_mean(model, x1).coeffs
             + (1 - lam) * conditional_mean(model, x2).coeffs
@@ -160,7 +176,7 @@ class TestConditionalMean:
 class TestHsDiagnostics:
     def test_closed_form_diagonal(self):
         model = GaussianModel.build(
-            identity_operator(2), identity_operator(2), diagonal_operator([1.0, 1.0])
+            identity(2), identity(2), diagonal_operator([1.0, 1.0])
         )
         report = hs_diagnostics(model)
         assert report.trace_qv == pytest.approx(2.0)
@@ -279,10 +295,10 @@ class TestSampleJoint:
             dense_operator(m @ m.T),
             dense_operator(np.diag(rng.uniform(0.1, 1.0, 4))),
         )
-        for op in (qv(model), joint_covariance(model).block[0][0]):
-            eigvals = np.linalg.eigvalsh(op.as_matrix())
+        block = joint_covariance(model)
+        for cov in (qv(model).as_matrix(), block[:4, :4]):
+            eigvals = np.linalg.eigvalsh(cov)
             assert eigvals.min() >= -1e-10
-        block = joint_covariance(model).as_matrix()
         assert np.linalg.eigvalsh(block).min() >= -1e-10
 
     def test_signal_noise_confined_to_range(self):

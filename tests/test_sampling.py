@@ -19,16 +19,14 @@ import pytest
 from ophp import (
     CoeffVector,
     GaussianModel,
-    covariance_sqrt,
     dense_operator,
     pinv,
-    regression_slope,
     sample_joint,
     validate,
 )
-from ophp.gaussian import BLOCK_ROWS
+from ophp.gaussian import BLOCK_ROWS, regression_slope
 from ophp.instances import ramp_model, seeded_sigmas
-from ophp.operators import apply_rows
+from ophp.operators import apply_rows, operator_power
 from ophp.smoothing import (
     DiagonalFamily,
     _average_gaps_diagonal,
@@ -41,8 +39,8 @@ from ophp.validate import conditional_mean_check
 
 def _reference_sample_joint(model, count, seed, chunk_size):
     # The chunk-list + vstack sampler that sample_joint replaced.
-    root_u = covariance_sqrt(model.sigma_u)
-    root_v = covariance_sqrt(model.sigma_v)
+    root_u = operator_power(model.sigma_u, 0.5)
+    root_v = operator_power(model.sigma_v, 0.5)
     range_proj = model.pinv_bundle.range_projector
     ainv = model.pinv_bundle.pinv
     blocks_u, blocks_v, blocks_y = [], [], []

@@ -13,19 +13,18 @@ from ophp import (
     diagonal_operator,
     gap,
     grid_search_oracle,
-    identity_operator,
     optimal_b,
-    scalar_multiple,
-    zero_operator,
 )
 from ophp.instances import laplacian_model, ramp_model
-from ophp.operators import DimensionMismatchError
+from ophp.operators import DimensionMismatchError, scalar_multiple
 from ophp.smoothing import (
     DiagonalFamily,
     _average_gaps_diagonal,
     lattice_around,
     probe_vectors,
 )
+
+from oracles import identity, zero
 
 
 class TestOptimalB:
@@ -52,7 +51,7 @@ class TestOptimalB:
 
     def test_identity_instance(self):
         model = GaussianModel.build(
-            identity_operator(3), identity_operator(3), identity_operator(3)
+            identity(3), identity(3), identity(3)
         )
         np.testing.assert_allclose(optimal_b(model).multipliers, np.ones(3))
 
@@ -150,7 +149,7 @@ class TestGap:
     def test_gap_zero_at_y0(self):
         y0 = CoeffVector([1.5, 0.0, 0.0])
         model = ramp_model(3, 1.0, 1.0, y0=y0)
-        for b in (optimal_b(model), zero_operator(3), diagonal_operator([0.0, 3.0, 1.0])):
+        for b in (optimal_b(model), zero(3), diagonal_operator([0.0, 3.0, 1.0])):
             assert gap(model, b, y0) <= 1e-12
 
     def test_filter_and_conditional_mean_agree_as_operators(self):
@@ -204,8 +203,8 @@ class TestGridSearchOracle:
     def test_zero_observation_noise_prefers_zero_smoother(self):
         model = GaussianModel.build(
             diagonal_operator([1.0, 2.0, 3.0]),
-            zero_operator(3),
-            identity_operator(3),
+            zero(3),
+            identity(3),
         )
         bhat = optimal_b(model)
         np.testing.assert_array_equal(bhat.multipliers, np.zeros(3))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from ophp import GaussianModel, dense_operator, diagonal_operator, qv
-from ophp import scalar_multiple, smoothing, validate
+from ophp import smoothing, validate
 from ophp.gaussian import DecayDeclaration, regression_slope, sample_joint_blocks
 from ophp.instances import laplacian_model, ramp_model, ramp_multipliers, seeded_sigmas
-from ophp.operators import operator_power, psd_inverse
+from ophp.operators import operator_power, psd_inverse, scalar_multiple
 from ophp.validate import (
     CM_ALPHA,
     FAIL,
