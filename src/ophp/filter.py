@@ -6,11 +6,14 @@ candidates ``y``, where the smoothing operator ``B`` must keep the penalty
 nonnegative.  The minimizer solves the linear system ``(I + A* B A) y = x``,
 computed in closed form for diagonal data and by a direct dense
 factorization otherwise.  The nonnegativity requirement is certified
-spectrally from the same ``A* B A`` the dense solve uses.
+spectrally from the same ``A* B A`` the dense solve uses.  ``solve_filter``
+computes that verdict once per ``(A, B)`` pair and reuses it while both
+operators are alive; ``A* B A`` and the solve still run on every call.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +123,22 @@ def _positivity(
     )
 
 
+# Verdicts of ``solve_filter``, keyed on ``b`` and then on ``a``.  Operators
+# are immutable and hash by identity.  An entry goes when either operator is
+# collected, so a reused ``id()`` never meets a stale verdict.
+_VERDICTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _certified(
+    a: OperatorRep, b: OperatorRep, quad: np.ndarray | None
+) -> PositivityReport:
+    by_a = _VERDICTS.setdefault(b, weakref.WeakKeyDictionary())
+    report = by_a.get(a)
+    if report is None:
+        report = by_a[a] = _positivity(a, b, quad)
+    return report
+
+
 def filter_multipliers(a: OperatorRep, b: OperatorRep) -> np.ndarray:
     """Componentwise trend multipliers ``1 / (1 + b_j a_j^2)`` (diagonal only)."""
     if not (a.is_diagonal and b.is_diagonal):
@@ -165,12 +184,14 @@ def solve_filter(problem: FilterProblem) -> CoeffVector:
     Checks that ``b`` keeps the penalty nonnegative, then solves
     ``(I + A* B A) y = x``: componentwise in closed form when both operators
     are diagonal, otherwise by dense LU factorization with a residual check
-    at ``RESIDUAL_RTOL * |x|``.  The dense ``A* B A`` is formed once and
-    serves both the positivity check and the solve.
+    at ``RESIDUAL_RTOL * |x|``.  The positivity verdict is computed once
+    per ``(A, B)`` pair, from the same dense ``A* B A`` the solve uses, and
+    reused while both operators are alive; ``A* B A`` and the solve still
+    run on every call.
     """
     a, b, x = problem.a, problem.b, problem.x
     quad = None if a.is_diagonal and b.is_diagonal else _trend_matrix(a, b)
-    report = _positivity(a, b, quad)
+    report = _certified(a, b, quad)
     if not report.passed:
         raise PositivityError(
             "smoothing operator fails nonnegativity "

@@ -8,7 +8,9 @@ Operator documents::
 
 A kernel document builds a dense operator that keeps the kernel recipe, so
 it serializes back to the same document.  ``basis`` and ``codomain_basis``
-name one of ``BASES``.  Every number must be a finite JSON number.
+name one of ``BASES``, and must agree with the kind: a kernel operator acts
+on ``sine-dirichlet``, and a diagonal one maps its basis to itself.  Every
+number must be a finite JSON number.
 
 Covariance documents::
 
@@ -147,6 +149,11 @@ def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:
     basis = _basis(obj.get("basis", BASIS_EUCLIDEAN), "basis")
     codomain = _basis(obj.get("codomain_basis", basis), "codomain_basis")
     if kind == "diagonal":
+        if codomain != basis:
+            raise SpecError(
+                "codomain_basis of a diagonal operator must equal its basis "
+                f"{basis!r}, got {codomain!r}"
+            )
         mult = obj.get("multipliers")
         if mult is None:
             raise SpecError("diagonal operator spec needs 'multipliers'")
@@ -157,6 +164,12 @@ def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:
             raise SpecError("dense operator spec needs 'rows'")
         op = dense_operator(_finite(rows, "operator rows"), basis, codomain)
     elif kind == "kernel":
+        for key in ("basis", "codomain_basis"):
+            if obj.get(key, BASIS_SINE) != BASIS_SINE:
+                raise SpecError(
+                    f"{key} of a kernel operator must be {BASIS_SINE!r}, "
+                    f"got {obj[key]!r}"
+                )
         name = obj.get("name")
         if name is None:
             raise SpecError("kernel operator spec needs 'name'")

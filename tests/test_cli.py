@@ -543,6 +543,52 @@ class TestErrorExits:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["filter", "optimal-b", "scale"])
+    @pytest.mark.parametrize(
+        "operator, field, kind",
+        [
+            (
+                {"kind": "kernel", "name": "dirichlet_green", "basis": "abstract-euclidean"},
+                "basis",
+                "kernel",
+            ),
+            (
+                {
+                    "kind": "kernel",
+                    "name": "dirichlet_green",
+                    "codomain_basis": "abstract-euclidean",
+                },
+                "codomain_basis",
+                "kernel",
+            ),
+            (
+                {
+                    "kind": "diagonal",
+                    "multipliers": [1] * 5,
+                    "basis": "abstract-euclidean",
+                    "codomain_basis": "sine-dirichlet",
+                },
+                "codomain_basis",
+                "diagonal",
+            ),
+        ],
+        ids=["kernel-basis", "kernel-codomain", "diagonal-codomain"],
+    )
+    def test_basis_contradicting_the_kind_rejected(
+        self, ramp_config, tmp_path, capsys, command, operator, field, kind
+    ):
+        cfg_path, dim = ramp_config
+        (tmp_path / "x.csv").write_text("1.0\n" * dim)
+        doc = json.loads(cfg_path.read_text())
+        doc.update({"input_path": "x.csv", "scale_n": 1, "operator": operator})
+        _write_config(cfg_path, doc)
+        out = tmp_path / "out"
+        assert _run(command, "--config", cfg_path, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} of a {kind} operator")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_scale_index_precedence(self, ramp_config, tmp_path):
         cfg_path, _ = ramp_config
         doc = json.loads(cfg_path.read_text())

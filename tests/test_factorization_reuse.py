@@ -5,7 +5,9 @@ change that factorizes ``sigma_u + Q_v`` per conditional mean, or
 eigendecomposes ``A* B A`` for a passing positivity check, fails here.
 """
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from ophp import (
     sample_joint,
     solve_filter,
 )
+from ophp.filter import _VERDICTS
 from ophp.gaussian import regression_slope
 from ophp.instances import ramp_model
 from ophp.operators import add, psd_inverse
@@ -131,3 +134,57 @@ class TestTrendSystem:
         report = positivity_check(a, diagonal_operator([0.0, 1.0, 2.0]))
         assert report.passed and report.witness is None
         assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+    def test_second_solve_on_the_same_pair_runs_no_eigensolver(self, calls):
+        rng = np.random.default_rng(4)
+        a = dense_operator(rng.standard_normal((5, 5)))
+        b = dense_operator(_spd(5, rng))
+        x = CoeffVector(rng.standard_normal(5))
+        first = solve_filter(FilterProblem(a, x, b))
+        assert calls["eigvalsh"] == 1
+        second = solve_filter(FilterProblem(a, x, b))
+        assert calls["eigvalsh"] == 1 and calls["eigh"] == 0
+        assert first.coeffs.tobytes() == second.coeffs.tobytes()
+
+    def test_equal_values_are_certified_again(self, calls):
+        rng = np.random.default_rng(5)
+        amat, bmat = rng.standard_normal((5, 5)), _spd(5, rng)
+        x = CoeffVector(rng.standard_normal(5))
+        solve_filter(FilterProblem(dense_operator(amat), x, dense_operator(bmat)))
+        assert calls["eigvalsh"] == 1
+        solve_filter(FilterProblem(dense_operator(amat), x, dense_operator(bmat)))
+        assert calls["eigvalsh"] == 2
+
+    def test_failing_pair_raises_the_same_error_from_one_witness(self, calls):
+        rng = np.random.default_rng(3)
+        a = dense_operator(rng.standard_normal((5, 5)))
+        b = dense_operator(_spd(5, rng, -1.0, 1.0))
+        x = CoeffVector(rng.standard_normal(5))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(PositivityError) as caught:
+                solve_filter(FilterProblem(a, x, b))
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert calls["eigh"] == 1
+
+    def test_dropped_pair_leaves_nothing_cached(self):
+        rng = np.random.default_rng(6)
+        a = dense_operator(rng.standard_normal((5, 5)))
+        b = dense_operator(_spd(5, rng))
+        solve_filter(FilterProblem(a, CoeffVector(rng.standard_normal(5)), b))
+        assert a in _VERDICTS[b]
+        refs = [weakref.ref(a), weakref.ref(b), weakref.ref(_VERDICTS[b])]
+        del a, b
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+
+    def test_positivity_check_is_not_cached(self, calls):
+        rng = np.random.default_rng(7)
+        a = dense_operator(rng.standard_normal((5, 5)))
+        b = dense_operator(_spd(5, rng))
+        solve_filter(FilterProblem(a, CoeffVector(rng.standard_normal(5)), b))
+        assert calls["eigvalsh"] == 1
+        positivity_check(a, b)
+        positivity_check(a, b)
+        assert calls["eigvalsh"] == 3

@@ -47,6 +47,28 @@ class TestOperatorSpecs:
         with pytest.raises(SpecError):
             parse_operator({"kind": "diagonal", "multipliers": [1, 2]}, dim=3)
 
+    def test_declarations_that_agree_with_the_kind_are_kept(self):
+        kernel = parse_operator(
+            {
+                "kind": "kernel",
+                "name": "dirichlet_green",
+                "grid_points": 64,
+                "basis": "sine-dirichlet",
+                "codomain_basis": "sine-dirichlet",
+            },
+            dim=4,
+        )
+        assert kernel.domain_basis == kernel.codomain_basis == "sine-dirichlet"
+        diag = parse_operator(
+            {
+                "kind": "diagonal",
+                "multipliers": [1, 2],
+                "basis": "sine-dirichlet",
+                "codomain_basis": "sine-dirichlet",
+            }
+        )
+        assert diag.domain_basis == diag.codomain_basis == "sine-dirichlet"
+
     def test_round_trip(self):
         doc = {"kind": "diagonal", "multipliers": [0.0, 2.0], "basis": "abstract-euclidean"}
         assert operator_to_json(parse_operator(doc)) == doc
