@@ -26,7 +26,7 @@ from .filter import (
     filter_multipliers,
     solve_filter,
 )
-from .gaussian import GaussianModel, ModelError, sample_joint
+from .gaussian import GaussianModel, ModelError, sample_joint, sample_joint_blocks
 from .operators import (
     BASIS_EUCLIDEAN,
     BASIS_SINE,
@@ -400,30 +400,35 @@ def cmd_example(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    model, _ = _model(cfg)
-    out = _out_dir(args, cfg)
     count = int(args.count)
     if count < 1:
         raise InputError("--count must be at least 1")
-    data = sample_joint(model, count, cfg.seed)
+    cfg = _load(args)
+    model, _ = _model(cfg)
+    out = _out_dir(args, cfg)
     components = [f",{j}" for j in range(model.dim)]
+    sum_u, sum_x = np.zeros(model.dim), np.zeros(model.dim)
     with open(out / "samples.csv", "w") as fh:
         fh.write("draw,component,u,v,y,x\n")
-        for start in range(0, count, SAMPLE_BLOCK_DRAWS):
-            draws = range(start, min(start + SAMPLE_BLOCK_DRAWS, count))
-            keys = [f"{i}{c}" for i in draws for c in components]
-            block = slice(start, draws.stop)
-            columns = (data.u[block], data.v[block], data.y[block], data.x[block])
-            fh.write(_csv_rows(keys, columns))
+        for rows, *block in sample_joint_blocks(model, count, cfg.seed):
+            for start in range(rows.start, rows.stop, SAMPLE_BLOCK_DRAWS):
+                draws = range(start, min(start + SAMPLE_BLOCK_DRAWS, rows.stop))
+                keys = [f"{i}{c}" for i in draws for c in components]
+                part = slice(start - rows.start, draws.stop - rows.start)
+                fh.write(_csv_rows(keys, [column[part] for column in block]))
+            # One row at a time, in draw order: the sums of ``mean(axis=0)``.
+            u, _, _, x = block
+            for row_u, row_x in zip(u, x):
+                sum_u += row_u
+                sum_x += row_x
     write_json(
         out / "simulate_summary.json",
         {
             "count": count,
             "seed": cfg.seed,
             "dim": model.dim,
-            "mean_x": data.x.mean(axis=0).tolist(),
-            "mean_u_norm": float(np.linalg.norm(data.u.mean(axis=0))),
+            "mean_x": (sum_x / count).tolist(),
+            "mean_u_norm": float(np.linalg.norm(sum_u / count)),
         },
     )
     return 0

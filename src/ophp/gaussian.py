@@ -271,13 +271,15 @@ class JointSample:
         return int(self.x.shape[0])
 
 
-DEFAULT_CHUNK = 1 << 14
 # Rows transformed at a time. OpenBLAS's x86-64 DGEMM walks the rows of a
 # product in panels of 192, and a product of a few rows takes another path;
 # blocks of two panels, with a tail under one panel joined to the block
 # before it, give every row the bits of one product over the whole chunk
 # when BLAS runs on one thread.
 BLOCK_ROWS = 384
+# Draws per (seed, chunk) stream: three whole blocks, so the sampler holds
+# one chunk of standard normals whatever the draw count.
+DEFAULT_CHUNK = 3 * BLOCK_ROWS
 
 
 def _row_blocks(count: int) -> Iterator[slice]:
@@ -291,12 +293,7 @@ def _row_blocks(count: int) -> Iterator[slice]:
 
 
 def sample_joint_blocks(
-    model: GaussianModel,
-    count: int,
-    seed: int,
-    zu: np.ndarray,
-    zv: np.ndarray | None,
-    chunk_size: int = DEFAULT_CHUNK,
+    model: GaussianModel, count: int, seed: int, chunk_size: int = DEFAULT_CHUNK
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Draw ``count`` joint samples of (u, v, y, x) and yield them a block
     of rows at a time, as ``(rows, u, v, y, x)``.
@@ -307,12 +304,10 @@ def sample_joint_blocks(
     are identically zero.  Draws are produced in fixed-size chunks whose
     streams are seeded by (seed, chunk index) -- the declared splitting rule
     -- so chunked or parallel generation yields identical output.  Each
-    chunk's u block is drawn into its rows of ``zu`` (``count x dim``), then
-    its v block into its rows of ``zv`` (``count x codim``, or one chunk of
-    scratch when ``None``).  The draws are transformed a block of rows at a
-    time into scratch arrays of one block, which are yielded and then reused
-    for the next block.  Once a block is yielded, the caller may overwrite
-    its rows of ``zu`` and ``zv``.
+    chunk's u block and then its v block are drawn into two buffers of one
+    chunk, and transformed a block of rows at a time into scratch arrays of
+    one block, which are yielded and then reused for the next block.  Memory
+    is one chunk of normals plus a few blocks, whatever ``count`` is.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -322,16 +317,15 @@ def sample_joint_blocks(
     range_proj = model.pinv_bundle.range_projector
     ainv = model.pinv_bundle.pinv
     y0 = model.y0.coeffs
-    if zv is None:
-        zv_chunk = np.empty((min(chunk_size, count), model.codim))
-    rows = min(count, chunk_size, BLOCK_ROWS + BLOCK_ROWS // 2)
+    chunk = min(count, chunk_size)
+    zu, zv = np.empty((chunk, model.dim)), np.empty((chunk, model.codim))
+    rows = min(chunk, BLOCK_ROWS + BLOCK_ROWS // 2)
     u, y, x = (np.empty((rows, model.dim)) for _ in range(3))
     v, tmp = (np.empty((rows, model.codim)) for _ in range(2))
     for start in range(0, count, chunk_size):
         stop = min(start + chunk_size, count)
         rng = np.random.default_rng([seed, start // chunk_size])
-        zu_rows = zu[start:stop]
-        zv_rows = zv_chunk[: stop - start] if zv is None else zv[start:stop]
+        zu_rows, zv_rows = zu[: stop - start], zv[: stop - start]
         rng.standard_normal(out=zu_rows)
         rng.standard_normal(out=zv_rows)
         for block in _row_blocks(stop - start):
@@ -352,14 +346,13 @@ def sample_joint(
     """Draw joint samples of (u, v, y, x), reproducibly for a fixed seed.
 
     The draws are those of :func:`sample_joint_blocks`, copied into four
-    ``count``-row arrays; the standard normals are drawn into the rows of
-    ``y`` and ``v`` that their transforms then overwrite.
+    ``count``-row arrays.
     """
     u = np.empty((count, model.dim))
     v = np.empty((count, model.codim))
     y = np.empty((count, model.dim))
     x = np.empty((count, model.dim))
-    for rows, *block in sample_joint_blocks(model, count, seed, y, v, chunk_size):
+    for rows, *block in sample_joint_blocks(model, count, seed, chunk_size):
         for whole, part in zip((u, v, y, x), block):
             whole[rows] = part
     return JointSample(u=u, v=v, y=y, x=x)

@@ -24,6 +24,7 @@ algebra built on top of it is written in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -447,11 +448,12 @@ class PinvBundle:
     ``projector_pi`` is the orthogonal projector pinv(A) A onto the
     orthogonal complement of the null space of A (acting on the domain);
     ``projector_complement`` is its complement; ``range_projector`` is
-    A pinv(A) on the codomain.  ``retained`` indexes the components kept:
-    the positions of the nonzero multipliers of a diagonal operator, or the
-    leading ``numerical_rank`` singular triplets of a dense one.  ``svd``
-    retains the factors (U, s, Vt) for dense inputs so spectral consumers
-    can reuse them.
+    A pinv(A) on the codomain.  The last two are formed on first use and
+    kept.  ``retained`` indexes the components kept: the positions of the
+    nonzero multipliers of a diagonal operator, or the leading
+    ``numerical_rank`` singular triplets of a dense one.  ``svd`` retains
+    the factors (U, s, Vt) for dense inputs so spectral consumers can reuse
+    them.
     """
 
     pinv: OperatorRep
@@ -459,9 +461,22 @@ class PinvBundle:
     sv_threshold: float
     retained: np.ndarray
     projector_pi: OperatorRep
-    projector_complement: OperatorRep
-    range_projector: OperatorRep
     svd: tuple | None = None
+
+    @cached_property
+    def projector_complement(self) -> OperatorRep:
+        pi = self.projector_pi
+        if pi.kind == DIAGONAL:
+            return diagonal_operator(1.0 - pi.multipliers, pi.domain_basis)
+        return dense_operator(np.eye(pi.dim_in) - pi.matrix, pi.domain_basis)
+
+    @cached_property
+    def range_projector(self) -> OperatorRep:
+        basis = self.pinv.domain_basis
+        if self.svd is None:
+            return diagonal_operator(self.projector_pi.multipliers, basis)
+        u = self.svd[0][:, : self.numerical_rank]
+        return dense_operator(u @ u.T, basis)
 
 
 def pinv(a: OperatorRep) -> PinvBundle:
@@ -480,15 +495,12 @@ def pinv(a: OperatorRep) -> PinvBundle:
         keep = np.abs(mult) > threshold
         inv = np.zeros_like(mult)
         np.divide(1.0, mult, out=inv, where=keep)
-        pi = keep.astype(float)
         return PinvBundle(
             pinv=diagonal_operator(inv, a.codomain_basis, a.domain_basis),
             numerical_rank=int(keep.sum()),
             sv_threshold=threshold,
             retained=np.nonzero(keep)[0],
-            projector_pi=diagonal_operator(pi, a.domain_basis),
-            projector_complement=diagonal_operator(1.0 - pi, a.domain_basis),
-            range_projector=diagonal_operator(pi, a.codomain_basis),
+            projector_pi=diagonal_operator(keep.astype(float), a.domain_basis),
         )
 
     mat = a.matrix
@@ -499,19 +511,15 @@ def pinv(a: OperatorRep) -> PinvBundle:
     if rank:
         inv_mat = vt[:rank].T @ (u[:, :rank] / s[:rank]).T
         pi_mat = vt[:rank].T @ vt[:rank]
-        range_mat = u[:, :rank] @ u[:, :rank].T
     else:
         inv_mat = np.zeros((a.dim_in, a.dim_out))
         pi_mat = np.zeros((a.dim_in, a.dim_in))
-        range_mat = np.zeros((a.dim_out, a.dim_out))
     return PinvBundle(
         pinv=dense_operator(inv_mat, a.codomain_basis, a.domain_basis),
         numerical_rank=rank,
         sv_threshold=threshold,
         retained=np.arange(rank),
         projector_pi=dense_operator(pi_mat, a.domain_basis),
-        projector_complement=dense_operator(np.eye(a.dim_in) - pi_mat, a.domain_basis),
-        range_projector=dense_operator(range_mat, a.codomain_basis),
         svd=(u, s, vt),
     )
 

@@ -172,22 +172,21 @@ def _whitened_z(
 ) -> np.ndarray:
     """``Z = x~^T r~ / sqrt(draws)`` on the sample that ``simulate`` draws.
 
-    The draws of x are whitened into one ``draws x dim`` array and those of
-    ``r`` into another, a block of rows at a time; each array first holds
-    the standard normals that its rows are made from.
+    Each block of rows the sampler yields is whitened in its own scratch
+    (``x~`` into the u rows, ``r~`` into the x rows) and its product
+    ``x~_b^T r~_b`` is added to one ``dim x dim`` sum, so memory does not
+    grow with ``draws``.
     """
     y0 = model.y0.coeffs
-    wx = np.empty((draws, model.dim))
-    wr = np.empty((draws, model.dim))
-    zv = wr if model.codim == model.dim else None
-    for rows, u, _, y, x in sample_joint_blocks(model, draws, seed, wx, zv):
+    z = np.zeros((model.dim, model.dim))
+    for _, u, _, y, x in sample_joint_blocks(model, draws, seed):
         x -= y0
         y -= y0
         apply_rows(slope, x, out=u)
         y -= u
-        apply_rows(white_x, x, out=wx[rows])
-        apply_rows(white_r, y, out=wr[rows])
-    z = wx.T @ wr
+        apply_rows(white_x, x, out=u)
+        apply_rows(white_r, y, out=x)
+        z += u.T @ x
     z /= math.sqrt(draws)
     return z
 
@@ -226,9 +225,11 @@ def conditional_mean_check(
     comes from the sample Gram matrices and is about ``1 + 2 dim / n`` at
     full rank; ``wh_z`` is divided by its square root.
 
-    The sample is the one ``simulate`` draws at ``seed``, made a block of
-    rows at a time: besides ``Z``, the check holds two ``draws x dim``
-    arrays (the whitened data and residual) and scratch of a few blocks.
+    The sample is the one ``simulate`` draws at ``seed``, made and whitened
+    a block of rows at a time, with ``Z`` summed over the blocks: besides
+    the whitening operators and two ``dim x dim`` arrays, the check holds
+    one sampling chunk of normals and scratch of a few blocks, whatever
+    ``draws`` is.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)

@@ -281,7 +281,7 @@ class TestValidateCommand:
         monkeypatch.setattr(
             validate,
             "sample_joint_blocks",
-            lambda _m, *args: sample_joint_blocks(truth, *args),
+            lambda _m, count, seed: sample_joint_blocks(truth, count, seed),
         )
         wrong = self._dense_64_config(tmp_path / "wrong.json", sigma_v_scale=1.2)
         out = tmp_path / "bad"
@@ -325,6 +325,16 @@ class TestOtherCommands:
         lines = (a / "samples.csv").read_text().splitlines()
         assert lines[0] == "draw,component,u,v,y,x"
         assert len(lines) == 1 + 20 * dim
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_simulate_bad_count_creates_no_directory(
+        self, ramp_config, tmp_path, capsys, count
+    ):
+        cfg_path, _ = ramp_config
+        out = tmp_path / "out"
+        assert _run("simulate", "--config", cfg_path, "--count", count, "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: --count must be at least 1")
+        assert not out.exists()
 
     def test_scale_command(self, tmp_path):
         doc = {

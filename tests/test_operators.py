@@ -192,6 +192,62 @@ class TestPinv:
         dense_bundle = pinv(dense_operator(np.zeros((3, 5))))
         assert dense_bundle.numerical_rank == 0
 
+    @staticmethod
+    def _projector_operators():
+        rng = np.random.default_rng(12)
+        ramp = np.arange(6, dtype=float)
+        return {
+            "diagonal": diagonal_operator(ramp, BASIS_SINE),
+            "diagonal-rank-0": zero(4),
+            "dense-full-rank": dense_operator(rng.standard_normal((5, 5))),
+            "rank-deficient": dense_operator(
+                rng.standard_normal((8, 5)) @ rng.standard_normal((5, 8))
+            ),
+            "rectangular": dense_operator(
+                rng.standard_normal((4, 3)) @ rng.standard_normal((3, 6)),
+                BASIS_SINE,
+                "abstract-euclidean",
+            ),
+            "dense-rank-0": dense_operator(np.zeros((3, 5))),
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["diagonal", "diagonal-rank-0", "dense-full-rank", "rank-deficient",
+         "rectangular", "dense-rank-0"],
+    )
+    def test_lazy_projectors_match_eager_formulas_bitwise(self, name):
+        a = self._projector_operators()[name]
+        bundle = pinv(a)
+        # The formulas pinv evaluated for every bundle before the two
+        # projectors were formed on first use.
+        if a.is_diagonal:
+            pi = bundle.projector_pi.multipliers
+            complement, range_proj = 1.0 - pi, pi
+            stored = "multipliers"
+        else:
+            rank = bundle.numerical_rank
+            u, _, _ = np.linalg.svd(a.matrix, full_matrices=True)
+            complement = np.eye(a.dim_in) - bundle.projector_pi.matrix
+            if rank:
+                range_proj = u[:, :rank] @ u[:, :rank].T
+            else:
+                range_proj = np.zeros((a.dim_out, a.dim_out))
+            stored = "matrix"
+        comp_op, range_op = bundle.projector_complement, bundle.range_projector
+        assert comp_op.kind == range_op.kind == a.kind
+        assert (comp_op.domain_basis, comp_op.codomain_basis) == (a.domain_basis,) * 2
+        assert (range_op.domain_basis, range_op.codomain_basis) == (a.codomain_basis,) * 2
+        np.testing.assert_array_equal(getattr(comp_op, stored), complement)
+        np.testing.assert_array_equal(getattr(range_op, stored), range_proj)
+        assert bundle.projector_complement is comp_op
+        assert bundle.range_projector is range_op
+
+    def test_dense_pinv_leaves_projectors_uncomputed(self):
+        bundle = pinv(self._projector_operators()["rank-deficient"])
+        assert "projector_complement" not in vars(bundle)
+        assert "range_projector" not in vars(bundle)
+
 
 class TestCompose:
     def test_diagonal_stays_diagonal(self):

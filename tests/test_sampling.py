@@ -3,11 +3,12 @@
 ``sample_joint`` fills preallocated outputs a block of rows at a time and is
 compared bitwise with the chunk-list sampler, kept here as a reference; the
 conditional-mean check streams the same draws and is compared bitwise with
-whitening one whole sample in place.  Peak allocations are bounded so that
-full-size temporaries cannot come back unnoticed.  The diagonal grid search
-scores each lattice point on the family's free entries only; it sums in a
-different order from the whole-lattice formula, so the two are compared to
-a relative tolerance and must pick the same argmin.
+whitening one whole sample in place and summing ``Z`` over the sampler's
+blocks.  Peak allocations are bounded so that full-size temporaries cannot
+come back unnoticed; the check's does not grow with the draw count.  The
+diagonal grid search scores each lattice point on the family's free entries
+only; it sums in a different order from the whole-lattice formula, so the
+two are compared to a relative tolerance and must pick the same argmin.
 """
 
 import math
@@ -24,7 +25,7 @@ from ophp import (
     sample_joint,
     validate,
 )
-from ophp.gaussian import BLOCK_ROWS, regression_slope
+from ophp.gaussian import BLOCK_ROWS, DEFAULT_CHUNK, _row_blocks, regression_slope
 from ophp.instances import ramp_model, seeded_sigmas
 from ophp.operators import apply_rows, operator_power
 from ophp.smoothing import (
@@ -112,23 +113,43 @@ MODELS = {
 
 
 def _reference_whitened_z(model, draws, seed, slope, white_x, white_r):
-    # The check before it streamed: whiten one whole joint sample in place.
-    u, _, y, x = _reference_sample_joint(model, draws, seed, 16_384)
+    # Whiten one whole joint sample in place, then sum Z over the blocks of
+    # rows the sampler yields: those of each chunk, in order.
+    u, _, y, x = _reference_sample_joint(model, draws, seed, DEFAULT_CHUNK)
     x -= model.y0.coeffs
     y -= model.y0.coeffs
     apply_rows(slope, x, out=u)
     y -= u
     apply_rows(white_x, x, out=u)
     apply_rows(white_r, y, out=x)
-    z = u.T @ x
+    z = np.zeros((model.dim, model.dim))
+    for start in range(0, draws, DEFAULT_CHUNK):
+        for block in _row_blocks(min(DEFAULT_CHUNK, draws - start)):
+            rows = slice(start + block.start, start + block.stop)
+            z += u[rows].T @ x[rows]
     z /= math.sqrt(draws)
     return z
+
+
+def _peak_allocation(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+# Scratch of the sampler's transforms: five arrays of its largest block.
+def _block_scratch(dim):
+    return 5 * (BLOCK_ROWS + BLOCK_ROWS // 2) * dim * 8
 
 
 class TestSampleJoint:
     @pytest.mark.parametrize("kind", sorted(MODELS))
     @pytest.mark.parametrize(
-        "count,chunk_size", [(1, 4), (37, 5), (40_000, 16_384)]
+        "count,chunk_size", [(1, 4), (37, 5), (40_000, DEFAULT_CHUNK)]
     )
     def test_matches_chunk_list_algorithm_bitwise(self, kind, count, chunk_size):
         model = MODELS[kind]()
@@ -149,21 +170,16 @@ class TestSampleJoint:
         else:
             model = ramp_model(dim, np.linspace(0.5, 2.0, dim), 0.8)
         outputs = 4 * count * dim * 8
-        chunk_draws = min(count, 16_384) * (model.dim + model.codim) * 8
-        tracemalloc.start()
-        try:
-            data = sample_joint(model, count, 7)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        chunk_draws = min(count, DEFAULT_CHUNK) * (model.dim + model.codim) * 8
+        data, peak = _peak_allocation(lambda: sample_joint(model, count, 7))
         assert data.count == count
-        assert peak <= outputs + chunk_draws + (1 << 20)
+        assert peak <= outputs + chunk_draws + _block_scratch(dim) + (1 << 20)
 
 
 class TestStreamedConditionalMean:
     @pytest.mark.parametrize("kind", ["diagonal", "rank-deficient", "rectangular"])
     @pytest.mark.parametrize(
-        "draws", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 16_385, 20_000]
+        "draws", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, DEFAULT_CHUNK + 1, 20_000]
     )
     def test_details_match_whole_sample_bitwise(self, kind, draws, monkeypatch):
         model = MODELS[kind]()
@@ -174,19 +190,20 @@ class TestStreamedConditionalMean:
         assert streamed.status == expected.status
         assert streamed.details == expected.details
 
-    def test_peak_allocation_is_two_samples_plus_a_few_blocks(self):
-        dim, draws = 256, 20_000
+    def test_peak_allocation_does_not_grow_with_draws(self):
+        dim = 256
         model = ramp_model(dim, *seeded_sigmas(dim, 11))
-        samples = 2 * draws * dim * 8
-        blocks = 5 * (BLOCK_ROWS + BLOCK_ROWS // 2) * dim * 8
-        tracemalloc.start()
-        try:
-            result = conditional_mean_check(model, draws=draws, seed=12)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result.details["draws"] == draws
-        assert peak <= samples + blocks + (1 << 20)
+        chunk_draws = DEFAULT_CHUNK * (model.dim + model.codim) * 8
+        z_sums = 2 * dim * dim * 8
+        peaks = []
+        for draws in (20_000, 60_000):
+            result, peak = _peak_allocation(
+                lambda: conditional_mean_check(model, draws=draws, seed=12)
+            )
+            assert result.details["draws"] == draws
+            assert peak <= chunk_draws + _block_scratch(dim) + z_sums + (1 << 20)
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) <= 1 << 20
 
 
 class TestSeparableLatticeSearch:

@@ -3,8 +3,9 @@
 ``simulate`` and the series CSVs format whole blocks of floats at C level,
 and ``write_json`` hands scalar-only containers to the C ``json`` encoder.
 Each is compared byte for byte with the old code, kept here as the
-reference, and ``simulate``'s peak allocation is bounded so that holding
-the whole file's text cannot come back unnoticed.
+reference.  ``simulate`` streams the sampler's blocks to its file, and its
+peak allocation is bounded independently of the draw count, so that holding
+the whole sample or the whole file's text cannot come back unnoticed.
 """
 
 import json
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from ophp import CoeffVector, FilterProblem, optimal_b, sample_joint, solve_filter
 from ophp.cli import SAMPLE_BLOCK_DRAWS, _json_text, main, write_series_csv
+from ophp.gaussian import BLOCK_ROWS, DEFAULT_CHUNK
 from ophp.specs import build_model, load_config
 
 B = SAMPLE_BLOCK_DRAWS
@@ -71,7 +73,9 @@ def _config(tmp_path, kind, dim):
 
 class TestCsv:
     @pytest.mark.parametrize("kind", ["diagonal", "dense"])
-    @pytest.mark.parametrize("count", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize(
+        "count", [1, B - 1, B, B + 1, 2 * B + 3, BLOCK_ROWS + 1, DEFAULT_CHUNK + B + 1]
+    )
     def test_samples_match_per_cell_loop(self, tmp_path, kind, count):
         config = _config(tmp_path, kind, 3)
         out = tmp_path / "out"
@@ -80,6 +84,21 @@ class TestCsv:
         model, _ = build_model(load_config(config))
         expected = _old_samples_csv(sample_joint(model, count, 17), model.dim)
         assert (out / "samples.csv").read_text() == expected
+
+    @pytest.mark.parametrize(
+        "kind,dim,count",
+        [("diagonal", 2, 1), ("dense", 3, DEFAULT_CHUNK + B + 1), ("diagonal", 64, 2000)],
+    )
+    def test_summary_means_match_whole_sample_bitwise(self, tmp_path, kind, dim, count):
+        config = _config(tmp_path, kind, dim)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--count", str(count),
+                     "--out", str(out)]) == 0
+        model, _ = build_model(load_config(config))
+        data = sample_joint(model, count, 17)
+        summary = json.loads((out / "simulate_summary.json").read_text())
+        assert summary["mean_x"] == data.x.mean(axis=0).tolist()
+        assert summary["mean_u_norm"] == float(np.linalg.norm(data.u.mean(axis=0)))
 
     @pytest.mark.parametrize("kind", ["diagonal", "dense"])
     def test_trend_matches_per_cell_loop(self, tmp_path, kind):
@@ -105,22 +124,26 @@ class TestCsv:
         write_series_csv(tmp_path / "s.csv", t, values)
         assert (tmp_path / "s.csv").read_text() == _old_series_csv(t, values)
 
-    def test_simulate_peak_is_samples_plus_one_block(self, tmp_path):
-        dim, count = 64, 2000
+    def test_simulate_peak_does_not_grow_with_count(self, tmp_path):
+        dim = 16
         config = _config(tmp_path, "diagonal", dim)
-        argv = ["simulate", "--config", str(config), "--count", str(count),
-                "--out", str(tmp_path / "out")]
-        samples = 4 * count * dim * 8
-        chunk_draws = count * 2 * dim * 8  # sample_joint's scratch
+        chunk_draws = DEFAULT_CHUNK * 2 * dim * 8  # the sampler's normals
+        blocks = 5 * (BLOCK_ROWS + BLOCK_ROWS // 2) * dim * 8  # and its scratch
         # A row's text, its string object and its share of the float lists.
         block_rows = B * dim * 512
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= samples + chunk_draws + block_rows + (1 << 20)
+        peaks = []
+        for count in (2000, 4000):
+            argv = ["simulate", "--config", str(config), "--count", str(count),
+                    "--out", str(tmp_path / "out")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= chunk_draws + blocks + block_rows + (1 << 20)
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) <= 1 << 20
 
 
 # Floats the encoders must agree on, beyond what st.floats() draws.

@@ -122,7 +122,7 @@ def _check_claim(monkeypatch, claim, truth=None, slope=None, seed=21):
         monkeypatch.setattr(
             validate,
             "sample_joint_blocks",
-            lambda _m, *args: sample_joint_blocks(truth, *args),
+            lambda _m, count, seed: sample_joint_blocks(truth, count, seed),
         )
     if slope is not None:
         monkeypatch.setattr(validate, "regression_slope", lambda _m: slope)
