@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .operators import (
     apply,
     sine_basis_matrix,
 )
-from .scales import rescaled_covariances, scale_weights, trace_class_threshold
+from .scales import rescaled_covariances, scale_index, scale_weights
 from .smoothing import SingularCovarianceError, _assemble, optimal_b
 from .specs import (
     RunConfig,
@@ -44,6 +45,7 @@ from .specs import (
     build_model,
     load_config,
     operator_to_json,
+    parse_config,
     read_float,
     read_int,
 )
@@ -186,17 +188,24 @@ def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
     return w
 
 
+def _check_resolution(points: int, dim: int) -> None:
+    """A sine projection on ``points`` samples keeps at most ``points - 2`` modes."""
+    if points - 2 < dim:
+        raise InputError(f"{points} samples cannot resolve {dim} sine modes")
+
+
 def project_series(
     t: np.ndarray | None, values: np.ndarray, dim: int, basis_id: str
-) -> tuple[CoeffVector, np.ndarray]:
-    """Project samples onto the declared basis; returns (coeffs, node grid)."""
+) -> tuple[CoeffVector, np.ndarray, np.ndarray]:
+    """Project samples onto the declared basis; returns (coeffs, node grid,
+    samples in grid order)."""
     if basis_id == BASIS_EUCLIDEAN:
         if values.shape[0] != dim:
             raise InputError(
                 f"series length {values.shape[0]} does not match truncation_dim {dim}"
             )
         grid = np.arange(dim, dtype=float) if t is None else t
-        return CoeffVector(values, BASIS_EUCLIDEAN), grid
+        return CoeffVector(values, BASIS_EUCLIDEAN), grid, values
     if t is None:
         t = np.linspace(0.0, 1.0, values.shape[0])
     order = np.argsort(t)
@@ -206,14 +215,11 @@ def project_series(
         raise InputError("sample grid must be strictly increasing")
     if t[0] < -GRID_BOUND_TOL or t[-1] > 1.0 + GRID_BOUND_TOL:
         raise InputError("sample grid must lie in [0, 1]")
-    if values.shape[0] - 2 < dim:
-        raise InputError(
-            f"{values.shape[0]} samples cannot resolve {dim} sine modes"
-        )
+    _check_resolution(values.shape[0], dim)
     weights = _trapezoid_weights(t)
     basis_vals = sine_basis_matrix(t, dim)
     coeffs = basis_vals.T @ (weights * values)
-    return CoeffVector(coeffs, BASIS_SINE), t
+    return CoeffVector(coeffs, BASIS_SINE), t, values
 
 
 def synthesize_series(x: CoeffVector, t: np.ndarray) -> np.ndarray:
@@ -229,6 +235,8 @@ def synthesize_series(x: CoeffVector, t: np.ndarray) -> np.ndarray:
 
 
 def _out_dir(args, cfg: RunConfig | None = None) -> Path:
+    """The output directory, created if missing.  Commands call it just
+    before their first write, so a request that fails writes nothing."""
     if args.out is not None:
         out = Path(args.out)
     elif cfg is not None and cfg.output_path is not None:
@@ -239,26 +247,6 @@ def _out_dir(args, cfg: RunConfig | None = None) -> Path:
     return out
 
 
-def _load(args) -> RunConfig:
-    if args.config is None:
-        raise InputError("--config is required for this command")
-    cfg = load_config(args.config)
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = read_int(args.seed, "--seed", 0)
-    if getattr(args, "dim", None) is not None:
-        updates["truncation_dim"] = read_int(args.dim, "--dim", 2)
-    if getattr(args, "scale_n", None) is not None:
-        updates["scale_n"] = read_int(args.scale_n, "--scale-n", 0)
-    if getattr(args, "input", None) is not None:
-        updates["input_path"] = Path(args.input)
-    if updates:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **updates)
-    return cfg
-
-
 def _model(cfg: RunConfig):
     try:
         return build_model(cfg)
@@ -266,21 +254,40 @@ def _model(cfg: RunConfig):
         raise InputError(str(exc)) from exc
 
 
+def _request(args):
+    """``(config, model, decay declaration)`` of a request, with the
+    command-line overrides applied to the config."""
+    if args.config is None:
+        raise InputError("--config is required for this command")
+    cfg = load_config(args.config)
+    updates = {}
+    if args.seed is not None:
+        updates["seed"] = read_int(args.seed, "--seed", 0)
+    if args.dim is not None:
+        updates["truncation_dim"] = read_int(args.dim, "--dim", 2)
+    if getattr(args, "scale_n", None) is not None:
+        updates["scale_n"] = read_int(args.scale_n, "--scale-n", 0)
+    if getattr(args, "input", None) is not None:
+        updates["input_path"] = Path(args.input)
+    if updates:
+        cfg = replace(cfg, **updates)
+    return (cfg, *_model(cfg))
+
+
 def cmd_filter(args) -> int:
-    cfg = _load(args)
-    model, _ = _model(cfg)
-    out = _out_dir(args, cfg)
+    cfg, model, _ = _request(args)
     if cfg.input_path is None:
         raise InputError("filter needs an input series (input_path or --input)")
     t_in, values = read_series_csv(cfg.input_path)
-    x, grid = project_series(t_in, values, model.dim, model.a.domain_basis)
+    x, grid, samples = project_series(t_in, values, model.dim, model.a.domain_basis)
     if args.estimate_y0:
         y0_est = apply(model.pinv_bundle.projector_complement, x)
         model = GaussianModel.build(model.a, model.sigma_u, model.sigma_v, y0=y0_est)
     bhat = optimal_b(model)
     trend = solve_filter(FilterProblem(model.a, x, bhat))
     trend_values = synthesize_series(trend, grid)
-    residual_values = values - trend_values
+    residual_values = samples - trend_values
+    out = _out_dir(args, cfg)
     write_series_csv(out / "trend.csv", grid, trend_values)
     write_series_csv(out / "residual.csv", grid, residual_values)
     summary = {
@@ -304,12 +311,10 @@ def cmd_filter(args) -> int:
 
 
 def cmd_optimal_b(args) -> int:
-    cfg = _load(args)
-    model, _ = _model(cfg)
-    out = _out_dir(args, cfg)
+    cfg, model, _ = _request(args)
     bhat = optimal_b(model)
     write_json(
-        out / "bhat.json",
+        _out_dir(args, cfg) / "bhat.json",
         {
             "bhat": operator_to_json(bhat),
             "numerical_rank": model.pinv_bundle.numerical_rank,
@@ -321,58 +326,23 @@ def cmd_optimal_b(args) -> int:
 
 
 def cmd_example(args) -> int:
-    which = int(args.which)
+    multipliers, basis, kappa_decay = instances.EXAMPLES[int(args.which)]
     dim = read_int(8 if args.dim is None else args.dim, "--dim", 2)
     seed = read_int(0 if args.seed is None else args.seed, "--seed", 0)
     grid_points = read_int(args.grid_points, "--grid-points", 2)
+    su, sv = instances.seeded_sigmas(dim, seed)
     if args.sigma_u is not None:
         su = np.full(dim, read_float(args.sigma_u, "--sigma-u"))
-    else:
-        su = instances.seeded_sigmas(dim, seed)[0]
     if args.sigma_v is not None:
         sv = np.full(dim, read_float(args.sigma_v, "--sigma-v"))
-    else:
-        sv = instances.seeded_sigmas(dim, seed)[1]
-    out = _out_dir(args)
-
-    if which == 1:
-        a_mult = instances.ramp_multipliers(dim)
-        basis = BASIS_EUCLIDEAN
-        model = instances.ramp_model(dim, su, sv)
-        bhat_expected = instances.expected_ramp_bhat(su, sv)
-        scale_doc = {
-            "kappa_decay": instances.RAMP_KAPPA_DECAY,
-            "sigma_u_decay": 0.0,
-            "sigma_v_decay": 0.0,
-        }
-    elif which == 2:
-        a_mult = instances.laplacian_multipliers(dim)
-        basis = BASIS_SINE
-        model = instances.laplacian_model(dim, su, sv)
-        bhat_expected = su / sv
-        scale_doc = {
-            "kappa_decay": instances.LAPLACIAN_KAPPA_DECAY,
-            "sigma_u_decay": 0.0,
-            "sigma_v_decay": 0.0,
-        }
-    else:
-        raise InputError("--which must be 1 or 2")
-    filter_expected = instances.expected_filter_multipliers(a_mult, bhat_expected)
-
-    draw = sample_joint(model, 1, seed)
-    x = CoeffVector(draw.x[0], basis)
-    if basis == BASIS_EUCLIDEAN:
-        grid = np.arange(dim, dtype=float)
-        samples = x.coeffs
-    else:
+    if basis == BASIS_SINE:
+        _check_resolution(grid_points, dim)
         grid = np.linspace(0.0, 1.0, grid_points)
-        samples = synthesize_series(x, grid)
+    else:
+        grid = np.arange(dim, dtype=float)
 
-    operator_doc = {
-        "kind": "diagonal",
-        "multipliers": a_mult.tolist(),
-        "basis": basis,
-    }
+    a_mult = multipliers(dim)
+    operator_doc = {"kind": "diagonal", "multipliers": a_mult.tolist(), "basis": basis}
     sigma_u_doc = {"kind": "diagonal", "values": su.tolist()}
     sigma_v_doc = {"kind": "diagonal", "values": sv.tolist()}
     config_doc = {
@@ -382,13 +352,22 @@ def cmd_example(args) -> int:
         "truncation_dim": dim,
         "seed": seed,
         "input_path": "x.csv",
-        "scale": scale_doc,
+        "scale": dict(kappa_decay=kappa_decay, sigma_u_decay=0.0, sigma_v_decay=0.0),
     }
+    # Read back as every other command reads it: an instance that they would
+    # refuse is refused here, before anything is written.
+    model, _ = _model(parse_config(config_doc))
+    optimal_b(model)
+    bhat_expected = instances.expected_bhat(a_mult, su, sv)
+    filter_expected = instances.expected_filter_multipliers(a_mult, bhat_expected)
+    x = CoeffVector(sample_joint(model, 1, seed).x[0], basis)
+
+    out = _out_dir(args)
     write_json(out / "operator.json", operator_doc)
     write_json(out / "sigma_u.json", sigma_u_doc)
     write_json(out / "sigma_v.json", sigma_v_doc)
     write_json(out / "config.json", config_doc)
-    write_series_csv(out / "x.csv", grid, samples)
+    write_series_csv(out / "x.csv", grid, synthesize_series(x, grid))
     write_json(
         out / "expected.json",
         {
@@ -403,11 +382,10 @@ def cmd_simulate(args) -> int:
     count = int(args.count)
     if count < 1:
         raise InputError("--count must be at least 1")
-    cfg = _load(args)
-    model, _ = _model(cfg)
-    out = _out_dir(args, cfg)
+    cfg, model, _ = _request(args)
     components = [f",{j}" for j in range(model.dim)]
     sum_u, sum_x = np.zeros(model.dim), np.zeros(model.dim)
+    out = _out_dir(args, cfg)
     with open(out / "samples.csv", "w") as fh:
         fh.write("draw,component,u,v,y,x\n")
         for rows, *block in sample_joint_blocks(model, count, cfg.seed):
@@ -435,12 +413,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load(args)
-    model, decay = _model(cfg)
-    out = _out_dir(args, cfg)
+    cfg, model, decay = _request(args)
     report = run_validation(
         model, seed=cfg.seed, scale_n=cfg.scale_n, decay=decay, **(cfg.extras or {})
     )
+    out = _out_dir(args, cfg)
     for check in report.checks:
         print(f"[{check.status}] {check.name}")
     write_json(out / "validation.json", report.to_json())
@@ -452,11 +429,8 @@ def _multipliers(op) -> list | None:
 
 
 def cmd_scale(args) -> int:
-    cfg = _load(args)
-    model, decay = _model(cfg)
-    out = _out_dir(args, cfg)
-    n0 = trace_class_threshold(model, decay) if decay is not None else None
-    n = n0 if cfg.scale_n is None else cfg.scale_n
+    cfg, model, decay = _request(args)
+    n, n0 = scale_index(cfg.scale_n, decay)
     if n is None:
         raise InputError(
             "no scale index: set scale_n or supply decay exponents in 'scale'"
@@ -464,7 +438,7 @@ def cmd_scale(args) -> int:
     weights = scale_weights(model.a, n, model.pinv_bundle)
     su, sv = rescaled_covariances(model, n)
     scaled = _assemble(model.a, model.pinv_bundle, su, sv)
-    white = white_noise_scale_check(model, decay=decay, n=n)
+    white = white_noise_scale_check(model, n, n0)
     doc = {
         "n": int(n),
         "threshold_n0": n0,
@@ -476,7 +450,7 @@ def cmd_scale(args) -> int:
         "scaled_bhat_multipliers": _multipliers(scaled),
         "white_noise_check": white.to_json(),
     }
-    write_json(out / "scale.json", doc)
+    write_json(_out_dir(args, cfg) / "scale.json", doc)
     return 0
 
 
@@ -496,8 +470,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="path to a run configuration JSON file",
                         required=False)
     _add_outputs(parser)
-    parser.add_argument("--scale-n", dest="scale_n", type=int, default=None,
-                        help="override the scale index")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,13 +507,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1000, help="number of draws")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("validate", help="run the numerical validation suite")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("scale", help="rescaled covariances and smoother")
-    _add_common(p)
-    p.set_defaults(func=cmd_scale)
+    for name, func, text in (
+        ("validate", cmd_validate, "run the numerical validation suite"),
+        ("scale", cmd_scale, "rescaled covariances and smoother"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.add_argument("--scale-n", dest="scale_n", type=int, default=None,
+                       help="override the scale index")
+        p.set_defaults(func=func)
 
     return parser
 

@@ -293,7 +293,7 @@ def _row_blocks(count: int) -> Iterator[slice]:
 
 
 def sample_joint_blocks(
-    model: GaussianModel, count: int, seed: int, chunk_size: int = DEFAULT_CHUNK
+    model: GaussianModel, count: int, seed: int
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Draw ``count`` joint samples of (u, v, y, x) and yield them a block
     of rows at a time, as ``(rows, u, v, y, x)``.
@@ -301,30 +301,29 @@ def sample_joint_blocks(
     Noise is generated through symmetric square roots of the covariances
     applied to standard normal coefficient vectors; the signal-noise draw is
     projected onto the range of the operator, so components orthogonal to it
-    are identically zero.  Draws are produced in fixed-size chunks whose
-    streams are seeded by (seed, chunk index) -- the declared splitting rule
-    -- so chunked or parallel generation yields identical output.  Each
-    chunk's u block and then its v block are drawn into two buffers of one
-    chunk, and transformed a block of rows at a time into scratch arrays of
-    one block, which are yielded and then reused for the next block.  Memory
-    is one chunk of normals plus a few blocks, whatever ``count`` is.
+    are identically zero.  Draws are produced in chunks of ``DEFAULT_CHUNK``
+    whose streams are seeded by (seed, chunk index) -- the declared
+    splitting rule -- so chunked or parallel generation yields identical
+    output.  Each chunk's u block and then its v block are drawn into two
+    buffers of one chunk, and transformed a block of rows at a time into
+    scratch arrays of one block, which are yielded and then reused for the
+    next block.  Memory is one chunk of normals plus a few blocks, whatever
+    ``count`` is.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
     root_u, root_v = model._roots
     range_proj = model.pinv_bundle.range_projector
     ainv = model.pinv_bundle.pinv
     y0 = model.y0.coeffs
-    chunk = min(count, chunk_size)
+    chunk = min(count, DEFAULT_CHUNK)
     zu, zv = np.empty((chunk, model.dim)), np.empty((chunk, model.codim))
     rows = min(chunk, BLOCK_ROWS + BLOCK_ROWS // 2)
     u, y, x = (np.empty((rows, model.dim)) for _ in range(3))
     v, tmp = (np.empty((rows, model.codim)) for _ in range(2))
-    for start in range(0, count, chunk_size):
-        stop = min(start + chunk_size, count)
-        rng = np.random.default_rng([seed, start // chunk_size])
+    for start in range(0, count, DEFAULT_CHUNK):
+        stop = min(start + DEFAULT_CHUNK, count)
+        rng = np.random.default_rng([seed, start // DEFAULT_CHUNK])
         zu_rows, zv_rows = zu[: stop - start], zv[: stop - start]
         rng.standard_normal(out=zu_rows)
         rng.standard_normal(out=zv_rows)
@@ -340,9 +339,7 @@ def sample_joint_blocks(
             yield slice(start + block.start, start + block.stop), bu, bv, by, bx
 
 
-def sample_joint(
-    model: GaussianModel, count: int, seed: int, chunk_size: int = DEFAULT_CHUNK
-) -> JointSample:
+def sample_joint(model: GaussianModel, count: int, seed: int) -> JointSample:
     """Draw joint samples of (u, v, y, x), reproducibly for a fixed seed.
 
     The draws are those of :func:`sample_joint_blocks`, copied into four
@@ -352,7 +349,7 @@ def sample_joint(
     v = np.empty((count, model.codim))
     y = np.empty((count, model.dim))
     x = np.empty((count, model.dim))
-    for rows, *block in sample_joint_blocks(model, count, seed, chunk_size):
+    for rows, *block in sample_joint_blocks(model, count, seed):
         for whole, part in zip((u, v, y, x), block):
             whole[rows] = part
     return JointSample(u=u, v=v, y=y, x=x)

@@ -27,9 +27,6 @@ from .operators import (
     diagonal_operator,
 )
 
-RAMP_KAPPA_DECAY = 2.0  # ramp singular values grow like j
-LAPLACIAN_KAPPA_DECAY = 4.0  # Laplacian eigenvalues grow like n**2
-
 
 def ramp_multipliers(dim: int) -> np.ndarray:
     mult = np.arange(1, dim + 1, dtype=float)
@@ -52,6 +49,14 @@ def laplacian_operator(dim: int) -> OperatorRep:
     return diagonal_operator(laplacian_multipliers(dim), BASIS_SINE)
 
 
+# The instances of ``ophp example --which``: the operator's multipliers, its
+# basis, and the exponent p of its scale eigenvalues kappa_j ~ j**p.
+EXAMPLES = {
+    1: (ramp_multipliers, BASIS_EUCLIDEAN, 2.0),  # singular values grow like j
+    2: (laplacian_multipliers, BASIS_SINE, 4.0),  # eigenvalues grow like n**2
+}
+
+
 def _as_diagonal(values, dim: int, basis_id: str) -> OperatorRep:
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 0:
@@ -61,10 +66,10 @@ def _as_diagonal(values, dim: int, basis_id: str) -> OperatorRep:
     return diagonal_operator(arr, basis_id)
 
 
-def seeded_sigmas(dim: int, seed: int, low: float = 0.5, high: float = 2.0):
-    """Seeded strictly positive covariance diagonals (observation, signal)."""
+def seeded_sigmas(dim: int, seed: int):
+    """Seeded covariance diagonals (observation, signal), uniform on [0.5, 2)."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(low, high, dim), rng.uniform(low, high, dim)
+    return rng.uniform(0.5, 2.0, dim), rng.uniform(0.5, 2.0, dim)
 
 
 def ramp_model(
@@ -93,13 +98,12 @@ def laplacian_model(dim: int, sigma_u, sigma_v) -> GaussianModel:
 # ---------------------------------------------------------------------------
 
 
-def expected_ramp_bhat(sigma_u, sigma_v) -> np.ndarray:
-    """(0, su_2/sv_2, su_3/sv_3, ...) for the ramp operator."""
+def expected_bhat(a_multipliers, sigma_u, sigma_v) -> np.ndarray:
+    """Componentwise su_j / sv_j where a_j != 0, and 0 where a_j = 0."""
+    a = np.asarray(a_multipliers, dtype=float)
     su = np.asarray(sigma_u, dtype=float)
     sv = np.asarray(sigma_v, dtype=float)
-    out = su / sv
-    out[0] = 0.0
-    return out
+    return np.divide(su, sv, out=np.zeros_like(su), where=a != 0.0)
 
 
 def expected_filter_multipliers(a_multipliers, bhat_multipliers) -> np.ndarray:

@@ -164,11 +164,12 @@ class OperatorRep:
         """Explicit promotion to a dense matrix.
 
         Diagonal operators stay diagonal in all module operations; this is
-        the single deliberate escape hatch.
+        the single deliberate escape hatch.  A dense operator returns its
+        stored matrix, which is read-only.
         """
         if self.kind == DIAGONAL:
             return np.diag(self.multipliers)
-        return self.matrix.copy()
+        return self.matrix
 
 
 def diagonal_operator(
@@ -272,11 +273,6 @@ def kernel_operator(
 # ---------------------------------------------------------------------------
 
 
-def _matrix(op: OperatorRep) -> np.ndarray:
-    # Like as_matrix, without copying a dense operator's read-only matrix.
-    return np.diag(op.multipliers) if op.kind == DIAGONAL else op.matrix
-
-
 def apply(op: OperatorRep, x: CoeffVector) -> CoeffVector:
     """Apply the operator to a coefficient vector.
 
@@ -342,7 +338,9 @@ def compose(s: OperatorRep, t: OperatorRep) -> OperatorRep:
         return diagonal_operator(
             s.multipliers * t.multipliers, t.domain_basis, s.codomain_basis
         )
-    return dense_operator(_matrix(s) @ _matrix(t), t.domain_basis, s.codomain_basis)
+    return dense_operator(
+        s.as_matrix() @ t.as_matrix(), t.domain_basis, s.codomain_basis
+    )
 
 
 def add(s: OperatorRep, t: OperatorRep) -> OperatorRep:
@@ -355,7 +353,9 @@ def add(s: OperatorRep, t: OperatorRep) -> OperatorRep:
         return diagonal_operator(
             s.multipliers + t.multipliers, s.domain_basis, s.codomain_basis
         )
-    return dense_operator(_matrix(s) + _matrix(t), s.domain_basis, s.codomain_basis)
+    return dense_operator(
+        s.as_matrix() + t.as_matrix(), s.domain_basis, s.codomain_basis
+    )
 
 
 def scalar_multiple(op: OperatorRep, c: float) -> OperatorRep:

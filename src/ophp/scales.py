@@ -89,9 +89,7 @@ def rescaled_covariances(
     )
 
 
-def trace_class_threshold(
-    model: GaussianModel, decay: DecayDeclaration
-) -> int | None:
+def trace_class_threshold(decay: DecayDeclaration) -> int | None:
     """Least scale index making both rescaled covariances summable.
 
     With kappa_j ~ j**p and sigma_j ~ j**(-q), the rescaled entries behave
@@ -112,6 +110,18 @@ def trace_class_threshold(
     if need_u is None or need_v is None:
         return None
     return max(need_u, need_v)
+
+
+def scale_index(
+    scale_n: int | None, decay: DecayDeclaration | None
+) -> tuple[int | None, int | None]:
+    """The scale index to use and the least trace-class index, ``(n, n0)``.
+
+    ``n0`` comes from the decay declaration, if there is one; ``n`` is the
+    configured ``scale_n`` if set, else ``n0``.  Either may be ``None``.
+    """
+    n0 = None if decay is None else trace_class_threshold(decay)
+    return (n0 if scale_n is None else scale_n), n0
 
 
 def scaled_optimal_b(model: GaussianModel, n: int) -> OperatorRep:

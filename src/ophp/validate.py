@@ -35,7 +35,7 @@ from .operators import (
     psd_inverse,
     scalar_multiple,
 )
-from .scales import scaled_optimal_b, trace_class_threshold
+from .scales import scale_index, scaled_optimal_b
 from .smoothing import LATTICE_POINTS, grid_search_oracle, optimal_b
 
 PASS = "PASS"
@@ -350,14 +350,14 @@ def commutation_check(model: GaussianModel) -> CheckResult:
 
 
 def white_noise_scale_check(
-    model: GaussianModel,
-    decay: DecayDeclaration | None = None,
-    n: int | None = None,
+    model: GaussianModel, n: int | None, threshold: int | None
 ) -> CheckResult:
-    """Rescaled optimal smoother reduces to the noise-to-signal ratio.
+    """Optimal smoother rescaled at index ``n`` reduces to the
+    noise-to-signal ratio.
 
     Applies to diagonal models with white (constant on the range) noise
-    covariances; otherwise SKIP.
+    covariances and a scale index; otherwise SKIP.  ``threshold``, the least
+    trace-class index (see :func:`~ophp.scales.scale_index`), is reported.
     """
     if not model.is_diagonal:
         return CheckResult(
@@ -375,15 +375,13 @@ def white_noise_scale_check(
             SKIP,
             {"reason": "covariances are not white on the range"},
         )
-    n0 = trace_class_threshold(model, decay) if decay is not None else None
-    n_use = n if n is not None else n0
-    if n_use is None:
+    if n is None:
         return CheckResult(
             "white-noise-ratio",
             SKIP,
-            {"reason": "no scale index available", "threshold": n0},
+            {"reason": "no scale index available", "threshold": threshold},
         )
-    scaled = scaled_optimal_b(model, n_use)
+    scaled = scaled_optimal_b(model, n)
     mult = scaled.multipliers[kept]
     spread = float(np.ptp(mult))
     ratio = float(su[0] / sv[0])
@@ -393,8 +391,8 @@ def white_noise_scale_check(
         "white-noise-ratio",
         PASS if passed else FAIL,
         {
-            "n": int(n_use),
-            "threshold": n0,
+            "n": int(n),
+            "threshold": threshold,
             "ratio": ratio,
             "multiplier_spread": spread,
             "max_deviation": deviation,
@@ -421,5 +419,5 @@ def run_validation(
         grid_argmin_check(model, points=grid_points, seed=seed + 3),
     ]
     if scale_n is not None or decay is not None:
-        checks.append(white_noise_scale_check(model, decay=decay, n=scale_n))
+        checks.append(white_noise_scale_check(model, *scale_index(scale_n, decay)))
     return ValidationReport(checks=checks)

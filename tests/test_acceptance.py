@@ -225,8 +225,8 @@ def test_white_noise_reduction():
     decl_lap = DecayDeclaration(kappa_decay=4.0, sigma_u_decay=0.0, sigma_v_decay=0.0)
     ramp = ramp_model(12, sigma_u, sigma_v)
     lap = laplacian_model(12, sigma_u, sigma_v)
-    n0_ramp = trace_class_threshold(ramp, decl_ramp)
-    n0_lap = trace_class_threshold(lap, decl_lap)
+    n0_ramp = trace_class_threshold(decl_ramp)
+    n0_lap = trace_class_threshold(decl_lap)
     for model, n0 in ((ramp, n0_ramp), (lap, n0_lap)):
         scaled = scaled_optimal_b(model, n0)
         mask = model.pinv_bundle.range_projector.multipliers > 0.5

@@ -2,6 +2,9 @@
 
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +213,30 @@ class TestFilterCommand:
         cfg_path, _ = ramp_config
         assert _run("filter", "--config", cfg_path) == 1
 
+    def test_unsorted_functional_series_gives_sorted_outputs(self, tmp_path):
+        ex = tmp_path / "ex"
+        argv = ["--which", 2, "--dim", 8, "--seed", 3, "--grid-points", 33]
+        assert _run("example", *argv, "--out", ex) == 0
+        header, *rows = (ex / "x.csv").read_text().splitlines()
+        order = np.random.default_rng(0).permutation(len(rows))
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
+        cfg = ex / "config.json"
+        assert _run("filter", "--config", cfg, "--out", tmp_path / "sorted") == 0
+        assert (
+            _run("filter", "--config", cfg, "--input", shuffled, "--out", tmp_path / "shuf")
+            == 0
+        )
+        for name in ("trend.csv", "residual.csv", "filter_summary.json"):
+            assert (tmp_path / "shuf" / name).read_bytes() == (
+                tmp_path / "sorted" / name
+            ).read_bytes()
+        # The residual is the data minus the trend at each written node.
+        _, x = read_series_csv(ex / "x.csv")
+        _, trend = read_series_csv(tmp_path / "shuf" / "trend.csv")
+        _, residual = read_series_csv(tmp_path / "shuf" / "residual.csv")
+        np.testing.assert_array_equal(residual, x - trend)
+
     def test_estimate_y0_flag(self, ramp_config, tmp_path):
         cfg_path, dim = ramp_config
         series = tmp_path / "x.csv"
@@ -353,6 +380,14 @@ class TestOtherCommands:
         assert scale_doc["threshold_n0"] == 1
         assert scale_doc["kappa"] == [4.0, 9.0, 16.0]
         assert scale_doc["white_noise_check"]["status"] == "PASS"
+
+    @pytest.mark.parametrize("command", ["filter", "optimal-b", "simulate"])
+    def test_scale_n_only_on_commands_that_read_it(self, ramp_config, capsys, command):
+        cfg_path, _ = ramp_config
+        with pytest.raises(SystemExit) as exc:
+            _run(command, "--config", cfg_path, "--scale-n", 1)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --scale-n 1" in capsys.readouterr().err
 
     def test_scale_without_index_rejected(self, ramp_config):
         cfg_path, _ = ramp_config
@@ -599,6 +634,46 @@ class TestErrorExits:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "filter-no-input",
+            "filter-nan",
+            "optimal-b-singular",
+            "scale-singular",
+            "validate-singular",
+            "example-sigma-u",
+        ],
+    )
+    def test_failed_request_leaves_no_directory(self, ramp_config, tmp_path, capsys, case):
+        cfg_path, dim = ramp_config
+        nan = tmp_path / "nan.csv"
+        nan.write_text("1.0\n" * (dim - 1) + "nan\n")
+        # sigma_v vanishes on a range component of a diagonal model.
+        singular = _write_config(
+            tmp_path / "singular.json",
+            {
+                "operator": {"kind": "diagonal", "multipliers": [1.0, 2.0]},
+                "sigma_u": {"kind": "diagonal", "values": [1.0, 1.0]},
+                "sigma_v": {"kind": "diagonal", "values": [1.0, 0.0]},
+                "truncation_dim": 2,
+                "scale_n": 1,
+            },
+        )
+        argv = {
+            "filter-no-input": ["filter", "--config", cfg_path],
+            "filter-nan": ["filter", "--config", cfg_path, "--input", nan],
+            "optimal-b-singular": ["optimal-b", "--config", singular],
+            "scale-singular": ["scale", "--config", singular],
+            "validate-singular": ["validate", "--config", singular],
+            "example-sigma-u": ["example", "--which", "1", "--sigma-u", "-1"],
+        }[case]
+        out = tmp_path / "out"
+        assert _run(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_scale_index_precedence(self, ramp_config, tmp_path):
         cfg_path, _ = ramp_config
         doc = json.loads(cfg_path.read_text())
@@ -640,6 +715,39 @@ class TestErrorExits:
         flag = argv[0].split("=")[0]
         assert capsys.readouterr().err.startswith(f"error: {flag} must be")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--which", "2", "--dim", "4", "--sigma-v", "0"],
+                "sigma_v is singular on range components [0, 1, 2, 3]",
+            ),
+            (
+                ["--which", "1", "--dim", "4", "--sigma-v", "0"],
+                "sigma_v is singular on range components [1, 2, 3]",
+            ),
+            (["--which", "2", "--dim", "256"], "257 samples cannot resolve 256 sine modes"),
+            (
+                ["--which", "2", "--dim", "8", "--grid-points", "9"],
+                "9 samples cannot resolve 8 sine modes",
+            ),
+        ],
+        ids=["laplacian-sigma-v-0", "ramp-sigma-v-0", "grid-default", "grid-9"],
+    )
+    def test_example_refuses_what_its_commands_refuse(
+        self, tmp_path, capsys, argv, message
+    ):
+        out = tmp_path / "ex"
+        assert _run("example", *argv, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_example_grid_of_dim_plus_two_filters(self, tmp_path):
+        ex = tmp_path / "ex"
+        argv = ["--which", 2, "--dim", 8, "--grid-points", 10]
+        assert _run("example", *argv, "--out", ex) == 0
+        assert _run("filter", "--config", ex / "config.json", "--out", tmp_path / "r") == 0
 
     def test_example_rejects_config_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -730,5 +838,20 @@ class TestSeriesProjection:
         from ophp.operators import sine_basis_matrix
 
         samples = sine_basis_matrix(grid, 4) @ coeffs
-        vec, _ = project_series(grid, samples, 4, BASIS_SINE)
+        vec, _, _ = project_series(grid, samples, 4, BASIS_SINE)
         np.testing.assert_allclose(vec.coeffs, coeffs, atol=1e-12)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    lines = block.strip().splitlines()
+    assert len(lines) == 6
+    for line in lines:
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "ophp"
+        assert main(argv) == 0, line

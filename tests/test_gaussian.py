@@ -15,7 +15,7 @@ from ophp import (
     qv,
     sample_joint,
 )
-from ophp.gaussian import DecayDeclaration, regression_slope
+from ophp.gaussian import DEFAULT_CHUNK, DecayDeclaration, regression_slope
 from ophp.instances import laplacian_model, ramp_model
 
 from oracles import identity, joint_covariance, zero
@@ -230,12 +230,12 @@ class TestSampleJoint:
 
     def test_reproducible_and_chunked(self):
         model = ramp_model(4, 1.0, 1.0)
-        a = sample_joint(model, 1000, seed=5, chunk_size=128)
-        b = sample_joint(model, 1000, seed=5, chunk_size=128)
+        a = sample_joint(model, 3000, seed=5)
+        b = sample_joint(model, 3000, seed=5)
         np.testing.assert_array_equal(a.x, b.x)
-        # Per-chunk streams: a prefix of the same partition is unchanged.
-        c = sample_joint(model, 512, seed=5, chunk_size=128)
-        np.testing.assert_array_equal(a.x[:512], c.x)
+        # Per-chunk streams: a prefix of whole chunks is unchanged.
+        c = sample_joint(model, 2 * DEFAULT_CHUNK, seed=5)
+        np.testing.assert_array_equal(a.x[: 2 * DEFAULT_CHUNK], c.x)
 
     def test_data_covariance_matches_model(self):
         count = 100_000

@@ -7,7 +7,7 @@ from ophp import apply, compose, kernel_operator, optimal_b
 from ophp.filter import filter_multipliers
 from ophp.instances import (
     expected_filter_multipliers,
-    expected_ramp_bhat,
+    expected_bhat,
     laplacian_model,
     laplacian_multipliers,
     laplacian_operator,
@@ -43,7 +43,9 @@ def test_expected_ramp_bhat_matches_assembly():
     su, sv = seeded_sigmas(dim, 1)
     model = ramp_model(dim, su, sv)
     np.testing.assert_allclose(
-        optimal_b(model).multipliers, expected_ramp_bhat(su, sv), atol=1e-12
+        optimal_b(model).multipliers,
+        expected_bhat(ramp_multipliers(dim), su, sv),
+        atol=1e-12,
     )
 
 
@@ -54,7 +56,9 @@ def test_expected_filter_multipliers_match_assembly():
     bhat = optimal_b(model)
     np.testing.assert_allclose(
         filter_multipliers(model.a, bhat),
-        expected_filter_multipliers(ramp_multipliers(dim), expected_ramp_bhat(su, sv)),
+        expected_filter_multipliers(
+            ramp_multipliers(dim), expected_bhat(ramp_multipliers(dim), su, sv)
+        ),
         atol=1e-12,
     )
 
@@ -69,6 +73,15 @@ def test_expected_laplacian_multipliers_match_assembly():
         laplacian_filter_multipliers(su, sv, dim),
         atol=1e-12,
     )
+
+
+def test_expected_bhat_is_the_ratio_on_every_laplacian_mode():
+    dim = 8
+    su, sv = seeded_sigmas(dim, 4)
+    bhat = optimal_b(laplacian_model(dim, su, sv)).multipliers
+    expected = expected_bhat(laplacian_multipliers(dim), su, sv)
+    np.testing.assert_array_equal(expected, su / sv)
+    np.testing.assert_allclose(bhat, expected, rtol=1e-12)
 
 
 def test_single_mode_laplacian_value():

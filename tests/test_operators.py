@@ -293,6 +293,22 @@ class TestCompose:
             np.testing.assert_allclose(direct, nested, rtol=1e-12, atol=1e-12)
 
 
+class TestAsMatrix:
+    def test_dense_returns_its_read_only_matrix(self):
+        op = dense_operator(np.arange(6.0).reshape(2, 3))
+        mat = op.as_matrix()
+        assert mat is op.matrix and not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+
+    def test_diagonal_promotes_to_a_fresh_matrix(self):
+        op = diagonal_operator([1.0, 2.0])
+        mat = op.as_matrix()
+        np.testing.assert_array_equal(mat, np.diag([1.0, 2.0]))
+        mat[0, 1] = 5.0
+        np.testing.assert_array_equal(op.multipliers, [1.0, 2.0])
+
+
 class TestMoorePenroseSuite:
     """Generalized-inverse identities on randomly generated rank-deficient
     matrices, with the projector algebra they induce."""

@@ -149,15 +149,15 @@ def _block_scratch(dim):
 class TestSampleJoint:
     @pytest.mark.parametrize("kind", sorted(MODELS))
     @pytest.mark.parametrize(
-        "count,chunk_size", [(1, 4), (37, 5), (40_000, DEFAULT_CHUNK)]
+        "count", [1, 37, DEFAULT_CHUNK, DEFAULT_CHUNK + 1, 40_000]
     )
-    def test_matches_chunk_list_algorithm_bitwise(self, kind, count, chunk_size):
+    def test_matches_chunk_list_algorithm_bitwise(self, kind, count):
         model = MODELS[kind]()
         assert model.is_diagonal == (kind == "diagonal")
         # A full-rank square A leaves no null space for y0.
         assert np.any(model.y0.coeffs != 0.0) == (kind != "dense")
-        data = sample_joint(model, count, 23, chunk_size)
-        expected = _reference_sample_joint(model, count, 23, chunk_size)
+        data = sample_joint(model, count, 23)
+        expected = _reference_sample_joint(model, count, 23, DEFAULT_CHUNK)
         for got, want in zip((data.u, data.v, data.y, data.x), expected):
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)

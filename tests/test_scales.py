@@ -18,6 +18,7 @@ from ophp import (
 )
 from ophp.gaussian import DecayDeclaration
 from ophp.instances import laplacian_model, laplacian_operator, ramp_model, ramp_operator
+from ophp.scales import scale_index
 
 from oracles import dual_norm, scale_norm, tail_ratio
 
@@ -160,24 +161,34 @@ class TestRescaledCovariances:
 
 class TestTraceClassThreshold:
     def test_white_noise_on_ramp_spectrum(self):
-        model = ramp_model(4, 1.0, 1.0)
         decl = DecayDeclaration(kappa_decay=2.0, sigma_u_decay=0.0, sigma_v_decay=0.0)
-        assert trace_class_threshold(model, decl) == 1
+        assert trace_class_threshold(decl) == 1
 
     def test_already_trace_class(self):
-        model = ramp_model(4, 1.0, 1.0)
         decl = DecayDeclaration(kappa_decay=2.0, sigma_u_decay=2.0, sigma_v_decay=2.0)
-        assert trace_class_threshold(model, decl) == 0
+        assert trace_class_threshold(decl) == 0
 
     def test_bounded_spectrum_never_summable(self):
-        model = ramp_model(4, 1.0, 1.0)
         decl = DecayDeclaration(kappa_decay=0.0, sigma_u_decay=0.0, sigma_v_decay=0.0)
-        assert trace_class_threshold(model, decl) is None
+        assert trace_class_threshold(decl) is None
 
     def test_mixed_requirements_take_max(self):
-        model = ramp_model(4, 1.0, 1.0)
         decl = DecayDeclaration(kappa_decay=2.0, sigma_u_decay=2.0, sigma_v_decay=0.0)
-        assert trace_class_threshold(model, decl) == 1
+        assert trace_class_threshold(decl) == 1
+
+
+class TestScaleIndex:
+    def test_configured_index_comes_before_the_threshold(self):
+        decl = DecayDeclaration(kappa_decay=2.0, sigma_u_decay=0.0, sigma_v_decay=0.0)
+        assert scale_index(None, decl) == (1, 1)
+        assert scale_index(0, decl) == (0, 1)
+        assert scale_index(3, None) == (3, None)
+        assert scale_index(None, None) == (None, None)
+
+    def test_no_finite_threshold(self):
+        decl = DecayDeclaration(kappa_decay=0.0, sigma_u_decay=0.0, sigma_v_decay=0.0)
+        assert scale_index(None, decl) == (None, None)
+        assert scale_index(2, decl) == (2, None)
 
 
 class TestScaledOptimalB:
@@ -237,9 +248,8 @@ class TestTailRatio:
         # White noise on the ramp spectrum: rescaled entries decay like
         # j**(-4n); at the threshold the tail flattens, below it the partial
         # sums keep growing.
-        model = ramp_model(4, 1.0, 1.0)
         decl = DecayDeclaration(kappa_decay=2.0, sigma_u_decay=0.0, sigma_v_decay=0.0)
-        n0 = trace_class_threshold(model, decl)
+        n0 = trace_class_threshold(decl)
         assert n0 == 1
         j = np.arange(1, 20_001, dtype=float)
         assert tail_ratio(j ** (-4.0 * n0)) < 0.05

@@ -8,6 +8,7 @@ from ophp import smoothing, validate
 from ophp.gaussian import DecayDeclaration, regression_slope, sample_joint_blocks
 from ophp.instances import laplacian_model, ramp_model, ramp_multipliers, seeded_sigmas
 from ophp.operators import operator_power, psd_inverse, scalar_multiple
+from ophp.scales import scale_index
 from ophp.validate import (
     CM_ALPHA,
     FAIL,
@@ -243,13 +244,13 @@ def test_power_grid_argmin_fails_on_doubled_smoother(monkeypatch):
 def test_white_noise_check_skips_colored_noise():
     model = ramp_model(4, np.array([0.5, 1.0, 1.5, 2.0]), 1.0)
     decl = DecayDeclaration(2.0, 0.0, 0.0)
-    assert white_noise_scale_check(model, decay=decl).status == SKIP
+    assert white_noise_scale_check(model, *scale_index(None, decl)).status == SKIP
 
 
 def test_white_noise_check_passes():
     model = laplacian_model(6, 1.5, 0.5)
     decl = DecayDeclaration(4.0, 0.0, 0.0)
-    result = white_noise_scale_check(model, decay=decl)
+    result = white_noise_scale_check(model, *scale_index(None, decl))
     assert result.status == PASS
     assert result.details["multiplier_spread"] < 1e-12
     assert result.details["ratio"] == 3.0
