@@ -27,7 +27,7 @@ from .filter import (
     filter_multipliers,
     solve_filter,
 )
-from .gaussian import GaussianModel, ModelError, sample_joint, sample_joint_blocks
+from .gaussian import ModelError, sample_joint, sample_joint_blocks
 from .operators import (
     BASIS_EUCLIDEAN,
     BASIS_SINE,
@@ -196,16 +196,18 @@ def _check_resolution(points: int, dim: int) -> None:
 
 def project_series(
     t: np.ndarray | None, values: np.ndarray, dim: int, basis_id: str
-) -> tuple[CoeffVector, np.ndarray, np.ndarray]:
+) -> tuple[CoeffVector, np.ndarray, np.ndarray, np.ndarray | None]:
     """Project samples onto the declared basis; returns (coeffs, node grid,
-    samples in grid order)."""
+    samples in grid order, basis values on the grid).  The basis values are
+    ``sine_basis_matrix(grid, dim)``, or None for the euclidean basis, and
+    can be handed to :func:`synthesize_series` on the same grid."""
     if basis_id == BASIS_EUCLIDEAN:
         if values.shape[0] != dim:
             raise InputError(
                 f"series length {values.shape[0]} does not match truncation_dim {dim}"
             )
         grid = np.arange(dim, dtype=float) if t is None else t
-        return CoeffVector(values, BASIS_EUCLIDEAN), grid, values
+        return CoeffVector(values, BASIS_EUCLIDEAN), grid, values, None
     if t is None:
         t = np.linspace(0.0, 1.0, values.shape[0])
     order = np.argsort(t)
@@ -219,14 +221,19 @@ def project_series(
     weights = _trapezoid_weights(t)
     basis_vals = sine_basis_matrix(t, dim)
     coeffs = basis_vals.T @ (weights * values)
-    return CoeffVector(coeffs, BASIS_SINE), t, values
+    return CoeffVector(coeffs, BASIS_SINE), t, values, basis_vals
 
 
-def synthesize_series(x: CoeffVector, t: np.ndarray) -> np.ndarray:
-    """Sample values of a coefficient vector on a grid."""
+def synthesize_series(
+    x: CoeffVector, t: np.ndarray, basis_vals: np.ndarray | None = None
+) -> np.ndarray:
+    """Sample values of a coefficient vector on a grid.  ``basis_vals``,
+    when given, is the sine basis on ``t`` and is not evaluated again."""
     if x.basis_id == BASIS_EUCLIDEAN:
         return x.coeffs.copy()
-    return sine_basis_matrix(t, x.dim) @ x.coeffs
+    if basis_vals is None:
+        basis_vals = sine_basis_matrix(t, x.dim)
+    return basis_vals @ x.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +286,14 @@ def cmd_filter(args) -> int:
     if cfg.input_path is None:
         raise InputError("filter needs an input series (input_path or --input)")
     t_in, values = read_series_csv(cfg.input_path)
-    x, grid, samples = project_series(t_in, values, model.dim, model.a.domain_basis)
+    x, grid, samples, basis_vals = project_series(
+        t_in, values, model.dim, model.a.domain_basis
+    )
     if args.estimate_y0:
-        y0_est = apply(model.pinv_bundle.projector_complement, x)
-        model = GaussianModel.build(model.a, model.sigma_u, model.sigma_v, y0=y0_est)
+        model = model.with_y0(apply(model.pinv_bundle.projector_complement, x))
     bhat = optimal_b(model)
     trend = solve_filter(FilterProblem(model.a, x, bhat))
-    trend_values = synthesize_series(trend, grid)
+    trend_values = synthesize_series(trend, grid, basis_vals)
     residual_values = samples - trend_values
     out = _out_dir(args, cfg)
     write_series_csv(out / "trend.csv", grid, trend_values)

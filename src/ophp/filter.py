@@ -65,7 +65,8 @@ class PositivityReport:
     """Outcome of the penalty nonnegativity check.
 
     ``witness`` is a unit vector realizing ``min_value``, present only on
-    FAIL.  ``trials`` is always 0: the check samples no vectors.
+    a FAIL from ``positivity_check``.  ``trials`` is always 0: the check
+    samples no vectors.
     """
 
     passed: bool
@@ -94,11 +95,11 @@ def positivity_check(a: OperatorRep, b: OperatorRep) -> PositivityReport:
     eigenvector is computed as the witness only when the check fails.  FAIL
     is a report outcome, not an exception.
     """
-    return _positivity(a, b, None)
+    return _positivity(a, b, None, witness=True)
 
 
 def _positivity(
-    a: OperatorRep, b: OperatorRep, quad: np.ndarray | None
+    a: OperatorRep, b: OperatorRep, quad: np.ndarray | None, witness: bool
 ) -> PositivityReport:
     if b.is_diagonal and np.all(b.multipliers >= 0.0):
         return PositivityReport(
@@ -110,9 +111,10 @@ def _positivity(
     eigvals = np.linalg.eigvalsh(sym)
     min_value = float(eigvals[0])
     tol = EIG_RTOL * (1.0 + float(np.abs(eigvals).max(initial=0.0)))
-    if min_value >= -tol:
+    passed = min_value >= -tol
+    if passed or not witness:
         return PositivityReport(
-            passed=True, method="spectral", min_value=min_value, witness=None
+            passed=passed, method="spectral", min_value=min_value, witness=None
         )
     eigvals, eigvecs = np.linalg.eigh(sym)
     return PositivityReport(
@@ -135,7 +137,7 @@ def _certified(
     by_a = _VERDICTS.setdefault(b, weakref.WeakKeyDictionary())
     report = by_a.get(a)
     if report is None:
-        report = by_a[a] = _positivity(a, b, quad)
+        report = by_a[a] = _positivity(a, b, quad, witness=False)
     return report
 
 
@@ -187,7 +189,8 @@ def solve_filter(problem: FilterProblem) -> CoeffVector:
     at ``RESIDUAL_RTOL * |x|``.  The positivity verdict is computed once
     per ``(A, B)`` pair, from the same dense ``A* B A`` the solve uses, and
     reused while both operators are alive; ``A* B A`` and the solve still
-    run on every call.
+    run on every call.  A failing verdict raises without a witness, so it
+    costs one symmetric eigenvalue solve.
     """
     a, b, x = problem.a, problem.b, problem.x
     quad = None if a.is_diagonal and b.is_diagonal else _trend_matrix(a, b)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -142,15 +142,8 @@ class GaussianModel:
         _check_covariance(sigma_v, a.dim_out, a.codomain_basis, "sigma_v")
         if y0 is None:
             y0 = CoeffVector(np.zeros(a.dim_in), a.domain_basis)
-        if y0.basis_id != a.domain_basis or y0.dim != a.dim_in:
-            raise DimensionMismatchError("y0 must live in the operator domain")
+        _check_y0(a, bundle, y0)
         pi = bundle.projector_pi
-        pi_y0 = apply(pi, y0).norm()
-        if pi_y0 > STRUCTURE_TOL * (1.0 + y0.norm()):
-            raise ModelError(
-                "y0 must lie in the null space of the operator "
-                f"(projector residual {pi_y0:.3e})"
-            )
         if pi.is_diagonal and sigma_u.is_diagonal:
             commutator = 0.0
         else:
@@ -164,6 +157,24 @@ class GaussianModel:
             sigma_v=sigma_v,
             y0=y0,
             commutator_norm=commutator,
+        )
+
+    def with_y0(self, y0: CoeffVector) -> "GaussianModel":
+        """The same model with deterministic component ``y0``.  Keeps the
+        pinv bundle and the checked covariances; only the null-space check
+        on ``y0`` runs again."""
+        _check_y0(self.a, self.pinv_bundle, y0)
+        return replace(self, y0=y0)
+
+
+def _check_y0(a: OperatorRep, bundle: PinvBundle, y0: CoeffVector) -> None:
+    if y0.basis_id != a.domain_basis or y0.dim != a.dim_in:
+        raise DimensionMismatchError("y0 must live in the operator domain")
+    pi_y0 = apply(bundle.projector_pi, y0).norm()
+    if pi_y0 > STRUCTURE_TOL * (1.0 + y0.norm()):
+        raise ModelError(
+            "y0 must lie in the null space of the operator "
+            f"(projector residual {pi_y0:.3e})"
         )
 
 
@@ -304,11 +315,12 @@ def sample_joint_blocks(
     are identically zero.  Draws are produced in chunks of ``DEFAULT_CHUNK``
     whose streams are seeded by (seed, chunk index) -- the declared
     splitting rule -- so chunked or parallel generation yields identical
-    output.  Each chunk's u block and then its v block are drawn into two
-    buffers of one chunk, and transformed a block of rows at a time into
-    scratch arrays of one block, which are yielded and then reused for the
-    next block.  Memory is one chunk of normals plus a few blocks, whatever
-    ``count`` is.
+    output.  Each chunk's u normals are drawn into a buffer of one chunk;
+    its v normals, which follow them in the stream, are drawn a block at a
+    time, in order, straight into the block's v scratch.  Each block is
+    transformed into scratch arrays of one block, which are yielded and then
+    reused for the next block.  Memory is one chunk of u normals plus a few
+    blocks, whatever ``count`` is.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -317,21 +329,21 @@ def sample_joint_blocks(
     ainv = model.pinv_bundle.pinv
     y0 = model.y0.coeffs
     chunk = min(count, DEFAULT_CHUNK)
-    zu, zv = np.empty((chunk, model.dim)), np.empty((chunk, model.codim))
+    zu = np.empty((chunk, model.dim))
     rows = min(chunk, BLOCK_ROWS + BLOCK_ROWS // 2)
     u, y, x = (np.empty((rows, model.dim)) for _ in range(3))
     v, tmp = (np.empty((rows, model.codim)) for _ in range(2))
     for start in range(0, count, DEFAULT_CHUNK):
         stop = min(start + DEFAULT_CHUNK, count)
         rng = np.random.default_rng([seed, start // DEFAULT_CHUNK])
-        zu_rows, zv_rows = zu[: stop - start], zv[: stop - start]
+        zu_rows = zu[: stop - start]
         rng.standard_normal(out=zu_rows)
-        rng.standard_normal(out=zv_rows)
         for block in _row_blocks(stop - start):
             n = block.stop - block.start
             bu, bv, by, bx, bt = u[:n], v[:n], y[:n], x[:n], tmp[:n]
+            rng.standard_normal(out=bv)
             apply_rows(root_u, zu_rows[block], out=bu)
-            apply_rows(root_v, zv_rows[block], out=bt)
+            apply_rows(root_v, bv, out=bt)
             apply_rows(range_proj, bt, out=bv)
             apply_rows(ainv, bv, out=by)
             by += y0

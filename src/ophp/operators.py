@@ -218,7 +218,13 @@ def sine_basis_matrix(nodes: np.ndarray, dim: int) -> np.ndarray:
     Column ``n`` (0-based) holds sqrt(2)*sin((n+1)*pi*t).
     """
     modes = np.arange(1, dim + 1)
-    return np.sqrt(2.0) * np.sin(np.pi * np.outer(np.asarray(nodes, float), modes))
+    # One buffer, each step in place; the products are those of
+    # ``sqrt(2) * sin(pi * outer)``, as multiplication commutes.
+    values = np.outer(np.asarray(nodes, float), modes)
+    values *= np.pi
+    np.sin(values, out=values)
+    values *= np.sqrt(2.0)
+    return values
 
 
 def dirichlet_green_kernel(t, s):
@@ -228,8 +234,31 @@ def dirichlet_green_kernel(t, s):
     return np.where(s <= t, (1.0 - t) * s, t * (1.0 - s))
 
 
+# Rows of the quadrature grid filled per step by the in-place kernel forms.
+_BAND = 64
+
+
+def _dirichlet_green_into(nodes: np.ndarray, out: np.ndarray) -> None:
+    """``out[i, j] = dirichlet_green_kernel(nodes[i], nodes[j])`` for
+    strictly increasing ``nodes``, written in place a band of rows at a time.
+
+    Left of a band's diagonal block ``s < t``, so the entries are
+    ``(1 - t) s``; right of it ``s > t``, so they are ``t (1 - s)``.  The
+    diagonal block, where the comparison decides, is the kernel itself.
+    """
+    rest = 1.0 - nodes
+    for lo in range(0, nodes.shape[0], _BAND):
+        hi = lo + _BAND
+        t = nodes[lo:hi]
+        np.multiply.outer(rest[lo:hi], nodes[:lo], out=out[lo:hi, :lo])
+        out[lo:hi, lo:hi] = dirichlet_green_kernel(t[:, None], t[None, :])
+        np.multiply.outer(t, rest[hi:], out=out[lo:hi, hi:])
+
+
 # Registered kernels, all symmetric: Green functions of self-adjoint problems.
-KERNELS = {"dirichlet_green": dirichlet_green_kernel}
+# Each is registered by its in-place form, which fills a grid x grid buffer
+# with the kernel at the quadrature nodes.
+KERNELS = {"dirichlet_green": _dirichlet_green_into}
 
 DEFAULT_GRID_POINTS = 512
 
@@ -246,7 +275,7 @@ def kernel_operator(
     matrix, exactly.
     """
     try:
-        kernel = KERNELS[name]
+        fill = KERNELS[name]
     except KeyError:
         raise ValueError(f"unknown kernel name {name!r}") from None
     if grid_points < dim + 2:
@@ -254,15 +283,21 @@ def kernel_operator(
             f"grid of {grid_points} points cannot resolve {dim} sine modes"
         )
     nodes, weights = trapezoid_grid(grid_points)
-    samples = kernel(nodes[:, None], nodes[None, :])
+    # One grid x grid buffer: the kernel values, then ``w_t K(t, s) w_s``
+    # weighted in place, a product at a time in that order.
+    weighted = np.empty((grid_points, grid_points))
+    fill(nodes, weighted)
+    weighted *= weights[:, None]
+    weighted *= weights
     basis_vals = sine_basis_matrix(nodes, dim)
-    weighted = weights[:, None] * samples * weights[None, :]
     projected = basis_vals.T @ weighted @ basis_vals
+    symmetric = projected + projected.T
+    symmetric *= 0.5
     return OperatorRep(
         kind=DENSE,
         domain_basis=BASIS_SINE,
         codomain_basis=BASIS_SINE,
-        matrix=0.5 * (projected + projected.T),
+        matrix=symmetric,
         kernel_name=name,
         grid_points=int(grid_points),
     )

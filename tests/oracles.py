@@ -7,6 +7,7 @@ is used to check.
 import numpy as np
 
 from ophp import diagonal_operator, qv
+from ophp.gaussian import BLOCK_ROWS, DEFAULT_CHUNK
 from ophp.operators import BASIS_EUCLIDEAN
 
 
@@ -79,3 +80,72 @@ def laplacian_filter_multipliers(sigma_u, sigma_v, dim: int) -> np.ndarray:
     sv = np.asarray(sigma_v, dtype=float) * np.ones(dim)
     n = np.arange(1, dim + 1, dtype=float)
     return 1.0 / (1.0 + n**4 * np.pi**4 * su / sv)
+
+
+# ---------------------------------------------------------------------------
+# Bitwise references: each builder written as one expression per step, with
+# a fresh array for every intermediate.  The package computes the same
+# products in place, so the results must be equal, not merely close.
+# ---------------------------------------------------------------------------
+
+
+def sine_basis_matrix(nodes, dim: int) -> np.ndarray:
+    """``sqrt(2) sin(pi n t)`` at every node ``t`` for ``n = 1..dim``."""
+    modes = np.arange(1, dim + 1)
+    return np.sqrt(2.0) * np.sin(np.pi * np.outer(np.asarray(nodes, float), modes))
+
+
+def green_kernel_matrix(dim: int, grid_points: int) -> np.ndarray:
+    """Sine-basis matrix of the Dirichlet Green kernel by composite trapezoid
+    quadrature on a uniform grid of ``grid_points`` nodes, symmetrized."""
+    nodes = np.linspace(0.0, 1.0, grid_points)
+    h = 1.0 / (grid_points - 1)
+    weights = np.full(grid_points, h)
+    weights[0] = weights[-1] = h / 2.0
+    t, s = nodes[:, None], nodes[None, :]
+    samples = np.where(s <= t, (1.0 - t) * s, t * (1.0 - s))
+    basis = sine_basis_matrix(nodes, dim)
+    weighted = weights[:, None] * samples * weights[None, :]
+    projected = basis.T @ weighted @ basis
+    return 0.5 * (projected + projected.T)
+
+
+def synthesize_series(coeffs, t) -> np.ndarray:
+    """Samples on ``t`` of a sine-basis coefficient vector, evaluating the
+    basis afresh."""
+    return sine_basis_matrix(t, coeffs.shape[0]) @ coeffs
+
+
+def _rows_times(op, rows) -> np.ndarray:
+    return rows * op.multipliers if op.is_diagonal else rows @ op.matrix.T
+
+
+def sample_joint_chunkwise(model, count: int, seed: int):
+    """``(u, v, y, x)`` of the joint sampler's rule, drawing each chunk's u
+    normals and then all of its v normals in one call each.
+
+    Chunks of ``DEFAULT_CHUNK`` draws are seeded by ``(seed, chunk index)``
+    and transformed in blocks of ``BLOCK_ROWS`` rows, a tail under half a
+    block joining the block before it.
+    """
+    root_u, root_v = model._roots
+    proj, ainv = model.pinv_bundle.range_projector, model.pinv_bundle.pinv
+    u, y, x = (np.empty((count, model.dim)) for _ in range(3))
+    v = np.empty((count, model.codim))
+    for start in range(0, count, DEFAULT_CHUNK):
+        size = min(DEFAULT_CHUNK, count - start)
+        rng = np.random.default_rng([seed, start // DEFAULT_CHUNK])
+        zu = rng.standard_normal((size, model.dim))
+        zv = rng.standard_normal((size, model.codim))
+        lo = 0
+        while lo < size:
+            hi = lo + BLOCK_ROWS
+            if size - hi < BLOCK_ROWS // 2:
+                hi = size
+            rows = slice(start + lo, start + hi)
+            u[rows] = _rows_times(root_u, zu[lo:hi])
+            v[rows] = _rows_times(proj, _rows_times(root_v, zv[lo:hi]))
+            y[rows] = _rows_times(ainv, v[rows]) + model.y0.coeffs
+            x[rows] = y[rows] + u[rows]
+            lo = hi
+    return u, v, y, x

@@ -11,11 +11,12 @@ import pytest
 
 from ophp import cli, validate
 from ophp.cli import main, project_series, read_series_csv
-from ophp.gaussian import sample_joint_blocks
+from ophp.gaussian import GaussianModel, sample_joint_blocks
 from ophp.instances import ramp_multipliers, seeded_sigmas
 from ophp.operators import BASIS_SINE
 from ophp.specs import build_model, load_config
 
+import oracles
 from oracles import laplacian_filter_multipliers
 
 
@@ -248,6 +249,63 @@ class TestFilterCommand:
         )
         summary = json.loads((out / "filter_summary.json").read_text())
         assert summary["estimated_y0"] is True
+
+    def test_estimate_y0_reuses_the_first_factorization(self, tmp_path, monkeypatch):
+        cfg = TestValidateCommand._dense_64_config(tmp_path / "dense.json")
+        series = tmp_path / "x.csv"
+        values = np.random.default_rng(8).standard_normal(64)
+        series.write_text("\n".join(repr(float(v)) for v in values) + "\n")
+        svds = []
+        original = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            svds.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        argv = ["filter", "--config", cfg, "--input", series, "--estimate-y0"]
+        assert _run(*argv, "--out", tmp_path / "reused") == 0
+        assert len(svds) == 1
+        # Building a second model for the estimated y0 writes the same bytes.
+        monkeypatch.setattr(
+            GaussianModel,
+            "with_y0",
+            lambda m, y0: GaussianModel.build(m.a, m.sigma_u, m.sigma_v, y0=y0),
+        )
+        assert _run(*argv, "--out", tmp_path / "rebuilt") == 0
+        assert len(svds) == 3
+        for name in ("trend.csv", "residual.csv", "filter_summary.json"):
+            assert (tmp_path / "reused" / name).read_bytes() == (
+                tmp_path / "rebuilt" / name
+            ).read_bytes()
+
+    def test_functional_filter_evaluates_the_sine_basis_once(self, tmp_path, monkeypatch):
+        ex = tmp_path / "ex"
+        argv = ["--which", 2, "--dim", 16, "--seed", 5, "--grid-points", 129]
+        assert _run("example", *argv, "--out", ex) == 0
+        evaluations = []
+        original = cli.sine_basis_matrix
+
+        def counted(nodes, dim):
+            evaluations.append(dim)
+            return original(nodes, dim)
+
+        monkeypatch.setattr(cli, "sine_basis_matrix", counted)
+        cfg = ex / "config.json"
+        assert _run("filter", "--config", cfg, "--out", tmp_path / "once") == 0
+        assert evaluations == [16]
+        # Synthesizing the trend from a second evaluation of the basis writes
+        # the same bytes.
+        monkeypatch.setattr(
+            cli,
+            "synthesize_series",
+            lambda x, t, *_: oracles.synthesize_series(x.coeffs, t),
+        )
+        assert _run("filter", "--config", cfg, "--out", tmp_path / "twice") == 0
+        for name in ("trend.csv", "residual.csv"):
+            assert (tmp_path / "once" / name).read_bytes() == (
+                tmp_path / "twice" / name
+            ).read_bytes()
 
 
 class TestValidateCommand:
@@ -838,7 +896,7 @@ class TestSeriesProjection:
         from ophp.operators import sine_basis_matrix
 
         samples = sine_basis_matrix(grid, 4) @ coeffs
-        vec, _, _ = project_series(grid, samples, 4, BASIS_SINE)
+        vec, *_ = project_series(grid, samples, 4, BASIS_SINE)
         np.testing.assert_allclose(vec.coeffs, coeffs, atol=1e-12)
 
 

@@ -16,6 +16,7 @@ from ophp import (
     CoeffVector,
     FilterProblem,
     GaussianModel,
+    ModelError,
     PositivityError,
     RankDeficiencyWarning,
     compose,
@@ -79,6 +80,22 @@ class TestModelCache:
         np.testing.assert_array_equal(regression_slope(model).matrix, expected.matrix)
         assert qv(model) is q
 
+    def test_with_y0_keeps_the_factorization(self, calls):
+        rng = np.random.default_rng(10)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        model = GaussianModel.build(
+            dense_operator((q * np.arange(6.0)) @ q.T),
+            dense_operator(_spd(6, rng)),
+            dense_operator(_spd(6, rng)),
+        )
+        before = dict(calls)
+        moved = model.with_y0(CoeffVector(2.0 * q[:, 0]))
+        assert calls == before
+        assert moved.pinv_bundle is model.pinv_bundle
+        np.testing.assert_array_equal(moved.y0.coeffs, 2.0 * q[:, 0])
+        with pytest.raises(ModelError, match="null space"):
+            model.with_y0(CoeffVector(q[:, 1]))
+
     def test_second_sample_does_no_factorization(self, calls):
         model = _dense_model(seed=5)
         first = sample_joint(model, 50, seed=9)
@@ -119,8 +136,8 @@ class TestTrendSystem:
         b = dense_operator(_spd(5, rng, -1.0, 1.0))
         with pytest.raises(PositivityError):
             solve_filter(FilterProblem(a, CoeffVector(rng.standard_normal(5)), b))
-        assert calls["eigh"] == 1
-        calls["eigh"] = 0
+        # solve_filter raises without a witness: one eigenvalue solve only.
+        assert (calls["eigvalsh"], calls["eigh"]) == (1, 0)
         report = positivity_check(a, b)
         assert calls["eigh"] == 1
         assert not report.passed and report.trials == 0
@@ -155,7 +172,7 @@ class TestTrendSystem:
         solve_filter(FilterProblem(dense_operator(amat), x, dense_operator(bmat)))
         assert calls["eigvalsh"] == 2
 
-    def test_failing_pair_raises_the_same_error_from_one_witness(self, calls):
+    def test_failing_pair_raises_the_same_error_from_one_eigensolve(self, calls):
         rng = np.random.default_rng(3)
         a = dense_operator(rng.standard_normal((5, 5)))
         b = dense_operator(_spd(5, rng, -1.0, 1.0))
@@ -166,7 +183,14 @@ class TestTrendSystem:
                 solve_filter(FilterProblem(a, x, b))
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
-        assert calls["eigh"] == 1
+        assert calls["eigvalsh"] + calls["eigh"] == 1
+        # The message quotes the least eigenvalue that the witness route
+        # (positivity_check) reports.
+        witnessed = positivity_check(a, b)
+        assert messages[0] == (
+            "smoothing operator fails nonnegativity "
+            f"(minimum quadratic form {witnessed.min_value:.3e})"
+        )
 
     def test_dropped_pair_leaves_nothing_cached(self):
         rng = np.random.default_rng(6)
