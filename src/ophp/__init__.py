@@ -46,6 +46,6 @@ from .scales import (
     scaled_optimal_b,
     trace_class_threshold,
 )
-from .smoothing import SingularCovarianceError, gap, grid_search_oracle, optimal_b
+from .smoothing import SingularCovarianceError, gap, optimal_b
 
 __version__ = "0.1.0"

@@ -127,7 +127,7 @@ BASES = (BASIS_EUCLIDEAN, BASIS_SINE)
 DECAY_KEYS = ("kappa_decay", "sigma_u_decay", "sigma_v_decay")
 
 # Smallest value of each integer in ``extras``: the validate suite's sizes.
-EXTRAS_MINIMUMS = {"draws": 1, "gap_count": 1, "grid_points": 2}
+EXTRAS_MINIMUMS = {"draws": 1, "gap_count": 1}
 
 
 def _basis(value, key: str) -> str:

@@ -36,7 +36,7 @@ from .operators import (
     scalar_multiple,
 )
 from .scales import scale_index, scaled_optimal_b
-from .smoothing import LATTICE_POINTS, grid_search_oracle, optimal_b
+from .smoothing import optimal_b
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -285,9 +285,16 @@ def gap_check(
 
     On spectral models the two maps share their multipliers on the range
     components, so the range-projected gap must stay within
-    ``GAP_RTOL * (1 + |x|)`` for arbitrary inputs ``x``; the full gap additionally vanishes exactly when the
-    observation noise carries no null-space mass.  Dense models are skipped
-    (the optimality statement there is an argmin, not an identity).
+    ``GAP_RTOL * (1 + |x|)`` for arbitrary inputs ``x``; the full gap
+    additionally vanishes exactly when the observation noise carries no
+    null-space mass.  The trend's null-space components do not depend on
+    the smoother and a gap is never negative, so a PASS also certifies
+    ``optimal_b`` as the gap's argmin.
+
+    Dense models are skipped.  The range gap is an identity there too, but
+    its rounding grows with the conditioning of the model, and the fixed
+    ``GAP_RTOL`` FAILs correct ill-conditioned models such as Green kernels
+    at dim 128 and above.
     """
     if not model.is_diagonal:
         return CheckResult(
@@ -322,20 +329,6 @@ def gap_check(
             "max_full_gap": max_full_gap,
             "kernel_noise_mass": kernel_noise,
         },
-    )
-
-
-def grid_argmin_check(
-    model: GaussianModel, points: int = LATTICE_POINTS, seed: int = 3
-) -> CheckResult:
-    """Lattice search around the assembled smoother must return it as argmin."""
-    if not model.is_diagonal:
-        return CheckResult("grid-argmin", SKIP, {"reason": "model is not diagonal"})
-    report = grid_search_oracle(model, points=points, seed=seed)
-    return CheckResult(
-        "grid-argmin",
-        PASS if report.matches_bhat else FAIL,
-        report.to_json(),
     )
 
 
@@ -405,7 +398,6 @@ def run_validation(
     seed: int,
     draws: int = CM_DRAWS,
     gap_count: int = GAP_INPUTS,
-    grid_points: int = LATTICE_POINTS,
     scale_n: int | None = None,
     decay: DecayDeclaration | None = None,
 ) -> ValidationReport:
@@ -416,7 +408,6 @@ def run_validation(
         commutation_check(model),
         conditional_mean_check(model, draws=draws, seed=seed + 1),
         gap_check(model, count=gap_count, seed=seed + 2),
-        grid_argmin_check(model, points=grid_points, seed=seed + 3),
     ]
     if scale_n is not None or decay is not None:
         checks.append(white_noise_scale_check(model, *scale_index(scale_n, decay)))

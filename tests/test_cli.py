@@ -327,7 +327,7 @@ class TestValidateCommand:
             "sigma_v": {"kind": "diagonal", "values": [1.0, 1.0, 1.0]},
             "truncation_dim": 3,
             "seed": 5,
-            "extras": {"draws": 2000, "gap_count": 10, "grid_points": 5},
+            "extras": {"draws": 2000, "gap_count": 10},
         }
         cfg = _write_config(tmp_path / "config.json", doc)
         out = tmp_path / "val"
@@ -533,9 +533,8 @@ class TestErrorExits:
             ("seed", 2.7),
             ("seed", True),
             ("extras", [1, 2]),
-            ("extras", {"grid_points": 0}),
-            ("extras", {"grid_points": 1}),
-            ("extras", {"grid_points": True}),
+            ("extras", {"gap_count": 0}),
+            ("extras", {"gap_count": True}),
             ("extras", {"gap_count": -3}),
             ("extras", {"draws": 0}),
             ("extras", {"draws": 2000.5}),

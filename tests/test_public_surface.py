@@ -28,7 +28,6 @@ PUBLIC_NAMES = [
     "dense_operator",
     "diagonal_operator",
     "gap",
-    "grid_search_oracle",
     "hs_diagnostics",
     "kernel_operator",
     "optimal_b",

@@ -1,14 +1,12 @@
-"""The sampler and the lattice search against the algorithms they replaced.
+"""The sampler and the conditional-mean check against the algorithms they
+replaced.
 
 ``sample_joint`` fills preallocated outputs a block of rows at a time and is
 compared bitwise with the chunk-list sampler, kept here as a reference; the
 conditional-mean check streams the same draws and is compared bitwise with
 whitening one whole sample in place and summing ``Z`` over the sampler's
 blocks.  Peak allocations are bounded so that full-size temporaries cannot
-come back unnoticed; the check's does not grow with the draw count.  The
-diagonal grid search scores each lattice point on the family's free entries
-only; it sums in a different order from the whole-lattice formula, so the
-two are compared to a relative tolerance and must pick the same argmin.
+come back unnoticed; the check's does not grow with the draw count.
 """
 
 import math
@@ -28,13 +26,6 @@ from ophp import (
 from ophp.gaussian import BLOCK_ROWS, DEFAULT_CHUNK, _row_blocks, regression_slope
 from ophp.instances import ramp_model, seeded_sigmas
 from ophp.operators import apply_rows, operator_power
-from ophp.smoothing import (
-    DiagonalFamily,
-    _average_gaps_diagonal,
-    lattice_around,
-    optimal_b,
-    probe_vectors,
-)
 from ophp.validate import conditional_mean_check
 
 
@@ -205,33 +196,3 @@ class TestStreamedConditionalMean:
             peaks.append(peak)
         assert abs(peaks[1] - peaks[0]) <= 1 << 20
 
-
-class TestSeparableLatticeSearch:
-    def test_separable_gaps_match_whole_lattice_formula(self):
-        dim = 40
-        model = ramp_model(dim, np.linspace(0.3, 3.0, dim), 0.7)
-        bhat = optimal_b(model)
-        family = DiagonalFamily(bhat.multipliers.copy(), (1, 2, 5), "abstract-euclidean")
-        grid = lattice_around(bhat.multipliers[[1, 2, 5]], points=7)
-        mesh = np.meshgrid(*grid, indexing="ij")
-        param_rows = np.stack([m.ravel() for m in mesh], axis=-1)
-        x_set = probe_vectors(dim, "abstract-euclidean", seed=4)
-
-        # The whole-lattice formula the separable sum replaced: every
-        # lattice point rebuilds all dim entries of every probe's trend.
-        a_mult = model.a.multipliers
-        slope = regression_slope(model).multipliers
-        y0 = model.y0.coeffs
-        mult = np.tile(family.base, (param_rows.shape[0], 1))
-        mult[:, list(family.indices)] = param_rows
-        denom = 1.0 + a_mult[None, :] ** 2 * mult
-        totals = np.zeros(param_rows.shape[0])
-        for x in x_set:
-            trend = x.coeffs[None, :] / denom
-            mean = y0 + slope * (x.coeffs - y0)
-            totals += np.sqrt(((mean[None, :] - trend) ** 2).sum(axis=1))
-        expected = totals / len(x_set)
-
-        got = _average_gaps_diagonal(model, family, param_rows, x_set)
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
-        assert int(np.argmin(got)) == int(np.argmin(expected))

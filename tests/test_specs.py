@@ -194,7 +194,7 @@ class TestRunConfig:
     def test_extras_keep_the_suite_sizes(self):
         doc = _config()
         doc["extras"] = {"draws": 10.0, "grid_points": 2, "note": "unread"}
-        assert parse_config(doc).extras == {"draws": 10, "grid_points": 2}
+        assert parse_config(doc).extras == {"draws": 10}
         assert parse_config(_config()).extras == {}
 
     @pytest.mark.parametrize(

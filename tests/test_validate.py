@@ -1,10 +1,12 @@
 """Validation-suite checks and report structure."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ophp import GaussianModel, dense_operator, diagonal_operator, qv
-from ophp import smoothing, validate
+from ophp import validate
 from ophp.gaussian import DecayDeclaration, regression_slope, sample_joint_blocks
 from ophp.instances import laplacian_model, ramp_model, ramp_multipliers, seeded_sigmas
 from ophp.operators import operator_power, psd_inverse, scalar_multiple
@@ -17,7 +19,6 @@ from ophp.validate import (
     commutation_check,
     conditional_mean_check,
     gap_check,
-    grid_argmin_check,
     mp_residual_suite,
     run_validation,
     white_noise_scale_check,
@@ -218,27 +219,27 @@ def test_gap_check_skips_dense_models():
     assert gap_check(model).status == SKIP
 
 
-def test_grid_argmin_check():
-    model = ramp_model(4, *seeded_sigmas(4, 7))
-    result = grid_argmin_check(model, points=9, seed=2)
-    assert result.status == PASS
+GAP_POWER_MODELS = {
+    "ramp-64": (ramp_model, 64),
+    "lap-64": (laplacian_model, 64),
+    "ramp-256": (ramp_model, 256),
+}
 
 
-def test_power_grid_argmin_fails_on_doubled_smoother(monkeypatch):
-    # With the claimed smoother at 2 * bhat the lattice spans [bhat, 3 * bhat],
-    # so the true argmin sits ten steps below the claimed centre.
-    model = ramp_model(64, *seeded_sigmas(64, 301))
-    assert grid_argmin_check(model, seed=304).status == PASS
-    true_b = smoothing.optimal_b
+@pytest.mark.parametrize("name", sorted(GAP_POWER_MODELS))
+@pytest.mark.parametrize("factor", [1.0, 2.0, 1.1, 1.001, 1.0 + 1e-6])
+def test_power_gap_check_fails_on_scaled_smoother(monkeypatch, name, factor):
+    # A smoother off by a factor moves every range component of the trend,
+    # so the range gap grows about linearly in |factor - 1|: at
+    # 1 + 1e-6 it reads 69.5 times its bound on ramp-64 and 2.99 on lap-64.
+    make, dim = GAP_POWER_MODELS[name]
+    model = make(dim, *seeded_sigmas(dim, 301))
+    true_b = validate.optimal_b
     monkeypatch.setattr(
-        smoothing, "optimal_b", lambda m: scalar_multiple(true_b(m), 2.0)
+        validate, "optimal_b", lambda m: scalar_multiple(true_b(m), factor)
     )
-    result = grid_argmin_check(model, seed=304)
-    assert result.status == FAIL
-    assert not result.details["matches_bhat"]
-    np.testing.assert_allclose(
-        result.details["bhat_params"], 2.0 * true_b(model).multipliers[1:4]
-    )
+    result = gap_check(model, seed=304)
+    assert result.status == (PASS if factor == 1.0 else FAIL)
 
 
 def test_white_noise_check_skips_colored_noise():
@@ -258,7 +259,7 @@ def test_white_noise_check_passes():
 
 def test_run_validation_reports_failures_independently():
     model = _noncommuting_model()
-    report = run_validation(model, seed=0, draws=5_000, gap_count=10, grid_points=5)
+    report = run_validation(model, seed=0, draws=5_000, gap_count=10)
     statuses = {check.name: check.status for check in report.checks}
     assert statuses["noise-projector-commutation"] == FAIL
     assert statuses["moore-penrose"] == PASS
@@ -270,5 +271,15 @@ def test_run_validation_reports_failures_independently():
 
 def test_run_validation_passes_on_model_instance():
     model = ramp_model(4, *seeded_sigmas(4, 8))
-    report = run_validation(model, seed=3, draws=10_000, gap_count=20, grid_points=7)
+    report = run_validation(model, seed=3, draws=10_000, gap_count=20)
     assert report.passed
+
+
+def test_readme_names_every_check():
+    # A scale index makes run_validation emit every check it has.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("\n### Validation\n", 1)[1].split("\n## ", 1)[0]
+    model = ramp_model(4, 1.0, 1.0)
+    report = run_validation(model, seed=0, draws=100, gap_count=1, scale_n=0)
+    missing = [c.name for c in report.checks if f"`{c.name}`" not in section]
+    assert len(report.checks) == 5 and missing == []
