@@ -18,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import EIG_RTOL, CoeffVector, DimensionMismatchError, OperatorRep
-
-
-# Largest trend-solve residual accepted, relative to the norm of the
-# observations.
-RESIDUAL_RTOL = 1e-10
+from .operators import (
+    EIG_RTOL,
+    CoeffVector,
+    DimensionMismatchError,
+    OperatorRep,
+    rounding_bound,
+)
 
 
 class PositivityError(ValueError):
@@ -153,9 +154,11 @@ def _solve_trend(
 ) -> np.ndarray:
     """Trends for every column of ``rhs``.
 
-    Diagonal ``a`` and ``b`` use the closed form.  Otherwise ``I + A* B A``
+    Diagonal ``a`` and ``b`` use the closed form.  Otherwise ``M = I + A* B A``
     (from ``quad`` when given) is LU-factorized once, and each column's
-    residual must stay within ``RESIDUAL_RTOL`` times that column's norm.
+    residual ``|M y - x|`` must stay within the rounding bound of
+    ``|M|_F |y| + |x|``, a normwise backward error that LU attains at any
+    ``cond(M)`` (Higham 2002, ch. 7).
     """
     if a.is_diagonal and b.is_diagonal:
         return rhs * filter_multipliers(a, b)[:, None]
@@ -169,13 +172,14 @@ def _solve_trend(
             f"trend system is singular (cond={np.linalg.cond(system):.3e})"
         ) from exc
     residuals = np.linalg.norm(system @ y - rhs, axis=0)
-    bounds = RESIDUAL_RTOL * np.maximum(
-        np.linalg.norm(rhs, axis=0), np.finfo(float).tiny
+    bounds = rounding_bound(
+        np.linalg.norm(system) * np.linalg.norm(y, axis=0)
+        + np.linalg.norm(rhs, axis=0)
     )
     if np.any(residuals > bounds):
         raise FilterSolveError(
-            f"trend system residual {float(residuals.max()):.3e} exceeds tolerance "
-            f"(cond={np.linalg.cond(system):.3e})"
+            f"trend system residual {float(residuals.max()):.3e} exceeds its "
+            f"rounding bound (cond={np.linalg.cond(system):.3e})"
         )
     return y
 
@@ -185,8 +189,8 @@ def solve_filter(problem: FilterProblem) -> CoeffVector:
 
     Checks that ``b`` keeps the penalty nonnegative, then solves
     ``(I + A* B A) y = x``: componentwise in closed form when both operators
-    are diagonal, otherwise by dense LU factorization with a residual check
-    at ``RESIDUAL_RTOL * |x|``.  The positivity verdict is computed once
+    are diagonal, otherwise by dense LU factorization with a backward-error
+    check on the residual.  The positivity verdict is computed once
     per ``(A, B)`` pair, from the same dense ``A* B A`` the solve uses, and
     reused while both operators are alive; ``A* B A`` and the solve still
     run on every call.  A failing verdict raises without a witness, so it

@@ -30,6 +30,7 @@ from .operators import (
     adjoint,
     apply,
     apply_rows,
+    commutator_norm,
     compose,
     operator_power,
     pinv,
@@ -143,20 +144,13 @@ class GaussianModel:
         if y0 is None:
             y0 = CoeffVector(np.zeros(a.dim_in), a.domain_basis)
         _check_y0(a, bundle, y0)
-        pi = bundle.projector_pi
-        if pi.is_diagonal and sigma_u.is_diagonal:
-            commutator = 0.0
-        else:
-            pm = pi.as_matrix()
-            sm = sigma_u.as_matrix()
-            commutator = float(np.linalg.norm(pm @ sm - sm @ pm))
         return cls(
             a=a,
             pinv_bundle=bundle,
             sigma_u=sigma_u,
             sigma_v=sigma_v,
             y0=y0,
-            commutator_norm=commutator,
+            commutator_norm=commutator_norm(bundle.projector_pi, sigma_u),
         )
 
     def with_y0(self, y0: CoeffVector) -> "GaussianModel":

@@ -40,9 +40,17 @@ DIAGONAL = "diagonal"
 EIG_RTOL = 1e-12
 # Largest entrywise asymmetry accepted, relative to 1 + the largest entry.
 SYMMETRY_RTOL = 1e-12
-# Structural residuals: y0 outside the null space, the commutator of sigma_u
-# with the null-space projector.
+# Largest component of y0 outside the null space, relative to 1 + |y0|.
 STRUCTURE_TOL = 1e-10
+# Rounding policy: a quantity that is zero in exact arithmetic passes while it
+# stays within ROUNDING_MULTIPLE * eps * cond * scale, where ``scale`` is the
+# size of the data it is computed from and ``cond`` amplifies their rounding.
+ROUNDING_MULTIPLE = 64
+
+
+def rounding_bound(scale, cond: float = 1.0):
+    """The rounding policy's bound at ``scale`` (a float or an array)."""
+    return ROUNDING_MULTIPLE * np.finfo(float).eps * cond * scale
 
 
 class BasisMismatchError(ValueError):
@@ -402,11 +410,18 @@ def scalar_multiple(op: OperatorRep, c: float) -> OperatorRep:
     return dense_operator(op.matrix * float(c), op.domain_basis, op.codomain_basis)
 
 
-def operator_norm(op: OperatorRep) -> float:
-    """Spectral norm (largest singular value)."""
-    if op.kind == DIAGONAL:
-        return float(np.abs(op.multipliers).max())
-    return float(np.linalg.norm(op.matrix, 2))
+def frobenius_norm(op: OperatorRep) -> float:
+    """Frobenius norm, from the stored entries."""
+    stored = op.multipliers if op.kind == DIAGONAL else op.matrix
+    return float(np.linalg.norm(stored))
+
+
+def commutator_norm(s: OperatorRep, t: OperatorRep) -> float:
+    """Frobenius norm of ``s t - t s``; exactly zero for two diagonal operators."""
+    if s.kind == DIAGONAL and t.kind == DIAGONAL:
+        return 0.0
+    sm, tm = s.as_matrix(), t.as_matrix()
+    return float(np.linalg.norm(sm @ tm - tm @ sm))
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +501,17 @@ class PinvBundle:
     A pinv(A) on the codomain.  The last two are formed on first use and
     kept.  ``retained`` indexes the components kept: the positions of the
     nonzero multipliers of a diagonal operator, or the leading
-    ``numerical_rank`` singular triplets of a dense one.  ``svd`` retains
-    the factors (U, s, Vt) for dense inputs so spectral consumers can reuse
-    them.
+    ``numerical_rank`` singular triplets of a dense one, and
+    ``singular_values`` holds their singular values in that order.  ``svd``
+    retains the factors (U, s, Vt) for dense inputs so spectral consumers
+    can reuse them.
     """
 
     pinv: OperatorRep
     numerical_rank: int
     sv_threshold: float
     retained: np.ndarray
+    singular_values: np.ndarray
     projector_pi: OperatorRep
     svd: tuple | None = None
 
@@ -535,6 +552,7 @@ def pinv(a: OperatorRep) -> PinvBundle:
             numerical_rank=int(keep.sum()),
             sv_threshold=threshold,
             retained=np.nonzero(keep)[0],
+            singular_values=np.abs(mult[keep]),
             projector_pi=diagonal_operator(keep.astype(float), a.domain_basis),
         )
 
@@ -554,20 +572,27 @@ def pinv(a: OperatorRep) -> PinvBundle:
         numerical_rank=rank,
         sv_threshold=threshold,
         retained=np.arange(rank),
+        singular_values=s[:rank],
         projector_pi=dense_operator(pi_mat, a.domain_basis),
         svd=(u, s, vt),
     )
 
 
 def moore_penrose_residuals(a: OperatorRep, bundle: PinvBundle) -> dict[str, float]:
-    """Frobenius residuals of the four defining identities."""
-    mat = a.as_matrix()
-    inv = bundle.pinv.as_matrix()
-    ai = mat @ inv
-    ia = inv @ mat
+    """Frobenius residuals of the four defining identities of ``bundle.pinv``
+    and of the idempotence and symmetry of ``bundle.projector_pi``.
+    Diagonal storage is checked elementwise, where ``.T`` is the identity."""
+    ops = (a, bundle.pinv, bundle.projector_pi)
+    if all(op.kind == DIAGONAL for op in ops):
+        (mat, inv, pi), mul = (op.multipliers for op in ops), np.multiply
+    else:
+        (mat, inv, pi), mul = (op.as_matrix() for op in ops), np.matmul
+    ai, ia = mul(mat, inv), mul(inv, mat)
     return {
-        "reconstruct": float(np.linalg.norm(ai @ mat - mat)),
-        "pinv_reconstruct": float(np.linalg.norm(ia @ inv - inv)),
+        "reconstruct": float(np.linalg.norm(mul(ai, mat) - mat)),
+        "pinv_reconstruct": float(np.linalg.norm(mul(ia, inv) - inv)),
         "range_symmetry": float(np.linalg.norm(ai.T - ai)),
         "null_symmetry": float(np.linalg.norm(ia.T - ia)),
+        "projector_idempotence": float(np.linalg.norm(mul(pi, pi) - pi)),
+        "projector_symmetry": float(np.linalg.norm(pi.T - pi)),
     }

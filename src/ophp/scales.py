@@ -50,15 +50,12 @@ def scale_weights(a: OperatorRep, n: int, bundle: PinvBundle) -> ScaleWeights:
 
     The retained components are those that ``bundle = pinv(a)`` keeps
     (``bundle.retained``): the range components of a diagonal operator, or
-    the leading right singular vectors of a dense one, from the bundle's
-    SVD.
+    the leading right singular vectors of a dense one; ``kappa`` is their
+    squared singular values.
     """
     if n < 0:
         raise ValueError("scale index n must be nonnegative")
-    if a.is_diagonal:
-        kappa = a.multipliers[bundle.retained] ** 2
-    else:
-        kappa = bundle.svd[1][bundle.retained] ** 2
+    kappa = bundle.singular_values**2
     return ScaleWeights(
         n=int(n), indices=bundle.retained, kappa=kappa, weights=kappa ** float(n)
     )

@@ -19,6 +19,11 @@ def zero(dim: int, basis_id: str = BASIS_EUCLIDEAN):
     return diagonal_operator(np.zeros(dim), basis_id)
 
 
+def operator_norm(op) -> float:
+    """Spectral norm (largest singular value)."""
+    return float(np.linalg.norm(op.as_matrix(), 2))
+
+
 def objective(problem, y) -> float:
     """The filter's penalized objective ``|x - y|^2 + <A y, B A y>`` at ``y``."""
     ay = problem.a.as_matrix() @ y.coeffs

@@ -26,9 +26,9 @@ from ophp import (
 )
 from ophp.gaussian import DecayDeclaration, regression_slope
 from ophp.instances import laplacian_model, ramp_model, seeded_sigmas
-from ophp.operators import BASIS_SINE, moore_penrose_residuals, operator_norm
+from ophp.operators import BASIS_SINE, moore_penrose_residuals
 
-from oracles import tail_ratio
+from oracles import operator_norm, tail_ratio
 
 
 def _criterion(name, ok, elapsed, limit, detail):

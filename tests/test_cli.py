@@ -12,7 +12,7 @@ import pytest
 from ophp import cli, validate
 from ophp.cli import main, project_series, read_series_csv
 from ophp.gaussian import GaussianModel, sample_joint_blocks
-from ophp.instances import ramp_multipliers, seeded_sigmas
+from ophp.instances import laplacian_multipliers, ramp_multipliers, seeded_sigmas
 from ophp.operators import BASIS_SINE
 from ophp.specs import build_model, load_config
 
@@ -375,6 +375,32 @@ class TestValidateCommand:
         statuses = {c["name"]: c["status"] for c in report["checks"]}
         assert statuses.pop("conditional-mean-regression") == "FAIL"
         assert "FAIL" not in statuses.values()
+
+    def test_filter_and_validate_agree_on_dense_laplacian(self, tmp_path):
+        # diag((pi j)^2) rotated at dim 128: cond(I + A* A) is 2.7e8, and a
+        # residual test that ignored |I + A* A| refused this trend.
+        dim = 128
+        rng = np.random.default_rng([301, 11])
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        ones = {"kind": "diagonal", "values": [1.0] * dim}
+        doc = {
+            "operator": {
+                "kind": "dense",
+                "rows": ((q * laplacian_multipliers(dim)) @ q.T).tolist(),
+            },
+            "sigma_u": ones,
+            "sigma_v": ones,
+            "truncation_dim": dim,
+            "seed": 301,
+        }
+        cfg = _write_config(tmp_path / "config.json", doc)
+        series = tmp_path / "x.csv"
+        series.write_text(
+            "".join(f"{t},{float(v)!r}\n" for t, v in enumerate(rng.standard_normal(dim)))
+        )
+        out = tmp_path / "out"
+        assert _run("filter", "--config", cfg, "--input", series, "--out", out) == 0
+        assert _run("validate", "--config", cfg, "--out", tmp_path / "val") == 0
 
     def test_white_noise_scaled_instance(self, tmp_path):
         ex = tmp_path / "ex"

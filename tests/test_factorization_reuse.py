@@ -6,6 +6,7 @@ eigendecomposes ``A* B A`` for a passing positivity check, fails here.
 """
 
 import gc
+import tracemalloc
 import warnings
 import weakref
 
@@ -32,7 +33,7 @@ from ophp.filter import _VERDICTS
 from ophp.gaussian import regression_slope
 from ophp.instances import ramp_model
 from ophp.operators import add, psd_inverse
-from ophp.validate import conditional_mean_check
+from ophp.validate import conditional_mean_check, mp_residual_suite
 
 
 @pytest.fixture
@@ -212,3 +213,24 @@ class TestTrendSystem:
         positivity_check(a, b)
         positivity_check(a, b)
         assert calls["eigvalsh"] == 3
+
+
+class TestMoorePenroseCheck:
+    @pytest.mark.parametrize("make", [lambda: ramp_model(64, 1.0, 1.0), _dense_model])
+    def test_reads_the_factorization_the_model_has(self, calls, make):
+        model = make()
+        before = dict(calls)
+        assert mp_residual_suite(model).status == "PASS"
+        assert calls == before
+
+    def test_diagonal_check_allocates_no_matrix(self):
+        model = ramp_model(4096, 1.0, 1.0)
+        tracemalloc.start()
+        try:
+            result = mp_residual_suite(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.status == "PASS"
+        # One 4096 x 4096 matrix would be 134 MB.
+        assert peak < 1_000_000

@@ -6,13 +6,20 @@ import pytest
 from ophp import (
     CoeffVector,
     FilterProblem,
+    FilterSolveError,
+    GaussianModel,
     PositivityError,
     dense_operator,
     diagonal_operator,
     positivity_check,
     solve_filter,
 )
-from ophp.instances import laplacian_model, ramp_model, ramp_operator
+from ophp.instances import (
+    laplacian_model,
+    laplacian_multipliers,
+    ramp_model,
+    ramp_operator,
+)
 from ophp.operators import scalar_multiple
 from ophp.smoothing import optimal_b
 
@@ -147,6 +154,54 @@ class TestSolveFilter:
         y = solve_filter(FilterProblem(a, x, b))
         system = np.eye(6) + a.matrix.T @ b.matrix @ a.matrix
         assert np.linalg.norm(system @ y.coeffs - x.coeffs) <= 1e-10 * x.norm()
+
+
+def _dense_laplacian_problem(dim):
+    """``diag((pi j)^2)`` rotated by a seeded orthogonal matrix, with identity
+    covariances, so that ``B = I`` and the trend is
+    ``Q diag(1 / (1 + (pi j)^4)) Q^T x``; returns the problem and that trend."""
+    rng = np.random.default_rng([301, 11])
+    q = _random_orthogonal(dim, rng)
+    lam = laplacian_multipliers(dim)
+    a = dense_operator((q * lam) @ q.T)
+    eye = dense_operator(np.eye(dim))
+    bhat = optimal_b(GaussianModel.build(a, eye, eye))
+    x = rng.standard_normal(dim)
+    return FilterProblem(a, CoeffVector(x), bhat), q @ ((q.T @ x) / (1.0 + lam**2))
+
+
+class TestTrendBackwardError:
+    @pytest.mark.parametrize("dim", [64, 128, 256, 512])
+    def test_dense_laplacian_is_accepted(self, dim):
+        # |I + A* A| grows like dim^4, so the residual of a backward-stable
+        # solve does too; relative to |M|_F |y| + |x| it reads 0.1 eps.
+        problem, exact = _dense_laplacian_problem(dim)
+        y = solve_filter(problem).coeffs
+        lam = laplacian_multipliers(dim)
+        cond = (1.0 + lam[-1] ** 2) / (1.0 + lam[0] ** 2)
+        # The forward error is what cond(M) makes of that: at most
+        # 0.11 eps cond(M) |y|.
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(y - exact) <= eps * cond * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("dim", [64, 512])
+    def test_perturbed_trend_raises(self, dim, monkeypatch):
+        # A trend moved by 1e-6 of its norm in a seeded direction reads at
+        # least 1.8e8 eps as a backward error.  Scaling it by 1 + 1e-6
+        # instead passes at dim 512: the scaled trend is the exact trend of
+        # a system within rounding of M, since |M| |y| is far above |x|.
+        problem, _ = _dense_laplacian_problem(dim)
+        solve = np.linalg.solve
+        direction = np.random.default_rng(7).standard_normal((dim, 1))
+        direction /= np.linalg.norm(direction)
+
+        def perturbed(m, rhs):
+            y = solve(m, rhs)
+            return y + 1e-6 * np.linalg.norm(y) * direction
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        with pytest.raises(FilterSolveError, match="exceeds its rounding bound"):
+            solve_filter(problem)
 
 
 class TestFilterProperties:

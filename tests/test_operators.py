@@ -19,11 +19,10 @@ from ophp.operators import (
     BASIS_SINE,
     dirichlet_green_kernel,
     moore_penrose_residuals,
-    operator_norm,
     sine_basis_matrix,
 )
 
-from oracles import identity, zero
+from oracles import identity, operator_norm, zero
 
 
 class TestCoeffVector:

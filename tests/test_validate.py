@@ -1,15 +1,22 @@
 """Validation-suite checks and report structure."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ophp import GaussianModel, dense_operator, diagonal_operator, qv
+from ophp import GaussianModel, dense_operator, diagonal_operator, kernel_operator, qv
 from ophp import validate
 from ophp.gaussian import DecayDeclaration, regression_slope, sample_joint_blocks
-from ophp.instances import laplacian_model, ramp_model, ramp_multipliers, seeded_sigmas
-from ophp.operators import operator_power, psd_inverse, scalar_multiple
+from ophp.instances import (
+    laplacian_model,
+    laplacian_multipliers,
+    ramp_model,
+    ramp_multipliers,
+    seeded_sigmas,
+)
+from ophp.operators import BASIS_SINE, operator_power, psd_inverse, scalar_multiple
 from ophp.scales import scale_index
 from ophp.validate import (
     CM_ALPHA,
@@ -36,10 +43,99 @@ def _noncommuting_model(dim=3):
     )
 
 
-def test_mp_residual_suite_passes():
-    result = mp_residual_suite(seed=0)
+def _rotated(q, *diagonals):
+    return [dense_operator((q * d) @ q.T) for d in diagonals]
+
+
+def _rotation(dim, seed=11):
+    q, _ = np.linalg.qr(np.random.default_rng([301, seed]).standard_normal((dim, dim)))
+    return q
+
+
+def _second_difference(n):
+    """The (n - 2) x n second difference scaled by 1/h^2: a closed range and
+    a largest singular value of about 4/h^2."""
+    h = 1.0 / (n - 1)
+    d = np.eye(n - 2, n) - 2.0 * np.eye(n - 2, n, 1) + np.eye(n - 2, n, 2)
+    return dense_operator(d / h**2)
+
+
+def _mp_model(name):
+    kind, dim = name.rsplit("-", 1)
+    dim = int(dim)
+    su, sv = seeded_sigmas(dim, 301)
+    if kind == "ramp":
+        return ramp_model(dim, su, sv)
+    if kind == "lap":
+        return laplacian_model(dim, su, sv)
+    if kind.startswith("rotated"):
+        mult = ramp_multipliers if kind == "rotated-ramp" else laplacian_multipliers
+        return GaussianModel.build(*_rotated(_rotation(dim), mult(dim), su, sv))
+    if kind == "green":
+        eye = dense_operator(np.eye(dim), BASIS_SINE)
+        return GaussianModel.build(kernel_operator("dirichlet_green", dim), eye, eye)
+    a = _second_difference(dim)
+    return GaussianModel.build(
+        a, diagonal_operator(np.ones(dim)), diagonal_operator(np.ones(dim - 2))
+    )
+
+
+MP_MODELS = (
+    [f"{k}-{d}" for k in ("ramp", "lap") for d in (64, 128, 256, 512, 1024)]
+    + [f"{k}-{d}" for k in ("rotated-ramp", "rotated-lap") for d in (64, 128)]
+    + ["green-64", "green-128", "green-256", "second-difference-256"]
+    + ["second-difference-1024"]
+)
+
+
+@pytest.mark.parametrize("name", MP_MODELS)
+def test_mp_residual_suite_passes_and_fails_on_scaled_pinv(name):
+    # Correct models read at most 0.12 of the bound (dense-64 of the
+    # benchmark); a pinv off by 1e-6 reads at least 962 times it (Laplacian
+    # at 1024, where cond(A) is 1.05e6).
+    model = _mp_model(name)
+    result = mp_residual_suite(model)
+    assert result.status == PASS, result.details
+    assert result.details["worst_over_bound"] < 0.2
+    bundle = dataclasses.replace(
+        model.pinv_bundle,
+        pinv=scalar_multiple(model.pinv_bundle.pinv, 1.0 + 1e-6),
+    )
+    result = mp_residual_suite(dataclasses.replace(model, pinv_bundle=bundle))
+    assert result.status == FAIL
+    assert result.details["worst_over_bound"] > 100.0
+
+
+def test_mp_residual_suite_details():
+    model = _mp_model("lap-64")
+    details = mp_residual_suite(model).details
+    assert details["numerical_rank"] == 64
+    assert details["cond"] == pytest.approx(64.0**2, rel=1e-12)
+    assert details["worst_identity"] in {
+        "reconstruct",
+        "pinv_reconstruct",
+        "range_symmetry",
+        "null_symmetry",
+        "projector_idempotence",
+        "projector_symmetry",
+    }
+    assert 0.0 <= details["worst_over_bound"] <= 1.0
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_mp_residual_suite_passes_on_zero_operator(kind):
+    a = diagonal_operator(np.zeros(4))
+    if kind == "dense":
+        a = dense_operator(np.zeros((4, 4)))
+    ones = diagonal_operator(np.ones(4))
+    result = mp_residual_suite(GaussianModel.build(a, ones, ones))
     assert result.status == PASS
-    assert result.details["failures"] == 0
+    assert result.details == {
+        "numerical_rank": 0,
+        "cond": 1.0,
+        "worst_identity": "reconstruct",
+        "worst_over_bound": 0.0,
+    }
 
 
 def test_commutation_check_detects_violation():
@@ -47,6 +143,31 @@ def test_commutation_check_detects_violation():
     result = commutation_check(model)
     assert result.status == FAIL
     assert result.details["commutator_norm"] > 1e-6
+
+
+@pytest.mark.parametrize("dim, factor", [(128, 1e4), (64, 1e6), (256, 1.0), (512, 1.0)])
+def test_commutation_check_is_relative_on_commuting_models(dim, factor):
+    # Covariances rotated like A commute with its projector; the commutator
+    # is rounding, 1.3e-10 at dim 128 with sigma_u scaled by 1e4, which is
+    # 0.35 eps of |sigma_u|_F |P|_F.
+    su, sv = seeded_sigmas(dim, 301)
+    model = GaussianModel.build(
+        *_rotated(_rotation(dim), ramp_multipliers(dim), factor * su, sv)
+    )
+    result = commutation_check(model)
+    assert result.status == PASS
+    assert result.details == {"commutator_norm": model.commutator_norm}
+
+
+def test_commutation_check_fails_on_tiny_noncommuting_covariance():
+    # The commutator is 1.6e-12 in absolute terms but of the size of sigma_u.
+    model = _noncommuting_model()
+    small = GaussianModel.build(
+        model.a, scalar_multiple(model.sigma_u, 1e-12), model.sigma_v
+    )
+    result = commutation_check(small)
+    assert result.status == FAIL
+    assert result.details["commutator_norm"] < 1e-10
 
 
 def test_conditional_mean_check_passes_on_ramp():
@@ -248,6 +369,16 @@ def test_white_noise_check_skips_colored_noise():
     assert white_noise_scale_check(model, *scale_index(None, decl)).status == SKIP
 
 
+def test_white_noise_check_skips_colored_noise_at_any_scale():
+    # Coloured covariances of size 1e-14 are not white: the rescaled
+    # smoother is not a multiple of the identity there.
+    model = ramp_model(8, 1e-14 * np.linspace(1.0, 2.0, 8), 1.0)
+    decl = DecayDeclaration(2.0, 0.0, 0.0)
+    result = white_noise_scale_check(model, *scale_index(None, decl))
+    assert result.status == SKIP
+    assert result.details["reason"] == "covariances are not white on the range"
+
+
 def test_white_noise_check_passes():
     model = laplacian_model(6, 1.5, 0.5)
     decl = DecayDeclaration(4.0, 0.0, 0.0)
@@ -255,6 +386,45 @@ def test_white_noise_check_passes():
     assert result.status == PASS
     assert result.details["multiplier_spread"] < 1e-12
     assert result.details["ratio"] == 3.0
+
+
+@pytest.mark.parametrize(
+    "make, dim, ratio, kappa_decay",
+    [
+        (ramp_model, 1024, 1600.0, 2.0),
+        (ramp_model, 512, 14_400.0, 2.0),
+        (laplacian_model, 512, 14_400.0, 4.0),
+        (ramp_model, 8, 1e6, 2.0),
+    ],
+)
+def test_white_noise_check_is_relative_to_the_ratio(make, dim, ratio, kappa_decay):
+    # The spread and the deviation read at most 3.5 eps times the ratio.
+    model = make(dim, ratio, 1.0)
+    decl = DecayDeclaration(kappa_decay, 0.0, 0.0)
+    result = white_noise_scale_check(model, *scale_index(None, decl))
+    assert result.status == PASS, result.details
+    assert result.details["ratio"] == ratio
+
+
+def test_power_white_noise_check_fails_on_scaled_smoother(monkeypatch):
+    model = laplacian_model(6, 1.5, 0.5)
+    decl = DecayDeclaration(4.0, 0.0, 0.0)
+    true_b = validate.scaled_optimal_b
+    monkeypatch.setattr(
+        validate,
+        "scaled_optimal_b",
+        lambda m, n: scalar_multiple(true_b(m, n), 1.0 + 1e-9),
+    )
+    result = white_noise_scale_check(model, *scale_index(None, decl))
+    assert result.status == FAIL
+    assert result.details["max_deviation"] > 1e-9
+
+
+@pytest.mark.parametrize("seed", range(301, 321))
+def test_mp_residual_suite_passes_bench_validate_models(seed):
+    for name, model in _bench_validate_models(seed).items():
+        result = mp_residual_suite(model)
+        assert result.status == PASS, (name, result.details)
 
 
 def test_run_validation_reports_failures_independently():
