@@ -42,7 +42,6 @@ from .smoothing import SingularCovarianceError, _assemble, optimal_b
 from .specs import (
     RunConfig,
     SpecError,
-    build_model,
     load_config,
     operator_to_json,
     parse_config,
@@ -147,7 +146,7 @@ def read_series_csv(path: Path) -> tuple[np.ndarray | None, np.ndarray]:
     """
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read input series {path}: {exc}") from exc
     ts, values = [], []
     for lineno, raw in enumerate(text.splitlines()):
@@ -254,35 +253,22 @@ def _out_dir(args, cfg: RunConfig | None = None) -> Path:
     return out
 
 
-def _model(cfg: RunConfig):
-    try:
-        return build_model(cfg)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _request(args):
-    """``(config, model, decay declaration)`` of a request, with the
-    command-line overrides applied to the config."""
-    if args.config is None:
-        raise InputError("--config is required for this command")
+def _request(args) -> RunConfig:
+    """The request's config, with the flags its command takes applied."""
     cfg = load_config(args.config)
     updates = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         updates["seed"] = read_int(args.seed, "--seed", 0)
-    if args.dim is not None:
-        updates["truncation_dim"] = read_int(args.dim, "--dim", 2)
     if getattr(args, "scale_n", None) is not None:
         updates["scale_n"] = read_int(args.scale_n, "--scale-n", 0)
     if getattr(args, "input", None) is not None:
         updates["input_path"] = Path(args.input)
-    if updates:
-        cfg = replace(cfg, **updates)
-    return (cfg, *_model(cfg))
+    return replace(cfg, **updates) if updates else cfg
 
 
 def cmd_filter(args) -> int:
-    cfg, model, _ = _request(args)
+    cfg = _request(args)
+    model = cfg.model
     if cfg.input_path is None:
         raise InputError("filter needs an input series (input_path or --input)")
     t_in, values = read_series_csv(cfg.input_path)
@@ -319,7 +305,8 @@ def cmd_filter(args) -> int:
 
 
 def cmd_optimal_b(args) -> int:
-    cfg, model, _ = _request(args)
+    cfg = _request(args)
+    model = cfg.model
     bhat = optimal_b(model)
     write_json(
         _out_dir(args, cfg) / "bhat.json",
@@ -335,8 +322,8 @@ def cmd_optimal_b(args) -> int:
 
 def cmd_example(args) -> int:
     multipliers, basis, kappa_decay = instances.EXAMPLES[int(args.which)]
-    dim = read_int(8 if args.dim is None else args.dim, "--dim", 2)
-    seed = read_int(0 if args.seed is None else args.seed, "--seed", 0)
+    dim = read_int(args.dim, "--dim", 2)
+    seed = read_int(args.seed, "--seed", 0)
     grid_points = read_int(args.grid_points, "--grid-points", 2)
     su, sv = instances.seeded_sigmas(dim, seed)
     if args.sigma_u is not None:
@@ -364,7 +351,7 @@ def cmd_example(args) -> int:
     }
     # Read back as every other command reads it: an instance that they would
     # refuse is refused here, before anything is written.
-    model, _ = _model(parse_config(config_doc))
+    model = parse_config(config_doc).model
     optimal_b(model)
     bhat_expected = instances.expected_bhat(a_mult, su, sv)
     filter_expected = instances.expected_filter_multipliers(a_mult, bhat_expected)
@@ -390,7 +377,8 @@ def cmd_simulate(args) -> int:
     count = int(args.count)
     if count < 1:
         raise InputError("--count must be at least 1")
-    cfg, model, _ = _request(args)
+    cfg = _request(args)
+    model = cfg.model
     components = [f",{j}" for j in range(model.dim)]
     sum_u, sum_x = np.zeros(model.dim), np.zeros(model.dim)
     out = _out_dir(args, cfg)
@@ -421,9 +409,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg, model, decay = _request(args)
+    cfg = _request(args)
     report = run_validation(
-        model, seed=cfg.seed, scale_n=cfg.scale_n, decay=decay, **(cfg.extras or {})
+        cfg.model, seed=cfg.seed, scale_n=cfg.scale_n, decay=cfg.decay
     )
     out = _out_dir(args, cfg)
     for check in report.checks:
@@ -437,13 +425,14 @@ def _multipliers(op) -> list | None:
 
 
 def cmd_scale(args) -> int:
-    cfg, model, decay = _request(args)
-    n, n0 = scale_index(cfg.scale_n, decay)
+    cfg = _request(args)
+    model = cfg.model
+    n, n0 = scale_index(cfg.scale_n, cfg.decay)
     if n is None:
         raise InputError(
-            "no scale index: set scale_n or supply decay exponents in 'scale'"
+            "no scale index: set scale.n or supply decay exponents in 'scale'"
         )
-    weights = scale_weights(model.a, n, model.pinv_bundle)
+    weights = scale_weights(n, model.pinv_bundle)
     su, sv = rescaled_covariances(model, n)
     scaled = _assemble(model.a, model.pinv_bundle, su, sv)
     white = white_noise_scale_check(model, n, n0)
@@ -467,17 +456,14 @@ def cmd_scale(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_outputs(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=None, help="override the seed")
-    parser.add_argument("--dim", type=int, default=None,
-                        help="override the truncation dimension")
+def _add_config(parser: argparse.ArgumentParser, seed: bool = False):
+    """``--config`` and ``--out``, and ``--seed`` for a command that draws."""
+    parser.add_argument("--config", required=True,
+                        help="path to a run configuration JSON file")
+    if seed:
+        parser.add_argument("--seed", type=int, default=None,
+                            help="override the seed")
     parser.add_argument("--out", default=None, help="output directory")
-
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="path to a run configuration JSON file",
-                        required=False)
-    _add_outputs(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,18 +474,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("filter", help="extract trend and residual from a series")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--input", default=None, help="input series CSV")
     p.add_argument("--estimate-y0", action="store_true",
                    help="estimate the deterministic component from the input")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("optimal-b", help="compute the optimal smoothing operator")
-    _add_common(p)
+    _add_config(p)
     p.set_defaults(func=cmd_optimal_b)
 
     p = sub.add_parser("example", help="emit a self-contained built-in instance")
-    _add_outputs(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sigmas and x")
+    p.add_argument("--dim", type=int, default=8, help="truncation dimension")
+    p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--which", required=True, choices=["1", "2"],
                    help="1 = ramp sequence operator, 2 = Dirichlet Laplacian")
     p.add_argument("--grid-points", dest="grid_points", type=int, default=257,
@@ -511,16 +499,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("simulate", help="draw joint samples from the model")
-    _add_common(p)
+    _add_config(p, seed=True)
     p.add_argument("--count", type=int, default=1000, help="number of draws")
     p.set_defaults(func=cmd_simulate)
 
-    for name, func, text in (
-        ("validate", cmd_validate, "run the numerical validation suite"),
-        ("scale", cmd_scale, "rescaled covariances and smoother"),
+    for name, func, seed, text in (
+        ("validate", cmd_validate, True, "run the numerical validation suite"),
+        ("scale", cmd_scale, False, "rescaled covariances and smoother"),
     ):
         p = sub.add_parser(name, help=text)
-        _add_common(p)
+        _add_config(p, seed)
         p.add_argument("--scale-n", dest="scale_n", type=int, default=None,
                        help="override the scale index")
         p.set_defaults(func=func)

@@ -45,10 +45,11 @@ class ScaleWeights:
     weights: np.ndarray
 
 
-def scale_weights(a: OperatorRep, n: int, bundle: PinvBundle) -> ScaleWeights:
-    """Scale eigenvalues and their n-th powers for a spectral operator.
+def scale_weights(n: int, bundle: PinvBundle) -> ScaleWeights:
+    """Scale eigenvalues and their n-th powers for the operator ``A`` with
+    ``bundle = pinv(A)``.
 
-    The retained components are those that ``bundle = pinv(a)`` keeps
+    The retained components are those that the bundle keeps
     (``bundle.retained``): the range components of a diagonal operator, or
     the leading right singular vectors of a dense one; ``kappa`` is their
     squared singular values.

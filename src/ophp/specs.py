@@ -23,8 +23,8 @@ Scale documents::
     {"n": 1, "kappa_decay": 2.0, "sigma_u_decay": 0.0, "sigma_v_decay": 0.0}
 
 A run configuration ties the pieces together with a truncation dimension,
-seed, and file locations; relative paths resolve against the configuration
-file's directory.
+seed, scale document and file locations; relative paths resolve against the
+configuration file's directory.
 """
 
 from __future__ import annotations
@@ -125,10 +125,6 @@ def read_float(value, what: str) -> float:
 BASES = (BASIS_EUCLIDEAN, BASIS_SINE)
 
 DECAY_KEYS = ("kappa_decay", "sigma_u_decay", "sigma_v_decay")
-
-# Smallest value of each integer in ``extras``: the validate suite's sizes.
-EXTRAS_MINIMUMS = {"draws": 1, "gap_count": 1}
-
 
 def _basis(value, key: str) -> str:
     if value not in BASES:
@@ -254,40 +250,62 @@ def operator_to_json(op: OperatorRep) -> dict:
 # Run configuration
 # ---------------------------------------------------------------------------
 
+# Keys an earlier schema read; a config that sets one is refused, so no
+# result changes silently.
+RETIRED_KEYS = {
+    "scale_n": "set the scale index as scale.n",
+    "extras": "the validate suite's sizes are fixed",
+}
+
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Parsed run configuration with resolved file locations.
+    """A checked run configuration: its model, the decay declaration (or
+    ``None`` when an exponent is unknown), the seed, the scale index
+    ``scale.n`` (or ``None``) and the resolved file locations."""
 
-    ``scale_n`` is the resolved scale index, ``scale`` holds the decay
-    exponents the scale document gives, and ``extras`` the validate suite's
-    sizes the configuration sets; all are checked.
-    """
-
-    operator_spec: dict
-    sigma_u_spec: dict
-    sigma_v_spec: dict
-    truncation_dim: int
+    model: GaussianModel
+    decay: DecayDeclaration | None
     seed: int
-    scale_n: int | None = None
-    scale: dict | None = None
-    input_path: Path | None = None
-    output_path: Path | None = None
-    y0: list | None = None
-    extras: dict | None = None
+    scale_n: int | None
+    input_path: Path | None
+    output_path: Path | None
+
+
+def _model(obj: dict, dim: int) -> tuple[GaussianModel, dict]:
+    """The configured Gaussian model and the decay exponents of its
+    ``power_decay`` covariances."""
+    operator = parse_operator(obj["operator"], dim)
+    sigma_u, u_decay = parse_covariance(
+        obj["sigma_u"], operator.dim_in, operator.domain_basis
+    )
+    sigma_v, v_decay = parse_covariance(
+        obj["sigma_v"], operator.dim_out, operator.codomain_basis
+    )
+    y0 = obj.get("y0")
+    if y0 is not None:
+        y0 = CoeffVector(_finite(y0, "y0"), operator.domain_basis)
+    model = GaussianModel.build(operator, sigma_u, sigma_v, y0=y0)
+    exponents = {"sigma_u_decay": u_decay, "sigma_v_decay": v_decay}
+    return model, {k: v for k, v in exponents.items() if v is not None}
 
 
 def parse_config(obj: dict, base_dir: Path | None = None) -> RunConfig:
-    """Check every field of a run configuration document; the one reader of it.
+    """Check every field of a run configuration document and build its
+    model; the one reader of it.
 
-    The scale index is the top-level ``scale_n`` if given, else the scale
-    document's ``n`` (a ``--scale-n`` override replaces both).
+    Decay exponents missing from the ``scale`` document are filled from
+    ``power_decay`` covariance specs.  A model the algebra refuses is a
+    :class:`SpecError` like any other fault of the document.
     """
     if not isinstance(obj, dict):
         raise SpecError("configuration must be a JSON object")
     missing = [k for k in ("operator", "sigma_u", "sigma_v") if k not in obj]
     if missing:
         raise SpecError(f"configuration is missing {missing}")
+    for key, hint in RETIRED_KEYS.items():
+        if key in obj:
+            raise SpecError(f"{key} is no longer read: {hint}")
     dim = read_int(obj.get("truncation_dim", 0), "truncation_dim", 2)
     seed = read_int(obj.get("seed", 0), "seed", 0)
 
@@ -297,19 +315,11 @@ def parse_config(obj: dict, base_dir: Path | None = None) -> RunConfig:
             raise SpecError(f"{key} must be {what}, got {value!r}")
         return value
 
-    extras = optional("extras", dict, "an object") or {}
-    extras = {
-        key: read_int(value, f"extras.{key}", EXTRAS_MINIMUMS[key])
-        for key, value in extras.items()
-        if key in EXTRAS_MINIMUMS
-    }
     scale = optional("scale", dict, "an object") or {}
     decay = {k: _number(scale[k], k) for k in DECAY_KEYS if k in scale}
-
-    def index(value, what):
-        return None if value is None else read_int(value, what, 0)
-
-    top, inner = index(obj.get("scale_n"), "scale_n"), index(scale.get("n"), "scale.n")
+    scale_n = scale.get("n")
+    if scale_n is not None:
+        scale_n = read_int(scale_n, "scale.n", 0)
     base = Path(".") if base_dir is None else base_dir
 
     def resolve(key):
@@ -319,18 +329,25 @@ def parse_config(obj: dict, base_dir: Path | None = None) -> RunConfig:
         path = Path(value)
         return path if path.is_absolute() else base / path
 
+    input_path, output_path = resolve("input_path"), resolve("output_path")
+    try:
+        model, exponents = _model(obj, dim)
+    except SpecError:
+        raise
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
+    decay = {**exponents, **decay}
     return RunConfig(
-        operator_spec=obj["operator"],
-        sigma_u_spec=obj["sigma_u"],
-        sigma_v_spec=obj["sigma_v"],
-        truncation_dim=dim,
+        model=model,
+        decay=(
+            DecayDeclaration(*(decay[k] for k in DECAY_KEYS))
+            if len(decay) == len(DECAY_KEYS)
+            else None
+        ),
         seed=seed,
-        scale_n=inner if top is None else top,
-        scale=decay,
-        input_path=resolve("input_path"),
-        output_path=resolve("output_path"),
-        y0=obj.get("y0"),
-        extras=extras,
+        scale_n=scale_n,
+        input_path=input_path,
+        output_path=output_path,
     )
 
 
@@ -338,32 +355,6 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot read configuration {path}: {exc}") from exc
     return parse_config(obj, base_dir=path.parent)
-
-
-def build_model(cfg: RunConfig) -> tuple[GaussianModel, DecayDeclaration | None]:
-    """Assemble the Gaussian model and any available decay declaration.
-
-    Decay exponents missing from the scale document are filled from
-    ``power_decay`` covariance specs when possible.
-    """
-    operator = parse_operator(cfg.operator_spec, cfg.truncation_dim)
-    sigma_u, u_decay = parse_covariance(
-        cfg.sigma_u_spec, operator.dim_in, operator.domain_basis
-    )
-    sigma_v, v_decay = parse_covariance(
-        cfg.sigma_v_spec, operator.dim_out, operator.codomain_basis
-    )
-    y0 = None
-    if cfg.y0 is not None:
-        y0 = CoeffVector(_finite(cfg.y0, "y0"), operator.domain_basis)
-    model = GaussianModel.build(operator, sigma_u, sigma_v, y0=y0)
-    decay = dict(cfg.scale or {})
-    for key, exponent in (("sigma_u_decay", u_decay), ("sigma_v_decay", v_decay)):
-        if exponent is not None:
-            decay.setdefault(key, exponent)
-    if len(decay) < len(DECAY_KEYS):
-        return model, None
-    return model, DecayDeclaration(*(decay[k] for k in DECAY_KEYS))

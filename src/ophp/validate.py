@@ -75,12 +75,9 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-# Default joint draws of the conditional-mean test and default inputs of the
-# gap check (``extras.draws``, ``extras.gap_count``).
+# Joint draws of the conditional-mean test and inputs of the gap check.
 CM_DRAWS = 20_000
 GAP_INPUTS = 100
-# Largest range gap accepted, relative to 1 + |x|.
-GAP_RTOL = 1e-9
 # Largest spread of a white covariance, relative to its largest entry.
 WHITE_NOISE_RTOL = 1e-12
 
@@ -256,17 +253,17 @@ def gap_check(
     """Agreement of the optimal filter with the conditional mean.
 
     On spectral models the two maps share their multipliers on the range
-    components, so the range-projected gap must stay within
-    ``GAP_RTOL * (1 + |x|)`` for arbitrary inputs ``x``; the full gap
+    components, so the range-projected gap must stay within the rounding
+    bound of ``1 + |x|`` for arbitrary inputs ``x``; the full gap
     additionally vanishes exactly when the observation noise carries no
     null-space mass.  The trend's null-space components do not depend on
     the smoother and a gap is never negative, so a PASS also certifies
     ``optimal_b`` as the gap's argmin.
 
     Dense models are skipped.  The range gap is an identity there too, but
-    its rounding grows with the conditioning of the model, and the fixed
-    ``GAP_RTOL`` FAILs correct ill-conditioned models such as Green kernels
-    at dim 128 and above.
+    its rounding grows with the conditioning of the model, which this bound
+    does not state, so it would FAIL correct ill-conditioned models such as
+    Green kernels at dim 128 and above.
     """
     if not model.is_diagonal:
         return CheckResult(
@@ -286,7 +283,7 @@ def gap_check(
     for x, diff in zip(xs, diffs):
         norm_x = float(np.linalg.norm(x))
         range_gap = float(np.linalg.norm(pi * diff))
-        max_range_ratio = max(max_range_ratio, range_gap / (GAP_RTOL * (1.0 + norm_x)))
+        max_range_ratio = max(max_range_ratio, range_gap / rounding_bound(1.0 + norm_x))
         max_full_gap = max(max_full_gap, float(np.linalg.norm(diff)))
     kernel_noise = float(
         np.abs((1.0 - pi) * model.sigma_u.multipliers).max(initial=0.0)

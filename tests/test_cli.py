@@ -1,5 +1,6 @@
 """Command-line interface: files, round trips, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import re
@@ -11,13 +12,17 @@ import pytest
 
 from ophp import cli, validate
 from ophp.cli import main, project_series, read_series_csv
-from ophp.gaussian import GaussianModel, sample_joint_blocks
+from ophp.gaussian import DecayDeclaration, GaussianModel, sample_joint_blocks
 from ophp.instances import laplacian_multipliers, ramp_multipliers, seeded_sigmas
 from ophp.operators import BASIS_SINE
-from ophp.specs import build_model, load_config
+from ophp.specs import load_config, parse_config
 
 import oracles
 from oracles import laplacian_filter_multipliers
+
+
+# The commands that read a run configuration.
+CONFIG_COMMANDS = ["filter", "optimal-b", "simulate", "validate", "scale"]
 
 
 def _run(*argv):
@@ -327,7 +332,6 @@ class TestValidateCommand:
             "sigma_v": {"kind": "diagonal", "values": [1.0, 1.0, 1.0]},
             "truncation_dim": 3,
             "seed": 5,
-            "extras": {"draws": 2000, "gap_count": 10},
         }
         cfg = _write_config(tmp_path / "config.json", doc)
         out = tmp_path / "val"
@@ -362,7 +366,7 @@ class TestValidateCommand:
         # The config alone cannot be wrong about its own samples, so the data
         # are drawn from the correct model while the config claims sigma_v
         # 1.2 times too large.
-        truth, _ = build_model(load_config(correct))
+        truth = load_config(correct).model
         monkeypatch.setattr(
             validate,
             "sample_joint_blocks",
@@ -465,20 +469,37 @@ class TestOtherCommands:
         assert scale_doc["kappa"] == [4.0, 9.0, 16.0]
         assert scale_doc["white_noise_check"]["status"] == "PASS"
 
-    @pytest.mark.parametrize("command", ["filter", "optimal-b", "simulate"])
-    def test_scale_n_only_on_commands_that_read_it(self, ramp_config, capsys, command):
-        cfg_path, _ = ramp_config
-        with pytest.raises(SystemExit) as exc:
-            _run(command, "--config", cfg_path, "--scale-n", 1)
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --scale-n 1" in capsys.readouterr().err
-
     def test_scale_without_index_rejected(self, ramp_config):
         cfg_path, _ = ramp_config
         assert _run("scale", "--config", cfg_path) == 1
 
-    def test_missing_config_rejected(self):
-        assert _run("filter") == 1
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_missing_config_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            _run(command)
+        assert exc.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("filter", "--scale-n"),
+            ("optimal-b", "--scale-n"),
+            ("simulate", "--scale-n"),
+            ("filter", "--seed"),
+            ("optimal-b", "--seed"),
+            ("scale", "--seed"),
+            *((command, "--dim") for command in CONFIG_COMMANDS),
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_usage_errors(
+        self, ramp_config, capsys, command, flag
+    ):
+        cfg_path, _ = ramp_config
+        with pytest.raises(SystemExit) as exc:
+            _run(command, "--config", cfg_path, flag, 1)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_seed_override_changes_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -540,7 +561,7 @@ class TestErrorExits:
                     [[1.0, 0.0], [0.0, 1e-4]],
                     {"kind": "diagonal", "values": [1.0, 1.0]},
                     {"kind": "diagonal", "values": [1.0, 1.0]},
-                    scale_n=1,
+                    scale={"n": 1},
                 ),
             ),
         ],
@@ -558,12 +579,12 @@ class TestErrorExits:
             ("seed", "x"),
             ("seed", 2.7),
             ("seed", True),
-            ("extras", [1, 2]),
-            ("extras", {"gap_count": 0}),
-            ("extras", {"gap_count": True}),
-            ("extras", {"gap_count": -3}),
-            ("extras", {"draws": 0}),
-            ("extras", {"draws": 2000.5}),
+            ("truncation_dim", 1),
+            ("truncation_dim", "5"),
+            ("scale", {"n": -1}),
+            ("scale", {"n": True}),
+            ("scale", {"n": 0.5}),
+            ("scale", {"n": "1"}),
         ],
     )
     def test_malformed_integer_fields_exit_one(
@@ -579,20 +600,19 @@ class TestErrorExits:
         assert err.startswith("error: ") and field in err
         assert not (out / "validation.json").exists()
 
-    @pytest.mark.parametrize(
-        "command", ["filter", "optimal-b", "simulate", "validate", "scale"]
-    )
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
     @pytest.mark.parametrize(
         "field, value",
         [
             ("scale", [1, 2]),
             ("scale", "x"),
             ("scale", {"n": -1}),
-            ("extras", {"draws": 0}),
+            ("extras", {"draws": 2000}),
+            ("scale_n", 1),
             ("input_path", 5),
             ("output_path", [1]),
         ],
-        ids=["scale-list", "scale-str", "scale-n", "extras-draws", "input", "output"],
+        ids=["scale-list", "scale-str", "scale-n", "extras", "top-scale-n", "input", "output"],
     )
     def test_malformed_config_rejected_by_every_command(
         self, ramp_config, tmp_path, capsys, command, field, value
@@ -600,7 +620,7 @@ class TestErrorExits:
         cfg_path, dim = ramp_config
         (tmp_path / "x.csv").write_text("1.0\n" * dim)
         doc = json.loads(cfg_path.read_text())
-        doc.update({"input_path": "x.csv", "scale_n": 1, field: value})
+        doc.update({"input_path": "x.csv", "scale": {"n": 1}, field: value})
         _write_config(cfg_path, doc)
         out = tmp_path / "out"
         assert _run(command, "--config", cfg_path, "--out", out) == 1
@@ -609,9 +629,7 @@ class TestErrorExits:
         assert field in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "command", ["filter", "optimal-b", "simulate", "validate", "scale"]
-    )
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -663,7 +681,7 @@ class TestErrorExits:
         cfg_path, dim = ramp_config
         (tmp_path / "x.csv").write_text("1.0\n" * dim)
         doc = json.loads(cfg_path.read_text())
-        doc.update({"input_path": "x.csv", "scale_n": 1, field: value})
+        doc.update({"input_path": "x.csv", "scale": {"n": 1}, field: value})
         _write_config(cfg_path, doc)
         out = tmp_path / "out"
         assert _run(command, "--config", cfg_path, "--out", out) == 1
@@ -708,7 +726,7 @@ class TestErrorExits:
         cfg_path, dim = ramp_config
         (tmp_path / "x.csv").write_text("1.0\n" * dim)
         doc = json.loads(cfg_path.read_text())
-        doc.update({"input_path": "x.csv", "scale_n": 1, "operator": operator})
+        doc.update({"input_path": "x.csv", "scale": {"n": 1}, "operator": operator})
         _write_config(cfg_path, doc)
         out = tmp_path / "out"
         assert _run(command, "--config", cfg_path, "--out", out) == 1
@@ -740,7 +758,7 @@ class TestErrorExits:
                 "sigma_u": {"kind": "diagonal", "values": [1.0, 1.0]},
                 "sigma_v": {"kind": "diagonal", "values": [1.0, 0.0]},
                 "truncation_dim": 2,
-                "scale_n": 1,
+                "scale": {"n": 1},
             },
         )
         argv = {
@@ -767,17 +785,24 @@ class TestErrorExits:
             assert _run("scale", "--config", cfg_path, "--out", out, *argv) == 0
             return json.loads((out / "scale.json").read_text())["n"]
 
-        # --scale-n, then the top-level scale_n, then the scale document's n.
-        assert scale_n("--scale-n", 0, scale_n=1, scale={"n": 2}) == 0
-        assert scale_n(scale_n=1, scale={"n": 2}) == 1
+        # --scale-n, then the scale document's n.
+        assert scale_n("--scale-n", 0, scale={"n": 2}) == 0
         assert scale_n(scale={"n": 2}) == 2
 
     @pytest.mark.parametrize(
-        "argv", [["--seed", "-1"], ["--dim", "1"], ["--scale-n", "-2"]]
+        "command, argv",
+        [
+            ("simulate", ["--seed", "-1"]),
+            ("validate", ["--seed", "-1"]),
+            ("validate", ["--scale-n", "-2"]),
+            ("scale", ["--scale-n", "-2"]),
+        ],
     )
-    def test_out_of_range_overrides_exit_one(self, ramp_config, tmp_path, capsys, argv):
+    def test_out_of_range_overrides_exit_one(
+        self, ramp_config, tmp_path, capsys, command, argv
+    ):
         cfg_path, _ = ramp_config
-        assert _run("scale", "--config", cfg_path, "--out", tmp_path, *argv) == 1
+        assert _run(command, "--config", cfg_path, "--out", tmp_path, *argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {argv[0]} must be")
 
     @pytest.mark.parametrize(
@@ -790,6 +815,8 @@ class TestErrorExits:
             ["--sigma-v", ""],
             ["--grid-points", "0"],
             ["--grid-points", "1"],
+            ["--dim", "1"],
+            ["--seed", "-1"],
         ],
     )
     def test_bad_example_values_exit_one(self, tmp_path, capsys, argv):
@@ -862,6 +889,25 @@ class TestErrorExits:
         assert (second.sigma_u, second.grid_points, second.which) == (None, 257, "2")
         assert cli._parser() is cli._parser()
 
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xff\xfe")
+        out = tmp_path / "out"
+        assert _run("optimal-b", "--config", cfg, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read configuration") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_utf8_series_exits_one(self, ramp_config, tmp_path, capsys):
+        cfg_path, _ = ramp_config
+        series = tmp_path / "x.csv"
+        series.write_bytes(b"1.0\n\xff\n")
+        out = tmp_path / "out"
+        assert _run("filter", "--config", cfg_path, "--input", series, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read input series") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_series_rejected(self, ramp_config, tmp_path, bad):
         cfg_path, dim = ramp_config
@@ -896,7 +942,7 @@ class TestErrorExits:
             "sigma_v": {"kind": "diagonal", "values": [0.7, 1.5, 1.0]},
             "truncation_dim": 3,
             "seed": 0,
-            "scale_n": 1,
+            "scale": {"n": 1},
         }
         diag_cfg = _write_config(tmp_path / "diag.json", doc)
         doc["sigma_v"] = {"kind": "dense", "rows": np.diag([0.7, 1.5, 1.0]).tolist()}
@@ -938,3 +984,29 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch):
         program, *argv = shlex.split(line, comments=True)
         assert program == "ophp"
         assert main(argv) == 0, line
+
+
+def test_readme_flags_by_command_match_the_parser():
+    section = README.read_text().split("\nFlags by command:\n\n", 1)[1]
+    bullets = section.split("\n\n", 1)[0]
+    documented = {}
+    for bullet in re.split(r"^- ", bullets, flags=re.M)[1:]:
+        name = re.match(r"`([a-z-]+)`:", bullet).group(1)
+        documented[name] = sorted(set(re.findall(r"`(--[a-z0-9-]+)", bullet)))
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    taken = {
+        name: sorted({s for a in p._actions for s in a.option_strings} - {"-h", "--help"})
+        for name, p in subparsers.choices.items()
+    }
+    assert documented == taken
+
+
+def test_readme_configuration_block_builds_its_model():
+    section = README.read_text().split("\n### Configuration\n", 1)[1]
+    doc = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    cfg = parse_config(doc)
+    assert cfg.model.dim == doc["truncation_dim"]
+    assert (cfg.seed, cfg.scale_n) == (doc["seed"], doc["scale"]["n"])
+    assert cfg.decay == DecayDeclaration(2.0, 0.0, 0.0)

@@ -1,6 +1,10 @@
-"""The package namespace and the README's library example."""
+"""The package namespace, the README's library example and the runtime
+dependencies."""
 
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -59,3 +63,50 @@ def test_readme_library_block_runs(capsys):
     # The null-space component of x is 0 = y0, so the optimal filter and the
     # conditional mean agree on every component.
     assert float(capsys.readouterr().out) <= 1e-12
+
+
+# Runs three commands in a fresh interpreter in which the test-only packages
+# cannot be imported.
+NUMPY_ONLY_SCRIPT = """
+import sys
+
+
+class TestOnlyPackages:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("scipy", "hypothesis"):
+            raise ModuleNotFoundError(f"{name} is a test-only dependency")
+        return None
+
+
+sys.meta_path.insert(0, TestOnlyPackages())
+for blocked in ("scipy", "hypothesis"):
+    try:
+        __import__(blocked)
+    except ImportError:
+        pass
+    else:
+        sys.exit(f"importing {blocked} was not blocked")
+
+from ophp.cli import main
+
+ex = sys.argv[1] + "/ex"
+for argv in (
+    ["example", "--which", "2", "--dim", "8", "--out", ex],
+    ["filter", "--config", ex + "/config.json", "--out", sys.argv[1] + "/filter"],
+    ["validate", "--config", ex + "/config.json", "--out", sys.argv[1] + "/validate"],
+):
+    if main(argv) != 0:
+        sys.exit(f"ophp {argv[0]} failed")
+"""
+
+
+def test_commands_need_numpy_alone(tmp_path):
+    src = Path(ophp.__file__).resolve().parent.parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "validate" / "validation.json").is_file()

@@ -33,7 +33,7 @@ def _outputs(model: GaussianModel, x, n: int = 1) -> dict:
     bhat = optimal_b(model)
     su, sv = rescaled_covariances(model, n)
     bundle = model.pinv_bundle
-    weights = scale_weights(model.a, n, bundle)
+    weights = scale_weights(n, bundle)
     return {
         "optimal_b": bhat.as_matrix(),
         "trend": solve_filter(FilterProblem(model.a, xv, bhat)).coeffs,

@@ -25,32 +25,32 @@ from oracles import dual_norm, scale_norm, tail_ratio
 
 class TestScaleWeights:
     def test_ramp_weights(self):
-        weights = scale_weights(ramp_operator(5), 1, pinv(ramp_operator(5)))
+        weights = scale_weights(1, pinv(ramp_operator(5)))
         np.testing.assert_array_equal(weights.indices, [1, 2, 3, 4])
         np.testing.assert_allclose(weights.kappa, [4.0, 9.0, 16.0, 25.0])
         np.testing.assert_allclose(weights.weights, [4.0, 9.0, 16.0, 25.0])
 
     def test_zero_index_gives_unit_weights(self):
-        weights = scale_weights(ramp_operator(5), 0, pinv(ramp_operator(5)))
+        weights = scale_weights(0, pinv(ramp_operator(5)))
         np.testing.assert_array_equal(weights.weights, np.ones(4))
 
     def test_laplacian_weights(self):
-        weights = scale_weights(laplacian_operator(3), 1, pinv(laplacian_operator(3)))
+        weights = scale_weights(1, pinv(laplacian_operator(3)))
         n = np.arange(1, 4, dtype=float)
         np.testing.assert_allclose(weights.kappa, (n * np.pi) ** 4, rtol=1e-12)
 
     def test_dense_requires_svd(self):
         op = dense_operator(np.diag([1.0, 2.0]))
-        weights = scale_weights(op, 1, pinv(op))
+        weights = scale_weights(1, pinv(op))
         np.testing.assert_allclose(sorted(weights.kappa), [1.0, 4.0])
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            scale_weights(ramp_operator(3), -1, pinv(ramp_operator(3)))
+            scale_weights(-1, pinv(ramp_operator(3)))
 
     def test_norm_duality(self):
         bundle = pinv(ramp_operator(5))
-        weights = scale_weights(ramp_operator(5), 2, bundle)
+        weights = scale_weights(2, bundle)
         rng = np.random.default_rng(0)
         for _ in range(20):
             coeffs = np.zeros(5)
@@ -69,10 +69,10 @@ class TestScaleWeights:
         # coefficients must be rotated into that order before weighting.
         diag_op = diagonal_operator([1.0, 2.0])
         diag_bundle = pinv(diag_op)
-        diag = scale_weights(diag_op, 1, diag_bundle)
+        diag = scale_weights(1, diag_bundle)
         op = dense_operator(np.diag([1.0, 2.0]))
         bundle = pinv(op)
-        dense = scale_weights(op, 1, bundle)
+        dense = scale_weights(1, bundle)
         for coeffs in ([1.0, 0.0], [0.0, 1.0], [0.3, -1.2]):
             h = CoeffVector(coeffs)
             for norm in (dual_norm, scale_norm):
@@ -82,7 +82,7 @@ class TestScaleWeights:
 
     def test_null_space_has_zero_dual_norm(self):
         bundle = pinv(ramp_operator(4))
-        weights = scale_weights(ramp_operator(4), 1, bundle)
+        weights = scale_weights(1, bundle)
         y0 = CoeffVector([3.0, 0.0, 0.0, 0.0])
         assert dual_norm(weights, bundle, y0) == 0.0
 
@@ -92,7 +92,7 @@ class TestScaleWeights:
         spectrum = [1e-17, 1.0, 1e-12, 2.0]
         op = diagonal_operator(spectrum)
         bundle = pinv(op)
-        weights = scale_weights(op, 1, bundle)
+        weights = scale_weights(1, bundle)
         assert bundle.numerical_rank == 3
         np.testing.assert_array_equal(weights.indices, [1, 2, 3])
         np.testing.assert_array_equal(
@@ -104,7 +104,7 @@ class TestScaleWeights:
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
         rotated = dense_operator(q @ np.diag(spectrum) @ q.T)
         bundle = pinv(rotated)
-        weights = scale_weights(rotated, 1, bundle)
+        weights = scale_weights(1, bundle)
         assert bundle.numerical_rank == 3
         np.testing.assert_array_equal(weights.indices, [0, 1, 2])
         np.testing.assert_allclose(weights.kappa, [4.0, 1.0, 1e-24], rtol=1e-3)

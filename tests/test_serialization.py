@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from ophp import CoeffVector, FilterProblem, optimal_b, sample_joint, solve_filter
 from ophp.cli import SAMPLE_BLOCK_DRAWS, _json_text, main, write_series_csv
 from ophp.gaussian import BLOCK_ROWS, DEFAULT_CHUNK
-from ophp.specs import build_model, load_config
+from ophp.specs import load_config
 
 B = SAMPLE_BLOCK_DRAWS
 
@@ -81,7 +81,7 @@ class TestCsv:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--count", str(count),
                      "--out", str(out)]) == 0
-        model, _ = build_model(load_config(config))
+        model = load_config(config).model
         expected = _old_samples_csv(sample_joint(model, count, 17), model.dim)
         assert (out / "samples.csv").read_text() == expected
 
@@ -94,7 +94,7 @@ class TestCsv:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--count", str(count),
                      "--out", str(out)]) == 0
-        model, _ = build_model(load_config(config))
+        model = load_config(config).model
         data = sample_joint(model, count, 17)
         summary = json.loads((out / "simulate_summary.json").read_text())
         assert summary["mean_x"] == data.x.mean(axis=0).tolist()
@@ -110,7 +110,7 @@ class TestCsv:
         out = tmp_path / "out"
         assert main(["filter", "--config", str(config), "--input", str(series),
                      "--out", str(out)]) == 0
-        model, _ = build_model(load_config(config))
+        model = load_config(config).model
         problem = FilterProblem(model.a, CoeffVector(x), optimal_b(model))
         trend = solve_filter(problem).coeffs
         grid = np.arange(dim, dtype=float)

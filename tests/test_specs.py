@@ -8,7 +8,6 @@ import pytest
 from ophp.specs import (
     RunConfig,
     SpecError,
-    build_model,
     load_config,
     operator_to_json,
     parse_config,
@@ -130,11 +129,11 @@ class TestScaleSpec:
             "n": 1, "kappa_decay": 2.0, "sigma_u_decay": 0.0, "sigma_v_decay": 0.0
         }))
         assert cfg.scale_n == 1
-        assert build_model(cfg)[1].kappa_decay == 2.0
+        assert cfg.decay.kappa_decay == 2.0
 
     def test_partial_document(self):
         cfg = parse_config(_config(scale={"n": 2}))
-        assert cfg.scale_n == 2 and build_model(cfg)[1] is None
+        assert cfg.scale_n == 2 and cfg.decay is None
 
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), True, "2"], ids=["nan", "inf", "bool", "str"]
@@ -154,9 +153,8 @@ class TestRunConfig:
     def test_parse_and_build(self):
         cfg = parse_config(_config())
         assert isinstance(cfg, RunConfig)
-        model, decay = build_model(cfg)
-        assert model.dim == 3
-        assert decay is None
+        assert cfg.model.dim == 3
+        assert cfg.decay is None
 
     def test_truncation_floor(self):
         doc = _config()
@@ -173,9 +171,9 @@ class TestRunConfig:
             ("seed", -1),
             ("truncation_dim", 4.5),
             ("truncation_dim", "3"),
-            ("scale_n", -1),
-            ("scale_n", False),
-            ("extras", [1, 2]),
+            ("scale", {"n": -1}),
+            ("scale", {"n": False}),
+            ("scale", [1, 2]),
         ],
     )
     def test_malformed_integer_fields_rejected(self, key, value):
@@ -186,16 +184,20 @@ class TestRunConfig:
 
     def test_integral_floats_accepted(self):
         doc = _config()
-        doc.update(seed=7.0, truncation_dim=3.0, scale_n=2.0)
+        doc.update(seed=7.0, truncation_dim=3.0, scale={"n": 2.0})
         cfg = parse_config(doc)
-        assert (cfg.seed, cfg.truncation_dim, cfg.scale_n) == (7, 3, 2)
-        assert all(type(v) is int for v in (cfg.seed, cfg.truncation_dim, cfg.scale_n))
+        assert (cfg.seed, cfg.model.dim, cfg.scale_n) == (7, 3, 2)
+        assert all(type(v) is int for v in (cfg.seed, cfg.scale_n))
 
-    def test_extras_keep_the_suite_sizes(self):
+    @pytest.mark.parametrize(
+        "key, value", [("scale_n", 1), ("extras", {"draws": 10, "gap_count": 2})]
+    )
+    def test_retired_keys_rejected(self, key, value):
+        # Well-formed values too: a key no longer read must not be ignored.
         doc = _config()
-        doc["extras"] = {"draws": 10.0, "grid_points": 2, "note": "unread"}
-        assert parse_config(doc).extras == {"draws": 10}
-        assert parse_config(_config()).extras == {}
+        doc[key] = value
+        with pytest.raises(SpecError, match=f"^{key} is no longer read"):
+            parse_config(doc)
 
     @pytest.mark.parametrize(
         "key, spec",
@@ -209,7 +211,7 @@ class TestRunConfig:
         doc = _config()
         doc[key] = spec
         with pytest.raises(SpecError, match="must be numbers"):
-            build_model(parse_config(doc))
+            parse_config(doc)
 
     def test_missing_sections(self):
         with pytest.raises(SpecError):
@@ -229,8 +231,7 @@ class TestRunConfig:
         doc["sigma_u"] = {"kind": "power_decay", "scale": 1.0, "exponent": 2.0}
         doc["sigma_v"] = {"kind": "power_decay", "scale": 1.0, "exponent": 3.0}
         doc["scale"] = {"n": 1, "kappa_decay": 2.0}
-        cfg = parse_config(doc)
-        model, decay = build_model(cfg)
+        decay = parse_config(doc).decay
         assert decay is not None
         assert decay.sigma_u_decay == 2.0
         assert decay.sigma_v_decay == 3.0
@@ -243,8 +244,20 @@ class TestRunConfig:
         doc["sigma_v"] = {"kind": "power_decay", "scale": 1.0, "exponent": 3.0}
         doc["scale"] = {"kappa_decay": 2.0, "sigma_u_decay": value}
         with pytest.raises(SpecError, match="sigma_u_decay"):
-            build_model(parse_config(doc))
+            parse_config(doc)
 
     def test_unreadable_config(self, tmp_path):
         with pytest.raises(SpecError):
             load_config(tmp_path / "missing.json")
+
+    def test_non_utf8_config(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(SpecError, match="cannot read configuration"):
+            load_config(path)
+
+    def test_rejected_model_is_a_spec_error(self):
+        # A negative variance: the model build refuses the covariance.
+        doc = _config(sigma_u={"kind": "diagonal", "values": [1, -1, 1]})
+        with pytest.raises(SpecError, match="sigma_u has an eigenvalue below"):
+            parse_config(doc)
