@@ -78,7 +78,8 @@ DOMAIN_ERRORS = (
 # in memory to one block of rows.
 SAMPLE_BLOCK_DRAWS = 64
 
-# How far a functional sample grid may reach outside [0, 1].
+# How far a functional sample grid may reach outside [0, 1]: an allowance
+# for grids written as rounded decimal text, not a rounding bound.
 GRID_BOUND_TOL = 1e-9
 
 # Item types that send a container to the C encoder in one call.  Matched
@@ -160,16 +161,11 @@ def read_series_csv(path: Path) -> tuple[np.ndarray | None, np.ndarray]:
             if lineno == 0:
                 continue  # header row
             raise InputError(f"line {lineno + 1} of {path} is not numeric") from None
-        if len(numbers) == 1:
-            values.append(numbers[0])
-        elif len(numbers) == 2:
-            ts.append(numbers[0])
-            values.append(numbers[1])
-        elif len(numbers) == 3:
-            ts.append(numbers[1])
-            values.append(numbers[2])
-        else:
+        if len(numbers) > 3:
             raise InputError(f"line {lineno + 1} of {path} has too many columns")
+        if len(numbers) > 1:  # t,value or index,t,value
+            ts.append(numbers[-2])
+        values.append(numbers[-1])
     if not values:
         raise InputError(f"input series {path} is empty")
     if ts and len(ts) != len(values):
@@ -276,7 +272,8 @@ def cmd_filter(args) -> int:
         t_in, values, model.dim, model.a.domain_basis
     )
     if args.estimate_y0:
-        model = model.with_y0(apply(model.pinv_bundle.projector_complement, x))
+        y0 = apply(model.pinv_bundle.projector_complement, x)
+        model = model.with_y0(y0, x.norm())
     bhat = optimal_b(model)
     trend = solve_filter(FilterProblem(model.a, x, bhat))
     trend_values = synthesize_series(trend, grid, basis_vals)

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    EIG_RTOL,
     CoeffVector,
     DimensionMismatchError,
     OperatorRep,
+    above_psd_floor,
     rounding_bound,
 )
 
@@ -110,12 +110,10 @@ def _positivity(
         quad = _trend_matrix(a, b)
     sym = 0.5 * (quad + quad.T)
     eigvals = np.linalg.eigvalsh(sym)
-    min_value = float(eigvals[0])
-    tol = EIG_RTOL * (1.0 + float(np.abs(eigvals).max(initial=0.0)))
-    passed = min_value >= -tol
+    passed = above_psd_floor(eigvals)
     if passed or not witness:
         return PositivityReport(
-            passed=passed, method="spectral", min_value=min_value, witness=None
+            passed=passed, method="spectral", min_value=float(eigvals[0]), witness=None
         )
     eigvals, eigvecs = np.linalg.eigh(sym)
     return PositivityReport(

@@ -18,14 +18,12 @@ from functools import cached_property
 import numpy as np
 
 from .operators import (
-    EIG_RTOL,
-    STRUCTURE_TOL,
-    SYMMETRY_RTOL,
     BasisMismatchError,
     CoeffVector,
     DimensionMismatchError,
     OperatorRep,
     PinvBundle,
+    above_psd_floor,
     add,
     adjoint,
     apply,
@@ -35,6 +33,7 @@ from .operators import (
     operator_power,
     pinv,
     psd_inverse,
+    rounding_bound,
     symmetric_eig,
     symmetrize,
 )
@@ -69,15 +68,14 @@ def _check_covariance(op: OperatorRep, dim: int, basis_id: str, label: str) -> N
         raise BasisMismatchError(f"{label} must act on basis {basis_id!r}")
     if op.dim_in != dim or op.dim_out != dim:
         raise DimensionMismatchError(f"{label} must be square of dimension {dim}")
-    stored = op.multipliers if op.is_diagonal else op.matrix
+    stored = op.stored
     # The largest magnitude is NaN or infinite exactly when some entry is.
     scale = 1.0 + float(np.abs(stored).max(initial=0.0))
     if not np.isfinite(scale):
         raise ModelError(f"{label} has a non-finite entry")
-    if float(np.abs(stored - stored.T).max(initial=0.0)) > SYMMETRY_RTOL * scale:
-        raise ModelError(f"{label} is not symmetric to tolerance")
-    eigvals, _ = symmetric_eig(op, vectors=False)
-    if float(np.min(eigvals, initial=0.0)) < -EIG_RTOL * scale:
+    if float(np.abs(stored - stored.T).max(initial=0.0)) > rounding_bound(scale):
+        raise ModelError(f"{label} is not symmetric to rounding")
+    if not above_psd_floor(symmetric_eig(op, vectors=False)[0]):
         raise ModelError(f"{label} has an eigenvalue below the PSD floor")
 
 
@@ -153,22 +151,24 @@ class GaussianModel:
             commutator_norm=commutator_norm(bundle.projector_pi, sigma_u),
         )
 
-    def with_y0(self, y0: CoeffVector) -> "GaussianModel":
+    def with_y0(self, y0: CoeffVector, scale: float | None = None) -> "GaussianModel":
         """The same model with deterministic component ``y0``.  Keeps the
         pinv bundle and the checked covariances; only the null-space check
-        on ``y0`` runs again."""
-        _check_y0(self.a, self.pinv_bundle, y0)
+        on ``y0`` runs again, at ``scale``: the size of the data ``y0`` was
+        computed from (``|x|`` for the null-space part of ``x``), or ``|y0|``."""
+        _check_y0(self.a, self.pinv_bundle, y0, scale)
         return replace(self, y0=y0)
 
 
-def _check_y0(a: OperatorRep, bundle: PinvBundle, y0: CoeffVector) -> None:
+def _check_y0(a: OperatorRep, bundle: PinvBundle, y0: CoeffVector, scale=None) -> None:
     if y0.basis_id != a.domain_basis or y0.dim != a.dim_in:
         raise DimensionMismatchError("y0 must live in the operator domain")
     pi_y0 = apply(bundle.projector_pi, y0).norm()
-    if pi_y0 > STRUCTURE_TOL * (1.0 + y0.norm()):
+    bound = rounding_bound(y0.norm() if scale is None else scale, bundle.cond)
+    if pi_y0 > bound:
         raise ModelError(
             "y0 must lie in the null space of the operator "
-            f"(projector residual {pi_y0:.3e})"
+            f"(projector residual {pi_y0:.3e}, bound {bound:.3e})"
         )
 
 

@@ -14,11 +14,11 @@ representations keeps their structure explicit:
     grid and projected onto the sine basis, is stored this way and keeps its
     recipe as provenance.
 
-This is the only module that looks at the storage.  Besides the operator
-algebra it provides the Moore-Penrose generalized inverse with its projector
-algebra and the symmetric spectral primitives (symmetric part,
-eigendecomposition, thresholded PSD inverse, PSD power) that the covariance
-algebra built on top of it is written in.
+Stored entries, range bases and spectra are read through this module; other
+modules ask ``is_diagonal`` only for a diagonal closed form or to write
+multipliers out.  Besides the operator algebra it provides the Moore-Penrose
+inverse with its projector algebra, the symmetric spectral primitives the
+covariance algebra is written in, and the one rounding policy.
 """
 
 from __future__ import annotations
@@ -34,14 +34,9 @@ BASIS_SINE = "sine-dirichlet"
 DENSE = "dense"
 DIAGONAL = "diagonal"
 
-# Eigenvalues at or below EIG_RTOL times the largest one count as zero (the
-# rank cutoff of PSD inverses), and an operator is PSD when no eigenvalue lies
-# below -EIG_RTOL times its scale.
+# Eigenvalues at or below EIG_RTOL times the largest one count as zero: the
+# rank cutoff of PSD inverses, a rank decision like pinv's, not rounding.
 EIG_RTOL = 1e-12
-# Largest entrywise asymmetry accepted, relative to 1 + the largest entry.
-SYMMETRY_RTOL = 1e-12
-# Largest component of y0 outside the null space, relative to 1 + |y0|.
-STRUCTURE_TOL = 1e-10
 # Rounding policy: a quantity that is zero in exact arithmetic passes while it
 # stays within ROUNDING_MULTIPLE * eps * cond * scale, where ``scale`` is the
 # size of the data it is computed from and ``cond`` amplifies their rounding.
@@ -51,6 +46,13 @@ ROUNDING_MULTIPLE = 64
 def rounding_bound(scale, cond: float = 1.0):
     """The rounding policy's bound at ``scale`` (a float or an array)."""
     return ROUNDING_MULTIPLE * np.finfo(float).eps * cond * scale
+
+
+def above_psd_floor(eigvals: np.ndarray) -> bool:
+    """No eigenvalue lies below the rounding bound of ``1 + max|eigenvalue|``,
+    the scale of an eigensolver's backward error."""
+    scale = 1.0 + float(np.abs(eigvals).max(initial=0.0))
+    return float(eigvals.min(initial=0.0)) >= -rounding_bound(scale)
 
 
 class BasisMismatchError(ValueError):
@@ -123,8 +125,8 @@ class CoeffVector:
 class OperatorRep:
     """A linear operator between two basis truncations.
 
-    ``kind`` selects the storage: ``diagonal`` keeps ``multipliers``,
-    ``dense`` keeps ``matrix``.  An operator discretized from an integral
+    ``kind`` selects what is ``stored``: ``multipliers`` for ``diagonal``,
+    ``matrix`` for ``dense``.  An operator discretized from an integral
     kernel is dense; ``kernel_name`` and ``grid_points`` record its recipe.
     """
 
@@ -167,6 +169,10 @@ class OperatorRep:
     @property
     def is_diagonal(self) -> bool:
         return self.kind == DIAGONAL
+
+    @property
+    def stored(self) -> np.ndarray:
+        return self.multipliers if self.kind == DIAGONAL else self.matrix
 
     def as_matrix(self) -> np.ndarray:
         """Explicit promotion to a dense matrix.
@@ -412,8 +418,7 @@ def scalar_multiple(op: OperatorRep, c: float) -> OperatorRep:
 
 def frobenius_norm(op: OperatorRep) -> float:
     """Frobenius norm, from the stored entries."""
-    stored = op.multipliers if op.kind == DIAGONAL else op.matrix
-    return float(np.linalg.norm(stored))
+    return float(np.linalg.norm(op.stored))
 
 
 def commutator_norm(s: OperatorRep, t: OperatorRep) -> float:
@@ -498,13 +503,13 @@ class PinvBundle:
     ``projector_pi`` is the orthogonal projector pinv(A) A onto the
     orthogonal complement of the null space of A (acting on the domain);
     ``projector_complement`` is its complement; ``range_projector`` is
-    A pinv(A) on the codomain.  The last two are formed on first use and
-    kept.  ``retained`` indexes the components kept: the positions of the
-    nonzero multipliers of a diagonal operator, or the leading
-    ``numerical_rank`` singular triplets of a dense one, and
-    ``singular_values`` holds their singular values in that order.  ``svd``
-    retains the factors (U, s, Vt) for dense inputs so spectral consumers
-    can reuse them.
+    A pinv(A) on the codomain, spanned by the orthonormal columns of
+    ``range_basis``; the last three are formed on first use and kept.
+    ``retained`` indexes the components kept: the nonzero multipliers of a
+    diagonal operator, or the leading ``numerical_rank`` singular triplets
+    of a dense one, whose singular values ``singular_values`` holds in that
+    order (``cond`` is ``|A| |A+|`` from them).  ``svd`` retains the factors
+    (U, s, Vt) for dense inputs so spectral consumers can reuse them.
     """
 
     pinv: OperatorRep
@@ -522,12 +527,23 @@ class PinvBundle:
             return diagonal_operator(1.0 - pi.multipliers, pi.domain_basis)
         return dense_operator(np.eye(pi.dim_in) - pi.matrix, pi.domain_basis)
 
+    @property
+    def cond(self) -> float:
+        s = self.singular_values
+        return float(s.max(initial=0.0)) * float(1.0 / s.min(initial=np.inf)) or 1.0
+
+    @cached_property
+    def range_basis(self) -> np.ndarray:
+        if self.svd is None:
+            return np.eye(self.pinv.dim_in)[:, self.retained]
+        return self.svd[0][:, : self.numerical_rank]
+
     @cached_property
     def range_projector(self) -> OperatorRep:
         basis = self.pinv.domain_basis
         if self.svd is None:
             return diagonal_operator(self.projector_pi.multipliers, basis)
-        u = self.svd[0][:, : self.numerical_rank]
+        u = self.range_basis
         return dense_operator(u @ u.T, basis)
 
 

@@ -30,14 +30,6 @@ class SingularCovarianceError(ValueError):
     """sigma_v is not invertible on the range of the operator."""
 
 
-def _range_basis(a: OperatorRep, bundle: PinvBundle) -> np.ndarray:
-    """Orthonormal basis of the range of ``a`` as codomain columns."""
-    if a.is_diagonal:
-        return np.eye(a.dim_out)[:, bundle.retained]
-    u, _, _ = bundle.svd
-    return u[:, : bundle.numerical_rank]
-
-
 def _assemble(
     a: OperatorRep,
     bundle: PinvBundle,
@@ -58,7 +50,7 @@ def _assemble(
         inv_sv[kept] = 1.0 / sv[kept]
         mult = bundle.pinv.multipliers * sigma_u.multipliers * a.multipliers * inv_sv
         return diagonal_operator(mult, a.codomain_basis)
-    basis = _range_basis(a, bundle)
+    basis = bundle.range_basis
     inv_full = np.zeros((a.dim_out, a.dim_out))
     if basis.size:
         restricted = dense_operator(basis.T @ sigma_v.as_matrix() @ basis)

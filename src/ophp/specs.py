@@ -136,8 +136,8 @@ def _basis(value, key: str) -> str:
 def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:
     """Build an operator from its JSON description.
 
-    ``dim`` is the configured truncation dimension; when given it must agree
-    with the document (and it is required for kernel operators).
+    ``dim`` is the configured truncation dimension; when given it must equal
+    the domain dimension (and it is required for kernel operators).
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecError("operator spec must be an object with a 'kind' field")
@@ -178,9 +178,9 @@ def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:
             raise SpecError(str(exc)) from exc
     else:
         raise SpecError(f"unknown operator kind {kind!r}")
-    if dim is not None and (op.dim_in != dim or op.dim_out != dim):
+    if dim is not None and op.dim_in != dim:
         raise SpecError(
-            f"operator dimension {op.dim_out}x{op.dim_in} does not match "
+            f"operator domain dimension {op.dim_in} does not match "
             f"truncation_dim {dim}"
         )
     return op

@@ -78,8 +78,6 @@ class ValidationReport:
 # Joint draws of the conditional-mean test and inputs of the gap check.
 CM_DRAWS = 20_000
 GAP_INPUTS = 100
-# Largest spread of a white covariance, relative to its largest entry.
-WHITE_NOISE_RTOL = 1e-12
 
 
 def mp_residual_suite(model: GaussianModel) -> CheckResult:
@@ -91,11 +89,10 @@ def mp_residual_suite(model: GaussianModel) -> CheckResult:
     bundle = model.pinv_bundle
     s = bundle.singular_values
     norm_a, norm_pinv = float(s.max(initial=0.0)), float(1.0 / s.min(initial=np.inf))
-    cond = norm_a * norm_pinv or 1.0
     scales = {"reconstruct": norm_a, "pinv_reconstruct": norm_pinv}
     ratios = {}
     for name, residual in moore_penrose_residuals(model.a, bundle).items():
-        bound = rounding_bound(scales.get(name, 1.0), cond)
+        bound = rounding_bound(scales.get(name, 1.0), bundle.cond)
         ratios[name] = float(residual / bound) if residual else 0.0
     worst = max(ratios, key=ratios.get)
     return CheckResult(
@@ -103,7 +100,7 @@ def mp_residual_suite(model: GaussianModel) -> CheckResult:
         PASS if ratios[worst] <= 1.0 else FAIL,
         {
             "numerical_rank": bundle.numerical_rank,
-            "cond": cond,
+            "cond": bundle.cond,
             "worst_identity": worst,
             "worst_over_bound": ratios[worst],
         },
@@ -321,8 +318,9 @@ def white_noise_scale_check(
     """Optimal smoother rescaled at index ``n`` reduces to the
     noise-to-signal ratio.
 
-    Applies to diagonal models with white (constant on the range) noise
-    covariances and a scale index; otherwise SKIP.  The spread of the
+    Applies to diagonal models with white noise covariances (spread on the
+    range within the rounding bound of their largest entry) and a scale
+    index; otherwise SKIP.  The spread of the
     rescaled multipliers and their deviation from the ratio must each stay
     within the rounding bound of the ratio.  ``threshold``, the least
     trace-class index (see :func:`~ophp.scales.scale_index`), is reported.
@@ -336,8 +334,7 @@ def white_noise_scale_check(
         return CheckResult("white-noise-ratio", SKIP, {"reason": "operator is zero"})
     su = model.sigma_u.multipliers[kept]
     sv = model.sigma_v.multipliers[kept]
-    tol = WHITE_NOISE_RTOL
-    if np.ptp(su) > tol * su.max() or np.ptp(sv) > tol * sv.max():
+    if np.ptp(su) > rounding_bound(su.max()) or np.ptp(sv) > rounding_bound(sv.max()):
         return CheckResult(
             "white-noise-ratio",
             SKIP,

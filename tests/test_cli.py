@@ -14,7 +14,7 @@ from ophp import cli, validate
 from ophp.cli import main, project_series, read_series_csv
 from ophp.gaussian import DecayDeclaration, GaussianModel, sample_joint_blocks
 from ophp.instances import laplacian_multipliers, ramp_multipliers, seeded_sigmas
-from ophp.operators import BASIS_SINE
+from ophp.operators import BASIS_SINE, CoeffVector, apply
 from ophp.specs import load_config, parse_config
 
 import oracles
@@ -255,6 +255,31 @@ class TestFilterCommand:
         summary = json.loads((out / "filter_summary.json").read_text())
         assert summary["estimated_y0"] is True
 
+    def test_estimate_y0_of_a_series_in_the_range_is_zero(self, tmp_path):
+        # The null-space part of a series in the range of A is rounding of
+        # the series' size, so y0 is checked against |x|, not |y0|.
+        dim = 64
+        rng = np.random.default_rng(17)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        a = (q * ramp_multipliers(dim)) @ q.T
+        x = a @ (1e6 * rng.standard_normal(dim))
+        (tmp_path / "x.csv").write_text("\n".join(repr(float(v)) for v in x) + "\n")
+        eye = {"kind": "diagonal", "values": [1.0] * dim}
+        cfg = _write_config(tmp_path / "config.json", {
+            "operator": {"kind": "dense", "rows": a.tolist()},
+            "sigma_u": eye, "sigma_v": eye, "truncation_dim": dim,
+            "input_path": "x.csv",
+        })
+        assert _run("filter", "--config", cfg, "--out", tmp_path / "plain") == 0
+        assert _run("filter", "--config", cfg, "--out", tmp_path / "est", "--estimate-y0") == 0
+        _, plain = read_series_csv(tmp_path / "plain" / "trend.csv")
+        _, est = read_series_csv(tmp_path / "est" / "trend.csv")
+        np.testing.assert_allclose(est, plain, rtol=0, atol=1e-12 * np.abs(x).max())
+        model = load_config(cfg).model
+        xv = CoeffVector(x)
+        y0 = apply(model.pinv_bundle.projector_complement, xv)
+        assert model.with_y0(y0, xv.norm()).y0.norm() < 1e-12 * xv.norm()
+
     def test_estimate_y0_reuses_the_first_factorization(self, tmp_path, monkeypatch):
         cfg = TestValidateCommand._dense_64_config(tmp_path / "dense.json")
         series = tmp_path / "x.csv"
@@ -275,7 +300,7 @@ class TestFilterCommand:
         monkeypatch.setattr(
             GaussianModel,
             "with_y0",
-            lambda m, y0: GaussianModel.build(m.a, m.sigma_u, m.sigma_v, y0=y0),
+            lambda m, y0, scale: GaussianModel.build(m.a, m.sigma_u, m.sigma_v, y0=y0),
         )
         assert _run(*argv, "--out", tmp_path / "rebuilt") == 0
         assert len(svds) == 3
@@ -468,6 +493,42 @@ class TestOtherCommands:
         assert scale_doc["threshold_n0"] == 1
         assert scale_doc["kappa"] == [4.0, 9.0, 16.0]
         assert scale_doc["white_noise_check"]["status"] == "PASS"
+
+    def test_rectangular_second_difference_through_every_command(
+        self, tmp_path, capsys
+    ):
+        # The Hodrick-Prescott penalty: A is the (n - 2) x n second
+        # difference, whose null space holds the linear trends.  With white
+        # noise the optimal smoother is sigma_u / sigma_v on the codomain and
+        # the trend is (I + lambda D^T D)^{-1} x.
+        n, lam = 100, 1600.0
+        d = np.zeros((n - 2, n))
+        for i in range(n - 2):
+            d[i, i : i + 3] = (1.0, -2.0, 1.0)
+        t = np.arange(n, dtype=float)
+        x = 2.0 + 0.05 * t + np.random.default_rng(3).standard_normal(n)
+        (tmp_path / "x.csv").write_text("\n".join(repr(float(v)) for v in x) + "\n")
+        cfg = _write_config(tmp_path / "config.json", {
+            "operator": {"kind": "dense", "rows": d.tolist()},
+            "sigma_u": {"kind": "diagonal", "values": [lam] * n},
+            "sigma_v": {"kind": "diagonal", "values": [1.0] * (n - 2)},
+            "truncation_dim": n, "seed": 4, "input_path": "x.csv",
+            "scale": {"n": 1},
+        })
+        assert _run("filter", "--config", cfg, "--out", tmp_path / "f") == 0
+        _, trend = read_series_csv(tmp_path / "f" / "trend.csv")
+        expected = np.linalg.solve(np.eye(n) + lam * d.T @ d, x)
+        np.testing.assert_allclose(trend, expected, rtol=0, atol=1e-10)
+        assert _run("filter", "--config", cfg, "--out", tmp_path / "e", "--estimate-y0") == 0
+        assert _run("optimal-b", "--config", cfg, "--out", tmp_path / "b") == 0
+        bhat = json.loads((tmp_path / "b" / "bhat.json").read_text())["bhat"]
+        np.testing.assert_allclose(bhat["rows"], lam * np.eye(n - 2), rtol=0, atol=1e-9)
+        assert _run("simulate", "--config", cfg, "--count", 5, "--out", tmp_path / "s") == 0
+        assert _run("validate", "--config", cfg, "--out", tmp_path / "v") == 0
+        # The rescaled sigma_v at n = 1 spans more than psd_inverse keeps.
+        capsys.readouterr()
+        assert _run("scale", "--config", cfg, "--out", tmp_path / "k") == 1
+        assert "sigma_v is singular on the range of A" in capsys.readouterr().err
 
     def test_scale_without_index_rejected(self, ramp_config):
         cfg_path, _ = ramp_config
@@ -957,6 +1018,27 @@ class TestErrorExits:
 
 
 class TestSeriesProjection:
+    @pytest.mark.parametrize(
+        "rows, t",
+        [
+            (["1.5", "2.5"], None),
+            (["t,value", "0.1,1.5", "0.2,2.5"], [0.1, 0.2]),
+            (["index,t,value", "0,0.1,1.5", "1,0.2,2.5"], [0.1, 0.2]),
+        ],
+    )
+    def test_series_row_formats(self, tmp_path, rows, t):
+        path = tmp_path / "x.csv"
+        path.write_text("\n".join(rows) + "\n")
+        t_read, values = read_series_csv(path)
+        assert values.tolist() == [1.5, 2.5]
+        assert (None if t_read is None else t_read.tolist()) == t
+
+    def test_series_row_of_four_fields_rejected(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("0,0.1,1.5,9.0\n")
+        with pytest.raises(cli.InputError, match="line 1 .* too many columns"):
+            read_series_csv(path)
+
     def test_euclidean_requires_exact_length(self):
         with pytest.raises(Exception):
             project_series(None, np.ones(3), 4, "abstract-euclidean")

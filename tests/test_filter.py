@@ -90,6 +90,21 @@ class TestPositivityCheck:
         assert report.min_value == pytest.approx(-0.1, abs=1e-9)
 
 
+    def test_floor_is_the_rounding_bound_of_the_spectrum(self):
+        # A* B A = q diag(a^2 b) q^T on a rotated ramp: the optimal smoother's
+        # null eigenvalue passes, one pushed to -1e-12 (1 + max|eigenvalue|),
+        # about 70 times the bound, fails.
+        dim = 64
+        q = _random_orthogonal(dim, np.random.default_rng(6))
+        a_mult = np.arange(dim, dtype=float)
+        a = dense_operator((q * a_mult) @ q.T)
+        b = np.full(dim, 2.0)
+        assert positivity_check(a, dense_operator((q * b) @ q.T)).passed
+        b[1] = -1e-12 * (1.0 + 2.0 * a_mult.max() ** 2)
+        report = positivity_check(a, dense_operator((q * b) @ q.T))
+        assert not report.passed
+
+
 class TestSolveFilter:
     def test_zero_smoother_returns_input(self):
         rng = np.random.default_rng(3)

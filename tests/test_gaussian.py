@@ -59,6 +59,34 @@ class TestModelValidation:
         model = ramp_model(3, 1.0, 1.0, y0=CoeffVector([2.0, 0.0, 0.0]))
         assert model.y0.coeffs[0] == 2.0
 
+    def test_rejects_small_y0_in_the_range(self):
+        # The range component is checked against the rounding of |y0|, not
+        # in absolute terms, so a small y0 outside the null space is refused.
+        with pytest.raises(ModelError, match="null space"):
+            ramp_model(4, 1e-20, 1e-20, y0=CoeffVector([0.0, 5e-11, 0.0, 0.0]))
+
+    def test_covariance_checks_read_the_rounding_bound(self):
+        # About 70 times the bound, off the symmetry or the PSD floor, is
+        # refused; the rotated covariance itself reads below 0.01 of it.
+        dim = 64
+        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((dim, dim)))
+        d = np.random.default_rng(8).uniform(0.5, 2.0, dim)
+        good = (q * d) @ q.T
+        GaussianModel.build(identity(dim), dense_operator(good), identity(dim))
+        asym = good.copy()
+        asym[0, 1] += 1e-12 * (1.0 + np.abs(good).max())
+        with pytest.raises(ModelError, match="symmetric"):
+            GaussianModel.build(identity(dim), dense_operator(asym), identity(dim))
+        d[0] = -1e-12 * (1.0 + d.max())
+        with pytest.raises(ModelError, match="PSD floor"):
+            GaussianModel.build(identity(dim), dense_operator((q * d) @ q.T), identity(dim))
+
+    def test_psd_floor_scales_with_the_spectrum(self):
+        # The all-ones matrix at dim 512 has entries 1 but eigenvalue 512;
+        # its computed null eigenvalues are rounding of the latter.
+        ones = dense_operator(np.ones((512, 512)))
+        GaussianModel.build(identity(512), ones, identity(512))
+
     def test_noncommuting_sigma_u_measured(self):
         a = diagonal_operator([0.0, 2.0, 3.0])
         rng = np.random.default_rng(0)

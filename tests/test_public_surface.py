@@ -1,6 +1,7 @@
 """The package namespace, the README's library example and the runtime
 dependencies."""
 
+import ast
 import os
 import re
 import subprocess
@@ -54,6 +55,32 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+SOURCES = sorted((Path(ophp.__file__).parent).glob("*.py"))
+
+
+def test_tolerances_are_pinned():
+    # Zero up to rounding is decided by operators.rounding_bound; the only
+    # named tolerances left are the rank cutoff of psd_inverse and the
+    # input-format allowance of t grids, and only psd_inverse reads the
+    # former.  A new bare tolerance fails here.
+    defined, readers = set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            defined.update(
+                t.id for t in targets
+                if isinstance(t, ast.Name) and t.id.endswith(("_TOL", "_RTOL"))
+            )
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(n, ast.Name) and n.id == "EIG_RTOL" for n in ast.walk(fn)
+            ):
+                readers.add(fn.name)
+    assert defined == {"EIG_RTOL", "GRID_BOUND_TOL"}
+    assert readers == {"psd_inverse"}
 
 
 def test_readme_library_block_runs(capsys):

@@ -352,7 +352,7 @@ GAP_POWER_MODELS = {
 def test_power_gap_check_fails_on_scaled_smoother(monkeypatch, name, factor):
     # A smoother off by a factor moves every range component of the trend,
     # so the range gap grows about linearly in |factor - 1|: at
-    # 1 + 1e-6 it reads 69.5 times its bound on ramp-64 and 2.99 on lap-64.
+    # 1 + 1e-6 it reads 4.9e6 times its bound on ramp-64 and 2.1e5 on lap-64.
     make, dim = GAP_POWER_MODELS[name]
     model = make(dim, *seeded_sigmas(dim, 301))
     true_b = validate.optimal_b
@@ -373,6 +373,18 @@ def test_white_noise_check_skips_colored_noise_at_any_scale():
     # Coloured covariances of size 1e-14 are not white: the rescaled
     # smoother is not a multiple of the identity there.
     model = ramp_model(8, 1e-14 * np.linspace(1.0, 2.0, 8), 1.0)
+    decl = DecayDeclaration(2.0, 0.0, 0.0)
+    result = white_noise_scale_check(model, *scale_index(None, decl))
+    assert result.status == SKIP
+    assert result.details["reason"] == "covariances are not white on the range"
+
+
+def test_white_noise_check_skips_spread_beyond_rounding():
+    # A relative spread of 1e-13 is 14 times the rounding bound of the
+    # largest entry, so the covariances are not white and the check does not
+    # hold them to the ratio's bound.
+    su = 1.3 * (1.0 + 1e-13 * np.random.default_rng(5).uniform(-1.0, 1.0, 8))
+    model = ramp_model(8, su, 0.7)
     decl = DecayDeclaration(2.0, 0.0, 0.0)
     result = white_noise_scale_check(model, *scale_index(None, decl))
     assert result.status == SKIP
