@@ -123,15 +123,23 @@ def write_json(path: Path, obj) -> None:
     path.write_text(_json_text(obj) + "\n")
 
 
-def _csv_rows(keys, columns) -> str:
+def _csv_rows(keys, columns, width: int | None = None) -> str:
     """One CSV line per entry of ``keys``: the key, then one field per column.
 
     Floats are written as Python's shortest round-trip ``repr``, converted
-    for the whole block at C level.
+    for the whole block at C level.  Given ``width``, each column holds rows
+    of vectors, and a vector shorter than ``width`` ends in empty fields.
     """
-    cells = [map(repr, np.asarray(c, dtype=float).ravel().tolist()) for c in columns]
+    cells = [_cells(np.asarray(c, dtype=float), width) for c in columns]
     text = "\n".join(map(",".join, zip(keys, *cells)))
     return text + "\n" if text else ""
+
+
+def _cells(column: np.ndarray, width: int | None):
+    if width is None or column.shape[1] == width:
+        return map(repr, column.ravel().tolist())
+    pad = [""] * (width - column.shape[1])
+    return [cell for row in column.tolist() for cell in (*map(repr, row), *pad)]
 
 
 def write_series_csv(path: Path, t: np.ndarray, values: np.ndarray) -> None:
@@ -161,11 +169,16 @@ def read_series_csv(path: Path) -> tuple[np.ndarray | None, np.ndarray]:
             if lineno == 0:
                 continue  # header row
             raise InputError(f"line {lineno + 1} of {path} is not numeric") from None
-        if len(numbers) > 3:
+        if len(numbers) == 1:
+            values.append(numbers[0])
+        elif len(numbers) == 2:
+            ts.append(numbers[0])
+            values.append(numbers[1])
+        elif len(numbers) == 3:
+            ts.append(numbers[1])
+            values.append(numbers[2])
+        else:
             raise InputError(f"line {lineno + 1} of {path} has too many columns")
-        if len(numbers) > 1:  # t,value or index,t,value
-            ts.append(numbers[-2])
-        values.append(numbers[-1])
     if not values:
         raise InputError(f"input series {path} is empty")
     if ts and len(ts) != len(values):
@@ -376,7 +389,9 @@ def cmd_simulate(args) -> int:
         raise InputError("--count must be at least 1")
     cfg = _request(args)
     model = cfg.model
-    components = [f",{j}" for j in range(model.dim)]
+    # v lives on the codomain: a draw spans the longer of the two lengths.
+    width = max(model.dim, model.codim)
+    components = [f",{j}" for j in range(width)]
     sum_u, sum_x = np.zeros(model.dim), np.zeros(model.dim)
     out = _out_dir(args, cfg)
     with open(out / "samples.csv", "w") as fh:
@@ -386,7 +401,7 @@ def cmd_simulate(args) -> int:
                 draws = range(start, min(start + SAMPLE_BLOCK_DRAWS, rows.stop))
                 keys = [f"{i}{c}" for i in draws for c in components]
                 part = slice(start - rows.start, draws.stop - rows.start)
-                fh.write(_csv_rows(keys, [column[part] for column in block]))
+                fh.write(_csv_rows(keys, [column[part] for column in block], width))
             # One row at a time, in draw order: the sums of ``mean(axis=0)``.
             u, _, _, x = block
             for row_u, row_x in zip(u, x):

@@ -504,12 +504,13 @@ class PinvBundle:
     orthogonal complement of the null space of A (acting on the domain);
     ``projector_complement`` is its complement; ``range_projector`` is
     A pinv(A) on the codomain, spanned by the orthonormal columns of
-    ``range_basis``; the last three are formed on first use and kept.
-    ``retained`` indexes the components kept: the nonzero multipliers of a
-    diagonal operator, or the leading ``numerical_rank`` singular triplets
-    of a dense one, whose singular values ``singular_values`` holds in that
-    order (``cond`` is ``|A| |A+|`` from them).  ``svd`` retains the factors
-    (U, s, Vt) for dense inputs so spectral consumers can reuse them.
+    ``range_basis`` (a view of U when A is dense); the two projectors are
+    formed on first use and kept.  ``retained`` indexes the components
+    kept: the nonzero multipliers of a diagonal operator, or the leading
+    ``numerical_rank`` singular triplets of a dense one, whose singular
+    values ``singular_values`` holds in that order (``cond`` is
+    ``|A| |A+|`` from them).  ``svd`` retains the factors (U, s, Vt) for
+    dense inputs so spectral consumers can reuse them.
     """
 
     pinv: OperatorRep
@@ -532,9 +533,9 @@ class PinvBundle:
         s = self.singular_values
         return float(s.max(initial=0.0)) * float(1.0 / s.min(initial=np.inf)) or 1.0
 
-    @cached_property
+    @property
     def range_basis(self) -> np.ndarray:
-        if self.svd is None:
+        if self.svd is None:  # a fresh dim_out x rank slice of the identity
             return np.eye(self.pinv.dim_in)[:, self.retained]
         return self.svd[0][:, : self.numerical_rank]
 

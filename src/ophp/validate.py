@@ -320,10 +320,10 @@ def white_noise_scale_check(
 
     Applies to diagonal models with white noise covariances (spread on the
     range within the rounding bound of their largest entry) and a scale
-    index; otherwise SKIP.  The spread of the
-    rescaled multipliers and their deviation from the ratio must each stay
-    within the rounding bound of the ratio.  ``threshold``, the least
-    trace-class index (see :func:`~ophp.scales.scale_index`), is reported.
+    index; otherwise SKIP.  The spread of the rescaled multipliers and
+    their deviation from the ratio must each stay within the rounding bound
+    of the ratio.  ``threshold``, the least trace-class index (see
+    :func:`~ophp.scales.scale_index`), is reported.
     """
     if not model.is_diagonal:
         return CheckResult(

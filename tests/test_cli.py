@@ -12,7 +12,12 @@ import pytest
 
 from ophp import cli, validate
 from ophp.cli import main, project_series, read_series_csv
-from ophp.gaussian import DecayDeclaration, GaussianModel, sample_joint_blocks
+from ophp.gaussian import (
+    DecayDeclaration,
+    GaussianModel,
+    sample_joint,
+    sample_joint_blocks,
+)
 from ophp.instances import laplacian_multipliers, ramp_multipliers, seeded_sigmas
 from ophp.operators import BASIS_SINE, CoeffVector, apply
 from ophp.specs import load_config, parse_config
@@ -523,8 +528,20 @@ class TestOtherCommands:
         assert _run("optimal-b", "--config", cfg, "--out", tmp_path / "b") == 0
         bhat = json.loads((tmp_path / "b" / "bhat.json").read_text())["bhat"]
         np.testing.assert_allclose(bhat["rows"], lam * np.eye(n - 2), rtol=0, atol=1e-9)
-        assert _run("simulate", "--config", cfg, "--count", 5, "--out", tmp_path / "s") == 0
         assert _run("validate", "--config", cfg, "--out", tmp_path / "v") == 0
+        # v has n - 2 entries: a draw keeps n rows, and v's last two are empty.
+        count = 70  # more than one block of formatted draws
+        assert _run("simulate", "--config", cfg, "--count", count, "--out", tmp_path / "s") == 0
+        lines = (tmp_path / "s" / "samples.csv").read_text().splitlines()[1:]
+        fields = np.array([line.split(",") for line in lines]).reshape(count, n, 6)
+        draw, component = np.meshgrid(np.arange(count), np.arange(n), indexing="ij")
+        np.testing.assert_array_equal(fields[:, :, 0].astype(int), draw)
+        np.testing.assert_array_equal(fields[:, :, 1].astype(int), component)
+        sample = sample_joint(load_config(cfg).model, count, 4)
+        for col, drawn in zip((2, 4, 5), (sample.u, sample.y, sample.x)):
+            np.testing.assert_array_equal(fields[:, :, col].astype(float), drawn)
+        np.testing.assert_array_equal(fields[:, : n - 2, 3].astype(float), sample.v)
+        assert (fields[:, n - 2 :, 3] == "").all()
         # The rescaled sigma_v at n = 1 spans more than psd_inverse keeps.
         capsys.readouterr()
         assert _run("scale", "--config", cfg, "--out", tmp_path / "k") == 1
@@ -1018,27 +1035,6 @@ class TestErrorExits:
 
 
 class TestSeriesProjection:
-    @pytest.mark.parametrize(
-        "rows, t",
-        [
-            (["1.5", "2.5"], None),
-            (["t,value", "0.1,1.5", "0.2,2.5"], [0.1, 0.2]),
-            (["index,t,value", "0,0.1,1.5", "1,0.2,2.5"], [0.1, 0.2]),
-        ],
-    )
-    def test_series_row_formats(self, tmp_path, rows, t):
-        path = tmp_path / "x.csv"
-        path.write_text("\n".join(rows) + "\n")
-        t_read, values = read_series_csv(path)
-        assert values.tolist() == [1.5, 2.5]
-        assert (None if t_read is None else t_read.tolist()) == t
-
-    def test_series_row_of_four_fields_rejected(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("0,0.1,1.5,9.0\n")
-        with pytest.raises(cli.InputError, match="line 1 .* too many columns"):
-            read_series_csv(path)
-
     def test_euclidean_requires_exact_length(self):
         with pytest.raises(Exception):
             project_series(None, np.ones(3), 4, "abstract-euclidean")
