@@ -433,7 +433,7 @@ def cmd_validate(args) -> int:
 
 
 def _multipliers(op) -> list | None:
-    return op.multipliers.tolist() if op.is_diagonal else None
+    return op.stored.tolist() if op.is_diagonal else None
 
 
 def cmd_scale(args) -> int:

@@ -102,7 +102,7 @@ def positivity_check(a: OperatorRep, b: OperatorRep) -> PositivityReport:
 def _positivity(
     a: OperatorRep, b: OperatorRep, quad: np.ndarray | None, witness: bool
 ) -> PositivityReport:
-    if b.is_diagonal and np.all(b.multipliers >= 0.0):
+    if b.is_diagonal and np.all(b.stored >= 0.0):
         return PositivityReport(
             passed=True, method="analytic", min_value=0.0, witness=None
         )
@@ -144,7 +144,7 @@ def filter_multipliers(a: OperatorRep, b: OperatorRep) -> np.ndarray:
     """Componentwise trend multipliers ``1 / (1 + b_j a_j^2)`` (diagonal only)."""
     if not (a.is_diagonal and b.is_diagonal):
         raise DimensionMismatchError("filter multipliers require diagonal operators")
-    return 1.0 / (1.0 + b.multipliers * a.multipliers**2)
+    return 1.0 / (1.0 + b.stored * a.stored**2)
 
 
 def _solve_trend(

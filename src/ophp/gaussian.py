@@ -89,8 +89,8 @@ class GaussianModel:
     independent.
 
     The model is immutable, so what depends on nothing else is computed on
-    first use and kept: ``Q_v``, the regression slope, and the covariance
-    square roots used by the sampler.
+    first use and kept: ``commutator_norm``, ``Q_v``, the regression slope,
+    and the covariance square roots used by the sampler.
     """
 
     a: OperatorRep
@@ -98,7 +98,6 @@ class GaussianModel:
     sigma_u: OperatorRep
     sigma_v: OperatorRep
     y0: CoeffVector
-    commutator_norm: float
 
     @property
     def dim(self) -> int:
@@ -111,6 +110,11 @@ class GaussianModel:
     @property
     def is_diagonal(self) -> bool:
         return all(op.is_diagonal for op in (self.a, self.sigma_u, self.sigma_v))
+
+    @cached_property
+    def commutator_norm(self) -> float:
+        # The name resolves to the module-level operators.commutator_norm.
+        return commutator_norm(self.pinv_bundle.projector_pi, self.sigma_u)
 
     @cached_property
     def _q_v(self) -> OperatorRep:
@@ -134,22 +138,14 @@ class GaussianModel:
         sigma_v: OperatorRep,
         y0: CoeffVector | None = None,
     ) -> "GaussianModel":
-        """Validate the ingredients and assemble a model; measures the
-        commutator of ``sigma_u`` with the null-space projector."""
+        """Validate the ingredients and assemble a model."""
         bundle = pinv(a)
         _check_covariance(sigma_u, a.dim_in, a.domain_basis, "sigma_u")
         _check_covariance(sigma_v, a.dim_out, a.codomain_basis, "sigma_v")
         if y0 is None:
             y0 = CoeffVector(np.zeros(a.dim_in), a.domain_basis)
         _check_y0(a, bundle, y0)
-        return cls(
-            a=a,
-            pinv_bundle=bundle,
-            sigma_u=sigma_u,
-            sigma_v=sigma_v,
-            y0=y0,
-            commutator_norm=commutator_norm(bundle.projector_pi, sigma_u),
-        )
+        return cls(a=a, pinv_bundle=bundle, sigma_u=sigma_u, sigma_v=sigma_v, y0=y0)
 
     def with_y0(self, y0: CoeffVector, scale: float | None = None) -> "GaussianModel":
         """The same model with deterministic component ``y0``.  Keeps the

@@ -1,24 +1,23 @@
 """Linear operators on finite orthonormal-basis truncations.
 
 Everything downstream works with coefficient sequences relative to a declared
-orthonormal basis, so operators are stored in whichever of two
-representations keeps their structure explicit:
+orthonormal basis.  An operator is its stored array, whose rank is its kind:
 
-``diagonal``
+diagonal (1-d)
     A spectral multiplier sequence.  Diagonal operators never promote to
     dense storage implicitly; promotion happens only through
     :meth:`OperatorRep.as_matrix`.
-``dense``
-    A rectangular matrix between two (possibly different) bases.  An
-    integral kernel on [0, 1], sampled on a composite-trapezoid quadrature
-    grid and projected onto the sine basis, is stored this way and keeps its
-    recipe as provenance.
+dense (2-d)
+    A rectangular matrix between two (possibly different) bases, rows
+    indexing the codomain.  An integral kernel on [0, 1], sampled on a
+    composite-trapezoid quadrature grid and projected onto the sine basis,
+    is stored this way and keeps its recipe as provenance.
 
-Stored entries, range bases and spectra are read through this module; other
-modules ask ``is_diagonal`` only for a diagonal closed form or to write
-multipliers out.  Besides the operator algebra it provides the Moore-Penrose
-inverse with its projector algebra, the symmetric spectral primitives the
-covariance algebra is written in, and the one rounding policy.
+Range bases and spectra are computed in this module; other modules read
+``stored`` only for a diagonal closed form, to write an operator out, or to
+check a covariance's entries.  Besides the operator algebra it provides the
+Moore-Penrose inverse with its projector algebra, the symmetric spectral
+primitives the covariance algebra is written in, and the one rounding policy.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ import numpy as np
 
 BASIS_EUCLIDEAN = "abstract-euclidean"
 BASIS_SINE = "sine-dirichlet"
-
-DENSE = "dense"
-DIAGONAL = "diagonal"
 
 # Eigenvalues at or below EIG_RTOL times the largest one count as zero: the
 # rank cutoff of PSD inverses, a rank decision like pinv's, not rounding.
@@ -125,54 +121,38 @@ class CoeffVector:
 class OperatorRep:
     """A linear operator between two basis truncations.
 
-    ``kind`` selects what is ``stored``: ``multipliers`` for ``diagonal``,
-    ``matrix`` for ``dense``.  An operator discretized from an integral
+    ``stored`` is a read-only array whose rank is the kind: 1-d spectral
+    multipliers for a diagonal operator, a 2-d matrix whose rows index the
+    codomain for a dense one.  An operator discretized from an integral
     kernel is dense; ``kernel_name`` and ``grid_points`` record its recipe.
     """
 
-    kind: str
+    stored: np.ndarray
     domain_basis: str
     codomain_basis: str
-    matrix: np.ndarray | None = None
-    multipliers: np.ndarray | None = None
     kernel_name: str | None = None
     grid_points: int | None = None
 
     def __post_init__(self):
-        if self.kind == DIAGONAL:
-            mult = np.array(self.multipliers, dtype=float, copy=True)
-            if mult.ndim != 1 or mult.size == 0:
-                raise DimensionMismatchError("diagonal multipliers must be 1-d")
-            mult.setflags(write=False)
-            object.__setattr__(self, "multipliers", mult)
-        elif self.kind == DENSE:
-            mat = np.array(self.matrix, dtype=float, copy=True)
-            if mat.ndim != 2 or mat.size == 0:
-                raise DimensionMismatchError("dense matrix must be 2-d")
-            mat.setflags(write=False)
-            object.__setattr__(self, "matrix", mat)
-        else:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
+        arr = np.array(self.stored, dtype=float, copy=True)
+        if arr.ndim not in (1, 2) or arr.size == 0:
+            raise DimensionMismatchError(
+                "an operator stores a nonempty 1-d or 2-d array"
+            )
+        arr.setflags(write=False)
+        object.__setattr__(self, "stored", arr)
 
     @property
     def dim_in(self) -> int:
-        if self.kind == DIAGONAL:
-            return int(self.multipliers.shape[0])
-        return int(self.matrix.shape[1])
+        return int(self.stored.shape[-1])
 
     @property
     def dim_out(self) -> int:
-        if self.kind == DIAGONAL:
-            return int(self.multipliers.shape[0])
-        return int(self.matrix.shape[0])
+        return int(self.stored.shape[0])
 
     @property
     def is_diagonal(self) -> bool:
-        return self.kind == DIAGONAL
-
-    @property
-    def stored(self) -> np.ndarray:
-        return self.multipliers if self.kind == DIAGONAL else self.matrix
+        return self.stored.ndim == 1
 
     def as_matrix(self) -> np.ndarray:
         """Explicit promotion to a dense matrix.
@@ -181,20 +161,18 @@ class OperatorRep:
         the single deliberate escape hatch.  A dense operator returns its
         stored matrix, which is read-only.
         """
-        if self.kind == DIAGONAL:
-            return np.diag(self.multipliers)
-        return self.matrix
+        return np.diag(self.stored) if self.is_diagonal else self.stored
 
 
 def diagonal_operator(
     multipliers, basis_id: str = BASIS_EUCLIDEAN, codomain_basis: str | None = None
 ) -> OperatorRep:
     """Spectral multiplier operator acting componentwise."""
+    mult = np.asarray(multipliers, dtype=float)
+    if mult.ndim != 1:
+        raise DimensionMismatchError("diagonal multipliers must be 1-d")
     return OperatorRep(
-        kind=DIAGONAL,
-        domain_basis=basis_id,
-        codomain_basis=basis_id if codomain_basis is None else codomain_basis,
-        multipliers=np.asarray(multipliers, dtype=float),
+        mult, basis_id, basis_id if codomain_basis is None else codomain_basis
     )
 
 
@@ -202,11 +180,11 @@ def dense_operator(
     rows, domain_basis: str = BASIS_EUCLIDEAN, codomain_basis: str | None = None
 ) -> OperatorRep:
     """Dense matrix operator; rows index the codomain."""
+    mat = np.asarray(rows, dtype=float)
+    if mat.ndim != 2:
+        raise DimensionMismatchError("dense matrix must be 2-d")
     return OperatorRep(
-        kind=DENSE,
-        domain_basis=domain_basis,
-        codomain_basis=domain_basis if codomain_basis is None else codomain_basis,
-        matrix=np.asarray(rows, dtype=float),
+        mat, domain_basis, domain_basis if codomain_basis is None else codomain_basis
     )
 
 
@@ -308,12 +286,8 @@ def kernel_operator(
     symmetric = projected + projected.T
     symmetric *= 0.5
     return OperatorRep(
-        kind=DENSE,
-        domain_basis=BASIS_SINE,
-        codomain_basis=BASIS_SINE,
-        matrix=symmetric,
-        kernel_name=name,
-        grid_points=int(grid_points),
+        symmetric, BASIS_SINE, BASIS_SINE,
+        kernel_name=name, grid_points=int(grid_points),
     )
 
 
@@ -348,24 +322,20 @@ def apply_rows(
     ``out``, when given, receives the result and must not overlap ``rows``;
     the values are the same as without it.
     """
-    if op.kind == DIAGONAL:
-        return np.multiply(rows, op.multipliers, out=out)
-    return np.matmul(rows, op.matrix.T, out=out)
+    if op.is_diagonal:
+        return np.multiply(rows, op.stored, out=out)
+    return np.matmul(rows, op.stored.T, out=out)
 
 
 def adjoint(op: OperatorRep) -> OperatorRep:
     """Adjoint with respect to the orthonormal bases.
 
-    Dense operators transpose; diagonal operators and symmetric square dense
-    operators on one basis return themselves.
+    The stored array transposes (a 1-d array is its own transpose); a
+    symmetric operator on one basis, diagonal ones included, returns itself.
     """
-    if op.domain_basis == op.codomain_basis and (
-        op.kind == DIAGONAL or np.array_equal(op.matrix, op.matrix.T)
-    ):
+    if op.domain_basis == op.codomain_basis and np.array_equal(op.stored, op.stored.T):
         return op
-    if op.kind == DIAGONAL:
-        return diagonal_operator(op.multipliers, op.codomain_basis, op.domain_basis)
-    return dense_operator(op.matrix.T, op.codomain_basis, op.domain_basis)
+    return OperatorRep(op.stored.T, op.codomain_basis, op.domain_basis)
 
 
 def compose(s: OperatorRep, t: OperatorRep) -> OperatorRep:
@@ -383,10 +353,8 @@ def compose(s: OperatorRep, t: OperatorRep) -> OperatorRep:
         raise DimensionMismatchError(
             f"cannot compose: inner dimensions {t.dim_out} and {s.dim_in} differ"
         )
-    if s.kind == DIAGONAL and t.kind == DIAGONAL:
-        return diagonal_operator(
-            s.multipliers * t.multipliers, t.domain_basis, s.codomain_basis
-        )
+    if s.is_diagonal and t.is_diagonal:
+        return diagonal_operator(s.stored * t.stored, t.domain_basis, s.codomain_basis)
     return dense_operator(
         s.as_matrix() @ t.as_matrix(), t.domain_basis, s.codomain_basis
     )
@@ -398,10 +366,8 @@ def add(s: OperatorRep, t: OperatorRep) -> OperatorRep:
         raise BasisMismatchError("cannot add operators with different bases")
     if (s.dim_in, s.dim_out) != (t.dim_in, t.dim_out):
         raise DimensionMismatchError("cannot add operators with different shapes")
-    if s.kind == DIAGONAL and t.kind == DIAGONAL:
-        return diagonal_operator(
-            s.multipliers + t.multipliers, s.domain_basis, s.codomain_basis
-        )
+    if s.is_diagonal and t.is_diagonal:
+        return diagonal_operator(s.stored + t.stored, s.domain_basis, s.codomain_basis)
     return dense_operator(
         s.as_matrix() + t.as_matrix(), s.domain_basis, s.codomain_basis
     )
@@ -409,11 +375,7 @@ def add(s: OperatorRep, t: OperatorRep) -> OperatorRep:
 
 def scalar_multiple(op: OperatorRep, c: float) -> OperatorRep:
     """Scale an operator by a real constant, preserving its representation."""
-    if op.kind == DIAGONAL:
-        return diagonal_operator(
-            op.multipliers * float(c), op.domain_basis, op.codomain_basis
-        )
-    return dense_operator(op.matrix * float(c), op.domain_basis, op.codomain_basis)
+    return OperatorRep(op.stored * float(c), op.domain_basis, op.codomain_basis)
 
 
 def frobenius_norm(op: OperatorRep) -> float:
@@ -423,7 +385,7 @@ def frobenius_norm(op: OperatorRep) -> float:
 
 def commutator_norm(s: OperatorRep, t: OperatorRep) -> float:
     """Frobenius norm of ``s t - t s``; exactly zero for two diagonal operators."""
-    if s.kind == DIAGONAL and t.kind == DIAGONAL:
+    if s.is_diagonal and t.is_diagonal:
         return 0.0
     sm, tm = s.as_matrix(), t.as_matrix()
     return float(np.linalg.norm(sm @ tm - tm @ sm))
@@ -436,10 +398,10 @@ def commutator_norm(s: OperatorRep, t: OperatorRep) -> float:
 
 def symmetrize(op: OperatorRep) -> OperatorRep:
     """Symmetric part ``(op + op*) / 2`` of a square operator."""
-    if op.kind == DIAGONAL:
+    if op.is_diagonal:
         return op
     return dense_operator(
-        0.5 * (op.matrix + op.matrix.T), op.domain_basis, op.codomain_basis
+        0.5 * (op.stored + op.stored.T), op.domain_basis, op.codomain_basis
     )
 
 
@@ -453,9 +415,9 @@ def symmetric_eig(
     matching orthonormal eigenvector columns, or ``None`` in their place
     when ``vectors`` is false.
     """
-    if op.kind == DIAGONAL:
-        return op.multipliers, None
-    sym = 0.5 * (op.matrix + op.matrix.T)
+    if op.is_diagonal:
+        return op.stored, None
+    sym = 0.5 * (op.stored + op.stored.T)
     return np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
 
 
@@ -524,9 +486,8 @@ class PinvBundle:
     @cached_property
     def projector_complement(self) -> OperatorRep:
         pi = self.projector_pi
-        if pi.kind == DIAGONAL:
-            return diagonal_operator(1.0 - pi.multipliers, pi.domain_basis)
-        return dense_operator(np.eye(pi.dim_in) - pi.matrix, pi.domain_basis)
+        identity = 1.0 if pi.is_diagonal else np.eye(pi.dim_in)
+        return OperatorRep(identity - pi.stored, pi.domain_basis, pi.domain_basis)
 
     @property
     def cond(self) -> float:
@@ -543,7 +504,7 @@ class PinvBundle:
     def range_projector(self) -> OperatorRep:
         basis = self.pinv.domain_basis
         if self.svd is None:
-            return diagonal_operator(self.projector_pi.multipliers, basis)
+            return diagonal_operator(self.projector_pi.stored, basis)
         u = self.range_basis
         return dense_operator(u @ u.T, basis)
 
@@ -557,8 +518,8 @@ def pinv(a: OperatorRep) -> PinvBundle:
     the result has rank 0 and zero projector.
     """
     rcond = float(np.finfo(float).eps * max(a.dim_in, a.dim_out))
-    if a.kind == DIAGONAL:
-        mult = a.multipliers
+    if a.is_diagonal:
+        mult = a.stored
         largest = float(np.abs(mult).max())
         threshold = rcond * largest
         keep = np.abs(mult) > threshold
@@ -573,8 +534,7 @@ def pinv(a: OperatorRep) -> PinvBundle:
             projector_pi=diagonal_operator(keep.astype(float), a.domain_basis),
         )
 
-    mat = a.matrix
-    u, s, vt = np.linalg.svd(mat, full_matrices=True)
+    u, s, vt = np.linalg.svd(a.stored, full_matrices=True)
     largest = float(s[0]) if s.size else 0.0
     threshold = rcond * largest
     rank = int(np.count_nonzero(s > threshold))
@@ -600,8 +560,8 @@ def moore_penrose_residuals(a: OperatorRep, bundle: PinvBundle) -> dict[str, flo
     and of the idempotence and symmetry of ``bundle.projector_pi``.
     Diagonal storage is checked elementwise, where ``.T`` is the identity."""
     ops = (a, bundle.pinv, bundle.projector_pi)
-    if all(op.kind == DIAGONAL for op in ops):
-        (mat, inv, pi), mul = (op.multipliers for op in ops), np.multiply
+    if all(op.is_diagonal for op in ops):
+        (mat, inv, pi), mul = (op.stored for op in ops), np.multiply
     else:
         (mat, inv, pi), mul = (op.as_matrix() for op in ops), np.matmul
     ai, ia = mul(mat, inv), mul(inv, mat)

@@ -38,7 +38,7 @@ def _assemble(
 ) -> OperatorRep:
     if a.is_diagonal and sigma_u.is_diagonal and sigma_v.is_diagonal:
         kept = bundle.retained
-        sv = sigma_v.multipliers
+        sv = sigma_v.stored
         # Componentwise inversion is exact regardless of dynamic range, so
         # only genuinely non-positive entries are singular here.
         bad = kept[~(sv[kept] > np.finfo(float).tiny)]
@@ -48,7 +48,7 @@ def _assemble(
             )
         inv_sv = np.zeros_like(sv)
         inv_sv[kept] = 1.0 / sv[kept]
-        mult = bundle.pinv.multipliers * sigma_u.multipliers * a.multipliers * inv_sv
+        mult = bundle.pinv.stored * sigma_u.stored * a.stored * inv_sv
         return diagonal_operator(mult, a.codomain_basis)
     basis = bundle.range_basis
     inv_full = np.zeros((a.dim_out, a.dim_out))
@@ -57,7 +57,7 @@ def _assemble(
         inv_restricted, rank = psd_inverse(restricted)
         if rank < basis.shape[1]:
             raise SingularCovarianceError("sigma_v is singular on the range of A")
-        inv_full = basis @ inv_restricted.matrix @ basis.T
+        inv_full = basis @ inv_restricted.stored @ basis.T
     sv_inv = dense_operator(inv_full, a.codomain_basis)
     return compose(
         adjoint(bundle.pinv), compose(sigma_u, compose(adjoint(a), sv_inv))

@@ -229,7 +229,7 @@ def operator_to_json(op: OperatorRep) -> dict:
     if op.is_diagonal:
         return {
             "kind": "diagonal",
-            "multipliers": op.multipliers.tolist(),
+            "multipliers": op.stored.tolist(),
             "basis": op.domain_basis,
         }
     if op.kernel_name is not None:
@@ -240,7 +240,7 @@ def operator_to_json(op: OperatorRep) -> dict:
         }
     return {
         "kind": "dense",
-        "rows": op.matrix.tolist(),
+        "rows": op.stored.tolist(),
         "basis": op.domain_basis,
         "codomain_basis": op.codomain_basis,
     }

@@ -270,7 +270,7 @@ def gap_check(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
         slope = regression_slope(model)
-    pi = model.pinv_bundle.projector_pi.multipliers
+    pi = model.pinv_bundle.projector_pi.stored
     y0 = model.y0.coeffs
     xs = np.random.default_rng(seed).standard_normal((count, model.dim))
     diffs = y0 + apply_rows(slope, xs - y0) - filter_multipliers(model.a, bhat) * xs
@@ -283,7 +283,7 @@ def gap_check(
         max_range_ratio = max(max_range_ratio, range_gap / rounding_bound(1.0 + norm_x))
         max_full_gap = max(max_full_gap, float(np.linalg.norm(diff)))
     kernel_noise = float(
-        np.abs((1.0 - pi) * model.sigma_u.multipliers).max(initial=0.0)
+        np.abs((1.0 - pi) * model.sigma_u.stored).max(initial=0.0)
     )
     passed = max_range_ratio <= 1.0
     return CheckResult(
@@ -332,8 +332,8 @@ def white_noise_scale_check(
     kept = model.pinv_bundle.retained
     if not kept.size:
         return CheckResult("white-noise-ratio", SKIP, {"reason": "operator is zero"})
-    su = model.sigma_u.multipliers[kept]
-    sv = model.sigma_v.multipliers[kept]
+    su = model.sigma_u.stored[kept]
+    sv = model.sigma_v.stored[kept]
     if np.ptp(su) > rounding_bound(su.max()) or np.ptp(sv) > rounding_bound(sv.max()):
         return CheckResult(
             "white-noise-ratio",
@@ -347,7 +347,7 @@ def white_noise_scale_check(
             {"reason": "no scale index available", "threshold": threshold},
         )
     scaled = scaled_optimal_b(model, n)
-    mult = scaled.multipliers[kept]
+    mult = scaled.stored[kept]
     spread = float(np.ptp(mult))
     ratio = float(su[0] / sv[0])
     deviation = float(np.abs(mult - ratio).max())

@@ -122,7 +122,7 @@ def synthesize_series(coeffs, t) -> np.ndarray:
 
 
 def _rows_times(op, rows) -> np.ndarray:
-    return rows * op.multipliers if op.is_diagonal else rows @ op.matrix.T
+    return rows * op.stored if op.is_diagonal else rows @ op.stored.T
 
 
 def sample_joint_chunkwise(model, count: int, seed: int):

@@ -47,7 +47,7 @@ def test_ramp_exactness():
     bhat = optimal_b(model)
     expected_b = su / sv
     expected_b[0] = 0.0
-    dev_b = float(np.abs(bhat.multipliers - expected_b).max())
+    dev_b = float(np.abs(bhat.stored - expected_b).max())
 
     rng = np.random.default_rng(99)
     x = CoeffVector(rng.standard_normal(dim))
@@ -220,8 +220,8 @@ def test_white_noise_reduction():
     n0_lap = trace_class_threshold(decl_lap)
     for model, n0 in ((ramp, n0_ramp), (lap, n0_lap)):
         scaled = scaled_optimal_b(model, n0)
-        mask = model.pinv_bundle.range_projector.multipliers > 0.5
-        mult = scaled.multipliers[mask]
+        mask = model.pinv_bundle.range_projector.stored > 0.5
+        mult = scaled.stored[mask]
         results.append((float(np.ptp(mult)), float(np.abs(mult - ratio).max())))
     spreads = max(r[0] for r in results)
     deviation = max(r[1] for r in results)

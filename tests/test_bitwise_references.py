@@ -20,7 +20,7 @@ import oracles
 @pytest.mark.parametrize("dim, grid", [(8, 64), (64, 130), (128, 512), (256, 512)])
 def test_kernel_operator_is_the_expression(dim, grid):
     op = kernel_operator("dirichlet_green", dim, grid)
-    assert np.array_equal(op.matrix, oracles.green_kernel_matrix(dim, grid))
+    assert np.array_equal(op.stored, oracles.green_kernel_matrix(dim, grid))
 
 
 @pytest.mark.parametrize(

@@ -542,7 +542,12 @@ class TestOtherCommands:
             np.testing.assert_array_equal(fields[:, :, col].astype(float), drawn)
         np.testing.assert_array_equal(fields[:, : n - 2, 3].astype(float), sample.v)
         assert (fields[:, n - 2 :, 3] == "").all()
-        # The rescaled sigma_v at n = 1 spans more than psd_inverse keeps.
+        # The rescaled sigma_v at n = 1 spans more than psd_inverse keeps:
+        # its eigenvalues spread by cond(A)^-4.  The refusal guards a wrong
+        # answer.  Inverting it on the range at pinv's rank, with a floor at
+        # the rounding bound of its largest eigenvalue, lets n = 100 through
+        # with the scaled smoother off 1600 I by up to 29% of 1600, and
+        # still refuses n = 256 and n = 1024.
         capsys.readouterr()
         assert _run("scale", "--config", cfg, "--out", tmp_path / "k") == 1
         assert "sigma_v is singular on the range of A" in capsys.readouterr().err

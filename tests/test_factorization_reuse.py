@@ -78,7 +78,7 @@ class TestModelCache:
         model = _dense_model(seed=1)
         q = qv(model)
         expected = compose(q, psd_inverse(add(model.sigma_u, q))[0])
-        np.testing.assert_array_equal(regression_slope(model).matrix, expected.matrix)
+        np.testing.assert_array_equal(regression_slope(model).stored, expected.stored)
         assert qv(model) is q
 
     def test_with_y0_keeps_the_factorization(self, calls):
@@ -144,7 +144,7 @@ class TestTrendSystem:
         assert not report.passed and report.trials == 0
         h = report.witness
         assert np.linalg.norm(h) == pytest.approx(1.0, rel=1e-12)
-        value = float((a.matrix @ h) @ (b.matrix @ (a.matrix @ h)))
+        value = float((a.stored @ h) @ (b.stored @ (a.stored @ h)))
         assert value == pytest.approx(report.min_value, rel=1e-9)
 
     def test_nonnegative_diagonal_needs_no_eigensolver(self, calls):

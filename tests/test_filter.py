@@ -37,8 +37,8 @@ class TestObjective:
         a = dense_operator(rng.standard_normal((4, 4)))
         b = dense_operator(rng.standard_normal((4, 4)))
         x = CoeffVector(rng.standard_normal(4))
-        ax = a.matrix @ x.coeffs
-        expected = float(ax @ (b.matrix @ ax))
+        ax = a.stored @ x.coeffs
+        expected = float(ax @ (b.stored @ ax))
         assert objective(FilterProblem(a, x, b), x) == pytest.approx(expected)
 
     def test_zero_smoother_gives_squared_distance(self):
@@ -59,7 +59,7 @@ class TestObjective:
         j = np.arange(1, 5, dtype=float)
         oracle = float(
             ((x.coeffs - y.coeffs) ** 2).sum()
-            + (j**2 * bhat.multipliers * y.coeffs**2).sum()
+            + (j**2 * bhat.stored * y.coeffs**2).sum()
         )
         assert objective(problem, y) == pytest.approx(oracle, rel=1e-12)
 
@@ -167,7 +167,7 @@ class TestSolveFilter:
         b = dense_operator(np.diag(rng.uniform(0.1, 2.0, 6)))
         x = CoeffVector(rng.standard_normal(6))
         y = solve_filter(FilterProblem(a, x, b))
-        system = np.eye(6) + a.matrix.T @ b.matrix @ a.matrix
+        system = np.eye(6) + a.stored.T @ b.stored @ a.stored
         assert np.linalg.norm(system @ y.coeffs - x.coeffs) <= 1e-10 * x.norm()
 
 

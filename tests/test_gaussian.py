@@ -95,6 +95,14 @@ class TestModelValidation:
         model = GaussianModel.build(a, sigma, identity(3))
         assert model.commutator_norm > 1e-6
 
+    def test_commutator_norm_measured_on_first_use(self):
+        a = diagonal_operator([0.0, 2.0, 3.0])
+        m = np.random.default_rng(0).standard_normal((3, 3))
+        model = GaussianModel.build(a, dense_operator(m @ m.T), identity(3))
+        assert "commutator_norm" not in vars(model)
+        moved = model.with_y0(CoeffVector([1.0, 0.0, 0.0]))
+        assert moved.commutator_norm == model.commutator_norm > 1e-6
+
     def test_commuting_autodetected_for_diagonal(self):
         model = ramp_model(4, np.array([0.5, 1.0, 1.5, 2.0]), 1.0)
         assert model.commutator_norm == 0.0
@@ -105,7 +113,7 @@ class TestQv:
         model = GaussianModel.build(
             identity(2), zero(2), diagonal_operator([1.0, 2.0])
         )
-        np.testing.assert_allclose(qv(model).multipliers, [1.0, 2.0])
+        np.testing.assert_allclose(qv(model).stored, [1.0, 2.0])
 
     def test_laplacian_spectral_oracle(self):
         # Independent spectral arithmetic: q_n = sigma_v_n / (n pi)^4.
@@ -115,13 +123,13 @@ class TestQv:
         model = laplacian_model(dim, 1.0, sv)
         n = np.arange(1, dim + 1, dtype=float)
         np.testing.assert_allclose(
-            qv(model).multipliers, sv / (n * np.pi) ** 4, rtol=1e-12
+            qv(model).stored, sv / (n * np.pi) ** 4, rtol=1e-12
         )
 
     def test_ramp_component_oracle(self):
         model = ramp_model(4, 1.0, 1.0)
         np.testing.assert_allclose(
-            qv(model).multipliers, [0.0, 0.25, 1.0 / 9.0, 0.0625], rtol=1e-14
+            qv(model).stored, [0.0, 0.25, 1.0 / 9.0, 0.0625], rtol=1e-14
         )
 
     def test_joint_covariance_blocks(self):
@@ -301,7 +309,7 @@ class TestSampleJoint:
         count = 50_000
         model = ramp_model(4, np.array([0.5, 1.0, 1.5, 2.0]), 1.0)
         assert model.commutator_norm == 0.0
-        pi = model.pinv_bundle.projector_pi.multipliers
+        pi = model.pinv_bundle.projector_pi.stored
         data = sample_joint(model, count, seed=80)
         inside = data.u * pi[None, :]
         outside = data.u * (1.0 - pi)[None, :]

@@ -43,7 +43,7 @@ def test_expected_ramp_bhat_matches_assembly():
     su, sv = seeded_sigmas(dim, 1)
     model = ramp_model(dim, su, sv)
     np.testing.assert_allclose(
-        optimal_b(model).multipliers,
+        optimal_b(model).stored,
         expected_bhat(ramp_multipliers(dim), su, sv),
         atol=1e-12,
     )
@@ -78,7 +78,7 @@ def test_expected_laplacian_multipliers_match_assembly():
 def test_expected_bhat_is_the_ratio_on_every_laplacian_mode():
     dim = 8
     su, sv = seeded_sigmas(dim, 4)
-    bhat = optimal_b(laplacian_model(dim, su, sv)).multipliers
+    bhat = optimal_b(laplacian_model(dim, su, sv)).stored
     expected = expected_bhat(laplacian_multipliers(dim), su, sv)
     np.testing.assert_array_equal(expected, su / sv)
     np.testing.assert_allclose(bhat, expected, rtol=1e-12)
@@ -95,7 +95,7 @@ def test_green_operator_inverts_laplacian_spectrally():
     green = kernel_operator("dirichlet_green", dim, grid_points=512)
     lam = laplacian_operator(dim)
     composed = compose(lam, green)  # promotes to dense; near identity
-    np.testing.assert_allclose(composed.matrix, np.eye(dim), atol=2e-3)
+    np.testing.assert_allclose(composed.stored, np.eye(dim), atol=2e-3)
     e_2 = np.zeros(dim)
     e_2[1] = 1.0
     out = apply(green, CoeffVector(e_2, BASIS_SINE))

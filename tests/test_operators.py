@@ -17,6 +17,7 @@ from ophp import (
 )
 from ophp.operators import (
     BASIS_SINE,
+    OperatorRep,
     dirichlet_green_kernel,
     moore_penrose_residuals,
     sine_basis_matrix,
@@ -50,6 +51,35 @@ class TestCoeffVector:
         b = CoeffVector([3.0, -1.0])
         np.testing.assert_allclose((a + b).coeffs, [4.0, 1.0])
         np.testing.assert_allclose((a - b).coeffs, [-2.0, 3.0])
+
+
+class TestConstruction:
+    """The stored array's rank is the operator's kind, so the constructors'
+    shape checks are the only guard on it."""
+
+    def test_diagonal_rejects_a_matrix(self):
+        with pytest.raises(DimensionMismatchError, match="must be 1-d"):
+            diagonal_operator(np.ones((2, 2)))
+
+    def test_dense_rejects_a_sequence(self):
+        with pytest.raises(DimensionMismatchError, match="must be 2-d"):
+            dense_operator([1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "stored", [np.ones((2, 2, 2)), np.ones(0), np.ones((0, 3))]
+    )
+    def test_representation_needs_a_nonempty_1d_or_2d_array(self, stored):
+        with pytest.raises(DimensionMismatchError):
+            dense_operator(stored)
+        with pytest.raises(DimensionMismatchError):
+            OperatorRep(stored, "abstract-euclidean", "abstract-euclidean")
+
+    def test_stored_array_is_a_read_only_copy(self):
+        values = np.array([1.0, 2.0])
+        op = diagonal_operator(values)
+        values[0] = 5.0
+        assert op.is_diagonal and op.stored[0] == 1.0
+        assert not op.stored.flags.writeable
 
 
 class TestApply:
@@ -119,7 +149,7 @@ class TestApply:
 class TestAdjoint:
     def test_dense_transpose(self):
         op = dense_operator([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(adjoint(op).matrix, [[1.0, 3.0], [2.0, 4.0]])
+        np.testing.assert_array_equal(adjoint(op).stored, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_diagonal_self_adjoint(self):
         op = diagonal_operator([0.0, 2.0, 3.0])
@@ -141,14 +171,14 @@ class TestAdjoint:
         rng = np.random.default_rng(8)
         op = dense_operator(rng.standard_normal((4, 6)))
         back = adjoint(adjoint(op))
-        assert np.linalg.norm(back.matrix - op.matrix) <= 1e-12
+        assert np.linalg.norm(back.stored - op.stored) <= 1e-12
         diag = diagonal_operator([1.0, -2.0])
         assert adjoint(adjoint(diag)) is diag
 
     def test_symmetric_kernel_self_adjoint(self):
         op = kernel_operator("dirichlet_green", dim=4, grid_points=64)
         assert adjoint(op) is op
-        assert np.array_equal(op.matrix, op.matrix.T)
+        assert np.array_equal(op.stored, op.stored.T)
 
 
 class TestPinv:
@@ -158,19 +188,19 @@ class TestPinv:
         mult[0] = 0.0
         bundle = pinv(diagonal_operator(mult))
         expected = np.concatenate(([0.0], 1.0 / np.arange(2, n + 1)))
-        np.testing.assert_allclose(bundle.pinv.multipliers, expected, atol=1e-15)
+        np.testing.assert_allclose(bundle.pinv.stored, expected, atol=1e-15)
         assert bundle.numerical_rank == n - 1
         np.testing.assert_array_equal(
-            bundle.projector_pi.multipliers, [0.0] + [1.0] * (n - 1)
+            bundle.projector_pi.stored, [0.0] + [1.0] * (n - 1)
         )
         np.testing.assert_array_equal(
-            bundle.projector_complement.multipliers, [1.0] + [0.0] * (n - 1)
+            bundle.projector_complement.stored, [1.0] + [0.0] * (n - 1)
         )
 
     def test_identity(self):
         bundle = pinv(identity(5))
-        np.testing.assert_array_equal(bundle.pinv.multipliers, np.ones(5))
-        np.testing.assert_array_equal(bundle.projector_pi.multipliers, np.ones(5))
+        np.testing.assert_array_equal(bundle.pinv.stored, np.ones(5))
+        np.testing.assert_array_equal(bundle.projector_pi.stored, np.ones(5))
         assert bundle.numerical_rank == 5
 
     def test_exact_rank_two_matrix(self):
@@ -186,8 +216,8 @@ class TestPinv:
     def test_all_zero_operator(self):
         bundle = pinv(zero(4))
         assert bundle.numerical_rank == 0
-        np.testing.assert_array_equal(bundle.pinv.multipliers, np.zeros(4))
-        np.testing.assert_array_equal(bundle.projector_pi.multipliers, np.zeros(4))
+        np.testing.assert_array_equal(bundle.pinv.stored, np.zeros(4))
+        np.testing.assert_array_equal(bundle.projector_pi.stored, np.zeros(4))
         dense_bundle = pinv(dense_operator(np.zeros((3, 5))))
         assert dense_bundle.numerical_rank == 0
 
@@ -221,24 +251,22 @@ class TestPinv:
         # The formulas pinv evaluated for every bundle before the two
         # projectors were formed on first use.
         if a.is_diagonal:
-            pi = bundle.projector_pi.multipliers
+            pi = bundle.projector_pi.stored
             complement, range_proj = 1.0 - pi, pi
-            stored = "multipliers"
         else:
             rank = bundle.numerical_rank
-            u, _, _ = np.linalg.svd(a.matrix, full_matrices=True)
-            complement = np.eye(a.dim_in) - bundle.projector_pi.matrix
+            u, _, _ = np.linalg.svd(a.stored, full_matrices=True)
+            complement = np.eye(a.dim_in) - bundle.projector_pi.stored
             if rank:
                 range_proj = u[:, :rank] @ u[:, :rank].T
             else:
                 range_proj = np.zeros((a.dim_out, a.dim_out))
-            stored = "matrix"
         comp_op, range_op = bundle.projector_complement, bundle.range_projector
-        assert comp_op.kind == range_op.kind == a.kind
+        assert comp_op.is_diagonal == range_op.is_diagonal == a.is_diagonal
         assert (comp_op.domain_basis, comp_op.codomain_basis) == (a.domain_basis,) * 2
         assert (range_op.domain_basis, range_op.codomain_basis) == (a.codomain_basis,) * 2
-        np.testing.assert_array_equal(getattr(comp_op, stored), complement)
-        np.testing.assert_array_equal(getattr(range_op, stored), range_proj)
+        np.testing.assert_array_equal(comp_op.stored, complement)
+        np.testing.assert_array_equal(range_op.stored, range_proj)
         assert bundle.projector_complement is comp_op
         assert bundle.range_projector is range_op
 
@@ -251,14 +279,14 @@ class TestPinv:
 class TestCompose:
     def test_diagonal_stays_diagonal(self):
         out = compose(diagonal_operator([1.0, 2.0]), diagonal_operator([3.0, 4.0]))
-        assert out.kind == "diagonal"
-        np.testing.assert_array_equal(out.multipliers, [3.0, 8.0])
+        assert out.is_diagonal
+        np.testing.assert_array_equal(out.stored, [3.0, 8.0])
 
     def test_projector_absorbs_pinv(self):
         mult = np.array([0.0, 2.0, 3.0, 4.0])
         bundle = pinv(diagonal_operator(mult))
         out = compose(bundle.projector_pi, bundle.pinv)
-        assert np.abs(out.multipliers - bundle.pinv.multipliers).max() <= 1e-12
+        assert np.abs(out.stored - bundle.pinv.stored).max() <= 1e-12
 
     def test_dense_against_triple_loop(self):
         rng = np.random.default_rng(13)
@@ -270,7 +298,7 @@ class TestCompose:
             for j in range(2):
                 for k in range(4):
                     oracle[i, j] += left[i, k] * right[k, j]
-        assert np.abs(out.matrix - oracle).max() <= 1e-13
+        assert np.abs(out.stored - oracle).max() <= 1e-13
 
     def test_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -296,7 +324,7 @@ class TestAsMatrix:
     def test_dense_returns_its_read_only_matrix(self):
         op = dense_operator(np.arange(6.0).reshape(2, 3))
         mat = op.as_matrix()
-        assert mat is op.matrix and not mat.flags.writeable
+        assert mat is op.stored and not mat.flags.writeable
         with pytest.raises(ValueError):
             mat[0, 0] = 1.0
 
@@ -305,7 +333,7 @@ class TestAsMatrix:
         mat = op.as_matrix()
         np.testing.assert_array_equal(mat, np.diag([1.0, 2.0]))
         mat[0, 1] = 5.0
-        np.testing.assert_array_equal(op.multipliers, [1.0, 2.0])
+        np.testing.assert_array_equal(op.stored, [1.0, 2.0])
 
 
 class TestMoorePenroseSuite:

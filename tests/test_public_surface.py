@@ -2,6 +2,7 @@
 dependencies."""
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ import types
 from pathlib import Path
 
 import ophp
+from ophp.operators import OperatorRep
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -81,6 +83,23 @@ def test_tolerances_are_pinned():
                 readers.add(fn.name)
     assert defined == {"EIG_RTOL", "GRID_BOUND_TOL"}
     assert readers == {"psd_inverse"}
+
+
+def test_operator_representation_is_pinned():
+    # An operator is its stored array and the array's rank is its kind, so
+    # no kind tag or per-kind field comes back.  Dict keys such as
+    # obj["kind"] are not attributes and stay allowed.
+    fields = [f.name for f in dataclasses.fields(OperatorRep)]
+    assert fields == ["stored", "domain_basis", "codomain_basis", "kernel_name",
+                      "grid_points"]
+    retired = {"kind", "matrix", "multipliers"}
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in retired
+    )
+    assert readers == []
 
 
 def test_readme_library_block_runs(capsys):

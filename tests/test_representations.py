@@ -105,5 +105,5 @@ def test_kernel_matches_its_dense_matrix(case):
     green = kernel_operator("dirichlet_green", dim, grid_points=64)
     sigmas = diagonal_operator(su, BASIS_SINE), diagonal_operator(sv, BASIS_SINE)
     kernel = GaussianModel.build(green, *sigmas)
-    dense = GaussianModel.build(dense_operator(green.matrix, BASIS_SINE), *sigmas)
+    dense = GaussianModel.build(dense_operator(green.stored, BASIS_SINE), *sigmas)
     _assert_same(kernel, dense, x)

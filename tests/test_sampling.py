@@ -78,7 +78,7 @@ def _rectangular_model():
     probe = GaussianModel.build(
         a, dense_operator(_spd(6, rng)), dense_operator(_spd(4, rng))
     )
-    comp = probe.pinv_bundle.projector_complement.matrix
+    comp = probe.pinv_bundle.projector_complement.stored
     y0 = CoeffVector(comp @ rng.standard_normal(6))
     return GaussianModel.build(a, probe.sigma_u, probe.sigma_v, y0=y0)
 
@@ -87,8 +87,8 @@ def _rank_deficient_model():
     # A non-symmetric A of rank 5 on 8 dims, y0 in its null space.
     rng = np.random.default_rng(2)
     a = dense_operator(rng.standard_normal((8, 5)) @ rng.standard_normal((5, 8)))
-    assert not np.allclose(a.matrix, a.matrix.T)
-    comp = pinv(a).projector_complement.matrix
+    assert not np.allclose(a.stored, a.stored.T)
+    comp = pinv(a).projector_complement.stored
     y0 = CoeffVector(comp @ rng.standard_normal(8))
     return GaussianModel.build(
         a, dense_operator(_spd(8, rng)), dense_operator(_spd(8, rng)), y0=y0

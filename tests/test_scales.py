@@ -96,7 +96,7 @@ class TestScaleWeights:
         assert bundle.numerical_rank == 3
         np.testing.assert_array_equal(weights.indices, [1, 2, 3])
         np.testing.assert_array_equal(
-            weights.indices, np.nonzero(bundle.projector_pi.multipliers)[0]
+            weights.indices, np.nonzero(bundle.projector_pi.stored)[0]
         )
         np.testing.assert_array_equal(weights.kappa, [1.0, 1e-24, 4.0])
         # A dense operator with the same spectrum, rotated: the weights keep
@@ -110,7 +110,7 @@ class TestScaleWeights:
         np.testing.assert_allclose(weights.kappa, [4.0, 1.0, 1e-24], rtol=1e-3)
         rotation = bundle.svd[2]
         kept = rotation[:3].T @ rotation[:3]
-        np.testing.assert_allclose(kept, bundle.projector_pi.matrix, atol=1e-12)
+        np.testing.assert_allclose(kept, bundle.projector_pi.stored, atol=1e-12)
 
 
 class TestRescaledCovariances:
@@ -125,8 +125,8 @@ class TestRescaledCovariances:
         model = ramp_model(5, sigma_u, 1.0)
         su, _ = rescaled_covariances(model, 1)
         j = np.arange(2, 6, dtype=float)
-        np.testing.assert_allclose(su.multipliers[1:], sigma_u / j**4, rtol=1e-12)
-        assert su.multipliers[0] == 0.0
+        np.testing.assert_allclose(su.stored[1:], sigma_u / j**4, rtol=1e-12)
+        assert su.stored[0] == 0.0
 
     def test_laplacian_entries(self):
         sigma_v = 0.6
@@ -135,7 +135,7 @@ class TestRescaledCovariances:
         _, sv = rescaled_covariances(model, 1)
         n = np.arange(1, dim + 1, dtype=float)
         np.testing.assert_allclose(
-            sv.multipliers, sigma_v / (n * np.pi) ** 8, rtol=1e-12
+            sv.stored, sigma_v / (n * np.pi) ** 8, rtol=1e-12
         )
 
     def test_dense_agrees_with_diagonal(self):
@@ -152,10 +152,10 @@ class TestRescaledCovariances:
         su_d, sv_d = rescaled_covariances(dense_model, 1)
         su_ref, sv_ref = rescaled_covariances(diag_model, 1)
         np.testing.assert_allclose(
-            su_d.as_matrix(), np.diag(su_ref.multipliers), atol=1e-12
+            su_d.as_matrix(), np.diag(su_ref.stored), atol=1e-12
         )
         np.testing.assert_allclose(
-            sv_d.as_matrix(), np.diag(sv_ref.multipliers), atol=1e-12
+            sv_d.as_matrix(), np.diag(sv_ref.stored), atol=1e-12
         )
 
 
@@ -200,8 +200,8 @@ class TestScaledOptimalB:
         ):
             for n in range(n0, n0 + 4):
                 scaled = scaled_optimal_b(model, n)
-                mask = model.pinv_bundle.range_projector.multipliers > 0.5
-                mult = scaled.multipliers[mask]
+                mask = model.pinv_bundle.range_projector.stored > 0.5
+                mult = scaled.stored[mask]
                 assert np.ptp(mult) < 1e-12
                 np.testing.assert_allclose(mult, sigma_u / sigma_v, rtol=1e-12)
 
@@ -210,7 +210,7 @@ class TestScaledOptimalB:
         rng = np.random.default_rng(2)
         model = ramp_model(dim, rng.uniform(0.5, 2.0, dim), rng.uniform(0.5, 2.0, dim))
         np.testing.assert_array_equal(
-            scaled_optimal_b(model, 0).multipliers, optimal_b(model).multipliers
+            scaled_optimal_b(model, 0).stored, optimal_b(model).stored
         )
 
     def test_four_factor_assembly_oracle(self):
@@ -221,18 +221,18 @@ class TestScaledOptimalB:
         model = ramp_model(dim, 1.0, j**2)
         n = 1
         scaled = scaled_optimal_b(model, n)
-        a = model.a.multipliers
-        pinv_mult = model.pinv_bundle.pinv.multipliers
+        a = model.a.stored
+        pinv_mult = model.pinv_bundle.pinv.stored
         kappa = np.where(a > 0, a**2, np.inf)
         su_tilde = 1.0 / kappa ** (2 * n)
         sv_tilde = j**2 / kappa ** (2 * n)
         expected = np.where(
             a > 0, pinv_mult * su_tilde * a / np.where(a > 0, sv_tilde, 1.0), 0.0
         )
-        np.testing.assert_allclose(scaled.multipliers, expected, rtol=1e-12)
+        np.testing.assert_allclose(scaled.stored, expected, rtol=1e-12)
         # On the range this collapses to sigma_u / sigma_v = 1/j^2.
         np.testing.assert_allclose(
-            scaled.multipliers[1:], 1.0 / j[1:] ** 2, rtol=1e-12
+            scaled.stored[1:], 1.0 / j[1:] ** 2, rtol=1e-12
         )
 
 

@@ -27,9 +27,9 @@ class TestOptimalB:
         sv = rng.uniform(0.5, 2.0, dim)
         model = ramp_model(dim, su, sv)
         bhat = optimal_b(model)
-        assert bhat.kind == "diagonal"
-        assert bhat.multipliers[0] == 0.0
-        np.testing.assert_allclose(bhat.multipliers[1:], su[1:] / sv[1:], rtol=1e-13)
+        assert bhat.is_diagonal
+        assert bhat.stored[0] == 0.0
+        np.testing.assert_allclose(bhat.stored[1:], su[1:] / sv[1:], rtol=1e-13)
 
     def test_laplacian_componentwise(self):
         dim = 5
@@ -38,14 +38,14 @@ class TestOptimalB:
         sv = rng.uniform(0.5, 2.0, dim)
         model = laplacian_model(dim, su, sv)
         np.testing.assert_allclose(
-            optimal_b(model).multipliers, su / sv, rtol=1e-13
+            optimal_b(model).stored, su / sv, rtol=1e-13
         )
 
     def test_identity_instance(self):
         model = GaussianModel.build(
             identity(3), identity(3), identity(3)
         )
-        np.testing.assert_allclose(optimal_b(model).multipliers, np.ones(3))
+        np.testing.assert_allclose(optimal_b(model).stored, np.ones(3))
 
     def test_singular_sigma_v_names_components(self):
         model = ramp_model(4, 1.0, np.array([1.0, 1.0, 0.0, 1.0]))
@@ -54,7 +54,7 @@ class TestOptimalB:
         # A zero off the range does not matter.
         model_ok = ramp_model(4, 1.0, np.array([0.0, 1.0, 1.0, 1.0]))
         bhat = optimal_b(model_ok)
-        np.testing.assert_allclose(bhat.multipliers, [0.0, 1.0, 1.0, 1.0])
+        np.testing.assert_allclose(bhat.stored, [0.0, 1.0, 1.0, 1.0])
 
     def test_dense_assembly_matches_diagonal(self):
         dim = 5
@@ -71,7 +71,7 @@ class TestOptimalB:
         )
         dense_bhat = optimal_b(dense_model).as_matrix()
         np.testing.assert_allclose(
-            dense_bhat, np.diag(optimal_b(diag_model).multipliers), atol=1e-12
+            dense_bhat, np.diag(optimal_b(diag_model).stored), atol=1e-12
         )
 
     def test_zero_observation_noise_gives_zero_smoother(self):
@@ -79,7 +79,7 @@ class TestOptimalB:
             diagonal_operator([1.0, 2.0, 3.0]), zero(3), identity(3)
         )
         bhat = optimal_b(model)
-        np.testing.assert_array_equal(bhat.multipliers, np.zeros(3))
+        np.testing.assert_array_equal(bhat.stored, np.zeros(3))
         assert gap(model, bhat, CoeffVector([0.3, -1.2, 2.0])) <= 1e-12
 
     def test_linear_in_sigma_u(self):
@@ -87,8 +87,8 @@ class TestOptimalB:
         rng = np.random.default_rng(3)
         su = rng.uniform(0.5, 2.0, dim)
         sv = rng.uniform(0.5, 2.0, dim)
-        base = optimal_b(ramp_model(dim, su, sv)).multipliers
-        scaled = optimal_b(ramp_model(dim, 2.5 * su, sv)).multipliers
+        base = optimal_b(ramp_model(dim, su, sv)).stored
+        scaled = optimal_b(ramp_model(dim, 2.5 * su, sv)).stored
         np.testing.assert_allclose(scaled, 2.5 * base, rtol=1e-12)
 
 
@@ -139,9 +139,9 @@ class TestGap:
         doubled = scalar_multiple(bhat, 2.0)
         x = CoeffVector([0.0, 1.0, -2.0])
         j = np.arange(1, dim + 1, dtype=float)
-        slope = 1.0 / (1.0 + j**2 * bhat.multipliers)
+        slope = 1.0 / (1.0 + j**2 * bhat.stored)
         slope[0] = 0.0
-        trend = x.coeffs / (1.0 + j**2 * doubled.multipliers)
+        trend = x.coeffs / (1.0 + j**2 * doubled.stored)
         expected = float(np.linalg.norm(slope * x.coeffs - trend))
         assert expected > 1e-3
         assert gap(model, doubled, x) == pytest.approx(expected, rel=1e-12)

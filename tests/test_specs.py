@@ -19,18 +19,18 @@ from ophp.specs import (
 class TestOperatorSpecs:
     def test_diagonal(self):
         op = parse_operator({"kind": "diagonal", "multipliers": [0, 2, 3]})
-        assert op.kind == "diagonal"
-        np.testing.assert_array_equal(op.multipliers, [0.0, 2.0, 3.0])
+        assert op.is_diagonal
+        np.testing.assert_array_equal(op.stored, [0.0, 2.0, 3.0])
 
     def test_dense(self):
         op = parse_operator({"kind": "dense", "rows": [[1, 2], [3, 4]]})
-        np.testing.assert_array_equal(op.matrix, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(op.stored, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_kernel(self):
         op = parse_operator(
             {"kind": "kernel", "name": "dirichlet_green", "grid_points": 64}, dim=4
         )
-        assert op.kind == "dense"
+        assert not op.is_diagonal
         assert op.kernel_name == "dirichlet_green"
         assert op.dim_in == 4
 
@@ -78,8 +78,8 @@ class TestOperatorSpecs:
         dense = parse_operator({"kind": "dense", "rows": [values, values[::-1]]})
         diag = parse_operator({"kind": "diagonal", "multipliers": values})
         # The per-entry comprehensions the documents were built with before.
-        old_rows = [[float(v) for v in row] for row in dense.matrix]
-        old_mult = [float(v) for v in diag.multipliers]
+        old_rows = [[float(v) for v in row] for row in dense.stored]
+        old_mult = [float(v) for v in diag.stored]
         new_rows = operator_to_json(dense)["rows"]
         new_mult = operator_to_json(diag)["multipliers"]
         assert json.dumps(new_rows) == json.dumps(old_rows)
@@ -93,7 +93,7 @@ class TestCovarianceSpecs:
         op, decay = parse_covariance(
             {"kind": "diagonal", "values": [1, 2]}, 2, "abstract-euclidean"
         )
-        np.testing.assert_array_equal(op.multipliers, [1.0, 2.0])
+        np.testing.assert_array_equal(op.stored, [1.0, 2.0])
         assert decay is None
 
     def test_power_decay(self):
@@ -103,7 +103,7 @@ class TestCovarianceSpecs:
             "abstract-euclidean",
         )
         n = np.arange(1, 5, dtype=float)
-        np.testing.assert_allclose(op.multipliers, 2.0 * n**-2.0)
+        np.testing.assert_allclose(op.stored, 2.0 * n**-2.0)
         assert decay == 2.0
 
     def test_length_checked(self):

@@ -262,8 +262,8 @@ def test_power_structural_entry_shifted_by_eight_se(monkeypatch):
     dim, j, n = 64, 10, 20_000
     su, sv = seeded_sigmas(dim, 11)
     model = ramp_model(dim, su, sv)
-    s = regression_slope(model).multipliers
-    q = qv(model).multipliers
+    s = regression_slope(model).stored
+    q = qv(model).stored
     # Standard error of the least-squares slope of y_j on x_j.
     se = np.sqrt((q[j] - s[j] * q[j]) / (n * (su[j] + q[j])))
     shifted = s.copy()
@@ -284,16 +284,16 @@ def test_power_dense_slope_rotated_off_its_eigenbasis(monkeypatch):
     model = GaussianModel.build(
         *(dense_operator((q * d) @ q.T) for d in (ramp_multipliers(dim), su, sv))
     )
-    slope = regression_slope(model).matrix
+    slope = regression_slope(model).stored
     givens = np.eye(dim)
     givens[1:3, 1:3] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
     turn = q @ givens @ q.T
     rotated = turn @ slope @ turn.T
     # The mean of Z moves by sqrt(n) (sigma_u + Q_v)^{1/2} dS^T Sigma_r^{-1/2}.
-    cov_x = model.sigma_u.matrix + qv(model).matrix
-    cov_r = qv(model).matrix - slope @ qv(model).matrix
-    root_x = operator_power(dense_operator(cov_x), 0.5).matrix
-    white_r = psd_inverse(dense_operator(cov_r), 0.5)[0].matrix
+    cov_x = model.sigma_u.stored + qv(model).stored
+    cov_r = qv(model).stored - slope @ qv(model).stored
+    root_x = operator_power(dense_operator(cov_x), 0.5).stored
+    white_r = psd_inverse(dense_operator(cov_r), 0.5)[0].stored
     shift = np.sqrt(n) * np.abs(root_x @ (rotated - slope).T @ white_r).max()
     assert shift > 6.0
     result = _check_claim(monkeypatch, model, slope=dense_operator(rotated))
