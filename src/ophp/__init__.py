@@ -26,7 +26,6 @@ from .gaussian import (
     conditional_mean,
     hs_diagnostics,
     qv,
-    sample_joint,
 )
 from .operators import (
     BasisMismatchError,

@@ -27,7 +27,7 @@ from .filter import (
     filter_multipliers,
     solve_filter,
 )
-from .gaussian import ModelError, sample_joint, sample_joint_blocks
+from .gaussian import ModelError, sample_joint_blocks
 from .operators import (
     BASIS_EUCLIDEAN,
     BASIS_SINE,
@@ -38,7 +38,7 @@ from .operators import (
     sine_basis_matrix,
 )
 from .scales import rescaled_covariances, scale_index, scale_weights
-from .smoothing import SingularCovarianceError, _assemble, optimal_b
+from .smoothing import SingularCovarianceError, optimal_b
 from .specs import (
     RunConfig,
     SpecError,
@@ -365,7 +365,8 @@ def cmd_example(args) -> int:
     optimal_b(model)
     bhat_expected = instances.expected_bhat(a_mult, su, sv)
     filter_expected = instances.expected_filter_multipliers(a_mult, bhat_expected)
-    x = CoeffVector(sample_joint(model, 1, seed).x[0], basis)
+    *_, draws = next(sample_joint_blocks(model, 1, seed))
+    x = CoeffVector(draws[0], basis)
 
     out = _out_dir(args)
     write_json(out / "operator.json", operator_doc)
@@ -446,7 +447,7 @@ def cmd_scale(args) -> int:
         )
     weights = scale_weights(n, model.pinv_bundle)
     su, sv = rescaled_covariances(model, n)
-    scaled = _assemble(model.a, model.pinv_bundle, su, sv)
+    scaled = optimal_b(replace(model, sigma_u=su, sigma_v=sv))
     white = white_noise_scale_check(model, n, n0)
     doc = {
         "n": int(n),

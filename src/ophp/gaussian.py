@@ -5,7 +5,7 @@ independent zero-mean Gaussians with covariances ``sigma_u`` and ``sigma_v``
 and the deterministic component ``y0`` of the signal lies in the null space
 of ``A``.  This module builds the signal covariance ``Q_v``, the conditional
 mean of the signal given the data, trace and Hilbert-Schmidt diagnostics of
-the covariance algebra, and a reproducible sampler for Monte-Carlo checks.
+the covariance algebra, and a reproducible block-wise sampler.
 """
 
 from __future__ import annotations
@@ -258,20 +258,6 @@ def hs_diagnostics(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class JointSample:
-    """Row-per-draw arrays of the model variables (u, v, y, x)."""
-
-    u: np.ndarray
-    v: np.ndarray
-    y: np.ndarray
-    x: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return int(self.x.shape[0])
-
-
 # Rows transformed at a time. OpenBLAS's x86-64 DGEMM walks the rows of a
 # product in panels of 192, and a product of a few rows takes another path;
 # blocks of two panels, with a tail under one panel joined to the block
@@ -309,8 +295,8 @@ def sample_joint_blocks(
     its v normals, which follow them in the stream, are drawn a block at a
     time, in order, straight into the block's v scratch.  Each block is
     transformed into scratch arrays of one block, which are yielded and then
-    reused for the next block.  Memory is one chunk of u normals plus a few
-    blocks, whatever ``count`` is.
+    reused for the next block, so a caller copies what it keeps.  Memory is
+    one chunk of u normals plus a few blocks, whatever ``count`` is.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -340,18 +326,3 @@ def sample_joint_blocks(
             np.add(by, bu, out=bx)
             yield slice(start + block.start, start + block.stop), bu, bv, by, bx
 
-
-def sample_joint(model: GaussianModel, count: int, seed: int) -> JointSample:
-    """Draw joint samples of (u, v, y, x), reproducibly for a fixed seed.
-
-    The draws are those of :func:`sample_joint_blocks`, copied into four
-    ``count``-row arrays.
-    """
-    u = np.empty((count, model.dim))
-    v = np.empty((count, model.codim))
-    y = np.empty((count, model.dim))
-    x = np.empty((count, model.dim))
-    for rows, *block in sample_joint_blocks(model, count, seed):
-        for whole, part in zip((u, v, y, x), block):
-            whole[rows] = part
-    return JointSample(u=u, v=v, y=y, x=x)

@@ -1,4 +1,4 @@
-"""Built-in test instances with closed-form expectations.
+"""Built-in instances of ``ophp example`` with closed-form expectations.
 
 Two instance families ship with the package and double as exact oracles:
 
@@ -10,22 +10,14 @@ Two instance families ship with the package and double as exact oracles:
   classical Green kernel.
 
 The ``expected_*`` helpers compute golden outputs by direct scalar
-arithmetic, independent of the operator-algebra code paths they are used to
-check.
+arithmetic, independent of the operator-algebra code paths they check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import GaussianModel
-from .operators import (
-    BASIS_EUCLIDEAN,
-    BASIS_SINE,
-    CoeffVector,
-    OperatorRep,
-    diagonal_operator,
-)
+from .operators import BASIS_EUCLIDEAN, BASIS_SINE
 
 
 def ramp_multipliers(dim: int) -> np.ndarray:
@@ -34,19 +26,9 @@ def ramp_multipliers(dim: int) -> np.ndarray:
     return mult
 
 
-def ramp_operator(dim: int) -> OperatorRep:
-    """diag(0, 2, 3, ..., dim) on plain coefficient sequences."""
-    return diagonal_operator(ramp_multipliers(dim), BASIS_EUCLIDEAN)
-
-
 def laplacian_multipliers(dim: int) -> np.ndarray:
     n = np.arange(1, dim + 1, dtype=float)
     return (np.pi * n) ** 2
-
-
-def laplacian_operator(dim: int) -> OperatorRep:
-    """Dirichlet second-derivative operator, diagonal in the sine basis."""
-    return diagonal_operator(laplacian_multipliers(dim), BASIS_SINE)
 
 
 # The instances of ``ophp example --which``: the operator's multipliers, its
@@ -57,40 +39,10 @@ EXAMPLES = {
 }
 
 
-def _as_diagonal(values, dim: int, basis_id: str) -> OperatorRep:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(dim, float(arr))
-    if arr.shape != (dim,):
-        raise ValueError(f"covariance values must have length {dim}")
-    return diagonal_operator(arr, basis_id)
-
-
 def seeded_sigmas(dim: int, seed: int):
     """Seeded covariance diagonals (observation, signal), uniform on [0.5, 2)."""
     rng = np.random.default_rng(seed)
     return rng.uniform(0.5, 2.0, dim), rng.uniform(0.5, 2.0, dim)
-
-
-def ramp_model(
-    dim: int, sigma_u, sigma_v, y0: CoeffVector | None = None
-) -> GaussianModel:
-    """Gaussian model over the ramp operator; sigmas may be scalars or arrays."""
-    return GaussianModel.build(
-        ramp_operator(dim),
-        _as_diagonal(sigma_u, dim, BASIS_EUCLIDEAN),
-        _as_diagonal(sigma_v, dim, BASIS_EUCLIDEAN),
-        y0=y0,
-    )
-
-
-def laplacian_model(dim: int, sigma_u, sigma_v) -> GaussianModel:
-    """Gaussian model over the spectral Dirichlet Laplacian."""
-    return GaussianModel.build(
-        laplacian_operator(dim),
-        _as_diagonal(sigma_u, dim, BASIS_SINE),
-        _as_diagonal(sigma_v, dim, BASIS_SINE),
-    )
 
 
 # ---------------------------------------------------------------------------

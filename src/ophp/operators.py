@@ -378,17 +378,34 @@ def scalar_multiple(op: OperatorRep, c: float) -> OperatorRep:
     return OperatorRep(op.stored * float(c), op.domain_basis, op.codomain_basis)
 
 
+def _overflow_safe(norm, *arrays) -> float:
+    """``norm(*arrays)``, a norm of degree one in each array.  One that
+    overflows on finite entries is taken again from each array over its
+    largest magnitude, so every input it does not overflow on keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(norm(*arrays))
+    if np.isfinite(value) or not all(np.isfinite(a).all() for a in arrays):
+        return value
+    peaks = [float(np.abs(a).max()) for a in arrays]
+    value = float(norm(*(a / peak for a, peak in zip(arrays, peaks))))
+    for peak in peaks:
+        value *= peak
+    return value
+
+
 def frobenius_norm(op: OperatorRep) -> float:
-    """Frobenius norm, from the stored entries."""
-    return float(np.linalg.norm(op.stored))
+    """Frobenius norm, from the stored entries, overflow-safe."""
+    return _overflow_safe(np.linalg.norm, op.stored)
 
 
 def commutator_norm(s: OperatorRep, t: OperatorRep) -> float:
-    """Frobenius norm of ``s t - t s``; exactly zero for two diagonal operators."""
+    """Frobenius norm of ``s t - t s``, overflow-safe; exactly zero for two
+    diagonal operators."""
     if s.is_diagonal and t.is_diagonal:
         return 0.0
-    sm, tm = s.as_matrix(), t.as_matrix()
-    return float(np.linalg.norm(sm @ tm - tm @ sm))
+    return _overflow_safe(
+        lambda sm, tm: np.linalg.norm(sm @ tm - tm @ sm), s.as_matrix(), t.as_matrix()
+    )
 
 
 # ---------------------------------------------------------------------------

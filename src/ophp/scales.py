@@ -17,14 +17,14 @@ abstract completion is constructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
 
 from .gaussian import DecayDeclaration, GaussianModel
 from .operators import OperatorRep, PinvBundle, adjoint, compose, symmetrize
-from .smoothing import _assemble
+from .smoothing import optimal_b
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,11 +123,12 @@ def scale_index(
 
 
 def scaled_optimal_b(model: GaussianModel, n: int) -> OperatorRep:
-    """Optimal smoother assembled from the rescaled covariances.
+    """Optimal smoother of the model with the rescaled covariances; it keeps
+    the model's pinv bundle, so ``A`` is not factorized again.
 
     At n = 0 this coincides with the unscaled optimal smoother; for white
     noise it equals the noise-to-signal ratio times the identity on the
     range components, for every admissible n.
     """
     sigma_u, sigma_v = rescaled_covariances(model, n)
-    return _assemble(model.a, model.pinv_bundle, sigma_u, sigma_v)
+    return optimal_b(replace(model, sigma_u=sigma_u, sigma_v=sigma_v))

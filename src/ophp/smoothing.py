@@ -3,8 +3,9 @@
 Under the Gaussian model the smoothing operator that brings the filtered
 trend closest to the conditional mean of the signal is
 ``pinv(A)* sigma_u A* sigma_v^{-1}``, with the noise covariance inverted on
-the range of ``A``.  This module assembles that operator and measures the
-gap between the filter output and the conditional mean, which vanishes on
+the range of ``A``.  :func:`optimal_b` assembles it, also for rescaled
+covariances (:func:`~ophp.scales.scaled_optimal_b`), and :func:`gap`
+measures the filter's distance to the conditional mean, which vanishes on
 the range of ``A`` (:func:`~ophp.validate.gap_check` checks it).
 """
 
@@ -17,7 +18,6 @@ from .gaussian import GaussianModel, conditional_mean
 from .operators import (
     CoeffVector,
     OperatorRep,
-    PinvBundle,
     adjoint,
     compose,
     dense_operator,
@@ -30,15 +30,17 @@ class SingularCovarianceError(ValueError):
     """sigma_v is not invertible on the range of the operator."""
 
 
-def _assemble(
-    a: OperatorRep,
-    bundle: PinvBundle,
-    sigma_u: OperatorRep,
-    sigma_v: OperatorRep,
-) -> OperatorRep:
-    if a.is_diagonal and sigma_u.is_diagonal and sigma_v.is_diagonal:
+def optimal_b(model: GaussianModel) -> OperatorRep:
+    """Smoother ``pinv(A)* sigma_u A* sigma_v^{-1}`` minimizing the gap.
+
+    Diagonal inputs yield a diagonal output.  Raises
+    :class:`SingularCovarianceError` naming the offending spectral
+    components when ``sigma_v`` is singular on the range of the operator.
+    """
+    a, bundle = model.a, model.pinv_bundle
+    if model.is_diagonal:
         kept = bundle.retained
-        sv = sigma_v.stored
+        sv = model.sigma_v.stored
         # Componentwise inversion is exact regardless of dynamic range, so
         # only genuinely non-positive entries are singular here.
         bad = kept[~(sv[kept] > np.finfo(float).tiny)]
@@ -48,30 +50,20 @@ def _assemble(
             )
         inv_sv = np.zeros_like(sv)
         inv_sv[kept] = 1.0 / sv[kept]
-        mult = bundle.pinv.stored * sigma_u.stored * a.stored * inv_sv
+        mult = bundle.pinv.stored * model.sigma_u.stored * a.stored * inv_sv
         return diagonal_operator(mult, a.codomain_basis)
     basis = bundle.range_basis
     inv_full = np.zeros((a.dim_out, a.dim_out))
     if basis.size:
-        restricted = dense_operator(basis.T @ sigma_v.as_matrix() @ basis)
+        restricted = dense_operator(basis.T @ model.sigma_v.as_matrix() @ basis)
         inv_restricted, rank = psd_inverse(restricted)
         if rank < basis.shape[1]:
             raise SingularCovarianceError("sigma_v is singular on the range of A")
         inv_full = basis @ inv_restricted.stored @ basis.T
     sv_inv = dense_operator(inv_full, a.codomain_basis)
     return compose(
-        adjoint(bundle.pinv), compose(sigma_u, compose(adjoint(a), sv_inv))
+        adjoint(bundle.pinv), compose(model.sigma_u, compose(adjoint(a), sv_inv))
     )
-
-
-def optimal_b(model: GaussianModel) -> OperatorRep:
-    """Smoother ``pinv(A)* sigma_u A* sigma_v^{-1}`` minimizing the gap.
-
-    Diagonal inputs yield a diagonal output.  Raises
-    :class:`SingularCovarianceError` naming the offending spectral
-    components when ``sigma_v`` is singular on the range of the operator.
-    """
-    return _assemble(model.a, model.pinv_bundle, model.sigma_u, model.sigma_v)
 
 
 def gap(model: GaussianModel, b: OperatorRep, x: CoeffVector) -> float:

@@ -1,14 +1,21 @@
-"""Reference formulas that the tests check the package against.
+"""Reference formulas that the tests check the package against, and the
+test models.
 
-Each is written in numpy from its definition, apart from the code paths it
-is used to check.
+Each formula is written in numpy from its definition, apart from the code
+paths it is used to check.  The test models are the ramp and the spectral
+Dirichlet Laplacian of ``ophp example``, built from scalar or array
+covariance diagonals; ``sample_joint`` collects the joint sampler's blocks
+into whole arrays.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from ophp import diagonal_operator, qv
-from ophp.gaussian import BLOCK_ROWS, DEFAULT_CHUNK
-from ophp.operators import BASIS_EUCLIDEAN
+from ophp import GaussianModel, diagonal_operator, qv
+from ophp.gaussian import BLOCK_ROWS, DEFAULT_CHUNK, sample_joint_blocks
+from ophp.instances import laplacian_multipliers, ramp_multipliers
+from ophp.operators import BASIS_EUCLIDEAN, BASIS_SINE, CoeffVector, OperatorRep
 
 
 def identity(dim: int, basis_id: str = BASIS_EUCLIDEAN):
@@ -17,6 +24,57 @@ def identity(dim: int, basis_id: str = BASIS_EUCLIDEAN):
 
 def zero(dim: int, basis_id: str = BASIS_EUCLIDEAN):
     return diagonal_operator(np.zeros(dim), basis_id)
+
+
+def ramp_operator(dim: int) -> OperatorRep:
+    """diag(0, 2, 3, ..., dim) on plain coefficient sequences."""
+    return diagonal_operator(ramp_multipliers(dim), BASIS_EUCLIDEAN)
+
+
+def laplacian_operator(dim: int) -> OperatorRep:
+    """Dirichlet second-derivative operator, diagonal in the sine basis."""
+    return diagonal_operator(laplacian_multipliers(dim), BASIS_SINE)
+
+
+def _as_diagonal(values, dim: int, basis_id: str) -> OperatorRep:
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 0:
+        arr = np.full(dim, float(arr))
+    if arr.shape != (dim,):
+        raise ValueError(f"covariance values must have length {dim}")
+    return diagonal_operator(arr, basis_id)
+
+
+def ramp_model(
+    dim: int, sigma_u, sigma_v, y0: CoeffVector | None = None
+) -> GaussianModel:
+    """Gaussian model over the ramp operator; sigmas may be scalars or arrays."""
+    return GaussianModel.build(
+        ramp_operator(dim),
+        _as_diagonal(sigma_u, dim, BASIS_EUCLIDEAN),
+        _as_diagonal(sigma_v, dim, BASIS_EUCLIDEAN),
+        y0=y0,
+    )
+
+
+def laplacian_model(dim: int, sigma_u, sigma_v) -> GaussianModel:
+    """Gaussian model over the spectral Dirichlet Laplacian."""
+    return GaussianModel.build(
+        laplacian_operator(dim),
+        _as_diagonal(sigma_u, dim, BASIS_SINE),
+        _as_diagonal(sigma_v, dim, BASIS_SINE),
+    )
+
+
+def sample_joint(model, count: int, seed: int):
+    """The draws of ``sample_joint_blocks``, copied out of its reused block
+    arrays into four ``count``-row arrays: ``u, v, y, x`` and ``count``."""
+    u, y, x = (np.empty((count, model.dim)) for _ in range(3))
+    v = np.empty((count, model.codim))
+    for rows, *block in sample_joint_blocks(model, count, seed):
+        for whole, part in zip((u, v, y, x), block):
+            whole[rows] = part
+    return SimpleNamespace(u=u, v=v, y=y, x=x, count=count)
 
 
 def operator_norm(op) -> float:

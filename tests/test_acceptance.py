@@ -19,16 +19,15 @@ from ophp import (
     kernel_operator,
     optimal_b,
     pinv,
-    sample_joint,
     scaled_optimal_b,
     solve_filter,
     trace_class_threshold,
 )
 from ophp.gaussian import DecayDeclaration, regression_slope
-from ophp.instances import laplacian_model, ramp_model, seeded_sigmas
+from ophp.instances import seeded_sigmas
 from ophp.operators import BASIS_SINE, moore_penrose_residuals
 
-from oracles import operator_norm, tail_ratio
+from oracles import laplacian_model, operator_norm, ramp_model, sample_joint, tail_ratio
 
 
 def _criterion(name, ok, elapsed, limit, detail):

@@ -11,10 +11,10 @@ import pytest
 
 from ophp import dense_operator, kernel_operator
 from ophp.gaussian import GaussianModel, sample_joint_blocks
-from ophp.instances import ramp_model
 from ophp.operators import sine_basis_matrix
 
 import oracles
+from oracles import ramp_model
 
 
 @pytest.mark.parametrize("dim, grid", [(8, 64), (64, 130), (128, 512), (256, 512)])

@@ -15,7 +15,6 @@ from ophp.cli import main, project_series, read_series_csv
 from ophp.gaussian import (
     DecayDeclaration,
     GaussianModel,
-    sample_joint,
     sample_joint_blocks,
 )
 from ophp.instances import laplacian_multipliers, ramp_multipliers, seeded_sigmas
@@ -23,7 +22,7 @@ from ophp.operators import BASIS_SINE, CoeffVector, apply
 from ophp.specs import load_config, parse_config
 
 import oracles
-from oracles import laplacian_filter_multipliers
+from oracles import laplacian_filter_multipliers, sample_joint
 
 
 # The commands that read a run configuration.

@@ -26,14 +26,14 @@ from ophp import (
     diagonal_operator,
     positivity_check,
     qv,
-    sample_joint,
     solve_filter,
 )
 from ophp.filter import _VERDICTS
 from ophp.gaussian import regression_slope
-from ophp.instances import ramp_model
 from ophp.operators import add, psd_inverse
 from ophp.validate import conditional_mean_check, mp_residual_suite
+
+from oracles import ramp_model, sample_joint
 
 
 @pytest.fixture

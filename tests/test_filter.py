@@ -14,16 +14,19 @@ from ophp import (
     positivity_check,
     solve_filter,
 )
-from ophp.instances import (
-    laplacian_model,
-    laplacian_multipliers,
-    ramp_model,
-    ramp_operator,
-)
+from ophp.instances import laplacian_multipliers
 from ophp.operators import scalar_multiple
 from ophp.smoothing import optimal_b
 
-from oracles import identity, objective, objective_gradient, zero
+from oracles import (
+    identity,
+    laplacian_model,
+    objective,
+    objective_gradient,
+    ramp_model,
+    ramp_operator,
+    zero,
+)
 
 
 def _random_orthogonal(dim, rng):

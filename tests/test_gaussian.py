@@ -13,12 +13,17 @@ from ophp import (
     diagonal_operator,
     hs_diagnostics,
     qv,
-    sample_joint,
 )
 from ophp.gaussian import DEFAULT_CHUNK, DecayDeclaration, regression_slope
-from ophp.instances import laplacian_model, ramp_model
 
-from oracles import identity, joint_covariance, zero
+from oracles import (
+    identity,
+    joint_covariance,
+    laplacian_model,
+    ramp_model,
+    sample_joint,
+    zero,
+)
 
 
 def _cov_se(sigma, count):

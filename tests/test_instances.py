@@ -8,16 +8,18 @@ from ophp.filter import filter_multipliers
 from ophp.instances import (
     expected_filter_multipliers,
     expected_bhat,
-    laplacian_model,
     laplacian_multipliers,
-    laplacian_operator,
-    ramp_model,
     ramp_multipliers,
     seeded_sigmas,
 )
 from ophp.operators import BASIS_SINE, CoeffVector
 
-from oracles import laplacian_filter_multipliers
+from oracles import (
+    laplacian_filter_multipliers,
+    laplacian_model,
+    laplacian_operator,
+    ramp_model,
+)
 
 
 def test_ramp_multipliers_annihilate_first_component():

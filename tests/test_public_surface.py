@@ -42,7 +42,6 @@ PUBLIC_NAMES = [
     "positivity_check",
     "qv",
     "rescaled_covariances",
-    "sample_joint",
     "scale_weights",
     "scaled_optimal_b",
     "solve_filter",
@@ -100,6 +99,52 @@ def test_operator_representation_is_pinned():
         if isinstance(node, ast.Attribute) and node.attr in retired
     )
     assert readers == []
+
+
+def _names_read(node) -> set:
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names.update(alias.name for alias in n.names)
+    return names
+
+
+def test_package_ships_no_unreached_code():
+    # Every top-level function and class is read by other code of the
+    # package (its own body does not count; __init__.py's re-exports do not
+    # either), or is a public name of ophp.  Code that only tests reach
+    # belongs in tests/.
+    defined, read = set(), set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.stem, node.name))
+                read |= _names_read(node) - {node.name}
+            else:
+                read |= _names_read(node)
+    unreached = sorted(
+        f"{module}.{name}" for module, name in defined
+        if name not in read and name not in PUBLIC_NAMES
+    )
+    assert unreached == []
+
+
+def test_no_module_imports_a_private_name():
+    private = sorted(
+        f"{path.name}: {alias.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert private == []
 
 
 def test_readme_library_block_runs(capsys):

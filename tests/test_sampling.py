@@ -1,12 +1,15 @@
 """The sampler and the conditional-mean check against the algorithms they
 replaced.
 
-``sample_joint`` fills preallocated outputs a block of rows at a time and is
-compared bitwise with the chunk-list sampler, kept here as a reference; the
-conditional-mean check streams the same draws and is compared bitwise with
-whitening one whole sample in place and summing ``Z`` over the sampler's
-blocks.  Peak allocations are bounded so that full-size temporaries cannot
-come back unnoticed; the check's does not grow with the draw count.
+``sample_joint_blocks`` yields the draws a block of rows at a time in
+scratch that it reuses; collected into whole arrays (``oracles.sample_joint``)
+they are compared bitwise with the chunk-list sampler, kept here as a
+reference.  The conditional-mean check streams the same draws and is
+compared bitwise with whitening one whole sample in place and summing ``Z``
+over the sampler's blocks.  Peak allocations are bounded so that full-size
+temporaries cannot come back unnoticed: iterating the sampler holds one
+chunk of normals and its block scratch, and neither it nor the check grows
+with the draw count.
 """
 
 import math
@@ -20,13 +23,20 @@ from ophp import (
     GaussianModel,
     dense_operator,
     pinv,
-    sample_joint,
     validate,
 )
-from ophp.gaussian import BLOCK_ROWS, DEFAULT_CHUNK, _row_blocks, regression_slope
-from ophp.instances import ramp_model, seeded_sigmas
+from ophp.gaussian import (
+    BLOCK_ROWS,
+    DEFAULT_CHUNK,
+    _row_blocks,
+    regression_slope,
+    sample_joint_blocks,
+)
+from ophp.instances import seeded_sigmas
 from ophp.operators import apply_rows, operator_power
 from ophp.validate import conditional_mean_check
+
+from oracles import ramp_model, sample_joint
 
 
 def _reference_sample_joint(model, count, seed, chunk_size):
@@ -160,11 +170,18 @@ class TestSampleJoint:
             model = _dense_model(dim)
         else:
             model = ramp_model(dim, np.linspace(0.5, 2.0, dim), 0.8)
-        outputs = 4 * count * dim * 8
         chunk_draws = min(count, DEFAULT_CHUNK) * (model.dim + model.codim) * 8
-        data, peak = _peak_allocation(lambda: sample_joint(model, count, 7))
-        assert data.count == count
-        assert peak <= outputs + chunk_draws + _block_scratch(dim) + (1 << 20)
+
+        def drain():
+            # Touch every block as a caller would, keeping nothing.
+            drawn = 0
+            for rows, *block in sample_joint_blocks(model, count, 7):
+                drawn += rows.stop - rows.start
+            return drawn
+
+        drawn, peak = _peak_allocation(drain)
+        assert drawn == count
+        assert peak <= chunk_draws + _block_scratch(dim) + (1 << 20)
 
 
 class TestStreamedConditionalMean:

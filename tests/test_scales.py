@@ -1,5 +1,8 @@
 """Spectral weight scales, rescaled covariances, and the white-noise limit."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -16,11 +19,20 @@ from ophp import (
     scaled_optimal_b,
     trace_class_threshold,
 )
+from ophp.cli import main
 from ophp.gaussian import DecayDeclaration
-from ophp.instances import laplacian_model, laplacian_operator, ramp_model, ramp_operator
 from ophp.scales import scale_index
+from ophp.specs import load_config
 
-from oracles import dual_norm, scale_norm, tail_ratio
+from oracles import (
+    dual_norm,
+    laplacian_model,
+    laplacian_operator,
+    ramp_model,
+    ramp_operator,
+    scale_norm,
+    tail_ratio,
+)
 
 
 class TestScaleWeights:
@@ -234,6 +246,26 @@ class TestScaledOptimalB:
         np.testing.assert_allclose(
             scaled.stored[1:], 1.0 / j[1:] ** 2, rtol=1e-12
         )
+
+    def test_smoother_has_one_route(self, tmp_path):
+        # The scaled smoother is optimal_b of the model with the rescaled
+        # covariances, bit for bit, in the library and in what `scale` writes.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "operator": {"kind": "diagonal", "multipliers": [0.0, 2.0, 3.0, 4.0]},
+            "sigma_u": {"kind": "diagonal", "values": [1.5] * 4},
+            "sigma_v": {"kind": "diagonal", "values": [0.5] * 4},
+            "truncation_dim": 4,
+            "seed": 0,
+            "scale": {"n": 1},
+        }))
+        model = load_config(config).model
+        su, sv = rescaled_covariances(model, 1)
+        direct = optimal_b(dataclasses.replace(model, sigma_u=su, sigma_v=sv)).stored
+        assert np.array_equal(scaled_optimal_b(model, 1).stored, direct)
+        assert main(["scale", "--config", str(config), "--out", str(tmp_path)]) == 0
+        written = json.loads((tmp_path / "scale.json").read_text())
+        assert np.array_equal(written["scaled_bhat_multipliers"], direct)
 
 
 class TestTailRatio:

@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ophp import CoeffVector, FilterProblem, optimal_b, sample_joint, solve_filter
+from ophp import CoeffVector, FilterProblem, optimal_b, solve_filter
 from ophp.cli import SAMPLE_BLOCK_DRAWS, _json_text, main, write_series_csv
 from ophp.gaussian import BLOCK_ROWS, DEFAULT_CHUNK
 from ophp.specs import load_config
+
+from oracles import sample_joint
 
 B = SAMPLE_BLOCK_DRAWS
 

@@ -13,10 +13,9 @@ from ophp import (
     optimal_b,
     positivity_check,
 )
-from ophp.instances import laplacian_model, ramp_model
 from ophp.operators import scalar_multiple
 
-from oracles import identity, zero
+from oracles import identity, laplacian_model, ramp_model, zero
 
 
 class TestOptimalB:
