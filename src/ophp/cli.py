@@ -37,7 +37,7 @@ from .operators import (
     apply,
     sine_basis_matrix,
 )
-from .scales import rescaled_covariances, scale_index, scale_weights
+from .scales import MAX_SCALE_N, rescaled_covariances, scale_index, scale_weights
 from .smoothing import SingularCovarianceError, optimal_b
 from .specs import (
     RunConfig,
@@ -269,7 +269,7 @@ def _request(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         updates["seed"] = read_int(args.seed, "--seed", 0)
     if getattr(args, "scale_n", None) is not None:
-        updates["scale_n"] = read_int(args.scale_n, "--scale-n", 0)
+        updates["scale_n"] = read_int(args.scale_n, "--scale-n", 0, MAX_SCALE_N)
     if getattr(args, "input", None) is not None:
         updates["input_path"] = Path(args.input)
     return replace(cfg, **updates) if updates else cfg

@@ -108,7 +108,7 @@ def _positivity(
         )
     if quad is None:
         quad = _trend_matrix(a, b)
-    sym = 0.5 * (quad + quad.T)
+    sym = 0.5 * quad + 0.5 * quad.T  # halved first, as in operators.symmetrize
     eigvals = np.linalg.eigvalsh(sym)
     passed = above_psd_floor(eigvals)
     if passed or not witness:

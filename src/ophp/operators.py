@@ -154,6 +154,14 @@ class OperatorRep:
     def is_diagonal(self) -> bool:
         return self.stored.ndim == 1
 
+    @cached_property
+    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Read-only, as the operator may be shared (see kernel_operator).
+        factors = tuple(np.linalg.svd(self.stored, full_matrices=True))
+        for factor in factors:
+            factor.setflags(write=False)
+        return factors
+
     def as_matrix(self) -> np.ndarray:
         """Explicit promotion to a dense matrix.
 
@@ -254,6 +262,11 @@ KERNELS = {"dirichlet_green": _dirichlet_green_into}
 
 DEFAULT_GRID_POINTS = 512
 
+# The recipe of the kernel operator last built in this process, and the
+# operator.  It holds its matrix and, once factorized, its SVD: 3 dim^2 + dim
+# floats.
+_LAST_KERNEL: tuple = (None, None)
+
 
 def kernel_operator(
     name: str, dim: int, grid_points: int = DEFAULT_GRID_POINTS
@@ -264,8 +277,11 @@ def kernel_operator(
     The kernel is sampled on a uniform closed grid and the operator matrix
     is formed in the sine basis, so downstream arithmetic works on
     coefficients.  The registered kernels are symmetric, and so is the
-    matrix, exactly.
+    matrix, exactly.  Asked again for the recipe it last built, it returns
+    the same shared, read-only operator, so a process that keeps to one
+    recipe builds its matrix, and computes its SVD, once.
     """
+    global _LAST_KERNEL
     try:
         fill = KERNELS[name]
     except KeyError:
@@ -274,6 +290,10 @@ def kernel_operator(
         raise DimensionMismatchError(
             f"grid of {grid_points} points cannot resolve {dim} sine modes"
         )
+    recipe = (name, int(dim), int(grid_points))
+    last_recipe, last_op = _LAST_KERNEL
+    if recipe == last_recipe:
+        return last_op
     nodes, weights = trapezoid_grid(grid_points)
     # One grid x grid buffer: the kernel values, then ``w_t K(t, s) w_s``
     # weighted in place, a product at a time in that order.
@@ -285,10 +305,12 @@ def kernel_operator(
     projected = basis_vals.T @ weighted @ basis_vals
     symmetric = projected + projected.T
     symmetric *= 0.5
-    return OperatorRep(
+    op = OperatorRep(
         symmetric, BASIS_SINE, BASIS_SINE,
         kernel_name=name, grid_points=int(grid_points),
     )
+    _LAST_KERNEL = (recipe, op)
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +439,11 @@ def symmetrize(op: OperatorRep) -> OperatorRep:
     """Symmetric part ``(op + op*) / 2`` of a square operator."""
     if op.is_diagonal:
         return op
+    # Halving before the sum keeps entries near the float limit finite; it
+    # is exact above the subnormal range, so other inputs keep the bits of
+    # 0.5 * (S + S.T).
     return dense_operator(
-        0.5 * (op.stored + op.stored.T), op.domain_basis, op.codomain_basis
+        0.5 * op.stored + 0.5 * op.stored.T, op.domain_basis, op.codomain_basis
     )
 
 
@@ -434,7 +459,7 @@ def symmetric_eig(
     """
     if op.is_diagonal:
         return op.stored, None
-    sym = 0.5 * (op.stored + op.stored.T)
+    sym = 0.5 * op.stored + 0.5 * op.stored.T  # halved first, as in symmetrize
     return np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
 
 
@@ -488,8 +513,9 @@ class PinvBundle:
     kept: the nonzero multipliers of a diagonal operator, or the leading
     ``numerical_rank`` singular triplets of a dense one, whose singular
     values ``singular_values`` holds in that order (``cond`` is
-    ``|A| |A+|`` from them).  ``svd`` retains the factors (U, s, Vt) for
-    dense inputs so spectral consumers can reuse them.
+    ``|A| |A+|`` from them).  ``svd`` holds the dense operator's read-only
+    factors (U, s, Vt), the ones the operator keeps, so spectral consumers
+    can reuse them.
     """
 
     pinv: OperatorRep
@@ -532,7 +558,8 @@ def pinv(a: OperatorRep) -> PinvBundle:
     Singular values at or below ``eps * max(dim_in, dim_out)`` times the
     largest one are treated as zero; this cutoff decides the numerical rank
     of ``a`` for the whole package.  An all-zero operator is valid input:
-    the result has rank 0 and zero projector.
+    the result has rank 0 and zero projector.  The SVD of a dense ``a`` is
+    the one ``a`` keeps, so it is computed once per operator object.
     """
     rcond = float(np.finfo(float).eps * max(a.dim_in, a.dim_out))
     if a.is_diagonal:
@@ -551,7 +578,7 @@ def pinv(a: OperatorRep) -> PinvBundle:
             projector_pi=diagonal_operator(keep.astype(float), a.domain_basis),
         )
 
-    u, s, vt = np.linalg.svd(a.stored, full_matrices=True)
+    u, s, vt = factors = a._svd
     largest = float(s[0]) if s.size else 0.0
     threshold = rcond * largest
     rank = int(np.count_nonzero(s > threshold))
@@ -568,7 +595,7 @@ def pinv(a: OperatorRep) -> PinvBundle:
         retained=np.arange(rank),
         singular_values=s[:rank],
         projector_pi=dense_operator(pi_mat, a.domain_basis),
-        svd=(u, s, vt),
+        svd=factors,
     )
 
 

@@ -27,6 +27,13 @@ from .operators import OperatorRep, PinvBundle, adjoint, compose, symmetrize
 from .smoothing import optimal_b
 
 
+# The largest scale index served, a practical ceiling rather than an exact
+# criterion: at n = 64, singular values a factor of 16 apart give weights
+# kappa_j**(2n) a factor 2**1024 apart, the largest float measured from 1,
+# and a dense model composes 2n matrices per covariance.
+MAX_SCALE_N = 64
+
+
 @dataclass(frozen=True, eq=False)
 class ScaleWeights:
     """Weights kappa_j**n over the retained spectral components.
@@ -92,7 +99,8 @@ def trace_class_threshold(decay: DecayDeclaration) -> int | None:
 
     With kappa_j ~ j**p and sigma_j ~ j**(-q), the rescaled entries behave
     like j**(-(q + 2 n p)), summable iff q + 2 n p > 1.  Returns ``None``
-    when no finite index suffices (p = 0 with non-summable sigma).
+    when no served index suffices: p = 0 with non-summable sigma, or a least
+    index above ``MAX_SCALE_N``.
     """
     p = float(decay.kappa_decay)
 
@@ -101,7 +109,10 @@ def trace_class_threshold(decay: DecayDeclaration) -> int | None:
             return 0
         if p <= 0.0:
             return None
-        return math.floor((1.0 - q) / (2.0 * p)) + 1
+        quotient = (1.0 - q) / (2.0 * p)
+        if not quotient < MAX_SCALE_N:
+            return None
+        return math.floor(quotient) + 1
 
     need_u = needed(float(decay.sigma_u_decay))
     need_v = needed(float(decay.sigma_v_decay))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .filter import FilterProblem, solve_filter
-from .gaussian import GaussianModel, conditional_mean
+from .gaussian import GaussianModel, ModelError, conditional_mean
 from .operators import (
     CoeffVector,
     OperatorRep,
@@ -35,8 +35,21 @@ def optimal_b(model: GaussianModel) -> OperatorRep:
 
     Diagonal inputs yield a diagonal output.  Raises
     :class:`SingularCovarianceError` naming the offending spectral
-    components when ``sigma_v`` is singular on the range of the operator.
+    components when ``sigma_v`` is singular on the range of the operator,
+    and :class:`~ophp.gaussian.ModelError` when the smoother of finite
+    inputs overflows the float range.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bhat = _smoother(model)
+    if not np.isfinite(bhat.stored).all():
+        raise ModelError(
+            "the optimal smoother pinv(A)* sigma_u A* sigma_v^-1 is not finite: "
+            "it overflows the float range"
+        )
+    return bhat
+
+
+def _smoother(model: GaussianModel) -> OperatorRep:
     a, bundle = model.a, model.pinv_bundle
     if model.is_diagonal:
         kept = bundle.retained

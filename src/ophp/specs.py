@@ -47,6 +47,7 @@ from .operators import (
     diagonal_operator,
     kernel_operator,
 )
+from .scales import MAX_SCALE_N
 
 
 class SpecError(ValueError):
@@ -93,8 +94,9 @@ def _number(value, what: str) -> float:
     return float(arr)
 
 
-def read_int(value, what: str, minimum: int) -> int:
-    """An integral JSON number of at least ``minimum``.
+def read_int(value, what: str, minimum: int, maximum: int | None = None) -> int:
+    """An integral JSON number of at least ``minimum`` and, when given, at
+    most ``maximum``.
 
     Booleans, strings and fractional numbers are rejected, not coerced.
     """
@@ -105,6 +107,8 @@ def read_int(value, what: str, minimum: int) -> int:
         raise SpecError(f"{what} must be an integer, got {value!r}")
     if value < minimum:
         raise SpecError(f"{what} must be at least {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise SpecError(f"{what} must be at most {maximum}, got {value!r}")
     return int(value)
 
 
@@ -319,7 +323,7 @@ def parse_config(obj: dict, base_dir: Path | None = None) -> RunConfig:
     decay = {k: _number(scale[k], k) for k in DECAY_KEYS if k in scale}
     scale_n = scale.get("n")
     if scale_n is not None:
-        scale_n = read_int(scale_n, "scale.n", 0)
+        scale_n = read_int(scale_n, "scale.n", 0, MAX_SCALE_N)
     base = Path(".") if base_dir is None else base_dir
 
     def resolve(key):

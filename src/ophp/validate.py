@@ -301,9 +301,13 @@ def gap_check(
 def commutation_check(model: GaussianModel) -> CheckResult:
     """Noise covariance commutes with the null-space projector ``P``: the
     commutator stays within the rounding bound of ``|sigma_u|_F |P|_F``,
-    where ``|P|_F = sqrt(rank A)``; both norms are overflow-safe."""
+    where ``|P|_F = sqrt(rank A)``; both norms are overflow-safe.  At rank 0
+    ``P`` is zero, and so are the commutator and the bound, even where
+    ``|sigma_u|_F`` exceeds the float range."""
     rank = model.pinv_bundle.numerical_rank
-    bound = rounding_bound(frobenius_norm(model.sigma_u)) * math.sqrt(rank)
+    bound = 0.0
+    if rank:
+        bound = rounding_bound(frobenius_norm(model.sigma_u)) * math.sqrt(rank)
     passed = model.commutator_norm <= bound
     return CheckResult(
         "noise-projector-commutation",

@@ -1,4 +1,11 @@
-"""Test-wide settings: property tests draw the same examples on every run."""
+"""Test-wide settings: property tests draw the same examples on every run.
+Fixtures count numpy's factorizations and give a test an empty
+kernel-operator memo."""
+
+import numpy as np
+import pytest
+
+from ophp import operators
 
 try:
     from hypothesis import settings
@@ -7,3 +14,26 @@ except ImportError:  # modules that use it report the missing import themselves
 else:
     settings.register_profile("ophp", derandomize=True, deadline=None)
     settings.load_profile("ophp")
+
+
+@pytest.fixture
+def cold_kernel_memo(monkeypatch):
+    """An empty kernel-operator memo for the test; the process's memo comes
+    back after it.  What a test counts on kernel models then does not depend
+    on which tests ran before it."""
+    monkeypatch.setattr(operators, "_LAST_KERNEL", (None, None))
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls to numpy's symmetric eigensolvers and SVD during the test."""
+    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts

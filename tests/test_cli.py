@@ -1,6 +1,7 @@
 """Command-line interface: files, round trips, determinism, exit codes."""
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -207,6 +208,40 @@ class TestFilterCommand:
         expected = samples / (1.0 + np.pi**-4.0)
         np.testing.assert_allclose(trend, expected, atol=5e-4)
 
+    def test_kernel_requests_twice_in_one_process(
+        self, tmp_path, calls, cold_kernel_memo
+    ):
+        # The second request of each command reads the operator, and its SVD,
+        # that the first built, and writes the same bytes.
+        dim = 16
+        doc = {
+            "operator": {"kind": "kernel", "name": "dirichlet_green", "grid_points": 64},
+            "sigma_u": {"kind": "diagonal", "values": seeded_sigmas(dim, 4)[0].tolist()},
+            "sigma_v": {"kind": "diagonal", "values": [1.0] * dim},
+            "truncation_dim": dim,
+            "seed": 1,
+            "input_path": "x.csv",
+            "scale": {"n": 0, "kappa_decay": 4.0, "sigma_u_decay": 0.0,
+                      "sigma_v_decay": 0.0},
+        }
+        cfg = _write_config(tmp_path / "config.json", doc)
+        grid = np.linspace(0.0, 1.0, 65)
+        samples = np.random.default_rng(3).standard_normal(grid.shape[0])
+        (tmp_path / "x.csv").write_text(
+            "".join(f"{float(t)!r},{float(v)!r}\n" for t, v in zip(grid, samples))
+        )
+        written = {}
+        for run in ("first", "second"):
+            for command in ("filter", "optimal-b", "scale"):
+                out = tmp_path / run / command
+                assert _run(command, "--config", cfg, "--out", out) == 0
+                written[run, command] = {
+                    f.name: f.read_bytes() for f in sorted(out.iterdir())
+                }
+        assert calls["svd"] == 1
+        for command in ("filter", "optimal-b", "scale"):
+            assert written["first", command] == written["second", command]
+
     def test_dimension_overflow_rejected(self, ramp_config, tmp_path):
         cfg_path, dim = ramp_config
         series = tmp_path / "short.csv"
@@ -301,10 +336,14 @@ class TestFilterCommand:
         assert _run(*argv, "--out", tmp_path / "reused") == 0
         assert len(svds) == 1
         # Building a second model for the estimated y0 writes the same bytes.
+        # It is built on a fresh copy of the operator, which has not kept the
+        # SVD of the first, so it factorizes again.
         monkeypatch.setattr(
             GaussianModel,
             "with_y0",
-            lambda m, y0, scale: GaussianModel.build(m.a, m.sigma_u, m.sigma_v, y0=y0),
+            lambda m, y0, scale: GaussianModel.build(
+                dataclasses.replace(m.a), m.sigma_u, m.sigma_v, y0=y0
+            ),
         )
         assert _run(*argv, "--out", tmp_path / "rebuilt") == 0
         assert len(svds) == 3
@@ -369,6 +408,24 @@ class TestValidateCommand:
         statuses = {c["name"]: c["status"] for c in report["checks"]}
         assert statuses["noise-projector-commutation"] == "FAIL"
         assert statuses["moore-penrose"] == "PASS"
+
+    def test_covariance_near_the_float_limit_is_judged(self, tmp_path, capsys):
+        # Its symmetric part overflowed, and the eigensolver refused it with
+        # "Eigenvalues did not converge" (exit 1).
+        doc = {
+            "operator": {"kind": "dense", "rows": np.zeros((3, 3)).tolist()},
+            "sigma_u": {"kind": "dense", "rows": (1e308 * np.eye(3)).tolist()},
+            "sigma_v": {"kind": "diagonal", "values": [1.0, 1.0, 1.0]},
+            "truncation_dim": 3,
+            "seed": 5,
+        }
+        cfg = _write_config(tmp_path / "config.json", doc)
+        out = tmp_path / "val"
+        assert _run("validate", "--config", cfg, "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "validation.json").read_text())
+        statuses = {c["name"]: c["status"] for c in report["checks"]}
+        assert statuses["moore-penrose"] == statuses["noise-projector-commutation"] == "PASS"
 
     @staticmethod
     def _dense_64_config(path, sigma_v_scale=1.0, seed=301):
@@ -654,6 +711,95 @@ class TestErrorExits:
         cfg = _write_config(tmp_path / "config.json", doc)
         assert _run(command, "--config", cfg, "--out", tmp_path / "out") == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, sigma_v",
+        [
+            ("optimal-b", {"kind": "dense", "rows": np.eye(3).tolist()}),
+            ("filter", {"kind": "dense", "rows": np.eye(3).tolist()}),
+            ("validate", {"kind": "diagonal", "values": [0.5] * 3}),
+        ],
+    )
+    def test_non_finite_smoother_exits_one(self, tmp_path, capsys, command, sigma_v):
+        # README's ramp-3 operator with sigma_u at 1e308: sigma_u A*
+        # overflows.  With a dense sigma_v, optimal-b wrote NaN and Infinity
+        # and exited 0, and filter raised LinAlgError from the positivity
+        # check.  validate computes the smoother for a diagonal model only.
+        (tmp_path / "x.csv").write_text("1.0\n2.0\n3.0\n")
+        doc = {
+            "operator": {"kind": "diagonal", "multipliers": [0.0, 2.0, 3.0]},
+            "sigma_u": {"kind": "power_decay", "scale": 1e308, "exponent": 0.0},
+            "sigma_v": sigma_v,
+            "truncation_dim": 3,
+            "seed": 7,
+            "input_path": "x.csv",
+        }
+        cfg = _write_config(tmp_path / "config.json", doc)
+        out = tmp_path / "out"
+        assert _run(command, "--config", cfg, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the optimal smoother") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scale, flags, message",
+        [
+            # The least trace-class index overflowed math.floor (5e-324) or
+            # the list of compositions (1e-300), and so did scale.n = 1e300:
+            # OverflowError tracebacks.
+            ({"kappa_decay": 5e-324, "sigma_u_decay": 0.0, "sigma_v_decay": 0.0},
+             [], "no scale index"),
+            ({"kappa_decay": 1e-300, "sigma_u_decay": 0.0, "sigma_v_decay": 0.0},
+             [], "no scale index"),
+            ({"n": 1e300}, [], "at most 64"),
+            ({}, ["--scale-n", 10**20], "at most 64"),
+        ],
+        ids=["kappa-decay-5e-324", "kappa-decay-1e-300", "scale-n-1e300",
+             "scale-n-flag"],
+    )
+    def test_scale_index_above_the_ceiling_exits_one(
+        self, ramp_config, tmp_path, capsys, scale, flags, message
+    ):
+        cfg_path, _ = ramp_config
+        doc = json.loads(cfg_path.read_text())
+        doc["scale"] = scale
+        _write_config(cfg_path, doc)
+        out = tmp_path / "out"
+        assert _run("scale", "--config", cfg_path, *flags, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kappa_decay", [0.005, 1e-300])
+    def test_explicit_scale_index_serves_decays_beyond_the_ceiling(
+        self, ramp_config, tmp_path, capsys, kappa_decay
+    ):
+        # The least trace-class index (101, or past the float range) is
+        # above 64, so there is none; scale and validate use the explicit
+        # n = 1, and validate without it SKIPs the white-noise check.
+        cfg_path, _ = ramp_config
+        doc = json.loads(cfg_path.read_text())
+        doc["scale"] = {"n": 1, "kappa_decay": kappa_decay, "sigma_u_decay": 0.0,
+                        "sigma_v_decay": 0.0}
+        _write_config(cfg_path, doc)
+        out = tmp_path / "out"
+        assert _run("scale", "--config", cfg_path, "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        written = json.loads((out / "scale.json").read_text())
+        assert (written["n"], written["threshold_n0"]) == (1, None)
+        least = {k: v for k, v in doc["scale"].items() if k != "n"}
+        white = {}
+        for run, scale in (("given", doc["scale"]), ("least", least)):
+            _write_config(cfg_path, {**doc, "scale": scale})
+            assert _run("validate", "--config", cfg_path, "--out", tmp_path / run) == 0
+            report = json.loads((tmp_path / run / "validation.json").read_text())
+            white[run] = next(
+                c for c in report["checks"] if c["name"] == "white-noise-ratio"
+            )
+        assert white["given"]["status"] == "PASS"
+        assert (white["given"]["details"]["n"], white["given"]["details"]["threshold"]) == (1, None)
+        assert white["least"]["status"] == "SKIP"
 
     @pytest.mark.parametrize(
         "field, value",

@@ -1,10 +1,13 @@
-"""Work that depends only on the model or on the trend system is done once.
+"""Work that depends only on the operator, the model or the trend system is
+done once.
 
 Counts the symmetric eigensolver calls (and SVDs) made through numpy, so a
-change that factorizes ``sigma_u + Q_v`` per conditional mean, or
-eigendecomposes ``A* B A`` for a passing positivity check, fails here.
+change that factorizes ``sigma_u + Q_v`` per conditional mean,
+eigendecomposes ``A* B A`` for a passing positivity check, or takes the SVD
+of an operator or builds a kernel recipe again, fails here.
 """
 
+import dataclasses
 import gc
 import tracemalloc
 import warnings
@@ -24,30 +27,19 @@ from ophp import (
     conditional_mean,
     dense_operator,
     diagonal_operator,
+    kernel_operator,
+    pinv,
     positivity_check,
     qv,
     solve_filter,
 )
 from ophp.filter import _VERDICTS
+from ophp import operators
 from ophp.gaussian import regression_slope
-from ophp.operators import add, psd_inverse
+from ophp.operators import BASIS_SINE, add, psd_inverse
 from ophp.validate import conditional_mean_check, mp_residual_suite
 
 from oracles import ramp_model, sample_joint
-
-
-@pytest.fixture
-def calls(monkeypatch):
-    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
-    for name in counts:
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
 
 
 def _spd(dim, rng, low=0.5, high=2.0):
@@ -61,6 +53,75 @@ def _dense_model(dim=6, seed=0):
     return GaussianModel.build(
         a, dense_operator(_spd(dim, rng)), dense_operator(_spd(dim, rng))
     )
+
+
+class TestOperatorFactorization:
+    def test_same_recipe_is_one_read_only_object(self, cold_kernel_memo):
+        first = kernel_operator("dirichlet_green", 8, 32)
+        assert kernel_operator("dirichlet_green", 8, 32) is first
+        others = [
+            kernel_operator("dirichlet_green", 9, 32),
+            kernel_operator("dirichlet_green", 8, 33),
+        ]
+        assert all(op is not first for op in others)
+        assert others[0] is not others[1]
+        assert not first.stored.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.stored = np.eye(8)
+        assert not any(f.flags.writeable for f in pinv(first).svd)
+
+    def test_second_build_on_a_kernel_runs_no_svd_and_builds_no_kernel(
+        self, calls, cold_kernel_memo, monkeypatch
+    ):
+        fills = []
+        fill = operators.KERNELS["dirichlet_green"]
+
+        def counted(nodes, out):
+            fills.append(1)
+            fill(nodes, out)
+
+        monkeypatch.setitem(operators.KERNELS, "dirichlet_green", counted)
+        su = diagonal_operator(np.ones(16), BASIS_SINE)
+        sv = diagonal_operator(np.full(16, 2.0), BASIS_SINE)
+        models = []
+        for _ in range(2):
+            a = kernel_operator("dirichlet_green", 16, 64)
+            models.append(GaussianModel.build(a, su, sv))
+            assert (len(fills), calls["svd"]) == (1, 1)
+        first, second = (m.pinv_bundle.pinv.stored for m in models)
+        assert first.tobytes() == second.tobytes()
+
+    def test_svd_is_computed_once_per_operator_object(self, calls):
+        a = dense_operator(np.random.default_rng(11).standard_normal((5, 4)))
+        first, second = pinv(a), pinv(a)
+        assert calls["svd"] == 1
+        assert first.svd is second.svd
+        copy = pinv(dataclasses.replace(a))
+        assert calls["svd"] == 2
+        assert copy.pinv.stored.tobytes() == first.pinv.stored.tobytes()
+
+    def test_a_new_recipe_replaces_the_last(self, cold_kernel_memo):
+        first = kernel_operator("dirichlet_green", 8, 32)
+        kernel_operator("dirichlet_green", 8, 33)
+        assert kernel_operator("dirichlet_green", 8, 32) is not first
+
+    def test_retained_memory_is_one_recipe(self, cold_kernel_memo):
+        # The recipe kept holds its matrix and its SVD factors U, s and Vt:
+        # 3 dim^2 + dim floats, and a few objects allowed 4 KiB.  Building
+        # more recipes retains no more.
+        dim = 64
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for g in range(3):
+                pinv(kernel_operator("dirichlet_green", dim, dim + 2 + g))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        per_recipe = (3 * dim**2 + dim) * 8 + 4096
+        assert retained <= per_recipe < 2 * 3 * dim**2 * 8
 
 
 class TestModelCache:

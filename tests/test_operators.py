@@ -1,5 +1,7 @@
 """Operator representations, adjoints, compositions, generalized inverses."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from ophp.operators import (
     dirichlet_green_kernel,
     moore_penrose_residuals,
     sine_basis_matrix,
+    symmetric_eig,
+    symmetrize,
 )
 
 from oracles import identity, operator_norm, zero
@@ -334,6 +338,26 @@ class TestAsMatrix:
         np.testing.assert_array_equal(mat, np.diag([1.0, 2.0]))
         mat[0, 1] = 5.0
         np.testing.assert_array_equal(op.stored, [1.0, 2.0])
+
+
+class TestSymmetricPart:
+    def test_entries_near_the_float_limit_stay_finite(self):
+        # 0.5 * (S + S.T) overflowed to inf before halving.
+        op = dense_operator(1e308 * np.eye(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, _ = symmetric_eig(op)
+            sym = symmetrize(op).stored
+        np.testing.assert_array_equal(vals, [1e308] * 3)
+        np.testing.assert_array_equal(sym, op.stored)
+
+    def test_bits_of_the_halved_sum(self):
+        mat = np.random.default_rng(12).standard_normal((6, 6))
+        expected = 0.5 * (mat + mat.T)
+        assert symmetrize(dense_operator(mat)).stored.tobytes() == expected.tobytes()
+        assert symmetric_eig(dense_operator(mat), vectors=False)[0].tobytes() == (
+            np.linalg.eigvalsh(expected).tobytes()
+        )
 
 
 class TestMoorePenroseSuite:

@@ -1,6 +1,7 @@
 """Validation-suite checks and report structure."""
 
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,20 @@ def test_commutation_verdict_does_not_depend_on_overflow(a, sigma_u, scale, stat
     twin, scaled = (r.details["commutator_norm"] for r in results)
     assert np.isfinite(scaled)
     assert scaled == pytest.approx(scale * twin, rel=1e-12)
+
+
+def test_commutation_bound_of_a_rank_zero_model_beyond_the_float_range():
+    # |sigma_u|_F = 2e308 is inf, and the bound was inf * sqrt(0) = NaN.
+    model = GaussianModel.build(
+        dense_operator(np.zeros((4, 4))),
+        diagonal_operator(np.full(4, 1e308)),
+        diagonal_operator(np.ones(4)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = commutation_check(model)
+    assert result.status == PASS
+    assert result.details == {"commutator_norm": 0.0}
 
 
 def test_conditional_mean_check_passes_on_ramp():
