@@ -23,7 +23,9 @@ from .operators import (
     DimensionMismatchError,
     OperatorRep,
     above_psd_floor,
+    dense_operator,
     rounding_bound,
+    symmetric_eig,
 )
 
 
@@ -82,9 +84,11 @@ class PositivityReport:
 
 
 def _trend_matrix(a: OperatorRep, b: OperatorRep) -> np.ndarray:
-    """Dense ``A* B A``, associated as ``(A* B) A``."""
+    """Dense ``A* B A``, associated as ``(A* B) A``.  Entries that overflow
+    stay non-finite without a warning; the positivity verdict refuses them."""
     amat = a.as_matrix()
-    return amat.T @ b.as_matrix() @ amat
+    with np.errstate(over="ignore", invalid="ignore"):
+        return amat.T @ b.as_matrix() @ amat
 
 
 def positivity_check(a: OperatorRep, b: OperatorRep) -> PositivityReport:
@@ -94,7 +98,8 @@ def positivity_check(a: OperatorRep, b: OperatorRep) -> PositivityReport:
     Otherwise the verdict is the least eigenvalue of the symmetric part of
     ``A* B A``, the minimum of ``<A h, B A h>`` over unit vectors ``h``; its
     eigenvector is computed as the witness only when the check fails.  FAIL
-    is a report outcome, not an exception.
+    is a report outcome, not an exception; an ``A* B A`` that overflows the
+    float range raises :class:`FilterSolveError`.
     """
     return _positivity(a, b, None, witness=True)
 
@@ -102,20 +107,26 @@ def positivity_check(a: OperatorRep, b: OperatorRep) -> PositivityReport:
 def _positivity(
     a: OperatorRep, b: OperatorRep, quad: np.ndarray | None, witness: bool
 ) -> PositivityReport:
-    if b.is_diagonal and np.all(b.stored >= 0.0):
+    analytic = b.is_diagonal and np.all(b.stored >= 0.0)
+    if quad is None and not analytic:
+        quad = _trend_matrix(a, b)
+    # The eigensolver and the dense solve both need a finite ``A* B A``.
+    if quad is not None and not np.isfinite(quad).all():
+        raise FilterSolveError(
+            "trend system I + A* B A is not finite: it overflows the float range"
+        )
+    if analytic:
         return PositivityReport(
             passed=True, method="analytic", min_value=0.0, witness=None
         )
-    if quad is None:
-        quad = _trend_matrix(a, b)
-    sym = 0.5 * quad + 0.5 * quad.T  # halved first, as in operators.symmetrize
-    eigvals = np.linalg.eigvalsh(sym)
+    op = dense_operator(quad)
+    eigvals = symmetric_eig(op, vectors=False)[0]
     passed = above_psd_floor(eigvals)
     if passed or not witness:
         return PositivityReport(
             passed=passed, method="spectral", min_value=float(eigvals[0]), witness=None
         )
-    eigvals, eigvecs = np.linalg.eigh(sym)
+    eigvals, eigvecs = symmetric_eig(op)
     return PositivityReport(
         passed=False,
         method="spectral",
@@ -148,20 +159,18 @@ def filter_multipliers(a: OperatorRep, b: OperatorRep) -> np.ndarray:
 
 
 def _solve_trend(
-    a: OperatorRep, b: OperatorRep, rhs: np.ndarray, quad: np.ndarray | None = None
+    a: OperatorRep, b: OperatorRep, rhs: np.ndarray, quad: np.ndarray | None
 ) -> np.ndarray:
     """Trends for every column of ``rhs``.
 
-    Diagonal ``a`` and ``b`` use the closed form.  Otherwise ``M = I + A* B A``
-    (from ``quad`` when given) is LU-factorized once, and each column's
-    residual ``|M y - x|`` must stay within the rounding bound of
-    ``|M|_F |y| + |x|``, a normwise backward error that LU attains at any
-    ``cond(M)`` (Higham 2002, ch. 7).
+    Diagonal ``a`` and ``b`` use the closed form, and ``quad`` is ``None``.
+    Otherwise ``M = I + quad``, with ``quad = A* B A``, is LU-factorized
+    once, and each column's residual ``|M y - x|`` must stay within the
+    rounding bound of ``|M|_F |y| + |x|``, a normwise backward error that LU
+    attains at any ``cond(M)`` (Higham 2002, ch. 7).
     """
     if a.is_diagonal and b.is_diagonal:
         return rhs * filter_multipliers(a, b)[:, None]
-    if quad is None:
-        quad = _trend_matrix(a, b)
     system = np.eye(a.dim_in) + quad
     try:
         y = np.linalg.solve(system, rhs)

@@ -28,7 +28,6 @@ from .operators import (
     adjoint,
     apply,
     apply_rows,
-    commutator_norm,
     compose,
     operator_power,
     pinv,
@@ -83,14 +82,9 @@ def _check_covariance(op: OperatorRep, dim: int, basis_id: str, label: str) -> N
 class GaussianModel:
     """Operator, noise covariances, and deterministic signal component.
 
-    ``commutator_norm`` is the measured defect of the observation-noise
-    covariance commuting with the projector onto the complement of the null
-    space of ``a``; at zero the projected and complementary noise parts are
-    independent.
-
     The model is immutable, so what depends on nothing else is computed on
-    first use and kept: ``commutator_norm``, ``Q_v``, the regression slope,
-    and the covariance square roots used by the sampler.
+    first use and kept: ``Q_v``, the regression slope, and the covariance
+    square roots used by the sampler.
     """
 
     a: OperatorRep
@@ -110,11 +104,6 @@ class GaussianModel:
     @property
     def is_diagonal(self) -> bool:
         return all(op.is_diagonal for op in (self.a, self.sigma_u, self.sigma_v))
-
-    @cached_property
-    def commutator_norm(self) -> float:
-        # The name resolves to the module-level operators.commutator_norm.
-        return commutator_norm(self.pinv_bundle.projector_pi, self.sigma_u)
 
     @cached_property
     def _q_v(self) -> OperatorRep:

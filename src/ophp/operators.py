@@ -11,7 +11,7 @@ dense (2-d)
     A rectangular matrix between two (possibly different) bases, rows
     indexing the codomain.  An integral kernel on [0, 1], sampled on a
     composite-trapezoid quadrature grid and projected onto the sine basis,
-    is stored this way and keeps its recipe as provenance.
+    is stored this way.
 
 Range bases and spectra are computed in this module; other modules read
 ``stored`` only for a diagonal closed form, to write an operator out, or to
@@ -124,14 +124,12 @@ class OperatorRep:
     ``stored`` is a read-only array whose rank is the kind: 1-d spectral
     multipliers for a diagonal operator, a 2-d matrix whose rows index the
     codomain for a dense one.  An operator discretized from an integral
-    kernel is dense; ``kernel_name`` and ``grid_points`` record its recipe.
+    kernel is dense.
     """
 
     stored: np.ndarray
     domain_basis: str
     codomain_basis: str
-    kernel_name: str | None = None
-    grid_points: int | None = None
 
     def __post_init__(self):
         arr = np.array(self.stored, dtype=float, copy=True)
@@ -305,10 +303,7 @@ def kernel_operator(
     projected = basis_vals.T @ weighted @ basis_vals
     symmetric = projected + projected.T
     symmetric *= 0.5
-    op = OperatorRep(
-        symmetric, BASIS_SINE, BASIS_SINE,
-        kernel_name=name, grid_points=int(grid_points),
-    )
+    op = OperatorRep(symmetric, BASIS_SINE, BASIS_SINE)
     _LAST_KERNEL = (recipe, op)
     return op
 
@@ -400,36 +395,6 @@ def scalar_multiple(op: OperatorRep, c: float) -> OperatorRep:
     return OperatorRep(op.stored * float(c), op.domain_basis, op.codomain_basis)
 
 
-def _overflow_safe(norm, *arrays) -> float:
-    """``norm(*arrays)``, a norm of degree one in each array.  One that
-    overflows on finite entries is taken again from each array over its
-    largest magnitude, so every input it does not overflow on keeps its bits."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(norm(*arrays))
-    if np.isfinite(value) or not all(np.isfinite(a).all() for a in arrays):
-        return value
-    peaks = [float(np.abs(a).max()) for a in arrays]
-    value = float(norm(*(a / peak for a, peak in zip(arrays, peaks))))
-    for peak in peaks:
-        value *= peak
-    return value
-
-
-def frobenius_norm(op: OperatorRep) -> float:
-    """Frobenius norm, from the stored entries, overflow-safe."""
-    return _overflow_safe(np.linalg.norm, op.stored)
-
-
-def commutator_norm(s: OperatorRep, t: OperatorRep) -> float:
-    """Frobenius norm of ``s t - t s``, overflow-safe; exactly zero for two
-    diagonal operators."""
-    if s.is_diagonal and t.is_diagonal:
-        return 0.0
-    return _overflow_safe(
-        lambda sm, tm: np.linalg.norm(sm @ tm - tm @ sm), s.as_matrix(), t.as_matrix()
-    )
-
-
 # ---------------------------------------------------------------------------
 # Symmetric spectral primitives
 # ---------------------------------------------------------------------------
@@ -459,7 +424,7 @@ def symmetric_eig(
     """
     if op.is_diagonal:
         return op.stored, None
-    sym = 0.5 * op.stored + 0.5 * op.stored.T  # halved first, as in symmetrize
+    sym = symmetrize(op).stored
     return np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
 
 

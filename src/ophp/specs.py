@@ -6,11 +6,11 @@ Operator documents::
     {"kind": "dense", "rows": [[...], ...], "basis": ..., "codomain_basis": ...}
     {"kind": "kernel", "name": "dirichlet_green", "grid_points": 512}
 
-A kernel document builds a dense operator that keeps the kernel recipe, so
-it serializes back to the same document.  ``basis`` and ``codomain_basis``
-name one of ``BASES``, and must agree with the kind: a kernel operator acts
-on ``sine-dirichlet``, and a diagonal one maps its basis to itself.  Every
-number must be a finite JSON number.
+A kernel document builds a dense operator, which serializes as a dense
+document.  ``basis`` and ``codomain_basis`` name one of ``BASES``, and must
+agree with the kind: a kernel operator acts on ``sine-dirichlet``, and a
+diagonal one maps its basis to itself.  Every number must be a finite JSON
+number.
 
 Covariance documents::
 
@@ -229,18 +229,12 @@ def parse_covariance(
 
 
 def operator_to_json(op: OperatorRep) -> dict:
-    """JSON description of an operator (kernel ops keep their recipe)."""
+    """JSON description of an operator: a diagonal or a dense document."""
     if op.is_diagonal:
         return {
             "kind": "diagonal",
             "multipliers": op.stored.tolist(),
             "basis": op.domain_basis,
-        }
-    if op.kernel_name is not None:
-        return {
-            "kind": "kernel",
-            "name": op.kernel_name,
-            "grid_points": op.grid_points,
         }
     return {
         "kind": "dense",

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -711,6 +712,33 @@ class TestErrorExits:
         cfg = _write_config(tmp_path / "config.json", doc)
         assert _run(command, "--config", cfg, "--out", tmp_path / "out") == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_trend_system_beyond_the_float_range_exits_one(self, tmp_path, capsys):
+        # Dense A = 1e200 I with unit covariances: B^ = I, but A* B A
+        # overflows.  filter escaped with a LinAlgError traceback from the
+        # positivity eigensolver.
+        (tmp_path / "x.csv").write_text("1.0\n2.0\n3.0\n")
+        doc = {
+            "operator": {"kind": "dense", "rows": (1e200 * np.eye(3)).tolist()},
+            "sigma_u": {"kind": "diagonal", "values": [1.0] * 3},
+            "sigma_v": {"kind": "diagonal", "values": [1.0] * 3},
+            "truncation_dim": 3,
+            "seed": 0,
+            "input_path": "x.csv",
+        }
+        cfg = _write_config(tmp_path / "config.json", doc)
+        out, bhat_out = tmp_path / "out", tmp_path / "bhat"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _run("filter", "--config", cfg, "--out", out) == 1
+            err = capsys.readouterr().err
+            assert _run("optimal-b", "--config", cfg, "--out", bhat_out) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert err.startswith("error: trend system") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+        bhat = json.loads((bhat_out / "bhat.json").read_text())["bhat"]
+        assert bhat["rows"] == np.eye(3).tolist()
 
     @pytest.mark.parametrize(
         "command, sigma_v",

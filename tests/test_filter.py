@@ -222,6 +222,31 @@ class TestTrendBackwardError:
             solve_filter(problem)
 
 
+class TestTrendSystemOverflow:
+    # Dense A = 1e200 I with unit covariances: B^ = I, and A* B A = 1e400 I
+    # is not finite.  The eigensolver of the positivity verdict raised
+    # LinAlgError ("Eigenvalues did not converge").
+    @staticmethod
+    def _problem(b=None):
+        a = dense_operator(1e200 * np.eye(3))
+        if b is None:
+            b = optimal_b(GaussianModel.build(a, identity(3), identity(3)))
+            np.testing.assert_array_equal(b.stored, np.eye(3))
+        return FilterProblem(a, CoeffVector([1.0, 2.0, 3.0]), b)
+
+    # A diagonal B passes analytically, without A* B A, but the dense solve
+    # needs it: its residual read NaN, which passed the backward-error check.
+    @pytest.mark.parametrize("b", [None, identity(3)], ids=["optimal", "diagonal"])
+    def test_solve_filter_raises(self, b):
+        with pytest.raises(FilterSolveError, match="overflows the float range"):
+            solve_filter(self._problem(b))
+
+    def test_positivity_check_raises(self):
+        problem = self._problem()
+        with pytest.raises(FilterSolveError, match="overflows the float range"):
+            positivity_check(problem.a, problem.b)
+
+
 class TestFilterProperties:
     def test_local_minimality_on_random_instances(self):
         rng = np.random.default_rng(12)

@@ -15,6 +15,7 @@ from ophp import (
     qv,
 )
 from ophp.gaussian import DEFAULT_CHUNK, DecayDeclaration, regression_slope
+from ophp.validate import commutation_check
 
 from oracles import (
     identity,
@@ -98,19 +99,11 @@ class TestModelValidation:
         m = rng.standard_normal((3, 3))
         sigma = dense_operator(m @ m.T)  # generic: does not commute with projector
         model = GaussianModel.build(a, sigma, identity(3))
-        assert model.commutator_norm > 1e-6
-
-    def test_commutator_norm_measured_on_first_use(self):
-        a = diagonal_operator([0.0, 2.0, 3.0])
-        m = np.random.default_rng(0).standard_normal((3, 3))
-        model = GaussianModel.build(a, dense_operator(m @ m.T), identity(3))
-        assert "commutator_norm" not in vars(model)
-        moved = model.with_y0(CoeffVector([1.0, 0.0, 0.0]))
-        assert moved.commutator_norm == model.commutator_norm > 1e-6
+        assert commutation_check(model).details["commutator_norm"] > 1e-6
 
     def test_commuting_autodetected_for_diagonal(self):
         model = ramp_model(4, np.array([0.5, 1.0, 1.5, 2.0]), 1.0)
-        assert model.commutator_norm == 0.0
+        assert commutation_check(model).details["commutator_norm"] == 0.0
 
 
 class TestQv:
@@ -313,7 +306,7 @@ class TestSampleJoint:
     def test_projected_noise_split_independence(self):
         count = 50_000
         model = ramp_model(4, np.array([0.5, 1.0, 1.5, 2.0]), 1.0)
-        assert model.commutator_norm == 0.0
+        assert commutation_check(model).details["commutator_norm"] == 0.0
         pi = model.pinv_bundle.projector_pi.stored
         data = sample_joint(model, count, seed=80)
         inside = data.u * pi[None, :]

@@ -89,8 +89,7 @@ def test_operator_representation_is_pinned():
     # no kind tag or per-kind field comes back.  Dict keys such as
     # obj["kind"] are not attributes and stay allowed.
     fields = [f.name for f in dataclasses.fields(OperatorRep)]
-    assert fields == ["stored", "domain_basis", "codomain_basis", "kernel_name",
-                      "grid_points"]
+    assert fields == ["stored", "domain_basis", "codomain_basis"]
     retired = {"kind", "matrix", "multipliers"}
     readers = sorted(
         f"{path.name}:{node.lineno}"

@@ -31,7 +31,6 @@ class TestOperatorSpecs:
             {"kind": "kernel", "name": "dirichlet_green", "grid_points": 64}, dim=4
         )
         assert not op.is_diagonal
-        assert op.kernel_name == "dirichlet_green"
         assert op.dim_in == 4
 
     def test_kernel_needs_dim(self):

@@ -11,7 +11,13 @@ from ophp import GaussianModel, dense_operator, diagonal_operator, kernel_operat
 from ophp import validate
 from ophp.gaussian import DecayDeclaration, regression_slope, sample_joint_blocks
 from ophp.instances import laplacian_multipliers, ramp_multipliers, seeded_sigmas
-from ophp.operators import BASIS_SINE, operator_power, psd_inverse, scalar_multiple
+from ophp.operators import (
+    BASIS_SINE,
+    operator_power,
+    psd_inverse,
+    rounding_bound,
+    scalar_multiple,
+)
 from ophp.scales import scale_index
 from ophp.validate import (
     CM_ALPHA,
@@ -153,7 +159,9 @@ def test_commutation_check_is_relative_on_commuting_models(dim, factor):
     )
     result = commutation_check(model)
     assert result.status == PASS
-    assert result.details == {"commutator_norm": model.commutator_norm}
+    bound = rounding_bound(np.linalg.norm(model.sigma_u.stored)) * np.sqrt(dim)
+    assert list(result.details) == ["commutator_norm"]
+    assert 0.0 <= result.details["commutator_norm"] <= bound
 
 
 def test_commutation_check_fails_on_tiny_noncommuting_covariance():
@@ -167,6 +175,10 @@ def test_commutation_check_fails_on_tiny_noncommuting_covariance():
     assert result.details["commutator_norm"] < 1e-10
 
 
+_LEAKY_IDENTITY = np.eye(4)
+_LEAKY_IDENTITY[0, 3] = _LEAKY_IDENTITY[3, 0] = 0.1
+
+
 @pytest.mark.parametrize(
     "a, sigma_u, scale, status",
     [
@@ -174,10 +186,13 @@ def test_commutation_check_fails_on_tiny_noncommuting_covariance():
         (np.zeros((3, 3)), np.eye(3), 1e300, PASS),
         # The commutator's norm overflowed to inf, within an inf bound.
         (np.diag([1.0, 1.0, 0.0]), [[1, 0, 0.1], [0, 1, 0], [0.1, 0, 1]], 1e200, FAIL),
+        # |sigma_u|_F overflowed at rank 3, and an inf bound passed a finite
+        # commutator of 1.41e307.
+        (np.diag([1.0, 1.0, 1.0, 0.0]), _LEAKY_IDENTITY, 1e308, FAIL),
     ],
 )
 def test_commutation_verdict_does_not_depend_on_overflow(a, sigma_u, scale, status):
-    ones = diagonal_operator(np.ones(3))
+    ones = diagonal_operator(np.ones(len(a)))
     results = [
         commutation_check(GaussianModel.build(
             dense_operator(a), dense_operator(factor * np.asarray(sigma_u)), ones
