@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,6 +36,7 @@ from .operators import (
     CoeffVector,
     DimensionMismatchError,
     apply,
+    check_sine_resolution,
     sine_basis_matrix,
 )
 from .scales import MAX_SCALE_N, rescaled_covariances, scale_index, scale_weights
@@ -196,12 +198,6 @@ def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
     return w
 
 
-def _check_resolution(points: int, dim: int) -> None:
-    """A sine projection on ``points`` samples keeps at most ``points - 2`` modes."""
-    if points - 2 < dim:
-        raise InputError(f"{points} samples cannot resolve {dim} sine modes")
-
-
 def project_series(
     t: np.ndarray | None, values: np.ndarray, dim: int, basis_id: str
 ) -> tuple[CoeffVector, np.ndarray, np.ndarray, np.ndarray | None]:
@@ -225,7 +221,7 @@ def project_series(
         raise InputError("sample grid must be strictly increasing")
     if t[0] < -GRID_BOUND_TOL or t[-1] > 1.0 + GRID_BOUND_TOL:
         raise InputError("sample grid must lie in [0, 1]")
-    _check_resolution(values.shape[0], dim)
+    check_sine_resolution(values.shape[0], dim)
     weights = _trapezoid_weights(t)
     basis_vals = sine_basis_matrix(t, dim)
     coeffs = basis_vals.T @ (weights * values)
@@ -249,15 +245,18 @@ def synthesize_series(
 # ---------------------------------------------------------------------------
 
 
+def _out_path(args, cfg: RunConfig | None = None) -> Path:
+    if args.out is not None:
+        return Path(args.out)
+    if cfg is not None and cfg.output_path is not None:
+        return Path(cfg.output_path)
+    return Path(".")
+
+
 def _out_dir(args, cfg: RunConfig | None = None) -> Path:
     """The output directory, created if missing.  Commands call it just
     before their first write, so a request that fails writes nothing."""
-    if args.out is not None:
-        out = Path(args.out)
-    elif cfg is not None and cfg.output_path is not None:
-        out = Path(cfg.output_path)
-    else:
-        out = Path(".")
+    out = _out_path(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -291,9 +290,6 @@ def cmd_filter(args) -> int:
     trend = solve_filter(FilterProblem(model.a, x, bhat))
     trend_values = synthesize_series(trend, grid, basis_vals)
     residual_values = samples - trend_values
-    out = _out_dir(args, cfg)
-    write_series_csv(out / "trend.csv", grid, trend_values)
-    write_series_csv(out / "residual.csv", grid, residual_values)
     summary = {
         "bhat": operator_to_json(bhat),
         "filter_multipliers": (
@@ -310,6 +306,9 @@ def cmd_filter(args) -> int:
         "residual_norm": float(np.linalg.norm(residual_values)),
         "estimated_y0": bool(args.estimate_y0),
     }
+    out = _out_dir(args, cfg)
+    write_series_csv(out / "trend.csv", grid, trend_values)
+    write_series_csv(out / "residual.csv", grid, residual_values)
     write_json(out / "filter_summary.json", summary)
     return 0
 
@@ -341,7 +340,7 @@ def cmd_example(args) -> int:
     if args.sigma_v is not None:
         sv = np.full(dim, read_float(args.sigma_v, "--sigma-v"))
     if basis == BASIS_SINE:
-        _check_resolution(grid_points, dim)
+        check_sine_resolution(grid_points, dim)
         grid = np.linspace(0.0, 1.0, grid_points)
     else:
         grid = np.arange(dim, dtype=float)
@@ -394,30 +393,39 @@ def cmd_simulate(args) -> int:
     width = max(model.dim, model.codim)
     components = [f",{j}" for j in range(width)]
     sum_u, sum_x = np.zeros(model.dim), np.zeros(model.dim)
-    out = _out_dir(args, cfg)
-    with open(out / "samples.csv", "w") as fh:
-        fh.write("draw,component,u,v,y,x\n")
-        for rows, *block in sample_joint_blocks(model, count, cfg.seed):
-            for start in range(rows.start, rows.stop, SAMPLE_BLOCK_DRAWS):
-                draws = range(start, min(start + SAMPLE_BLOCK_DRAWS, rows.stop))
-                keys = [f"{i}{c}" for i in draws for c in components]
-                part = slice(start - rows.start, draws.stop - rows.start)
-                fh.write(_csv_rows(keys, [column[part] for column in block], width))
-            # One row at a time, in draw order: the sums of ``mean(axis=0)``.
-            u, _, _, x = block
-            for row_u, row_x in zip(u, x):
-                sum_u += row_u
-                sum_x += row_x
-    write_json(
-        out / "simulate_summary.json",
-        {
+    out = _out_path(args, cfg)
+    # The topmost directory the request creates, if any.
+    made = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(out / "samples.csv", "w") as fh:
+            fh.write("draw,component,u,v,y,x\n")
+            for rows, *block in sample_joint_blocks(model, count, cfg.seed):
+                for start in range(rows.start, rows.stop, SAMPLE_BLOCK_DRAWS):
+                    draws = range(start, min(start + SAMPLE_BLOCK_DRAWS, rows.stop))
+                    keys = [f"{i}{c}" for i in draws for c in components]
+                    part = slice(start - rows.start, draws.stop - rows.start)
+                    fh.write(_csv_rows(keys, [column[part] for column in block], width))
+                # One row at a time, in draw order: the sums of ``mean(axis=0)``.
+                u, _, _, x = block
+                for row_u, row_x in zip(u, x):
+                    sum_u += row_u
+                    sum_x += row_x
+        summary = {
             "count": count,
             "seed": cfg.seed,
             "dim": model.dim,
             "mean_x": (sum_x / count).tolist(),
             "mean_u_norm": float(np.linalg.norm(sum_u / count)),
-        },
-    )
+        }
+    except BaseException:
+        # A draw or a sum that leaves the float range refuses the request
+        # once writing has begun: take back what it wrote.
+        (out / "samples.csv").unlink(missing_ok=True)
+        if made is not None:
+            shutil.rmtree(made)
+        raise
+    write_json(out / "simulate_summary.json", summary)
     return 0
 
 
@@ -538,7 +546,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # A value beyond the float range raises where it is formed, so no
+        # command computes inf or NaN from finite input and writes it.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:
+        print(f"error: a result leaves the float range ({exc})", file=sys.stderr)
+        return 1
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

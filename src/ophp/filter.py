@@ -152,10 +152,14 @@ def _certified(
 
 
 def filter_multipliers(a: OperatorRep, b: OperatorRep) -> np.ndarray:
-    """Componentwise trend multipliers ``1 / (1 + b_j a_j^2)`` (diagonal only)."""
+    """Componentwise trend multipliers ``1 / (1 + b_j a_j^2)`` (diagonal only):
+    the limit 0 where the penalty overflows, and 1 wherever ``b_j`` is 0."""
     if not (a.is_diagonal and b.is_diagonal):
         raise DimensionMismatchError("filter multipliers require diagonal operators")
-    return 1.0 / (1.0 + b.stored * a.stored**2)
+    penalty = np.zeros_like(b.stored)
+    with np.errstate(over="ignore"):
+        np.multiply(b.stored, a.stored**2, out=penalty, where=b.stored != 0.0)
+    return 1.0 / (1.0 + penalty)
 
 
 def _solve_trend(

@@ -74,7 +74,10 @@ def _check_covariance(op: OperatorRep, dim: int, basis_id: str, label: str) -> N
         raise ModelError(f"{label} has a non-finite entry")
     if float(np.abs(stored - stored.T).max(initial=0.0)) > rounding_bound(scale):
         raise ModelError(f"{label} is not symmetric to rounding")
-    if not above_psd_floor(symmetric_eig(op, vectors=False)[0]):
+    eigvals = symmetric_eig(op, vectors=False)[0]
+    if not np.isfinite(eigvals).all():
+        raise ModelError(f"{label} has an eigenvalue beyond the float range")
+    if not above_psd_floor(eigvals):
         raise ModelError(f"{label} has an eigenvalue below the PSD floor")
 
 
@@ -129,6 +132,8 @@ class GaussianModel:
     ) -> "GaussianModel":
         """Validate the ingredients and assemble a model."""
         bundle = pinv(a)
+        if not np.isfinite(bundle.sv_threshold):
+            raise ModelError("the singular values of A overflow the float range")
         _check_covariance(sigma_u, a.dim_in, a.domain_basis, "sigma_u")
         _check_covariance(sigma_v, a.dim_out, a.codomain_basis, "sigma_v")
         if y0 is None:
@@ -219,10 +224,13 @@ def hs_diagnostics(
     ``Q_v (sigma_u + Q_v)^{-1/2}``.
 
     A zero in the spectrum of ``sigma_u + Q_v`` flags non-injectivity; the
-    Hilbert-Schmidt norm is then computed on the positive part.
+    Hilbert-Schmidt norm is then computed on the positive part.  Both come
+    from the model's one factorization of ``sigma_u + Q_v``: the squared
+    norm is ``tr(S Q_v)`` for the regression slope ``S``.
     """
     q = model._q_v
-    inv_root, rank = psd_inverse(add(model.sigma_u, q), 0.5)
+    slope, full_rank = model._slope
+    hs_squared = float(np.trace(compose(slope, q).as_matrix()))
 
     qv_sum = su_sum = hs_sum = None
     if decay is not None:
@@ -234,8 +242,8 @@ def hs_diagnostics(
     return HsReport(
         trace_qv=float(np.trace(q.as_matrix())),
         trace_sigma_u=float(np.trace(model.sigma_u.as_matrix())),
-        hs_norm=float(np.linalg.norm(compose(q, inv_root).as_matrix())),
-        injective=rank == model.dim,
+        hs_norm=float(np.sqrt(max(hs_squared, 0.0))),
+        injective=full_rank,
         qv_trace_summable=qv_sum,
         sigma_u_trace_summable=su_sum,
         hs_summable=hs_sum,

@@ -210,6 +210,14 @@ def trapezoid_grid(points: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def check_sine_resolution(points: int, dim: int) -> None:
+    """Samples at ``points`` nodes resolve at most ``points - 2`` sine modes."""
+    if points - 2 < dim:
+        raise DimensionMismatchError(
+            f"{points} samples cannot resolve {dim} sine modes"
+        )
+
+
 def sine_basis_matrix(nodes: np.ndarray, dim: int) -> np.ndarray:
     """Values of the orthonormal Dirichlet sine basis at the given nodes.
 
@@ -284,10 +292,7 @@ def kernel_operator(
         fill = KERNELS[name]
     except KeyError:
         raise ValueError(f"unknown kernel name {name!r}") from None
-    if grid_points < dim + 2:
-        raise DimensionMismatchError(
-            f"grid of {grid_points} points cannot resolve {dim} sine modes"
-        )
+    check_sine_resolution(grid_points, dim)
     recipe = (name, int(dim), int(grid_points))
     last_recipe, last_op = _LAST_KERNEL
     if recipe == last_recipe:

@@ -21,7 +21,6 @@ from .operators import (
     adjoint,
     compose,
     dense_operator,
-    diagonal_operator,
     psd_inverse,
 )
 
@@ -33,14 +32,17 @@ class SingularCovarianceError(ValueError):
 def optimal_b(model: GaussianModel) -> OperatorRep:
     """Smoother ``pinv(A)* sigma_u A* sigma_v^{-1}`` minimizing the gap.
 
-    Diagonal inputs yield a diagonal output.  Raises
+    One composition, associated from the left, for every storage kind: a
+    diagonal model gives a diagonal smoother, equal to its dense twin's.  Raises
     :class:`SingularCovarianceError` naming the offending spectral
     components when ``sigma_v`` is singular on the range of the operator,
     and :class:`~ophp.gaussian.ModelError` when the smoother of finite
     inputs overflows the float range.
     """
+    sv_plus = _sigma_v_plus(model)
     with np.errstate(over="ignore", invalid="ignore"):
-        bhat = _smoother(model)
+        bhat = compose(adjoint(model.pinv_bundle.pinv), model.sigma_u)
+        bhat = compose(compose(bhat, adjoint(model.a)), sv_plus)
     if not np.isfinite(bhat.stored).all():
         raise ModelError(
             "the optimal smoother pinv(A)* sigma_u A* sigma_v^-1 is not finite: "
@@ -49,7 +51,9 @@ def optimal_b(model: GaussianModel) -> OperatorRep:
     return bhat
 
 
-def _smoother(model: GaussianModel) -> OperatorRep:
+def _sigma_v_plus(model: GaussianModel) -> OperatorRep:
+    """``sigma_v`` inverted on the range of ``A`` and zero off it; the one
+    step that reads the storage kind, as its refusal rules differ."""
     a, bundle = model.a, model.pinv_bundle
     if model.is_diagonal:
         kept = bundle.retained
@@ -63,20 +67,16 @@ def _smoother(model: GaussianModel) -> OperatorRep:
             )
         inv_sv = np.zeros_like(sv)
         inv_sv[kept] = 1.0 / sv[kept]
-        mult = bundle.pinv.stored * model.sigma_u.stored * a.stored * inv_sv
-        return diagonal_operator(mult, a.codomain_basis)
-    basis = bundle.range_basis
-    inv_full = np.zeros((a.dim_out, a.dim_out))
-    if basis.size:
-        restricted = dense_operator(basis.T @ model.sigma_v.as_matrix() @ basis)
-        inv_restricted, rank = psd_inverse(restricted)
-        if rank < basis.shape[1]:
-            raise SingularCovarianceError("sigma_v is singular on the range of A")
-        inv_full = basis @ inv_restricted.stored @ basis.T
-    sv_inv = dense_operator(inv_full, a.codomain_basis)
-    return compose(
-        adjoint(bundle.pinv), compose(model.sigma_u, compose(adjoint(a), sv_inv))
-    )
+    else:
+        basis = bundle.range_basis
+        inv_sv = np.zeros((a.dim_out, a.dim_out))
+        if basis.size:
+            restricted = dense_operator(basis.T @ model.sigma_v.as_matrix() @ basis)
+            inv_restricted, rank = psd_inverse(restricted)
+            if rank < basis.shape[1]:
+                raise SingularCovarianceError("sigma_v is singular on the range of A")
+            inv_sv = basis @ inv_restricted.stored @ basis.T
+    return OperatorRep(inv_sv, a.codomain_basis, a.codomain_basis)
 
 
 def gap(model: GaussianModel, b: OperatorRep, x: CoeffVector) -> float:

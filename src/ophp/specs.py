@@ -137,11 +137,11 @@ def _basis(value, key: str) -> str:
     return value
 
 
-def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:
+def parse_operator(obj: dict, dim: int) -> OperatorRep:
     """Build an operator from its JSON description.
 
-    ``dim`` is the configured truncation dimension; when given it must equal
-    the domain dimension (and it is required for kernel operators).
+    ``dim`` is the configured truncation dimension: the domain dimension of
+    the operator, and the number of sine modes a kernel operator keeps.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecError("operator spec must be an object with a 'kind' field")
@@ -173,8 +173,6 @@ def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:
         name = obj.get("name")
         if name is None:
             raise SpecError("kernel operator spec needs 'name'")
-        if dim is None:
-            raise SpecError("kernel operator spec needs a truncation dimension")
         points = obj.get("grid_points", DEFAULT_GRID_POINTS)
         try:
             op = kernel_operator(name, dim, read_int(points, "grid_points", 1))
@@ -182,7 +180,7 @@ def parse_operator(obj: dict, dim: int | None = None) -> OperatorRep:
             raise SpecError(str(exc)) from exc
     else:
         raise SpecError(f"unknown operator kind {kind!r}")
-    if dim is not None and op.dim_in != dim:
+    if op.dim_in != dim:
         raise SpecError(
             f"operator domain dimension {op.dim_in} does not match "
             f"truncation_dim {dim}"

@@ -741,18 +741,63 @@ class TestErrorExits:
         assert bhat["rows"] == np.eye(3).tolist()
 
     @pytest.mark.parametrize(
-        "command, sigma_v",
-        [
-            ("optimal-b", {"kind": "dense", "rows": np.eye(3).tolist()}),
-            ("filter", {"kind": "dense", "rows": np.eye(3).tolist()}),
-            ("validate", {"kind": "diagonal", "values": [0.5] * 3}),
-        ],
+        "sigma_u, trend",
+        [([1.0, 1.0, 1.0], [1.0, 2.0, 0.0]), ([1.0, 1.0, 0.0], [1.0, 2.0, 3.0])],
+        ids=["penalty-overflows", "zero-penalty"],
     )
-    def test_non_finite_smoother_exits_one(self, tmp_path, capsys, command, sigma_v):
-        # README's ramp-3 operator with sigma_u at 1e308: sigma_u A*
-        # overflows.  With a dense sigma_v, optimal-b wrote NaN and Infinity
-        # and exited 0, and filter raised LinAlgError from the positivity
-        # check.  validate computes the smoother for a diagonal model only.
+    def test_closed_form_trend_at_a_multiplier_beyond_the_float_range(
+        self, tmp_path, capsys, sigma_u, trend
+    ):
+        # a = (0, 2, 1e300), whose rank is 1 at pinv's cutoff: a^2 overflowed
+        # with a RuntimeWarning, and where sigma_u, and so B^, is 0 the
+        # multiplier read 0 * inf = NaN.  The multiplier is the limit of
+        # 1 / (1 + b a^2): 0, or 1 where b is 0.
+        (tmp_path / "x.csv").write_text("1.0\n2.0\n3.0\n")
+        doc = {
+            "operator": {"kind": "diagonal", "multipliers": [0.0, 2.0, 1e300]},
+            "sigma_u": {"kind": "diagonal", "values": sigma_u},
+            "sigma_v": {"kind": "diagonal", "values": [1.0] * 3},
+            "truncation_dim": 3,
+            "seed": 0,
+            "input_path": "x.csv",
+        }
+        cfg = _write_config(tmp_path / "config.json", doc)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _run("filter", "--config", cfg, "--out", out) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == ""
+        _, written = read_series_csv(out / "trend.csv")
+        np.testing.assert_array_equal(written, trend)
+
+    def test_simulate_takes_back_its_output_when_a_result_overflows(
+        self, tmp_path, capsys
+    ):
+        # sigma_u = 1.7e308 I: the draws are finite, but the squares in
+        # |mean u| overflow once samples.csv is being written.
+        doc = {
+            "operator": {"kind": "diagonal", "multipliers": [1.0] * 4},
+            "sigma_u": {"kind": "power_decay", "scale": 1.7e308, "exponent": 0.0},
+            "sigma_v": {"kind": "diagonal", "values": [1.0] * 4},
+            "truncation_dim": 4,
+            "seed": 1,
+        }
+        cfg = _write_config(tmp_path / "config.json", doc)
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("not ours\n")
+        for out in (tmp_path / "new" / "out", kept):
+            assert _run("simulate", "--config", cfg, "--count", 1, "--out", out) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: a result leaves the float range")
+            assert err.count("\n") == 1
+        assert not (tmp_path / "new").exists()
+        assert sorted(os.listdir(kept)) == ["notes.txt"]
+
+    @staticmethod
+    def _huge_sigma_u_config(tmp_path, sigma_v):
+        """README's ramp-3 operator with sigma_u at 1e308."""
         (tmp_path / "x.csv").write_text("1.0\n2.0\n3.0\n")
         doc = {
             "operator": {"kind": "diagonal", "multipliers": [0.0, 2.0, 3.0]},
@@ -762,12 +807,59 @@ class TestErrorExits:
             "seed": 7,
             "input_path": "x.csv",
         }
-        cfg = _write_config(tmp_path / "config.json", doc)
+        return _write_config(tmp_path / "config.json", doc)
+
+    @pytest.mark.parametrize(
+        "command, sigma_v",
+        [
+            ("optimal-b", {"kind": "dense", "rows": (0.5 * np.eye(3)).tolist()}),
+            ("filter", {"kind": "dense", "rows": (0.5 * np.eye(3)).tolist()}),
+            ("validate", {"kind": "diagonal", "values": [0.5] * 3}),
+        ],
+    )
+    def test_non_finite_smoother_exits_one(self, tmp_path, capsys, command, sigma_v):
+        # sigma_v = 0.5 I: the smoother's range entries are 2e308.  With a
+        # dense sigma_v, optimal-b wrote NaN and Infinity and exited 0, and
+        # filter raised LinAlgError from the positivity check.  validate
+        # computes the smoother for a diagonal model only.
+        cfg = self._huge_sigma_u_config(tmp_path, sigma_v)
         out = tmp_path / "out"
         assert _run(command, "--config", cfg, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: the optimal smoother") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_dense_twin_of_a_finite_smoother_is_served(self, tmp_path, capsys):
+        # sigma_v = I: the smoother diag(0, 1e308, 1e308) is finite, and a
+        # dense sigma_v gives the diagonal one's entries.  Its trend system
+        # A* B A overflows, so filter refuses the dense twin with one line;
+        # the diagonal closed form takes the multipliers' limit, 0.
+        smoothers, configs = {}, {}
+        for kind, sigma_v in (
+            ("diagonal", {"kind": "diagonal", "values": [1.0] * 3}),
+            ("dense", {"kind": "dense", "rows": np.eye(3).tolist()}),
+        ):
+            (tmp_path / kind).mkdir()
+            configs[kind] = self._huge_sigma_u_config(tmp_path / kind, sigma_v)
+            out = tmp_path / kind / "out"
+            assert _run("optimal-b", "--config", configs[kind], "--out", out) == 0
+            bhat = json.loads((out / "bhat.json").read_text())["bhat"]
+            smoothers[kind] = np.array(bhat.get("multipliers", bhat.get("rows")))
+        assert capsys.readouterr().err == ""
+        np.testing.assert_array_equal(smoothers["diagonal"], [0.0, 1e308, 1e308])
+        np.testing.assert_array_equal(smoothers["dense"], np.diag(smoothers["diagonal"]))
+        out = tmp_path / "filter"
+        assert _run("filter", "--config", configs["dense"], "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: trend system") and "not finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _run("filter", "--config", configs["diagonal"], "--out", out) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        _, trend = read_series_csv(out / "trend.csv")
+        np.testing.assert_array_equal(trend, [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize(
         "scale, flags, message",

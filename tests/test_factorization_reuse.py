@@ -27,6 +27,7 @@ from ophp import (
     conditional_mean,
     dense_operator,
     diagonal_operator,
+    hs_diagnostics,
     kernel_operator,
     pinv,
     positivity_check,
@@ -134,6 +135,17 @@ class TestModelCache:
         second = conditional_mean(model, x)
         assert calls == before
         np.testing.assert_array_equal(first.coeffs, second.coeffs)
+
+    def test_hs_diagnostics_reads_the_cached_factorization(self, calls):
+        model = _dense_model(seed=2)
+        regression_slope(model)
+        before = dict(calls)
+        report = hs_diagnostics(model)
+        assert calls == before
+        assert report.injective
+        inv_root = psd_inverse(add(model.sigma_u, qv(model)), 0.5)[0]
+        expected = np.linalg.norm(compose(qv(model), inv_root).as_matrix())
+        assert report.hs_norm == pytest.approx(expected, rel=1e-13)
 
     def test_cached_slope_is_bitwise_the_formula(self):
         model = _dense_model(seed=1)

@@ -58,6 +58,16 @@ class TestModelValidation:
             with pytest.raises(ModelError, match="non-finite"):
                 GaussianModel.build(a, identity(2), sigma)
 
+    def test_rejects_spectra_beyond_the_float_range(self):
+        # Finite entries whose eigenvalue or singular value overflows: the
+        # PSD floor of an infinite spectrum is infinite, and pinv kept rank
+        # 0 at an infinite cutoff.
+        big = np.full((2, 2), 1.5e308)
+        with pytest.raises(ModelError, match="sigma_v has an eigenvalue beyond"):
+            GaussianModel.build(identity(2), identity(2), dense_operator(big))
+        with pytest.raises(ModelError, match="singular values of A overflow"):
+            GaussianModel.build(dense_operator(big), identity(2), identity(2))
+
     def test_rejects_y0_outside_null_space(self):
         with pytest.raises(ModelError):
             ramp_model(3, 1.0, 1.0, y0=CoeffVector([0.0, 1.0, 0.0]))

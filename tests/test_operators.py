@@ -145,9 +145,13 @@ class TestApply:
             )
             assert got == pytest.approx(oracle, abs=1e-4 * abs(oracle) + 1e-8)
 
-    def test_kernel_requires_enough_grid_points(self):
-        with pytest.raises(DimensionMismatchError):
+    def test_kernel_requires_enough_grid_points(self, cold_kernel_memo):
+        # The rule of every sine projection: p samples resolve p - 2 modes.
+        with pytest.raises(DimensionMismatchError, match="^64 samples cannot resolve 100"):
             kernel_operator("dirichlet_green", dim=100, grid_points=64)
+        with pytest.raises(DimensionMismatchError, match="^9 samples cannot resolve 8"):
+            kernel_operator("dirichlet_green", dim=8, grid_points=9)
+        assert kernel_operator("dirichlet_green", dim=8, grid_points=10).dim_in == 8
 
 
 class TestAdjoint:

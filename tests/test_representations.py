@@ -25,7 +25,8 @@ from ophp.operators import BASIS_SINE
 from oracles import dual_norm, scale_norm
 
 RTOL = 1e-10
-SETTINGS = settings(max_examples=25, deadline=None)
+# A quarter of the loaded profile's budget: 25 examples in the default one.
+SETTINGS = settings(max_examples=settings.default.max_examples // 4)
 
 
 def _outputs(model: GaussianModel, x, n: int = 1) -> dict:
