@@ -41,7 +41,6 @@ from .operators import (
 )
 from .scales import (
     rescaled_covariances,
-    scale_weights,
     scaled_optimal_b,
     trace_class_threshold,
 )

@@ -39,7 +39,7 @@ from .operators import (
     check_sine_resolution,
     sine_basis_matrix,
 )
-from .scales import MAX_SCALE_N, rescaled_covariances, scale_index, scale_weights
+from .scales import MAX_SCALE_N, rescaled_covariances, scale_index
 from .smoothing import SingularCovarianceError, optimal_b
 from .specs import (
     RunConfig,
@@ -453,16 +453,17 @@ def cmd_scale(args) -> int:
         raise InputError(
             "no scale index: set scale.n or supply decay exponents in 'scale'"
         )
-    weights = scale_weights(n, model.pinv_bundle)
+    kappa = model.pinv_bundle.singular_values**2
+    weights = kappa ** float(n)
     su, sv = rescaled_covariances(model, n)
     scaled = optimal_b(replace(model, sigma_u=su, sigma_v=sv))
     white = white_noise_scale_check(model, n, n0)
     doc = {
         "n": int(n),
         "threshold_n0": n0,
-        "indices": weights.indices.tolist(),
-        "kappa": weights.kappa.tolist(),
-        "weights": weights.weights.tolist(),
+        "indices": model.pinv_bundle.retained.tolist(),
+        "kappa": kappa.tolist(),
+        "weights": weights.tolist(),
         "sigma_u_rescaled": _multipliers(su),
         "sigma_v_rescaled": _multipliers(sv),
         "scaled_bhat_multipliers": _multipliers(scaled),

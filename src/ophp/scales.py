@@ -11,19 +11,18 @@ optimal smoother in the rescaled space collapses to the scalar
 noise-to-signal ratio on the range components.
 
 Scales are realized purely as weight sequences on spectral components; no
-abstract completion is constructed.
+abstract completion is constructed.  ``ophp scale`` writes the weights from
+the pinv bundle; they are not a library object.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import reduce
 
-import numpy as np
-
 from .gaussian import DecayDeclaration, GaussianModel
-from .operators import OperatorRep, PinvBundle, adjoint, compose, symmetrize
+from .operators import OperatorRep, adjoint, compose, symmetrize
 from .smoothing import optimal_b
 
 
@@ -32,41 +31,6 @@ from .smoothing import optimal_b
 # kappa_j**(2n) a factor 2**1024 apart, the largest float measured from 1,
 # and a dense model composes 2n matrices per covariance.
 MAX_SCALE_N = 64
-
-
-@dataclass(frozen=True, eq=False)
-class ScaleWeights:
-    """Weights kappa_j**n over the retained spectral components.
-
-    ``indices`` are the positions of the retained components in the
-    operator's spectral coordinates: the coefficients themselves for
-    diagonal operators, or the coefficients rotated by the right singular
-    vectors ``Vt`` of the pinv bundle's SVD (rows in singular-value rank)
-    otherwise.  Components with zero singular value are excluded, so the
-    weights are strictly positive.
-    """
-
-    n: int
-    indices: np.ndarray
-    kappa: np.ndarray
-    weights: np.ndarray
-
-
-def scale_weights(n: int, bundle: PinvBundle) -> ScaleWeights:
-    """Scale eigenvalues and their n-th powers for the operator ``A`` with
-    ``bundle = pinv(A)``.
-
-    The retained components are those that the bundle keeps
-    (``bundle.retained``): the range components of a diagonal operator, or
-    the leading right singular vectors of a dense one; ``kappa`` is their
-    squared singular values.
-    """
-    if n < 0:
-        raise ValueError("scale index n must be nonnegative")
-    kappa = bundle.singular_values**2
-    return ScaleWeights(
-        n=int(n), indices=bundle.retained, kappa=kappa, weights=kappa ** float(n)
-    )
 
 
 def rescaled_covariances(
@@ -98,27 +62,22 @@ def trace_class_threshold(decay: DecayDeclaration) -> int | None:
     """Least scale index making both rescaled covariances summable.
 
     With kappa_j ~ j**p and sigma_j ~ j**(-q), the rescaled entries behave
-    like j**(-(q + 2 n p)), summable iff q + 2 n p > 1.  Returns ``None``
-    when no served index suffices: p = 0 with non-summable sigma, or a least
-    index above ``MAX_SCALE_N``.
+    like j**(-(q + 2 n p)), summable iff q + 2 n p > 1; the smaller q, the
+    slower-decaying covariance, decides for both.  Returns ``None`` when no
+    served index suffices: a NaN exponent, p <= 0 with non-summable sigma,
+    or a least index above ``MAX_SCALE_N``.
     """
     p = float(decay.kappa_decay)
-
-    def needed(q: float) -> int | None:
-        if q > 1.0:
-            return 0
-        if p <= 0.0:
-            return None
-        quotient = (1.0 - q) / (2.0 * p)
-        if not quotient < MAX_SCALE_N:
-            return None
-        return math.floor(quotient) + 1
-
-    need_u = needed(float(decay.sigma_u_decay))
-    need_v = needed(float(decay.sigma_v_decay))
-    if need_u is None or need_v is None:
+    exponents = (float(decay.sigma_u_decay), float(decay.sigma_v_decay))
+    if any(map(math.isnan, exponents)):
         return None
-    return max(need_u, need_v)
+    q = min(exponents)
+    if q > 1.0:
+        return 0
+    if not p > 0.0:
+        return None
+    quotient = (1.0 - q) / (2.0 * p)
+    return math.floor(quotient) + 1 if quotient < MAX_SCALE_N else None
 
 
 def scale_index(

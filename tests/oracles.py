@@ -8,6 +8,7 @@ covariance diagonals; ``sample_joint`` collects the joint sampler's blocks
 into whole arrays.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from ophp import GaussianModel, diagonal_operator, qv
 from ophp.gaussian import BLOCK_ROWS, DEFAULT_CHUNK, sample_joint_blocks
 from ophp.instances import laplacian_multipliers, ramp_multipliers
 from ophp.operators import BASIS_EUCLIDEAN, BASIS_SINE, CoeffVector, OperatorRep
+from ophp.scales import MAX_SCALE_N
 
 
 def identity(dim: int, basis_id: str = BASIS_EUCLIDEAN):
@@ -118,22 +120,48 @@ def tail_ratio(values) -> float:
     return float(arr[half:].sum()) / s1
 
 
-def _retained(weights, bundle, x) -> np.ndarray:
-    # Spectral coordinates of x: the coefficients of a diagonal operator, or
-    # the coefficients rotated by the right singular vectors of a dense one.
+def _retained(n, bundle, x) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral coordinates of x on the components ``pinv`` keeps, and their
+    scale weights kappa_j**n, kappa_j the squared singular values.  The
+    coordinates are the coefficients of a diagonal operator, or the
+    coefficients rotated by the right singular vectors of a dense one."""
     coeffs = x.coeffs if bundle.svd is None else bundle.svd[2] @ x.coeffs
-    return coeffs[weights.indices]
+    return coeffs[bundle.retained], (bundle.singular_values**2) ** float(n)
 
 
-def dual_norm(weights, bundle, x) -> float:
+def dual_norm(n, bundle, x) -> float:
     """Norm with reciprocal scale weights; mass off the retained components
     (the null space of the operator) contributes zero."""
-    return float(np.linalg.norm(_retained(weights, bundle, x) / weights.weights))
+    coords, weights = _retained(n, bundle, x)
+    return float(np.linalg.norm(coords / weights))
 
 
-def scale_norm(weights, bundle, x) -> float:
+def scale_norm(n, bundle, x) -> float:
     """Norm with direct scale weights, over the retained components."""
-    return float(np.linalg.norm(_retained(weights, bundle, x) * weights.weights))
+    coords, weights = _retained(n, bundle, x)
+    return float(np.linalg.norm(coords * weights))
+
+
+def two_requirement_threshold(decay) -> int | None:
+    """The least trace-class index as one requirement per covariance, the
+    larger of the two taken: the reference for ``trace_class_threshold``."""
+    p = float(decay.kappa_decay)
+
+    def needed(q: float) -> int | None:
+        if q > 1.0:
+            return 0
+        if p <= 0.0:
+            return None
+        quotient = (1.0 - q) / (2.0 * p)
+        if not quotient < MAX_SCALE_N:
+            return None
+        return math.floor(quotient) + 1
+
+    need_u = needed(float(decay.sigma_u_decay))
+    need_v = needed(float(decay.sigma_v_decay))
+    if need_u is None or need_v is None:
+        return None
+    return max(need_u, need_v)
 
 
 def laplacian_filter_multipliers(sigma_u, sigma_v, dim: int) -> np.ndarray:

@@ -42,7 +42,6 @@ PUBLIC_NAMES = [
     "positivity_check",
     "qv",
     "rescaled_covariances",
-    "scale_weights",
     "scaled_optimal_b",
     "solve_filter",
     "trace_class_threshold",

@@ -16,7 +16,6 @@ from ophp import (
     kernel_operator,
     optimal_b,
     rescaled_covariances,
-    scale_weights,
     scaled_optimal_b,
     solve_filter,
 )
@@ -34,7 +33,6 @@ def _outputs(model: GaussianModel, x, n: int = 1) -> dict:
     bhat = optimal_b(model)
     su, sv = rescaled_covariances(model, n)
     bundle = model.pinv_bundle
-    weights = scale_weights(n, bundle)
     return {
         "optimal_b": bhat.as_matrix(),
         "trend": solve_filter(FilterProblem(model.a, xv, bhat)).coeffs,
@@ -43,7 +41,7 @@ def _outputs(model: GaussianModel, x, n: int = 1) -> dict:
         "sigma_v_rescaled": sv.as_matrix(),
         "scaled_optimal_b": scaled_optimal_b(model, n).as_matrix(),
         "scale_norms": np.array(
-            [dual_norm(weights, bundle, xv), scale_norm(weights, bundle, xv)]
+            [dual_norm(n, bundle, xv), scale_norm(n, bundle, xv)]
         ),
     }
 

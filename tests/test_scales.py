@@ -1,10 +1,14 @@
 """Spectral weight scales, rescaled covariances, and the white-noise limit."""
 
 import dataclasses
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ophp import (
     CoeffVector,
@@ -15,14 +19,13 @@ from ophp import (
     optimal_b,
     pinv,
     rescaled_covariances,
-    scale_weights,
     scaled_optimal_b,
     trace_class_threshold,
 )
 from ophp.cli import main
 from ophp.gaussian import DecayDeclaration
 from ophp.scales import scale_index
-from ophp.specs import load_config
+from ophp.specs import load_config, operator_to_json
 
 from oracles import (
     dual_norm,
@@ -32,100 +35,129 @@ from oracles import (
     ramp_operator,
     scale_norm,
     tail_ratio,
+    two_requirement_threshold,
 )
 
 
+def _scale_json(tmp_path, op, n: int) -> dict:
+    """What ``ophp scale`` writes for ``op`` with unit covariances at index n."""
+    dim = op.stored.shape[-1]
+    config = tmp_path / f"config-{n}.json"
+    config.write_text(json.dumps({
+        "operator": operator_to_json(op),
+        "sigma_u": {"kind": "diagonal", "values": [1.0] * dim},
+        "sigma_v": {"kind": "diagonal", "values": [1.0] * dim},
+        "truncation_dim": dim,
+        "seed": 0,
+        "scale": {"n": n},
+    }))
+    out = tmp_path / f"out-{n}"
+    assert main(["scale", "--config", str(config), "--out", str(out)]) == 0
+    return json.loads((out / "scale.json").read_text())
+
+
 class TestScaleWeights:
-    def test_ramp_weights(self):
-        weights = scale_weights(1, pinv(ramp_operator(5)))
-        np.testing.assert_array_equal(weights.indices, [1, 2, 3, 4])
-        np.testing.assert_allclose(weights.kappa, [4.0, 9.0, 16.0, 25.0])
-        np.testing.assert_allclose(weights.weights, [4.0, 9.0, 16.0, 25.0])
+    """``scale`` writes the components ``pinv`` keeps, their squared singular
+    values kappa and the weights kappa**n."""
 
-    def test_zero_index_gives_unit_weights(self):
-        weights = scale_weights(0, pinv(ramp_operator(5)))
-        np.testing.assert_array_equal(weights.weights, np.ones(4))
+    def test_ramp_weights(self, tmp_path):
+        bundle = pinv(ramp_operator(5))
+        np.testing.assert_array_equal(bundle.retained, [1, 2, 3, 4])
+        np.testing.assert_allclose(bundle.singular_values**2, [4.0, 9.0, 16.0, 25.0])
+        written = _scale_json(tmp_path, ramp_operator(5), 1)
+        assert written["indices"] == [1, 2, 3, 4]
+        assert written["kappa"] == (bundle.singular_values**2).tolist()
+        assert written["weights"] == written["kappa"]
 
-    def test_laplacian_weights(self):
-        weights = scale_weights(1, pinv(laplacian_operator(3)))
+    def test_zero_index_gives_unit_weights(self, tmp_path):
+        written = _scale_json(tmp_path, ramp_operator(5), 0)
+        assert written["weights"] == [1.0] * 4
+
+    def test_laplacian_weights(self, tmp_path):
+        kappa = pinv(laplacian_operator(3)).singular_values**2
         n = np.arange(1, 4, dtype=float)
-        np.testing.assert_allclose(weights.kappa, (n * np.pi) ** 4, rtol=1e-12)
+        np.testing.assert_allclose(kappa, (n * np.pi) ** 4, rtol=1e-12)
+        written = _scale_json(tmp_path, laplacian_operator(3), 2)
+        assert written["kappa"] == kappa.tolist()
+        assert written["weights"] == (kappa**2.0).tolist()
 
-    def test_dense_requires_svd(self):
+    def test_dense_weights_in_singular_value_rank(self, tmp_path):
         op = dense_operator(np.diag([1.0, 2.0]))
-        weights = scale_weights(1, pinv(op))
-        np.testing.assert_allclose(sorted(weights.kappa), [1.0, 4.0])
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            scale_weights(-1, pinv(ramp_operator(3)))
+        bundle = pinv(op)
+        np.testing.assert_array_equal(bundle.retained, [0, 1])
+        np.testing.assert_allclose(bundle.singular_values**2, [4.0, 1.0])
+        written = _scale_json(tmp_path, op, 1)
+        assert written["indices"] == [0, 1]
+        assert written["kappa"] == (bundle.singular_values**2).tolist()
 
     def test_norm_duality(self):
         bundle = pinv(ramp_operator(5))
-        weights = scale_weights(2, bundle)
         rng = np.random.default_rng(0)
         for _ in range(20):
             coeffs = np.zeros(5)
             coeffs[1:] = rng.standard_normal(4)  # supported on the range
             h = CoeffVector(coeffs)
-            lower = dual_norm(weights, bundle, h) * scale_norm(weights, bundle, h)
+            lower = dual_norm(2, bundle, h) * scale_norm(2, bundle, h)
             assert lower >= h.norm() ** 2 - 1e-10
         single = np.zeros(5)
         single[2] = 1.7
         h = CoeffVector(single)
-        product = dual_norm(weights, bundle, h) * scale_norm(weights, bundle, h)
+        product = dual_norm(2, bundle, h) * scale_norm(2, bundle, h)
         assert product == pytest.approx(h.norm() ** 2, rel=1e-12)
 
     def test_dense_norms_match_diagonal(self):
         # Dense weights are indexed by singular-value rank, so the
         # coefficients must be rotated into that order before weighting.
-        diag_op = diagonal_operator([1.0, 2.0])
-        diag_bundle = pinv(diag_op)
-        diag = scale_weights(1, diag_bundle)
-        op = dense_operator(np.diag([1.0, 2.0]))
-        bundle = pinv(op)
-        dense = scale_weights(1, bundle)
+        diag_bundle = pinv(diagonal_operator([1.0, 2.0]))
+        bundle = pinv(dense_operator(np.diag([1.0, 2.0])))
         for coeffs in ([1.0, 0.0], [0.0, 1.0], [0.3, -1.2]):
             h = CoeffVector(coeffs)
             for norm in (dual_norm, scale_norm):
-                assert norm(dense, bundle, h) == pytest.approx(
-                    norm(diag, diag_bundle, h), rel=1e-12
+                assert norm(1, bundle, h) == pytest.approx(
+                    norm(1, diag_bundle, h), rel=1e-12
                 )
 
     def test_null_space_has_zero_dual_norm(self):
         bundle = pinv(ramp_operator(4))
-        weights = scale_weights(1, bundle)
         y0 = CoeffVector([3.0, 0.0, 0.0, 0.0])
-        assert dual_norm(weights, bundle, y0) == 0.0
+        assert dual_norm(1, bundle, y0) == 0.0
 
-    def test_keeps_the_components_pinv_keeps(self):
+    def test_keeps_the_components_pinv_keeps(self, tmp_path):
         # The cutoff of pinv(A) is eps * dim times the largest singular
         # value, about 1.8e-15 here: 1e-17 lies below it and 1e-12 above it.
         spectrum = [1e-17, 1.0, 1e-12, 2.0]
         op = diagonal_operator(spectrum)
         bundle = pinv(op)
-        weights = scale_weights(1, bundle)
         assert bundle.numerical_rank == 3
-        np.testing.assert_array_equal(weights.indices, [1, 2, 3])
+        np.testing.assert_array_equal(bundle.retained, [1, 2, 3])
         np.testing.assert_array_equal(
-            weights.indices, np.nonzero(bundle.projector_pi.stored)[0]
+            bundle.retained, np.nonzero(bundle.projector_pi.stored)[0]
         )
-        np.testing.assert_array_equal(weights.kappa, [1.0, 1e-24, 4.0])
-        # A dense operator with the same spectrum, rotated: the weights keep
-        # the leading numerical_rank right singular vectors.
+        np.testing.assert_array_equal(bundle.singular_values**2, [1.0, 1e-24, 4.0])
+        written = _scale_json(tmp_path, op, 1)
+        assert written["indices"] == [1, 2, 3]
+        assert written["kappa"] == [1.0, 1e-24, 4.0]
+        # A dense operator with the same spectrum, rotated: pinv keeps the
+        # leading numerical_rank right singular vectors.
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
         rotated = dense_operator(q @ np.diag(spectrum) @ q.T)
         bundle = pinv(rotated)
-        weights = scale_weights(1, bundle)
         assert bundle.numerical_rank == 3
-        np.testing.assert_array_equal(weights.indices, [0, 1, 2])
-        np.testing.assert_allclose(weights.kappa, [4.0, 1.0, 1e-24], rtol=1e-3)
+        np.testing.assert_array_equal(bundle.retained, [0, 1, 2])
+        np.testing.assert_allclose(
+            bundle.singular_values**2, [4.0, 1.0, 1e-24], rtol=1e-3
+        )
         rotation = bundle.svd[2]
         kept = rotation[:3].T @ rotation[:3]
         np.testing.assert_allclose(kept, bundle.projector_pi.stored, atol=1e-12)
+        assert _scale_json(tmp_path, rotated, 0)["indices"] == [0, 1, 2]
 
 
 class TestRescaledCovariances:
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rescaled_covariances(ramp_model(3, 1.0, 1.0), -1)
+
     def test_zero_index_is_bit_identical(self):
         model = ramp_model(4, 1.0, 2.0)
         su, sv = rescaled_covariances(model, 0)
@@ -184,9 +216,33 @@ class TestTraceClassThreshold:
         decl = DecayDeclaration(kappa_decay=0.0, sigma_u_decay=0.0, sigma_v_decay=0.0)
         assert trace_class_threshold(decl) is None
 
-    def test_mixed_requirements_take_max(self):
-        decl = DecayDeclaration(kappa_decay=2.0, sigma_u_decay=2.0, sigma_v_decay=0.0)
-        assert trace_class_threshold(decl) == 1
+    def test_slower_decaying_covariance_decides(self):
+        for u, v in ((2.0, 0.0), (0.0, 2.0)):
+            decl = DecayDeclaration(kappa_decay=2.0, sigma_u_decay=u, sigma_v_decay=v)
+            assert trace_class_threshold(decl) == 1
+
+    def test_equals_the_two_requirement_rule_on_a_grid(self):
+        # Every sign, the float range's edges, the tiny kappa_decay whose
+        # quotient overflows, a quotient at MAX_SCALE_N exactly (1/128) and
+        # just above it (0.0078), and NaN in each position: min() alone
+        # orders NaN wrongly.
+        values = [-math.inf, -5.0, -0.5, 0.0, 5e-324, 1e-300, 1 / 128, 0.0078,
+                  0.5, 1.0, 1.0 + 1e-7, 2.0, 1e300, math.inf, math.nan]
+        mismatches = [
+            decl for decl in itertools.starmap(
+                DecayDeclaration, itertools.product(values, repeat=3)
+            )
+            if trace_class_threshold(decl) != two_requirement_threshold(decl)
+        ]
+        assert mismatches == []
+
+    @given(*[st.floats(allow_nan=True, allow_infinity=True)] * 3)
+    @example(1.0, 0.0, math.nan)
+    @example(1.0, math.nan, 0.0)
+    @example(5e-324, 0.0, 2.0)
+    def test_equals_the_two_requirement_rule(self, p, u, v):
+        decl = DecayDeclaration(kappa_decay=p, sigma_u_decay=u, sigma_v_decay=v)
+        assert trace_class_threshold(decl) == two_requirement_threshold(decl)
 
 
 class TestScaleIndex:
