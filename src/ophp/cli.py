@@ -37,6 +37,7 @@ from .operators import (
     DimensionMismatchError,
     apply,
     check_sine_resolution,
+    euclidean_norm,
     sine_basis_matrix,
 )
 from .scales import MAX_SCALE_N, rescaled_covariances, scale_index
@@ -303,7 +304,7 @@ def cmd_filter(args) -> int:
         "seed": cfg.seed,
         "input_points": int(values.shape[0]),
         "trend_norm": trend.norm(),
-        "residual_norm": float(np.linalg.norm(residual_values)),
+        "residual_norm": euclidean_norm(residual_values),
         "estimated_y0": bool(args.estimate_y0),
     }
     out = _out_dir(args, cfg)
@@ -449,9 +450,14 @@ def cmd_scale(args) -> int:
     cfg = _request(args)
     model = cfg.model
     n, n0 = scale_index(cfg.scale_n, cfg.decay)
-    if n is None:
+    if n is None and cfg.decay is None:
         raise InputError(
             "no scale index: set scale.n or supply decay exponents in 'scale'"
+        )
+    if n is None:
+        raise InputError(
+            "no scale index: the declared decay exponents admit no trace-class "
+            f"index up to {MAX_SCALE_N}; set scale.n"
         )
     kappa = model.pinv_bundle.singular_values**2
     weights = kappa ** float(n)

@@ -51,6 +51,19 @@ def above_psd_floor(eigvals: np.ndarray) -> bool:
     return float(eigvals.min(initial=0.0)) >= -rounding_bound(scale)
 
 
+def euclidean_norm(values: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-d array, and the same bits wherever that is
+    finite.  Where only the squares leave the float range, the entries are
+    divided by their largest magnitude first, so a representable norm is
+    served; one that is not overflows in the last product."""
+    with np.errstate(over="ignore"):
+        plain = np.linalg.norm(values)
+    if np.isfinite(plain) or not np.isfinite(values).all():
+        return float(plain)
+    top = np.abs(values).max()
+    return float(top * np.linalg.norm(values / top))
+
+
 class BasisMismatchError(ValueError):
     """Vectors or operators disagree on the declared basis."""
 
@@ -90,7 +103,7 @@ class CoeffVector:
         return int(self.coeffs.shape[0])
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return euclidean_norm(self.coeffs)
 
     def _require_compatible(self, other: "CoeffVector") -> None:
         if self.basis_id != other.basis_id:

@@ -29,6 +29,7 @@ configuration file's directory.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -347,10 +348,33 @@ def parse_config(obj: dict, base_dir: Path | None = None) -> RunConfig:
     )
 
 
+# The key of the configuration last loaded in this process, its directory and
+# the sha256 digest of its text, and the configuration.  It holds one model
+# with what its requests have computed on it; never the text.
+_LAST_CONFIG: tuple = (None, None)
+
+
 def load_config(path) -> RunConfig:
+    """The run configuration in the JSON file at ``path``; relative file
+    locations resolve against its directory.
+
+    Asked again for the same text in the same directory, it returns the same
+    immutable configuration, whose model keeps what earlier requests computed
+    on it (its pinv, covariance checks and factorizations).  A document that
+    fails to read or to check is not kept, so it fails the same way each time.
+    """
+    global _LAST_CONFIG
     path = Path(path)
     try:
-        obj = json.loads(path.read_text())
+        text = path.read_text()
+        key = (path.parent, hashlib.sha256(text.encode()).digest())
+        last_key, last_cfg = _LAST_CONFIG
+        if key == last_key:
+            return last_cfg
+        _LAST_CONFIG = (None, None)
+        obj = json.loads(text)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot read configuration {path}: {exc}") from exc
-    return parse_config(obj, base_dir=path.parent)
+    cfg = parse_config(obj, base_dir=path.parent)
+    _LAST_CONFIG = (key, cfg)
+    return cfg

@@ -1,14 +1,14 @@
 """Test-wide settings: property tests draw the same examples on every run,
 from the profile ``HYPOTHESIS_PROFILE`` names: ``ophp`` (the default) or
 ``ophp-deep``, which draws twenty times as many.  Fixtures count numpy's
-factorizations and give a test an empty kernel-operator memo."""
+factorizations and give a test an empty kernel-operator or config memo."""
 
 import os
 
 import numpy as np
 import pytest
 
-from ophp import operators
+from ophp import operators, specs
 
 try:
     from hypothesis import settings
@@ -28,6 +28,19 @@ def cold_kernel_memo(monkeypatch):
     back after it.  What a test counts on kernel models then does not depend
     on which tests ran before it."""
     monkeypatch.setattr(operators, "_LAST_KERNEL", (None, None))
+
+
+@pytest.fixture
+def cold_config_memo(monkeypatch):
+    """An empty config memo for the test, and a call that empties it again;
+    the process's memo comes back after it.  A request after the call parses
+    its config and builds its model anew."""
+
+    def forget():
+        monkeypatch.setattr(specs, "_LAST_CONFIG", (None, None))
+
+    forget()
+    return forget
 
 
 @pytest.fixture

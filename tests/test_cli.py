@@ -320,7 +320,9 @@ class TestFilterCommand:
         y0 = apply(model.pinv_bundle.projector_complement, xv)
         assert model.with_y0(y0, xv.norm()).y0.norm() < 1e-12 * xv.norm()
 
-    def test_estimate_y0_reuses_the_first_factorization(self, tmp_path, monkeypatch):
+    def test_estimate_y0_reuses_the_first_factorization(
+        self, tmp_path, monkeypatch, cold_config_memo
+    ):
         cfg = TestValidateCommand._dense_64_config(tmp_path / "dense.json")
         series = tmp_path / "x.csv"
         values = np.random.default_rng(8).standard_normal(64)
@@ -338,7 +340,9 @@ class TestFilterCommand:
         assert len(svds) == 1
         # Building a second model for the estimated y0 writes the same bytes.
         # It is built on a fresh copy of the operator, which has not kept the
-        # SVD of the first, so it factorizes again.
+        # SVD of the first, so it factorizes again.  The config is built anew
+        # too, not read from the memo, so its own model factorizes once.
+        cold_config_memo()
         monkeypatch.setattr(
             GaussianModel,
             "with_y0",
@@ -740,6 +744,31 @@ class TestErrorExits:
         bhat = json.loads((bhat_out / "bhat.json").read_text())["bhat"]
         assert bhat["rows"] == np.eye(3).tolist()
 
+    def test_norms_of_a_series_whose_squares_overflow(self, tmp_path, capsys):
+        # Ramp-3 with unit covariances on x = 1e200 (1, 1, 1): |x| is
+        # representable but its squares are not, and np.linalg.norm squares
+        # first, so filter refused ("overflow encountered in dot").
+        (tmp_path / "x.csv").write_text("1e200\n1e200\n1e200\n")
+        doc = {
+            "operator": {"kind": "diagonal", "multipliers": [1.0, 2.0, 3.0]},
+            "sigma_u": {"kind": "diagonal", "values": [1.0] * 3},
+            "sigma_v": {"kind": "diagonal", "values": [1.0] * 3},
+            "truncation_dim": 3,
+            "input_path": "x.csv",
+        }
+        cfg = _write_config(tmp_path / "config.json", doc)
+        out = tmp_path / "out"
+        assert _run("filter", "--config", cfg, "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out / "filter_summary.json").read_text())
+        # Trend multipliers 1 / (1 + a^2) = (1/2, 1/5, 1/10).
+        trend = 1e200 * np.array([0.5, 0.2, 0.1])
+        residual = 1e200 - trend
+        assert summary["trend_norm"] == pytest.approx(1e200 * np.sqrt(0.3), rel=1e-15)
+        assert summary["residual_norm"] == pytest.approx(
+            1e200 * np.linalg.norm(residual / 1e200), rel=1e-15
+        )
+
     @pytest.mark.parametrize(
         "sigma_u, trend",
         [([1.0, 1.0, 1.0], [1.0, 2.0, 0.0]), ([1.0, 1.0, 0.0], [1.0, 2.0, 3.0])],
@@ -889,6 +918,34 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scale, cause",
+        [
+            ({"kappa_decay": 0.0, "sigma_u_decay": 0.0, "sigma_v_decay": 0.0},
+             "the declared decay exponents admit no trace-class index up to 64"),
+            ({}, "supply decay exponents in 'scale'"),
+        ],
+        ids=["declared", "undeclared"],
+    )
+    def test_scale_refusal_names_its_cause(self, tmp_path, capsys, scale, cause):
+        # A bounded-below A (singular values 1 to 2) has kappa_decay 0: no
+        # Hilbert scale makes white noise trace class, so scale refuses; the
+        # exponents were supplied, and the message says they admit no index.
+        doc = {
+            "operator": {"kind": "diagonal", "multipliers": [1.0, 1.5, 2.0]},
+            "sigma_u": {"kind": "diagonal", "values": [1.0] * 3},
+            "sigma_v": {"kind": "diagonal", "values": [1.0] * 3},
+            "truncation_dim": 3,
+            "scale": scale,
+        }
+        cfg = _write_config(tmp_path / "config.json", doc)
+        out = tmp_path / "out"
+        assert _run("scale", "--config", cfg, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no scale index: ") and err.count("\n") == 1
+        assert cause in err
         assert not out.exists()
 
     @pytest.mark.parametrize("kappa_decay", [0.005, 1e-300])

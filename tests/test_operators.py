@@ -21,6 +21,7 @@ from ophp.operators import (
     BASIS_SINE,
     OperatorRep,
     dirichlet_green_kernel,
+    euclidean_norm,
     moore_penrose_residuals,
     sine_basis_matrix,
     symmetric_eig,
@@ -37,6 +38,24 @@ class TestCoeffVector:
             coeffs = rng.standard_normal(rng.integers(1, 30))
             vec = CoeffVector(coeffs)
             assert vec.norm() ** 2 == pytest.approx(float((coeffs**2).sum()), rel=1e-14)
+
+    def test_norm_is_numpys_wherever_that_is_finite(self):
+        rng = np.random.default_rng(1)
+        for scale in (1e-300, 1.0, 1e150):
+            coeffs = scale * rng.standard_normal(17)
+            assert euclidean_norm(coeffs) == float(np.linalg.norm(coeffs))
+
+    def test_norm_whose_squares_overflow(self):
+        # np.linalg.norm squares first: inf (with an overflow warning) for a
+        # representable norm; the norm scaled by the largest entry is served.
+        coeffs = np.array([1e200, -1e200, 3e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert CoeffVector(coeffs).norm() == pytest.approx(
+                np.sqrt(11.0) * 1e200, rel=1e-15
+            )
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            euclidean_norm(np.full(4, 1e308))
 
     def test_basis_mismatch_rejected(self):
         a = CoeffVector([1.0, 2.0], "abstract-euclidean")
