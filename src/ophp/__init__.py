@@ -44,6 +44,6 @@ from .scales import (
     scaled_optimal_b,
     trace_class_threshold,
 )
-from .smoothing import SingularCovarianceError, gap, optimal_b
+from .smoothing import SingularCovarianceError, optimal_b
 
 __version__ = "0.1.0"

@@ -9,6 +9,8 @@ factorization otherwise.  The nonnegativity requirement is certified
 spectrally from the same ``A* B A`` the dense solve uses.  ``solve_filter``
 computes that verdict once per ``(A, B)`` pair and reuses it while both
 operators are alive; ``A* B A`` and the solve still run on every call.
+``optimal_b`` returns one smoother per model, so the requests on a config
+that ``specs.load_config`` keeps share one verdict.
 """
 
 from __future__ import annotations

@@ -592,11 +592,15 @@ def moore_penrose_residuals(a: OperatorRep, bundle: PinvBundle) -> dict[str, flo
     else:
         (mat, inv, pi), mul = (op.as_matrix() for op in ops), np.matmul
     ai, ia = mul(mat, inv), mul(inv, mat)
+
+    def frobenius(residual):  # ravelled as np.linalg.norm does
+        return euclidean_norm(residual.ravel(order="K"))
+
     return {
-        "reconstruct": float(np.linalg.norm(mul(ai, mat) - mat)),
-        "pinv_reconstruct": float(np.linalg.norm(mul(ia, inv) - inv)),
-        "range_symmetry": float(np.linalg.norm(ai.T - ai)),
-        "null_symmetry": float(np.linalg.norm(ia.T - ia)),
-        "projector_idempotence": float(np.linalg.norm(mul(pi, pi) - pi)),
-        "projector_symmetry": float(np.linalg.norm(pi.T - pi)),
+        "reconstruct": frobenius(mul(ai, mat) - mat),
+        "pinv_reconstruct": frobenius(mul(ia, inv) - inv),
+        "range_symmetry": frobenius(ai.T - ai),
+        "null_symmetry": frobenius(ia.T - ia),
+        "projector_idempotence": frobenius(mul(pi, pi) - pi),
+        "projector_symmetry": frobenius(pi.T - pi),
     }

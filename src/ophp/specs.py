@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -348,10 +349,27 @@ def parse_config(obj: dict, base_dir: Path | None = None) -> RunConfig:
     )
 
 
-# The key of the configuration last loaded in this process, its directory and
-# the sha256 digest of its text, and the configuration.  It holds one model
-# with what its requests have computed on it; never the text.
-_LAST_CONFIG: tuple = (None, None)
+# Bytes of operator storage (``a``, ``sigma_u`` and ``sigma_v``) that the
+# kept configurations may hold together.  Once requests have factorized it, a
+# kept model with a dense operator holds 3 to 8 times its operators' bytes in
+# pinv, SVD factors and smoother (1.1 MB for a dense dim-128 config with 0.4 MB
+# of operators, 1.0 MB for a kernel one with 0.13 MB), so the memo holds about
+# 10 MB at most, a fifth of what a CLI process holds anyway.  Two dense dim-128
+# configs fit beside kernel and diagonal ones.  A count of configs would not
+# bound it: eight dense dim-1024 configs hold about 0.5 GB.
+CONFIG_MEMO_BYTES = 2**20
+
+# The configurations kept in this process, least recently used first, keyed
+# on their directory and the sha256 digest of their bytes; never the bytes.
+_CONFIGS: OrderedDict = OrderedDict()
+
+
+def _kept_bytes() -> int:
+    return sum(
+        op.stored.nbytes
+        for cfg in _CONFIGS.values()
+        for op in (cfg.model.a, cfg.model.sigma_u, cfg.model.sigma_v)
+    )
 
 
 def load_config(path) -> RunConfig:
@@ -360,21 +378,31 @@ def load_config(path) -> RunConfig:
 
     Asked again for the same text in the same directory, it returns the same
     immutable configuration, whose model keeps what earlier requests computed
-    on it (its pinv, covariance checks and factorizations).  A document that
-    fails to read or to check is not kept, so it fails the same way each time.
+    on it (its pinv, covariance checks, factorizations and optimal smoother).
+    It keeps the configurations it built last, as many as fit in
+    ``CONFIG_MEMO_BYTES`` of operator storage, and drops the least recently
+    used first; the newest is always kept, so one over the budget is kept
+    alone until the next miss drops it, before that text is parsed.  A
+    document that fails to read or to check is not kept, so it fails the same
+    way each time, and the configurations kept within the budget stay.
     """
-    global _LAST_CONFIG
     path = Path(path)
     try:
-        text = path.read_text()
-        key = (path.parent, hashlib.sha256(text.encode()).digest())
-        last_key, last_cfg = _LAST_CONFIG
-        if key == last_key:
-            return last_cfg
-        _LAST_CONFIG = (None, None)
-        obj = json.loads(text)
+        data = path.read_bytes()
+        key = (path.parent, hashlib.sha256(data).digest())
+        cfg = _CONFIGS.get(key)
+        if cfg is not None:
+            _CONFIGS.move_to_end(key)
+            return cfg
+        # Only a config over the budget by itself is kept over it, and the
+        # new one would evict it: it goes first, so the two are never held.
+        if _kept_bytes() > CONFIG_MEMO_BYTES:
+            _CONFIGS.clear()
+        # JSON text is UTF-8 (RFC 8259), decoded only on a miss.
+        obj = json.loads(data.decode())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot read configuration {path}: {exc}") from exc
-    cfg = parse_config(obj, base_dir=path.parent)
-    _LAST_CONFIG = (key, cfg)
+    cfg = _CONFIGS[key] = parse_config(obj, base_dir=path.parent)
+    while len(_CONFIGS) > 1 and _kept_bytes() > CONFIG_MEMO_BYTES:
+        _CONFIGS.popitem(last=False)
     return cfg

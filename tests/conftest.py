@@ -4,6 +4,7 @@ from the profile ``HYPOTHESIS_PROFILE`` names: ``ophp`` (the default) or
 factorizations and give a test an empty kernel-operator or config memo."""
 
 import os
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -34,10 +35,10 @@ def cold_kernel_memo(monkeypatch):
 def cold_config_memo(monkeypatch):
     """An empty config memo for the test, and a call that empties it again;
     the process's memo comes back after it.  A request after the call parses
-    its config and builds its model anew."""
+    its config and builds its model anew, and so assembles a new smoother."""
 
     def forget():
-        monkeypatch.setattr(specs, "_LAST_CONFIG", (None, None))
+        monkeypatch.setattr(specs, "_CONFIGS", OrderedDict())
 
     forget()
     return forget

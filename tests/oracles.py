@@ -2,10 +2,11 @@
 test models.
 
 Each formula is written in numpy from its definition, apart from the code
-paths it is used to check.  The test models are the ramp and the spectral
-Dirichlet Laplacian of ``ophp example``, built from scalar or array
-covariance diagonals; ``sample_joint`` collects the joint sampler's blocks
-into whole arrays.
+paths it is used to check; ``gap``, the filter's distance to the
+conditional mean, composes the package's own two.  The test models are the
+ramp and the spectral Dirichlet Laplacian of ``ophp example``, built from
+scalar or array covariance diagonals; ``sample_joint`` collects the joint
+sampler's blocks into whole arrays.
 """
 
 import math
@@ -13,7 +14,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ophp import GaussianModel, diagonal_operator, qv
+from ophp import (
+    FilterProblem,
+    GaussianModel,
+    conditional_mean,
+    diagonal_operator,
+    qv,
+    solve_filter,
+)
 from ophp.gaussian import BLOCK_ROWS, DEFAULT_CHUNK, sample_joint_blocks
 from ophp.instances import laplacian_multipliers, ramp_multipliers
 from ophp.operators import BASIS_EUCLIDEAN, BASIS_SINE, CoeffVector, OperatorRep
@@ -97,6 +105,13 @@ def objective_gradient(problem, y) -> np.ndarray:
     a = problem.a.as_matrix()
     back = a.T @ (problem.b.as_matrix() @ (a @ y.coeffs))
     return 2.0 * (y.coeffs - problem.x.coeffs) + 2.0 * back
+
+
+def gap(model, b, x) -> float:
+    """Distance between the conditional mean and the filtered trend at ``x``."""
+    mean = conditional_mean(model, x)
+    trend = solve_filter(FilterProblem(model.a, x, b))
+    return (mean - trend).norm()
 
 
 def joint_covariance(model) -> np.ndarray:

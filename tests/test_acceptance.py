@@ -14,7 +14,6 @@ from ophp import (
     FilterProblem,
     apply,
     dense_operator,
-    gap,
     hs_diagnostics,
     kernel_operator,
     optimal_b,
@@ -27,7 +26,14 @@ from ophp.gaussian import DecayDeclaration, regression_slope
 from ophp.instances import seeded_sigmas
 from ophp.operators import BASIS_SINE, moore_penrose_residuals
 
-from oracles import laplacian_model, operator_norm, ramp_model, sample_joint, tail_ratio
+from oracles import (
+    gap,
+    laplacian_model,
+    operator_norm,
+    ramp_model,
+    sample_joint,
+    tail_ratio,
+)
 
 
 def _criterion(name, ok, elapsed, limit, detail):

@@ -1,19 +1,28 @@
-"""A config file becomes its model once per process.
+"""A config file becomes its model once per process, and a model its smoother.
 
-``specs.load_config`` keeps the configuration it last built, keyed on the
-file's directory and the digest of its text: the same text in the same
-directory is the same immutable ``RunConfig``, with the factorizations its
-model already holds, and anything else is read, checked and built anew.
+``specs.load_config`` keeps the configurations it built last, keyed on the
+file's directory and the digest of its bytes, as many as fit in
+``specs.CONFIG_MEMO_BYTES`` of operator storage; the least recently used goes
+first, and the newest always stays.  The same text in the same directory is
+the same immutable ``RunConfig``, with the factorizations its model already
+holds, and anything else is read, checked and built anew.
+``smoothing.optimal_b`` returns one smoother per model object, so requests on
+a kept config also share the smoother's positivity verdict.
 """
 
 import gc
 import json
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ophp import gaussian, operators, scales, smoothing, specs, validate
 from ophp.cli import main
+from ophp.operators import CoeffVector, apply, dense_operator
+from ophp.smoothing import optimal_b
 from ophp.specs import SpecError, load_config
 
 
@@ -29,6 +38,29 @@ def _dense_doc(dim, seed, **extra):
         "truncation_dim": dim,
         **extra,
     }
+
+
+def _commuting_doc(dim, seed):
+    """A rotated ramp with covariances in its eigenbasis, whose optimal
+    smoother passes the positivity check."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+
+    def rotated(values):
+        mat = q @ np.diag(values) @ q.T
+        return (0.5 * (mat + mat.T)).tolist()
+
+    return {
+        "operator": {"kind": "dense", "rows": rotated(np.arange(1.0, dim + 1.0))},
+        "sigma_u": {"kind": "dense", "rows": rotated(rng.uniform(0.5, 2.0, dim))},
+        "sigma_v": {"kind": "dense", "rows": rotated(rng.uniform(0.5, 2.0, dim))},
+        "truncation_dim": dim,
+    }
+
+
+def _stored_bytes(cfg):
+    model = cfg.model
+    return sum(op.stored.nbytes for op in (model.a, model.sigma_u, model.sigma_v))
 
 
 def _write(path, doc):
@@ -48,6 +80,22 @@ def json_loads(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(json, "loads", loads)
+    return counted
+
+
+@pytest.fixture
+def composes(monkeypatch):
+    """Calls to ``operators.compose`` from any module of the package."""
+    counted = []
+    original = operators.compose
+
+    def compose(*args, **kwargs):
+        counted.append(1)
+        return original(*args, **kwargs)
+
+    for module in (operators, gaussian, scales, smoothing, validate):
+        if getattr(module, "compose", None) is original:
+            monkeypatch.setattr(module, "compose", compose)
     return counted
 
 
@@ -103,6 +151,68 @@ class TestConfigMemo:
         trends = [(p.parent / "out" / "trend.csv").read_text() for p in paths]
         assert trends[0] != trends[1]
 
+    def test_configs_within_the_budget_are_each_kept(
+        self, tmp_path, calls, json_loads, cold_config_memo
+    ):
+        paths = [_write(tmp_path / f"c{i}.json", _dense_doc(8, 20 + i)) for i in range(4)]
+        kept = [load_config(path) for path in paths]
+        assert sum(map(_stored_bytes, kept)) <= specs.CONFIG_MEMO_BYTES
+        before = (len(json_loads), dict(calls))
+        # Switching between them, in any order, decodes and factorizes nothing.
+        for i in (2, 0, 3, 1, 1, 0):
+            assert load_config(paths[i]) is kept[i]
+        assert (len(json_loads), dict(calls)) == before
+
+    def test_over_the_budget_the_least_recently_used_goes_first(
+        self, tmp_path, monkeypatch, json_loads, cold_config_memo
+    ):
+        paths = [_write(tmp_path / f"c{i}.json", _dense_doc(6, 30 + i)) for i in range(3)]
+        first = load_config(paths[0])
+        # Room for two of these configs, not three.
+        monkeypatch.setattr(specs, "CONFIG_MEMO_BYTES", 2 * _stored_bytes(first))
+        second = load_config(paths[1])
+        assert load_config(paths[0]) is first  # now the most recently used
+        third = load_config(paths[2])  # evicts the second, not the first
+        decoded = len(json_loads)
+        assert load_config(paths[0]) is first
+        assert load_config(paths[2]) is third
+        assert len(json_loads) == decoded
+        again = load_config(paths[1])
+        assert again is not second and len(json_loads) == decoded + 1
+        # Reading the second back evicted the first, used before the third.
+        assert load_config(paths[2]) is third
+        assert load_config(paths[0]) is not first
+
+    def test_a_config_over_the_budget_is_kept_alone(
+        self, tmp_path, monkeypatch, cold_config_memo
+    ):
+        small = [_write(tmp_path / f"s{i}.json", _dense_doc(4, 40 + i)) for i in range(2)]
+        big = _write(tmp_path / "big.json", _dense_doc(16, 42))
+        kept = [load_config(path) for path in small]
+        monkeypatch.setattr(specs, "CONFIG_MEMO_BYTES", 2 * _stored_bytes(kept[0]))
+        large = load_config(big)
+        assert _stored_bytes(large) > specs.CONFIG_MEMO_BYTES
+        assert load_config(big) is large
+        # It evicted both small configs, and the next miss evicts it before
+        # the new text is parsed, so the two models are never held at once.
+        large_model = weakref.ref(large.model)
+        del large
+        alive_at_parse = []
+        parse = specs.parse_config
+
+        def parse_config(*args, **kwargs):
+            gc.collect()
+            alive_at_parse.append(large_model() is not None)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(specs, "parse_config", parse_config)
+        fresh = load_config(small[0])
+        assert alive_at_parse == [False]
+        assert fresh is not kept[0]
+        assert load_config(small[0]) is fresh
+        load_config(big)
+        assert len(alive_at_parse) == 2  # read back, it is parsed anew
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -112,24 +222,30 @@ class TestConfigMemo:
             (json.dumps({**_dense_doc(4, 4), "sigma_v": {
                 "kind": "diagonal", "values": [1.0, 1.0, 1.0, -1.0]}}),
              "sigma_v has an eigenvalue below the PSD floor"),
+            (b"\xff{}", "cannot read configuration"),
         ],
-        ids=["undecodable", "unchecked", "not-a-covariance"],
+        ids=["undecodable", "unchecked", "not-a-covariance", "not-utf-8"],
     )
     def test_a_failing_document_is_not_kept(
         self, tmp_path, cold_config_memo, text, message
     ):
+        other = load_config(_write(tmp_path / "other.json", _dense_doc(4, 6)))
         path = _write(tmp_path / "config.json", _dense_doc(4, 5))
         good = load_config(path)
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         errors = []
         for _ in range(2):
             with pytest.raises(SpecError) as caught:
                 load_config(path)
             errors.append(str(caught.value))
         assert errors[0] == errors[1] and message in errors[0]
-        # The miss dropped the config kept before it.
+        # The configs kept before the failing document stay kept.
         _write(path, _dense_doc(4, 5))
-        assert load_config(path) is not good
+        assert load_config(path) is good
+        assert load_config(tmp_path / "other.json") is other
 
     def test_flags_do_not_change_the_kept_config(self, tmp_path, cold_config_memo):
         path = _write(tmp_path / "config.json", {**_dense_doc(6, 6), "seed": 3})
@@ -140,15 +256,20 @@ class TestConfigMemo:
         assert json.loads((out / "simulate_summary.json").read_text())["seed"] == 9
         assert load_config(path) is kept and kept.seed == 3
 
-    def test_retained_memory_is_one_config(self, tmp_path, cold_config_memo):
-        # The config kept holds its model's arrays: A, sigma_u, the
-        # pseudoinverse, its range projector and the SVD factors U and Vt,
-        # 6 dim^2 floats, with a diagonal sigma_v and a few vectors and
-        # objects allowed 16 KiB.  Never the text, which is larger than
-        # that allowance, and loading more configs retains no more.
+    def test_retained_memory_is_bounded_by_the_budget(self, tmp_path, cold_config_memo):
+        # A kept dense config with a diagonal sigma_v stores 2 dim^2 floats of
+        # operators, and its model holds 6 dim^2: A, sigma_u, the
+        # pseudoinverse, its range projector and the SVD factors U and Vt.
+        # Loading more configs than fit retains the models the budget keeps,
+        # three times the budget at most, with 16 KiB per model for vectors
+        # and objects; never the text, which is larger than that allowance.
         dim = 64
-        paths = [_write(tmp_path / f"c{i}.json", _dense_doc(dim, 10 + i)) for i in range(3)]
-        text_bytes = len(paths[0].read_text())
+        stored = 2 * dim**2 * 8 + dim * 8
+        fit = specs.CONFIG_MEMO_BYTES // stored
+        paths = [
+            _write(tmp_path / f"c{i}.json", _dense_doc(dim, 100 + i)) for i in range(fit + 3)
+        ]
+        text_bytes = len(paths[0].read_bytes())
         gc.collect()
         tracemalloc.start()
         try:
@@ -160,5 +281,86 @@ class TestConfigMemo:
         finally:
             tracemalloc.stop()
         allowance = 16384
-        assert retained <= 6 * dim**2 * 8 + allowance
+        assert retained <= fit * (6 * dim**2 * 8 + allowance)
+        assert retained <= 3 * specs.CONFIG_MEMO_BYTES + fit * allowance
         assert allowance < text_bytes
+
+
+class TestSmootherMemo:
+    def test_a_model_has_one_smoother(self, tmp_path, cold_config_memo):
+        model = load_config(_write(tmp_path / "c.json", _commuting_doc(6, 50))).model
+        bhat = optimal_b(model)
+        assert optimal_b(model) is bhat
+        assert not bhat.stored.flags.writeable
+
+    def test_requests_on_a_kept_config_repeat_no_work(
+        self, tmp_path, calls, composes, cold_config_memo
+    ):
+        dim = 16
+        path = _write(tmp_path / "c.json", _commuting_doc(dim, 51))
+        (tmp_path / "x.csv").write_text(
+            "".join(f"{v!r}\n" for v in np.random.default_rng(52).standard_normal(dim).tolist())
+        )
+        argv = ["--config", str(path), "--input", str(tmp_path / "x.csv")]
+        outs = []
+        for run in range(2):
+            for command in ("optimal-b", "filter"):
+                out = tmp_path / f"{command}-{run}"
+                args = argv[:2] if command == "optimal-b" else argv
+                assert main([command, *args, "--out", str(out)]) == 0
+                outs.append(out)
+            if run == 0:
+                assert calls["eigvalsh"] and composes
+                for count in calls:
+                    calls[count] = 0
+                composes.clear()
+        # The second pass reuses the smoother and its positivity verdict.
+        assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}
+        assert composes == []
+        for first, second in zip(outs[:2], outs[2:]):
+            for name in sorted(p.name for p in first.iterdir()):
+                assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_a_replaced_model_gets_its_own_smoother(self, tmp_path, cold_config_memo):
+        dim = 8
+        model = load_config(_write(tmp_path / "c.json", _commuting_doc(dim, 53))).model
+        bhat = optimal_b(model)
+        # As ``scale`` does: the model with its rescaled covariances.
+        su, sv = scales.rescaled_covariances(model, 1)
+        scaled = optimal_b(replace(model, sigma_u=su, sigma_v=sv))
+        assert scaled is not bhat
+        assert not np.array_equal(scaled.stored, bhat.stored)
+        # As ``filter --estimate-y0`` does: the model with a new y0.
+        x = CoeffVector(np.random.default_rng(54).standard_normal(dim))
+        y0 = apply(model.pinv_bundle.projector_complement, x)
+        estimated = optimal_b(model.with_y0(y0, x.norm()))
+        assert estimated is not bhat
+        np.testing.assert_array_equal(estimated.stored, bhat.stored)
+        assert optimal_b(model) is bhat
+
+    def test_a_failing_model_is_not_kept(self, tmp_path, cold_config_memo, calls):
+        # sigma_v vanishes on the range of A: the smoother is refused, and
+        # refused again by the same work, as nothing was kept.
+        doc = _commuting_doc(4, 55)
+        doc["sigma_v"] = {"kind": "dense", "rows": np.zeros((4, 4)).tolist()}
+        model = load_config(_write(tmp_path / "c.json", doc)).model
+        counts = []
+        for _ in range(2):
+            before = dict(calls)
+            with pytest.raises(smoothing.SingularCovarianceError):
+                optimal_b(model)
+            counts.append({k: calls[k] - before[k] for k in calls})
+        assert counts[0] == counts[1] and counts[0]["eigh"] == 1
+
+    def test_a_smoother_goes_with_its_model(self):
+        model = gaussian.GaussianModel.build(
+            dense_operator(np.eye(3) * 2.0),
+            dense_operator(np.eye(3)),
+            dense_operator(np.eye(3)),
+        )
+        bhat = optimal_b(model)
+        assert optimal_b(model) is bhat
+        kept = len(smoothing._SMOOTHERS)
+        del model
+        gc.collect()
+        assert len(smoothing._SMOOTHERS) == kept - 1

@@ -240,6 +240,21 @@ class TestPinv:
         for value in moore_penrose_residuals(op, bundle).values():
             assert value < tau
 
+    def test_residuals_whose_squares_overflow(self):
+        # The reconstruction residual of this operator, about 1e285, is
+        # representable though its square is not; each residual is the
+        # Frobenius norm of np.linalg.norm wherever that is finite.
+        op = dense_operator([[1e300, 2e300], [3e300, 4e300]])
+        bundle = pinv(op)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residuals = moore_penrose_residuals(op, bundle)
+        assert all(np.isfinite(value) for value in residuals.values())
+        assert 1e284 < residuals["reconstruct"] < 1e287
+        mat, inv = op.as_matrix(), bundle.pinv.as_matrix()
+        ai = mat @ inv
+        assert residuals["range_symmetry"] == float(np.linalg.norm(ai.T - ai))
+
     def test_all_zero_operator(self):
         bundle = pinv(zero(4))
         assert bundle.numerical_rank == 0

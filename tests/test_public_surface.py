@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "conditional_mean",
     "dense_operator",
     "diagonal_operator",
-    "gap",
     "hs_diagnostics",
     "kernel_operator",
     "optimal_b",

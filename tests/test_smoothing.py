@@ -9,13 +9,12 @@ from ophp import (
     SingularCovarianceError,
     dense_operator,
     diagonal_operator,
-    gap,
     optimal_b,
     positivity_check,
 )
 from ophp.operators import rounding_bound, scalar_multiple
 
-from oracles import identity, laplacian_model, ramp_model, zero
+from oracles import gap, identity, laplacian_model, ramp_model, zero
 
 
 class TestOptimalB:
