@@ -15,6 +15,7 @@ import functools
 import json
 import shutil
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from .operators import (
     BasisMismatchError,
     CoeffVector,
     DimensionMismatchError,
+    OperatorRep,
     apply,
     check_sine_resolution,
     euclidean_norm,
@@ -91,14 +93,27 @@ GRID_BOUND_TOL = 1e-9
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
+# Text of the operators written, per indent, keyed on the operator.  Operators
+# are immutable and hash by identity, and an entry goes when its operator is
+# collected: a kept smoother's text lives as long as the smoother.
+_OPERATOR_TEXTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _json_text(obj, pad: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for ``obj`` at indent ``pad``.
 
     ``json`` runs its pure-Python encoder whenever ``indent`` is set.  Here
     every container whose items are all plain scalars goes to the C encoder
     in one call, with the indented item separator; only the nesting above
-    them is walked in Python.
+    them is walked in Python.  An :class:`OperatorRep` is written as its
+    ``operator_to_json`` document, rendered once per operator and indent and
+    kept while the operator lives.
     """
+    if isinstance(obj, OperatorRep):
+        texts = _OPERATOR_TEXTS.setdefault(obj, {})
+        if pad not in texts:
+            texts[pad] = _json_text(operator_to_json(obj), pad)
+        return texts[pad]
     if isinstance(obj, dict):
         items, brackets = obj.values(), "{}"
     elif isinstance(obj, (list, tuple)):
@@ -292,7 +307,7 @@ def cmd_filter(args) -> int:
     trend_values = synthesize_series(trend, grid, basis_vals)
     residual_values = samples - trend_values
     summary = {
-        "bhat": operator_to_json(bhat),
+        "bhat": bhat,
         "filter_multipliers": (
             filter_multipliers(model.a, bhat).tolist()
             if model.is_diagonal
@@ -321,7 +336,7 @@ def cmd_optimal_b(args) -> int:
     write_json(
         _out_dir(args, cfg) / "bhat.json",
         {
-            "bhat": operator_to_json(bhat),
+            "bhat": bhat,
             "numerical_rank": model.pinv_bundle.numerical_rank,
             "sv_threshold": model.pinv_bundle.sv_threshold,
             "seed": cfg.seed,

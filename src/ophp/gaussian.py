@@ -29,6 +29,7 @@ from .operators import (
     apply,
     apply_rows,
     compose,
+    euclidean_norm,
     operator_power,
     pinv,
     psd_inverse,
@@ -153,7 +154,12 @@ class GaussianModel:
 def _check_y0(a: OperatorRep, bundle: PinvBundle, y0: CoeffVector, scale=None) -> None:
     if y0.basis_id != a.domain_basis or y0.dim != a.dim_in:
         raise DimensionMismatchError("y0 must live in the operator domain")
-    pi_y0 = apply(bundle.projector_pi, y0).norm()
+    # |pi y0| without forming pi: the norm of y0's coordinates on the range
+    # of A*, the leading rows of Vt or the retained components.
+    if bundle.svd is None:
+        pi_y0 = euclidean_norm(y0.coeffs[bundle.retained])
+    else:
+        pi_y0 = euclidean_norm(bundle.svd[2][: bundle.numerical_rank] @ y0.coeffs)
     bound = rounding_bound(y0.norm() if scale is None else scale, bundle.cond)
     if pi_y0 > bound:
         raise ModelError(

@@ -488,11 +488,13 @@ class PinvBundle:
     """Generalized inverse with its projector algebra.
 
     ``projector_pi`` is the orthogonal projector pinv(A) A onto the
-    orthogonal complement of the null space of A (acting on the domain);
+    orthogonal complement of the null space of A (acting on the domain),
+    ``V_r V_r*`` from the leading rows of Vt when A is dense;
     ``projector_complement`` is its complement; ``range_projector`` is
     A pinv(A) on the codomain, spanned by the orthonormal columns of
-    ``range_basis`` (a view of U when A is dense); the two projectors are
-    formed on first use and kept.  ``retained`` indexes the components
+    ``range_basis`` (a view of U when A is dense).  The three projectors
+    are formed on first use and kept, so a model that never asks for one
+    holds no dim x dim projector.  ``retained`` indexes the components
     kept: the nonzero multipliers of a diagonal operator, or the leading
     ``numerical_rank`` singular triplets of a dense one, whose singular
     values ``singular_values`` holds in that order (``cond`` is
@@ -506,8 +508,17 @@ class PinvBundle:
     sv_threshold: float
     retained: np.ndarray
     singular_values: np.ndarray
-    projector_pi: OperatorRep
     svd: tuple | None = None
+
+    @cached_property
+    def projector_pi(self) -> OperatorRep:
+        basis = self.pinv.codomain_basis
+        if self.svd is None:
+            keep = np.zeros(self.pinv.dim_out)
+            keep[self.retained] = 1.0
+            return diagonal_operator(keep, basis)
+        vt = self.svd[2][: self.numerical_rank]
+        return dense_operator(vt.T @ vt, basis)
 
     @cached_property
     def projector_complement(self) -> OperatorRep:
@@ -558,7 +569,6 @@ def pinv(a: OperatorRep) -> PinvBundle:
             sv_threshold=threshold,
             retained=np.nonzero(keep)[0],
             singular_values=np.abs(mult[keep]),
-            projector_pi=diagonal_operator(keep.astype(float), a.domain_basis),
         )
 
     u, s, vt = factors = a._svd
@@ -567,17 +577,14 @@ def pinv(a: OperatorRep) -> PinvBundle:
     rank = int(np.count_nonzero(s > threshold))
     if rank:
         inv_mat = vt[:rank].T @ (u[:, :rank] / s[:rank]).T
-        pi_mat = vt[:rank].T @ vt[:rank]
     else:
         inv_mat = np.zeros((a.dim_in, a.dim_out))
-        pi_mat = np.zeros((a.dim_in, a.dim_in))
     return PinvBundle(
         pinv=dense_operator(inv_mat, a.codomain_basis, a.domain_basis),
         numerical_rank=rank,
         sv_threshold=threshold,
         retained=np.arange(rank),
         singular_values=s[:rank],
-        projector_pi=dense_operator(pi_mat, a.domain_basis),
         svd=factors,
     )
 

@@ -3,9 +3,10 @@
 Under the Gaussian model the smoothing operator that brings the filtered
 trend closest to the conditional mean of the signal is
 ``pinv(A)* sigma_u A* sigma_v^{-1}``, with the noise covariance inverted on
-the range of ``A``.  :func:`optimal_b` assembles it once per model, also for
-rescaled covariances (:func:`~ophp.scales.scaled_optimal_b`); the filter's
-distance to the conditional mean vanishes on the range of ``A``
+the range of ``A``.  :func:`optimal_b` assembles it once per operator and
+covariances, also for rescaled covariances
+(:func:`~ophp.scales.scaled_optimal_b`); the filter's distance to the
+conditional mean vanishes on the range of ``A``
 (:func:`~ophp.validate.gap_check` checks it).
 """
 
@@ -29,8 +30,10 @@ class SingularCovarianceError(ValueError):
     """sigma_v is not invertible on the range of the operator."""
 
 
-# Smoothers of the models asked for, keyed on the model.  Models are immutable
-# and hash by identity, and an entry goes when its model is collected.
+# Smoothers asked for, keyed on A, then sigma_u, then sigma_v: the operators
+# a smoother is computed from, not the model, whose y0 it does not read.
+# Operators are immutable and hash by identity, and an entry goes when one of
+# its three operators is collected.
 _SMOOTHERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -39,16 +42,19 @@ def optimal_b(model: GaussianModel) -> OperatorRep:
 
     One composition, associated from the left, for every storage kind: a
     diagonal model gives a diagonal smoother, equal to its dense twin's.  It
-    is assembled once per model object and the same read-only operator is
-    returned while the model is alive, so ``solve_filter`` reuses its
-    positivity verdict too; a model made with ``replace`` (other covariances,
-    or ``with_y0``) is a new object and gets its own.  Raises
+    is assembled once per ``(A, sigma_u, sigma_v)`` object triple and the
+    same read-only operator is returned while the three are alive, so
+    ``solve_filter`` reuses its positivity verdict and the CLI its written
+    text too.  A ``with_y0`` model shares its model's smoother; a model made
+    with ``replace`` and other covariances gets its own.  Raises
     :class:`SingularCovarianceError` naming the offending spectral
     components when ``sigma_v`` is singular on the range of the operator,
     and :class:`~ophp.gaussian.ModelError` when the smoother of finite
     inputs overflows the float range; a model that fails is not kept.
     """
-    bhat = _SMOOTHERS.get(model)
+    by_sigma_u = _SMOOTHERS.setdefault(model.a, weakref.WeakKeyDictionary())
+    by_sigma_v = by_sigma_u.setdefault(model.sigma_u, weakref.WeakKeyDictionary())
+    bhat = by_sigma_v.get(model.sigma_v)
     if bhat is not None:
         return bhat
     sv_plus = _sigma_v_plus(model)
@@ -60,7 +66,7 @@ def optimal_b(model: GaussianModel) -> OperatorRep:
             "the optimal smoother pinv(A)* sigma_u A* sigma_v^-1 is not finite: "
             "it overflows the float range"
         )
-    _SMOOTHERS[model] = bhat
+    by_sigma_v[model.sigma_v] = bhat
     return bhat
 
 

@@ -1,15 +1,17 @@
 """Test-wide settings: property tests draw the same examples on every run,
 from the profile ``HYPOTHESIS_PROFILE`` names: ``ophp`` (the default) or
 ``ophp-deep``, which draws twenty times as many.  Fixtures count numpy's
-factorizations and give a test an empty kernel-operator or config memo."""
+factorizations and give a test an empty kernel-operator memo, or empty config
+and operator-text memos."""
 
 import os
+import weakref
 from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from ophp import operators, specs
+from ophp import cli, operators, specs
 
 try:
     from hypothesis import settings
@@ -33,12 +35,14 @@ def cold_kernel_memo(monkeypatch):
 
 @pytest.fixture
 def cold_config_memo(monkeypatch):
-    """An empty config memo for the test, and a call that empties it again;
-    the process's memo comes back after it.  A request after the call parses
-    its config and builds its model anew, and so assembles a new smoother."""
+    """Empty config and operator-text memos for the test, and a call that
+    empties both again; the process's memos come back after it.  A request
+    after the call parses its config and builds its model anew, and so
+    assembles a new smoother and renders its text anew."""
 
     def forget():
         monkeypatch.setattr(specs, "_CONFIGS", OrderedDict())
+        monkeypatch.setattr(cli, "_OPERATOR_TEXTS", weakref.WeakKeyDictionary())
 
     forget()
     return forget

@@ -6,8 +6,10 @@ file's directory and the digest of its bytes, as many as fit in
 first, and the newest always stays.  The same text in the same directory is
 the same immutable ``RunConfig``, with the factorizations its model already
 holds, and anything else is read, checked and built anew.
-``smoothing.optimal_b`` returns one smoother per model object, so requests on
-a kept config also share the smoother's positivity verdict.
+``smoothing.optimal_b`` returns one smoother per ``(A, sigma_u, sigma_v)``,
+so requests on a kept config also share the smoother's positivity verdict,
+and ``cli._json_text`` renders each operator it writes once, so they share
+its text too.  A model's pinv bundle forms its projectors on first use.
 """
 
 import gc
@@ -19,11 +21,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ophp import gaussian, operators, scales, smoothing, specs, validate
+from ophp import cli, gaussian, operators, scales, smoothing, specs, validate
 from ophp.cli import main
-from ophp.operators import CoeffVector, apply, dense_operator
+from ophp.operators import CoeffVector, apply, dense_operator, diagonal_operator
 from ophp.smoothing import optimal_b
-from ophp.specs import SpecError, load_config
+from ophp.specs import SpecError, load_config, operator_to_json
 
 
 def _dense_doc(dim, seed, **extra):
@@ -258,8 +260,9 @@ class TestConfigMemo:
 
     def test_retained_memory_is_bounded_by_the_budget(self, tmp_path, cold_config_memo):
         # A kept dense config with a diagonal sigma_v stores 2 dim^2 floats of
-        # operators, and its model holds 6 dim^2: A, sigma_u, the
-        # pseudoinverse, its range projector and the SVD factors U and Vt.
+        # operators, and its model holds 5 dim^2: A, sigma_u, the
+        # pseudoinverse and the SVD factors U and Vt.  Loading forms no
+        # projector.
         # Loading more configs than fit retains the models the budget keeps,
         # three times the budget at most, with 16 KiB per model for vectors
         # and objects; never the text, which is larger than that allowance.
@@ -281,7 +284,7 @@ class TestConfigMemo:
         finally:
             tracemalloc.stop()
         allowance = 16384
-        assert retained <= fit * (6 * dim**2 * 8 + allowance)
+        assert retained <= fit * (5 * dim**2 * 8 + allowance)
         assert retained <= 3 * specs.CONFIG_MEMO_BYTES + fit * allowance
         assert allowance < text_bytes
 
@@ -330,12 +333,12 @@ class TestSmootherMemo:
         scaled = optimal_b(replace(model, sigma_u=su, sigma_v=sv))
         assert scaled is not bhat
         assert not np.array_equal(scaled.stored, bhat.stored)
-        # As ``filter --estimate-y0`` does: the model with a new y0.
+        # As ``filter --estimate-y0`` does: the model with a new y0, which
+        # the smoother does not read, so it shares the model's.
         x = CoeffVector(np.random.default_rng(54).standard_normal(dim))
         y0 = apply(model.pinv_bundle.projector_complement, x)
         estimated = optimal_b(model.with_y0(y0, x.norm()))
-        assert estimated is not bhat
-        np.testing.assert_array_equal(estimated.stored, bhat.stored)
+        assert estimated is bhat
         assert optimal_b(model) is bhat
 
     def test_a_failing_model_is_not_kept(self, tmp_path, cold_config_memo, calls):
@@ -364,3 +367,187 @@ class TestSmootherMemo:
         del model
         gc.collect()
         assert len(smoothing._SMOOTHERS) == kept - 1
+
+
+def _series(path, dim, seed):
+    values = np.random.default_rng(seed).standard_normal(dim).tolist()
+    path.write_text("".join(f"{v!r}\n" for v in values))
+    return path
+
+
+def _diagonal_doc(dim):
+    return {
+        "operator": {"kind": "diagonal", "multipliers": list(map(float, range(dim)))},
+        "sigma_u": {"kind": "diagonal", "values": np.linspace(0.5, 2.0, dim).tolist()},
+        "sigma_v": {"kind": "diagonal", "values": np.linspace(1.5, 0.25, dim).tolist()},
+        "truncation_dim": dim,
+    }
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Operators the CLI renders as ``operator_to_json`` documents."""
+    rendered = []
+
+    def to_json(op):
+        rendered.append(op)
+        return operator_to_json(op)
+
+    monkeypatch.setattr(cli, "operator_to_json", to_json)
+    return rendered
+
+
+class TestTextMemo:
+    def test_a_kept_smoother_is_rendered_once(
+        self, tmp_path, renders, cold_config_memo
+    ):
+        dim = 16
+        path = _write(tmp_path / "c.json", _commuting_doc(dim, 60))
+        series = _series(tmp_path / "x.csv", dim, 61)
+        requests = [
+            ["optimal-b", "--config", str(path)],
+            ["filter", "--config", str(path), "--input", str(series)],
+        ]
+        outs = []
+        for run in ("first", "kept", "cold"):
+            if run == "cold":
+                # Both documents hold B-hat at one indent: one text for the
+                # kept smoother, and one more for a smoother built anew.
+                assert len(renders) == 1
+                cold_config_memo()
+            for argv in requests:
+                out = tmp_path / f"{argv[0]}-{run}"
+                assert main([*argv, "--out", str(out)]) == 0
+                outs.append(out)
+        assert len(renders) == 2 and renders[0] is not renders[1]
+        for first, second in zip(outs[:2] * 2, outs[2:]):
+            for name in sorted(p.name for p in first.iterdir()):
+                assert (first / name).read_bytes() == (second / name).read_bytes()
+        # The text is json.dumps's for the smoother's operator_to_json document.
+        bhat = optimal_b(load_config(path).model)
+        doc = json.loads((outs[-2] / "bhat.json").read_text())
+        doc["bhat"] = operator_to_json(bhat)
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert (outs[-2] / "bhat.json").read_text() == expected
+
+    def test_a_diagonal_smoother_writes_the_bytes_of_its_document(
+        self, tmp_path, cold_config_memo
+    ):
+        dim = 6
+        path = _write(tmp_path / "c.json", _diagonal_doc(dim))
+        series = _series(tmp_path / "x.csv", dim, 62)
+        out = tmp_path / "out"
+        assert main(["optimal-b", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["filter", "--config", str(path), "--input", str(series),
+                     "--out", str(out)]) == 0
+        bhat = optimal_b(load_config(path).model)
+        assert bhat.is_diagonal
+        for name in ("bhat.json", "filter_summary.json"):
+            doc = json.loads((out / name).read_text())
+            assert doc["bhat"]["kind"] == "diagonal"
+            doc["bhat"] = operator_to_json(bhat)
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            assert (out / name).read_text() == text
+
+    def test_an_operator_has_one_text_per_indent(self, renders, cold_config_memo):
+        op = dense_operator(np.arange(6.0).reshape(2, 3) / 7.0)
+        plain = operator_to_json(op)
+        cases = (({"b": op}, {"b": plain}), ({"a": [op]}, {"a": [plain]}))
+        for _ in range(2):
+            for doc, plain_doc in cases:
+                text = json.dumps(plain_doc, indent=2, sort_keys=True)
+                assert cli._json_text(doc) == text
+        assert renders == [op, op]
+        assert sorted(cli._OPERATOR_TEXTS[op]) == ["  ", "    "]
+
+    def test_a_text_goes_with_its_operator(self):
+        op = dense_operator(np.eye(3) * 2.0)
+        cli._json_text({"bhat": op})
+        assert op in cli._OPERATOR_TEXTS
+        kept = len(cli._OPERATOR_TEXTS)
+        del op
+        gc.collect()
+        assert len(cli._OPERATOR_TEXTS) == kept - 1
+
+    def test_an_estimated_y0_request_repeats_no_work(
+        self, tmp_path, calls, composes, cold_config_memo
+    ):
+        dim = 16
+        path = _write(tmp_path / "c.json", _commuting_doc(dim, 63))
+        series = _series(tmp_path / "x.csv", dim, 64)
+        argv = ["filter", "--config", str(path), "--input", str(series),
+                "--estimate-y0"]
+        outs = []
+        for run in range(2):
+            outs.append(tmp_path / f"out-{run}")
+            assert main([*argv, "--out", str(outs[-1])]) == 0
+            if run == 0:
+                assert calls["eigvalsh"] and composes
+                for count in calls:
+                    calls[count] = 0
+                composes.clear()
+        # The with_y0 model shares the kept model's smoother and its verdict.
+        assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}
+        assert composes == []
+        for name in ("filter_summary.json", "residual.csv", "trend.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def _rank_deficient(kind):
+    """A rank-2 operator on R^4 with a null vector, as ``kind`` storage."""
+    if kind == "diagonal":
+        return diagonal_operator([3.0, 0.0, 0.5, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])
+    rng = np.random.default_rng(70)
+    left = rng.standard_normal((4, 2))
+    right = rng.standard_normal((2, 4))
+    mat = left @ right
+    null = np.linalg.svd(mat)[2][-1]
+    return dense_operator(mat), null
+
+
+def _model(kind, y0=None):
+    a, _ = _rank_deficient(kind)
+    if kind == "diagonal":
+        make = diagonal_operator
+    else:
+        def make(values):
+            return dense_operator(np.diag(values))
+    return gaussian.GaussianModel.build(
+        a, make([1.0, 2.0, 0.5, 1.5]), make([0.5, 1.0, 2.0, 1.0]), y0
+    )
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+class TestLazyProjector:
+    def test_build_forms_no_projector(self, kind):
+        bundle = _model(kind).pinv_bundle
+        for name in ("projector_pi", "projector_complement", "range_projector"):
+            assert name not in bundle.__dict__
+
+    def test_the_projector_is_formed_once_from_the_factors(self, kind):
+        a, _ = _rank_deficient(kind)
+        bundle = operators.pinv(a)
+        pi = bundle.projector_pi
+        assert bundle.projector_pi is pi and not pi.stored.flags.writeable
+        if kind == "diagonal":
+            keep = np.abs(a.stored) > bundle.sv_threshold
+            expected = keep.astype(float)
+        else:
+            vt = np.linalg.svd(a.stored, full_matrices=True)[2][: bundle.numerical_rank]
+            expected = vt.T @ vt
+        assert bundle.numerical_rank == 2
+        assert pi.stored.tobytes() == expected.tobytes()
+
+    def test_y0_with_range_mass_is_refused(self, kind):
+        null = _rank_deficient(kind)[1]
+        model = _model(kind, CoeffVector(null))
+        assert "projector_pi" not in model.pinv_bundle.__dict__
+        # A millionth of a unit vector in the range of A*.
+        bundle = model.pinv_bundle
+        range_vector = np.eye(4)[0] if bundle.svd is None else bundle.svd[2][0]
+        off = CoeffVector(null + 1e-6 * range_vector)
+        with pytest.raises(gaussian.ModelError, match="null space"):
+            _model(kind, off)
+        with pytest.raises(gaussian.ModelError, match="null space"):
+            model.with_y0(off)
+        assert model.with_y0(CoeffVector(2.0 * null)).y0.norm() > 0.0
