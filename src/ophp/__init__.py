@@ -24,7 +24,6 @@ from .gaussian import (
     ModelError,
     RankDeficiencyWarning,
     conditional_mean,
-    hs_diagnostics,
     qv,
 )
 from .operators import (

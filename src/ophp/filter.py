@@ -1,22 +1,21 @@
 """Trend extraction by operator-penalized least squares.
 
-The filter balances fidelity to the observations against a quadratic
-roughness penalty: it minimizes ``|x - y|^2 + <A y, B A y>`` over trend
-candidates ``y``, where the smoothing operator ``B`` must keep the penalty
-nonnegative.  The minimizer solves the linear system ``(I + A* B A) y = x``,
-computed in closed form for diagonal data and by a direct dense
-factorization otherwise.  The nonnegativity requirement is certified
-spectrally from the same ``A* B A`` the dense solve uses.  ``solve_filter``
-computes that verdict once per ``(A, B)`` pair and reuses it while both
-operators are alive; ``A* B A`` and the solve still run on every call.
-``optimal_b`` returns one smoother per model, so the requests on a config
-that ``specs.load_config`` keeps share one verdict.
+The filter minimizes ``|x - y|^2 + <A y, B A y>`` over trend candidates
+``y``, where the smoothing operator ``B`` must keep the penalty nonnegative;
+the minimizer solves ``(I + A* B A) y = x``.  In the singular frame of ``A``
+(:class:`~ophp.operators.SingularFrame`) the penalty is ``V_r M V_r*`` with
+the ``r x r`` core ``M = S (U_r* B U_r) S``, so the trend is ``x`` on the
+null space of ``A`` and ``(I + M)^-1 V_r* x`` in the frame (Woodbury; Hager
+1989).  Nonnegativity is certified from the least eigenvalue of the
+symmetric part of the same ``M``, once per ``(A, B)`` pair while both
+operators are alive; ``optimal_b`` returns one smoother per model, so the
+requests on a config that ``specs.load_config`` keeps share one verdict.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,10 +23,12 @@ from .operators import (
     CoeffVector,
     DimensionMismatchError,
     OperatorRep,
+    SingularFrame,
     above_psd_floor,
-    dense_operator,
-    rounding_bound,
-    symmetric_eig,
+    core_eig,
+    nonnegative_diagonal,
+    shifted_solve,
+    singular_frame,
 )
 
 
@@ -85,56 +86,39 @@ class PositivityReport:
         return f"PositivityReport({status}, method={self.method}, min={self.min_value:.3e})"
 
 
-def _trend_matrix(a: OperatorRep, b: OperatorRep) -> np.ndarray:
-    """Dense ``A* B A``, associated as ``(A* B) A``.  Entries that overflow
-    stay non-finite without a warning; the positivity verdict refuses them."""
-    amat = a.as_matrix()
-    with np.errstate(over="ignore", invalid="ignore"):
-        return amat.T @ b.as_matrix() @ amat
-
-
 def positivity_check(a: OperatorRep, b: OperatorRep) -> PositivityReport:
     """Certify or falsify nonnegativity of the penalty quadratic form.
 
     A diagonal ``b`` with nonnegative multipliers passes analytically.
     Otherwise the verdict is the least eigenvalue of the symmetric part of
-    ``A* B A``, the minimum of ``<A h, B A h>`` over unit vectors ``h``; its
-    eigenvector is computed as the witness only when the check fails.  FAIL
-    is a report outcome, not an exception; an ``A* B A`` that overflows the
-    float range raises :class:`FilterSolveError`.
+    ``M``, the core of ``A* B A`` in the frame, or 0 where ``A`` has a null
+    space: the minimum of ``<A h, B A h>`` over unit vectors ``h``.  Its
+    eigenvector, lifted to the domain, is computed as the witness only when
+    the check fails.  FAIL is a report outcome, not an exception; an ``M``
+    that overflows the float range raises :class:`FilterSolveError`.
     """
-    return _positivity(a, b, None, witness=True)
+    frame = singular_frame(a)
+    return _positivity(frame, b, frame.penalty_core(b), witness=True)
 
 
 def _positivity(
-    a: OperatorRep, b: OperatorRep, quad: np.ndarray | None, witness: bool
+    frame: SingularFrame, b: OperatorRep, penalty: np.ndarray, witness: bool
 ) -> PositivityReport:
-    analytic = b.is_diagonal and np.all(b.stored >= 0.0)
-    if quad is None and not analytic:
-        quad = _trend_matrix(a, b)
-    # The eigensolver and the dense solve both need a finite ``A* B A``.
-    if quad is not None and not np.isfinite(quad).all():
+    if nonnegative_diagonal(b):
+        return PositivityReport(True, "analytic", 0.0, witness=None)
+    if not np.isfinite(penalty).all():
         raise FilterSolveError(
-            "trend system I + A* B A is not finite: it overflows the float range"
+            "trend system is not finite: it overflows the float range"
         )
-    if analytic:
-        return PositivityReport(
-            passed=True, method="analytic", min_value=0.0, witness=None
-        )
-    op = dense_operator(quad)
-    eigvals = symmetric_eig(op, vectors=False)[0]
-    passed = above_psd_floor(eigvals)
-    if passed or not witness:
-        return PositivityReport(
-            passed=passed, method="spectral", min_value=float(eigvals[0]), witness=None
-        )
-    eigvals, eigvecs = symmetric_eig(op)
-    return PositivityReport(
-        passed=False,
-        method="spectral",
-        min_value=float(eigvals[0]),
-        witness=eigvecs[:, 0],
-    )
+    eigvals = core_eig(penalty, vectors=False)[0]
+    null = 0.0 if frame.numerical_rank < frame.operator.dim_in else np.inf
+    least = float(eigvals.min(initial=null))
+    report = PositivityReport(above_psd_floor(eigvals), "spectral", least, None)
+    if report.passed or not witness:
+        return report
+    vector, rank = core_eig(penalty)[1][:, 0], frame.numerical_rank
+    lifted = frame.lift(vector, np.zeros(frame.operator.dim_in), np.zeros(rank))
+    return replace(report, witness=lifted)
 
 
 # Verdicts of ``solve_filter``, keyed on ``b`` and then on ``a``.  Operators
@@ -143,79 +127,46 @@ def _positivity(
 _VERDICTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _certified(
-    a: OperatorRep, b: OperatorRep, quad: np.ndarray | None
-) -> PositivityReport:
-    by_a = _VERDICTS.setdefault(b, weakref.WeakKeyDictionary())
-    report = by_a.get(a)
-    if report is None:
-        report = by_a[a] = _positivity(a, b, quad, witness=False)
-    return report
+def _trend(frame: SingularFrame, penalty: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Trends for every column of ``rhs``: ``(I + M)^-1`` on the frame
+    coordinates, and the null-space part of each column unchanged."""
+    coords = frame.coordinates(rhs)
+    try:
+        w = shifted_solve(penalty, coords)
+    except np.linalg.LinAlgError as exc:
+        raise FilterSolveError(f"trend system {exc}") from None
+    return frame.lift(w, rhs, coords)
 
 
 def filter_multipliers(a: OperatorRep, b: OperatorRep) -> np.ndarray:
-    """Componentwise trend multipliers ``1 / (1 + b_j a_j^2)`` (diagonal only):
-    the limit 0 where the penalty overflows, and 1 wherever ``b_j`` is 0."""
-    if not (a.is_diagonal and b.is_diagonal):
-        raise DimensionMismatchError("filter multipliers require diagonal operators")
-    penalty = np.zeros_like(b.stored)
-    with np.errstate(over="ignore"):
-        np.multiply(b.stored, a.stored**2, out=penalty, where=b.stored != 0.0)
-    return 1.0 / (1.0 + penalty)
-
-
-def _solve_trend(
-    a: OperatorRep, b: OperatorRep, rhs: np.ndarray, quad: np.ndarray | None
-) -> np.ndarray:
-    """Trends for every column of ``rhs``.
-
-    Diagonal ``a`` and ``b`` use the closed form, and ``quad`` is ``None``.
-    Otherwise ``M = I + quad``, with ``quad = A* B A``, is LU-factorized
-    once, and each column's residual ``|M y - x|`` must stay within the
-    rounding bound of ``|M|_F |y| + |x|``, a normwise backward error that LU
-    attains at any ``cond(M)`` (Higham 2002, ch. 7).
-    """
-    if a.is_diagonal and b.is_diagonal:
-        return rhs * filter_multipliers(a, b)[:, None]
-    system = np.eye(a.dim_in) + quad
-    try:
-        y = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise FilterSolveError(
-            f"trend system is singular (cond={np.linalg.cond(system):.3e})"
-        ) from exc
-    residuals = np.linalg.norm(system @ y - rhs, axis=0)
-    bounds = rounding_bound(
-        np.linalg.norm(system) * np.linalg.norm(y, axis=0)
-        + np.linalg.norm(rhs, axis=0)
-    )
-    if np.any(residuals > bounds):
-        raise FilterSolveError(
-            f"trend system residual {float(residuals.max()):.3e} exceeds its "
-            f"rounding bound (cond={np.linalg.cond(system):.3e})"
-        )
-    return y
+    """Componentwise trend multipliers ``1 / (1 + b_j a_j^2)`` of diagonal
+    ``a`` and ``b``, the trend of the all-ones series: 0 where the penalty
+    overflows, 1 where ``b_j`` is 0 and off the retained components."""
+    frame = singular_frame(a)
+    return _trend(frame, frame.penalty_core(b), np.ones((a.dim_in, 1)))[:, 0]
 
 
 def solve_filter(problem: FilterProblem) -> CoeffVector:
     """Unique minimizer of the penalized objective.
 
     Checks that ``b`` keeps the penalty nonnegative, then solves
-    ``(I + A* B A) y = x``: componentwise in closed form when both operators
-    are diagonal, otherwise by dense LU factorization with a backward-error
-    check on the residual.  The positivity verdict is computed once
-    per ``(A, B)`` pair, from the same dense ``A* B A`` the solve uses, and
-    reused while both operators are alive; ``A* B A`` and the solve still
-    run on every call.  A failing verdict raises without a witness, so it
-    costs one symmetric eigenvalue solve.
+    ``(I + M) w = V_r* x`` and returns ``y = x + V_r (w - V_r* x)``: in
+    closed form where ``M`` is 1-d (diagonal ``a`` and ``b``), otherwise by
+    LU with a backward-error check.  The verdict is computed once per
+    ``(A, B)`` pair, from the ``M`` the solve uses; ``M`` and the solve run
+    on every call.  A failing verdict raises without a witness, so it costs
+    one symmetric eigenvalue solve.
     """
     a, b, x = problem.a, problem.b, problem.x
-    quad = None if a.is_diagonal and b.is_diagonal else _trend_matrix(a, b)
-    report = _certified(a, b, quad)
+    frame = singular_frame(a)
+    penalty = frame.penalty_core(b)
+    by_a = _VERDICTS.setdefault(b, weakref.WeakKeyDictionary())
+    report = by_a.get(a)
+    if report is None:
+        report = by_a[a] = _positivity(frame, b, penalty, witness=False)
     if not report.passed:
         raise PositivityError(
             "smoothing operator fails nonnegativity "
             f"(minimum quadratic form {report.min_value:.3e})"
         )
-    y = _solve_trend(a, b, x.coeffs[:, None], quad)
-    return CoeffVector(y[:, 0], x.basis_id)
+    return CoeffVector(_trend(frame, penalty, x.coeffs[:, None])[:, 0], x.basis_id)

@@ -4,8 +4,7 @@ The model is ``x = y + u`` with ``A y = v``, where ``u`` and ``v`` are
 independent zero-mean Gaussians with covariances ``sigma_u`` and ``sigma_v``
 and the deterministic component ``y0`` of the signal lies in the null space
 of ``A``.  This module builds the signal covariance ``Q_v``, the conditional
-mean of the signal given the data, trace and Hilbert-Schmidt diagnostics of
-the covariance algebra, and a reproducible block-wise sampler.
+mean of the signal given the data, and a reproducible block-wise sampler.
 """
 
 from __future__ import annotations
@@ -154,12 +153,8 @@ class GaussianModel:
 def _check_y0(a: OperatorRep, bundle: PinvBundle, y0: CoeffVector, scale=None) -> None:
     if y0.basis_id != a.domain_basis or y0.dim != a.dim_in:
         raise DimensionMismatchError("y0 must live in the operator domain")
-    # |pi y0| without forming pi: the norm of y0's coordinates on the range
-    # of A*, the leading rows of Vt or the retained components.
-    if bundle.svd is None:
-        pi_y0 = euclidean_norm(y0.coeffs[bundle.retained])
-    else:
-        pi_y0 = euclidean_norm(bundle.svd[2][: bundle.numerical_rank] @ y0.coeffs)
+    # |pi y0| without forming pi: the norm of y0's frame coordinates V_r* y0.
+    pi_y0 = euclidean_norm(bundle.coordinates(y0.coeffs))
     bound = rounding_bound(y0.norm() if scale is None else scale, bundle.cond)
     if pi_y0 > bound:
         raise ModelError(
@@ -198,62 +193,6 @@ def regression_slope(model: GaussianModel) -> OperatorRep:
 def conditional_mean(model: GaussianModel, x: CoeffVector) -> CoeffVector:
     """Best predictor ``y0 + Q_v (sigma_u + Q_v)^{-1} (x - y0)`` of the signal."""
     return model.y0 + apply(regression_slope(model), x - model.y0)
-
-
-# ---------------------------------------------------------------------------
-# Trace / Hilbert-Schmidt diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HsReport:
-    """Trace and Hilbert-Schmidt diagnostics at the working truncation.
-
-    The summability fields are verdicts about the untruncated spectral
-    sequences and are populated only when analytic decay exponents are
-    declared; ``None`` means undecidable from the inputs.
-    """
-
-    trace_qv: float
-    trace_sigma_u: float
-    hs_norm: float
-    injective: bool
-    qv_trace_summable: bool | None = None
-    sigma_u_trace_summable: bool | None = None
-    hs_summable: bool | None = None
-
-
-def hs_diagnostics(
-    model: GaussianModel, decay: DecayDeclaration | None = None
-) -> HsReport:
-    """Traces of Q_v and sigma_u plus the Frobenius norm of
-    ``Q_v (sigma_u + Q_v)^{-1/2}``.
-
-    A zero in the spectrum of ``sigma_u + Q_v`` flags non-injectivity; the
-    Hilbert-Schmidt norm is then computed on the positive part.  Both come
-    from the model's one factorization of ``sigma_u + Q_v``: the squared
-    norm is ``tr(S Q_v)`` for the regression slope ``S``.
-    """
-    q = model._q_v
-    slope, full_rank = model._slope
-    hs_squared = float(np.trace(compose(slope, q).as_matrix()))
-
-    qv_sum = su_sum = hs_sum = None
-    if decay is not None:
-        q_decay = decay.sigma_v_decay + decay.kappa_decay
-        qv_sum = q_decay > 1.0
-        su_sum = decay.sigma_u_decay > 1.0
-        t_decay = q_decay - min(decay.sigma_u_decay, q_decay) / 2.0
-        hs_sum = t_decay > 0.5
-    return HsReport(
-        trace_qv=float(np.trace(q.as_matrix())),
-        trace_sigma_u=float(np.trace(model.sigma_u.as_matrix())),
-        hs_norm=float(np.sqrt(max(hs_squared, 0.0))),
-        injective=full_rank,
-        qv_trace_summable=qv_sum,
-        sigma_u_trace_summable=su_sum,
-        hs_summable=hs_sum,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ dense (2-d)
 Range bases and spectra are computed in this module; other modules read
 ``stored`` only for a diagonal closed form, to write an operator out, or to
 check a covariance's entries.  Besides the operator algebra it provides the
-Moore-Penrose inverse with its projector algebra, the symmetric spectral
-primitives the covariance algebra is written in, and the one rounding policy.
+Moore-Penrose inverse on the singular frame of ``A``, in which the smoother
+and the trend system are written, the symmetric spectral primitives the
+covariance algebra is written in, and the one rounding policy.
 """
 
 from __future__ import annotations
@@ -388,11 +389,8 @@ def compose(s: OperatorRep, t: OperatorRep) -> OperatorRep:
         raise DimensionMismatchError(
             f"cannot compose: inner dimensions {t.dim_out} and {s.dim_in} differ"
         )
-    if s.is_diagonal and t.is_diagonal:
-        return diagonal_operator(s.stored * t.stored, t.domain_basis, s.codomain_basis)
-    return dense_operator(
-        s.as_matrix() @ t.as_matrix(), t.domain_basis, s.codomain_basis
-    )
+    product = core_product(s.stored, t.stored)
+    return OperatorRep(product, t.domain_basis, s.codomain_basis)
 
 
 def add(s: OperatorRep, t: OperatorRep) -> OperatorRep:
@@ -422,12 +420,15 @@ def symmetrize(op: OperatorRep) -> OperatorRep:
     """Symmetric part ``(op + op*) / 2`` of a square operator."""
     if op.is_diagonal:
         return op
+    sym = _symmetric_part(op.stored)
+    return dense_operator(sym, op.domain_basis, op.codomain_basis)
+
+
+def _symmetric_part(mat: np.ndarray) -> np.ndarray:
     # Halving before the sum keeps entries near the float limit finite; it
     # is exact above the subnormal range, so other inputs keep the bits of
     # 0.5 * (S + S.T).
-    return dense_operator(
-        0.5 * op.stored + 0.5 * op.stored.T, op.domain_basis, op.codomain_basis
-    )
+    return 0.5 * mat + 0.5 * mat.T
 
 
 def symmetric_eig(
@@ -442,7 +443,20 @@ def symmetric_eig(
     """
     if op.is_diagonal:
         return op.stored, None
-    sym = symmetrize(op).stored
+    return core_eig(op.stored, vectors)
+
+
+def core_eig(
+    core: np.ndarray, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues of the symmetric part of a square array, 1-d for
+    a diagonal one, and the matching orthonormal eigenvector columns, or
+    ``None`` in their place when ``vectors`` is false.  A 1-d array is read
+    off, with no eigensolver."""
+    if core.ndim == 1:
+        order = np.argsort(core)
+        return core[order], np.eye(core.size)[:, order] if vectors else None
+    sym = _symmetric_part(core)
     return np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
 
 
@@ -479,46 +493,128 @@ def operator_power(op: OperatorRep, power: float) -> OperatorRep:
 
 
 # ---------------------------------------------------------------------------
-# Moore-Penrose generalized inverse
+# Moore-Penrose generalized inverse and the singular frame
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
-class PinvBundle:
-    """Generalized inverse with its projector algebra.
-
-    ``projector_pi`` is the orthogonal projector pinv(A) A onto the
-    orthogonal complement of the null space of A (acting on the domain),
-    ``V_r V_r*`` from the leading rows of Vt when A is dense;
-    ``projector_complement`` is its complement; ``range_projector`` is
-    A pinv(A) on the codomain, spanned by the orthonormal columns of
-    ``range_basis`` (a view of U when A is dense).  The three projectors
-    are formed on first use and kept, so a model that never asks for one
-    holds no dim x dim projector.  ``retained`` indexes the components
-    kept: the nonzero multipliers of a diagonal operator, or the leading
-    ``numerical_rank`` singular triplets of a dense one, whose singular
-    values ``singular_values`` holds in that order (``cond`` is
-    ``|A| |A+|`` from them).  ``svd`` holds the dense operator's read-only
-    factors (U, s, Vt), the ones the operator keeps, so spectral consumers
-    can reuse them.
+class SingularFrame:
+    """The frame ``A = U_r S V_r*`` of ``operator`` on the ``r`` components
+    ``retained``: the nonzero multipliers of a diagonal operator, or the
+    leading ``numerical_rank`` singular triplets of a dense one, whose
+    ``singular_values`` are in that order (``cond`` is ``|A| |A+|``).  A
+    dense operator's ``U_r`` and ``V_r`` are leading columns of the factors
+    ``svd`` (U, s, Vt) it keeps, read-only; a diagonal one has no ``svd``,
+    its ``U_r`` and ``V_r`` are identity columns and ``S`` (``scales``) holds
+    its signed multipliers there.  An operator in the frame is
+    an ``r x r`` core, a plain array that is 1-d when the operator and the
+    frame are both diagonal.  The projectors ``projector_pi`` (pinv(A) A,
+    ``V_r V_r*``), its complement and ``range_projector`` (A pinv(A),
+    ``U_r U_r*``) are formed on first use and kept.
     """
 
-    pinv: OperatorRep
+    operator: OperatorRep
     numerical_rank: int
     sv_threshold: float
     retained: np.ndarray
     singular_values: np.ndarray
-    svd: tuple | None = None
+
+    @property
+    def svd(self) -> tuple | None:
+        return None if self.operator.is_diagonal else self.operator._svd
+
+    @property
+    def scales(self) -> np.ndarray:
+        if self.svd is None:
+            return self.operator.stored[self.retained]
+        return self.singular_values
+
+    def _basis(self, factor: int) -> np.ndarray | None:
+        """``U_r`` (``factor`` 0) or ``V_r`` (2) of a dense operator."""
+        if self.svd is None:
+            return None
+        r = self.numerical_rank
+        return self.svd[0][:, :r] if factor == 0 else self.svd[2][:r].T
+
+    def _restrict(self, op: OperatorRep, factor: int) -> np.ndarray:
+        basis = self._basis(factor)
+        if basis is None:
+            return op.stored[np.ix_(*(self.retained,) * op.stored.ndim)]
+        return core_product(basis.T, op.stored, basis)
+
+    def _extend(self, core: np.ndarray, factor: int, basis_id: str) -> OperatorRep:
+        basis = self._basis(factor)
+        if basis is None:
+            stored = np.zeros((self.operator.dim_in,) * core.ndim)
+            stored[np.ix_(*(self.retained,) * core.ndim)] = core
+        else:
+            stored = core_product(basis, core, basis.T)
+        return OperatorRep(stored, basis_id, basis_id)
+
+    def codomain_core(self, op: OperatorRep) -> np.ndarray:
+        """``U_r* op U_r``, for ``op`` on the codomain of A."""
+        return self._restrict(op, 0)
+
+    def domain_core(self, op: OperatorRep) -> np.ndarray:
+        """``V_r* op V_r``, for ``op`` on the domain of A."""
+        return self._restrict(op, 2)
+
+    def extend(self, core: np.ndarray) -> OperatorRep:
+        """``U_r core U_r*``, on the codomain of A and zero off its range."""
+        return self._extend(core, 0, self.operator.codomain_basis)
+
+    def penalty_core(self, b: OperatorRep) -> np.ndarray:
+        """``M = S (U_r* B U_r) S``, so that ``A* B A = V_r M V_r*``.  A 1-d
+        ``M`` is ``b s^2``, and 0 wherever ``b`` is, also where ``s^2``
+        overflows; overflowing entries stay non-finite without a warning."""
+        s, basis = self.scales, self._basis(0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if basis is not None:  # (U_r S)* B (U_r S), scaling n x r once
+                scaled = basis * s
+                return core_product(scaled.T, b.stored, scaled)
+            core = self.codomain_core(b)
+            if core.ndim == 2:
+                return core_product(s, core, s)
+            penalty = np.zeros_like(core)
+            np.multiply(core, s**2, out=penalty, where=core != 0.0)
+        return penalty
+
+    def range_inverse(self, op: OperatorRep) -> tuple[np.ndarray | None, str | None]:
+        """``(U_r* op U_r)^-1`` for a PSD ``op`` on the codomain, or ``None``,
+        and where that core is singular, if it is.  A 1-d core is inverted
+        componentwise, exactly at any dynamic range, so only entries not
+        above the least normal float are singular; they are named.  A 2-d
+        core is singular where :func:`psd_inverse` finds it rank-deficient."""
+        core = self.codomain_core(op)
+        if core.ndim == 1:
+            bad = self.retained[~(core > np.finfo(float).tiny)]
+            if bad.size:
+                return None, f"range components {bad.tolist()}"
+            return 1.0 / core, None
+        if not core.size:
+            return core, None
+        inverse, rank = psd_inverse(dense_operator(core))
+        return inverse.stored, None if rank == core.shape[0] else "the range of A"
+
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
+        """``V_r* x``, for a vector or for each column of ``x``."""
+        basis = self._basis(2)
+        return x[self.retained] if basis is None else basis.T @ x
+
+    def lift(self, w: np.ndarray, x: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """``x + V_r (w - coords)`` for ``coords = V_r* x``: frame coordinates
+        ``w`` and the null-space part of ``x``, which keeps its bits where A
+        is diagonal."""
+        basis = self._basis(2)
+        if basis is not None:
+            return x + basis @ (w - coords)
+        y = x.copy()
+        y[self.retained] = w
+        return y
 
     @cached_property
     def projector_pi(self) -> OperatorRep:
-        basis = self.pinv.codomain_basis
-        if self.svd is None:
-            keep = np.zeros(self.pinv.dim_out)
-            keep[self.retained] = 1.0
-            return diagonal_operator(keep, basis)
-        vt = self.svd[2][: self.numerical_rank]
-        return dense_operator(vt.T @ vt, basis)
+        return self._extend(np.ones(self.numerical_rank), 2, self.operator.domain_basis)
 
     @cached_property
     def projector_complement(self) -> OperatorRep:
@@ -526,88 +622,128 @@ class PinvBundle:
         identity = 1.0 if pi.is_diagonal else np.eye(pi.dim_in)
         return OperatorRep(identity - pi.stored, pi.domain_basis, pi.domain_basis)
 
+    @cached_property
+    def range_projector(self) -> OperatorRep:
+        basis = self.operator.codomain_basis
+        return self._extend(np.ones(self.numerical_rank), 0, basis)
+
     @property
     def cond(self) -> float:
         s = self.singular_values
         return float(s.max(initial=0.0)) * float(1.0 / s.min(initial=np.inf)) or 1.0
 
-    @property
-    def range_basis(self) -> np.ndarray:
-        if self.svd is None:  # a fresh dim_out x rank slice of the identity
-            return np.eye(self.pinv.dim_in)[:, self.retained]
-        return self.svd[0][:, : self.numerical_rank]
 
-    @cached_property
-    def range_projector(self) -> OperatorRep:
-        basis = self.pinv.domain_basis
-        if self.svd is None:
-            return diagonal_operator(self.projector_pi.stored, basis)
-        u = self.range_basis
-        return dense_operator(u @ u.T, basis)
+@dataclass(frozen=True, eq=False)
+class PinvBundle(SingularFrame):
+    """Moore-Penrose generalized inverse ``pinv`` of ``operator``, with its
+    singular frame."""
+
+    pinv: OperatorRep
+
+
+def singular_frame(a: OperatorRep) -> SingularFrame:
+    """Singular frame of ``a``.  Singular values at or below
+    ``eps * max(dim_in, dim_out)`` times the largest one are treated as zero;
+    this cutoff decides the numerical rank of ``a`` for the whole package.
+    The SVD of a dense ``a`` is the one ``a`` keeps, computed once."""
+    rcond = float(np.finfo(float).eps * max(a.dim_in, a.dim_out))
+    if a.is_diagonal:
+        s = np.abs(a.stored)
+        threshold = rcond * float(s.max())
+        kept = np.nonzero(s > threshold)[0]
+        return SingularFrame(a, int(kept.size), threshold, kept, s[kept])
+    s = a._svd[1]
+    threshold = rcond * float(s[0])
+    rank = int(np.count_nonzero(s > threshold))
+    return SingularFrame(a, rank, threshold, np.arange(rank), s[:rank])
 
 
 def pinv(a: OperatorRep) -> PinvBundle:
-    """Moore-Penrose generalized inverse via full SVD with relative cutoff.
-
-    Singular values at or below ``eps * max(dim_in, dim_out)`` times the
-    largest one are treated as zero; this cutoff decides the numerical rank
-    of ``a`` for the whole package.  An all-zero operator is valid input:
-    the result has rank 0 and zero projector.  The SVD of a dense ``a`` is
-    the one ``a`` keeps, so it is computed once per operator object.
-    """
-    rcond = float(np.finfo(float).eps * max(a.dim_in, a.dim_out))
-    if a.is_diagonal:
-        mult = a.stored
-        largest = float(np.abs(mult).max())
-        threshold = rcond * largest
-        keep = np.abs(mult) > threshold
-        inv = np.zeros_like(mult)
-        np.divide(1.0, mult, out=inv, where=keep)
-        return PinvBundle(
-            pinv=diagonal_operator(inv, a.codomain_basis, a.domain_basis),
-            numerical_rank=int(keep.sum()),
-            sv_threshold=threshold,
-            retained=np.nonzero(keep)[0],
-            singular_values=np.abs(mult[keep]),
-        )
-
-    u, s, vt = factors = a._svd
-    largest = float(s[0]) if s.size else 0.0
-    threshold = rcond * largest
-    rank = int(np.count_nonzero(s > threshold))
-    if rank:
-        inv_mat = vt[:rank].T @ (u[:, :rank] / s[:rank]).T
+    """Moore-Penrose generalized inverse on the singular frame of ``a``.  An
+    all-zero operator is valid input: the result has rank 0 and zero
+    projector."""
+    frame = singular_frame(a)
+    r = frame.numerical_rank
+    if frame.svd is None:
+        inv = np.zeros_like(a.stored)
+        inv[frame.retained] = 1.0 / frame.scales
     else:
-        inv_mat = np.zeros((a.dim_in, a.dim_out))
-    return PinvBundle(
-        pinv=dense_operator(inv_mat, a.codomain_basis, a.domain_basis),
-        numerical_rank=rank,
-        sv_threshold=threshold,
-        retained=np.arange(rank),
-        singular_values=s[:rank],
-        svd=factors,
+        u, s, vt = frame.svd
+        inv = vt[:r].T @ (u[:, :r] / s[:r]).T
+    inv = OperatorRep(inv, a.codomain_basis, a.domain_basis)
+    return PinvBundle(**vars(frame), pinv=inv)
+
+
+def core_product(*factors: np.ndarray) -> np.ndarray:
+    """Product of the factors, associated from the left, where a 1-d factor
+    stands for the diagonal matrix it holds; 1-d factors alone give a 1-d
+    product."""
+    out = factors[0]
+    for factor in factors[1:]:
+        if factor.ndim == 1:
+            out = out * factor
+        elif out.ndim == 1:
+            out = out[:, None] * factor
+        else:
+            out = out @ factor
+    return out
+
+
+def shifted_solve(core: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``(I + core)^-1 rhs`` for a square core and each column of ``rhs``.
+
+    A 1-d core takes the closed form ``rhs * (1 / (1 + m))``, whose limit is
+    0 where ``m`` overflowed.  A 2-d core must be finite and is LU-factorized
+    once; each column's residual must stay within the rounding bound of
+    ``|I + core|_F |w| + |rhs|``, a normwise backward error LU attains at
+    any condition number (Higham 2002, ch. 7).  A failure raises
+    :class:`numpy.linalg.LinAlgError`, its message a predicate.
+    """
+    if core.ndim == 1:
+        return rhs * (1.0 / (1.0 + core))[:, None]
+    if not np.isfinite(core).all():
+        raise np.linalg.LinAlgError("is not finite: it overflows the float range")
+    system = np.eye(core.shape[0])
+    system += core
+    try:
+        w = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        cond = np.linalg.cond(system)
+        raise np.linalg.LinAlgError(f"is singular (cond={cond:.3e})") from None
+    residuals = np.linalg.norm(system @ w - rhs, axis=0)
+    bounds = rounding_bound(
+        np.linalg.norm(system) * np.linalg.norm(w, axis=0)
+        + np.linalg.norm(rhs, axis=0)
     )
+    if np.any(residuals > bounds):
+        raise np.linalg.LinAlgError(
+            f"residual {float(residuals.max()):.3e} exceeds its rounding bound "
+            f"(cond={np.linalg.cond(system):.3e})"
+        )
+    return w
+
+
+def nonnegative_diagonal(op: OperatorRep) -> bool:
+    """Whether ``op`` is diagonal with no negative multiplier: nonnegative by
+    inspection, where a dense operator's sign takes a spectrum."""
+    return op.is_diagonal and bool(np.all(op.stored >= 0.0))
 
 
 def moore_penrose_residuals(a: OperatorRep, bundle: PinvBundle) -> dict[str, float]:
     """Frobenius residuals of the four defining identities of ``bundle.pinv``
     and of the idempotence and symmetry of ``bundle.projector_pi``.
     Diagonal storage is checked elementwise, where ``.T`` is the identity."""
-    ops = (a, bundle.pinv, bundle.projector_pi)
-    if all(op.is_diagonal for op in ops):
-        (mat, inv, pi), mul = (op.stored for op in ops), np.multiply
-    else:
-        (mat, inv, pi), mul = (op.as_matrix() for op in ops), np.matmul
-    ai, ia = mul(mat, inv), mul(inv, mat)
+    mat, inv, pi = (op.stored for op in (a, bundle.pinv, bundle.projector_pi))
+    ai, ia = core_product(mat, inv), core_product(inv, mat)
 
     def frobenius(residual):  # ravelled as np.linalg.norm does
         return euclidean_norm(residual.ravel(order="K"))
 
     return {
-        "reconstruct": frobenius(mul(ai, mat) - mat),
-        "pinv_reconstruct": frobenius(mul(ia, inv) - inv),
+        "reconstruct": frobenius(core_product(ai, mat) - mat),
+        "pinv_reconstruct": frobenius(core_product(ia, inv) - inv),
         "range_symmetry": frobenius(ai.T - ai),
         "null_symmetry": frobenius(ia.T - ia),
-        "projector_idempotence": frobenius(mul(pi, pi) - pi),
+        "projector_idempotence": frobenius(core_product(pi, pi) - pi),
         "projector_symmetry": frobenius(pi.T - pi),
     }

@@ -14,7 +14,6 @@ from ophp import (
     FilterProblem,
     apply,
     dense_operator,
-    hs_diagnostics,
     kernel_operator,
     optimal_b,
     pinv,
@@ -32,7 +31,6 @@ from oracles import (
     operator_norm,
     ramp_model,
     sample_joint,
-    tail_ratio,
 )
 
 
@@ -237,40 +235,4 @@ def test_white_noise_reduction():
         elapsed,
         1.0,
         f"n0(ramp)={n0_ramp}, n0(laplacian)={n0_lap}, spread={spreads:.2e}",
-    )
-
-
-def test_trace_hs_diagnostics():
-    """Summability detected for decaying spectra, divergence for flat ones."""
-    start = time.perf_counter()
-    n_terms = np.arange(1, 20_001, dtype=float)
-
-    # sigma_v_n = n^-2 on the Laplacian spectrum: q_n = n^-6 / pi^4.
-    q_decaying = n_terms**-2.0 / (n_terms * np.pi) ** 4
-    ratio_decaying = tail_ratio(q_decaying)
-    dim = 32
-    n = np.arange(1, dim + 1, dtype=float)
-    model = laplacian_model(dim, 1.0, n**-2.0)
-    report = hs_diagnostics(
-        model, DecayDeclaration(kappa_decay=4.0, sigma_u_decay=0.0, sigma_v_decay=2.0)
-    )
-
-    # Flat Q_v spectrum: sigma_v_n proportional to the eigenvalues squared.
-    q_flat = np.ones_like(n_terms) * 0.25
-    ratio_flat = tail_ratio(q_flat)
-    model_flat = laplacian_model(dim, 1.0, 0.25 * (n * np.pi) ** 4)
-    report_flat = hs_diagnostics(
-        model_flat,
-        DecayDeclaration(kappa_decay=4.0, sigma_u_decay=0.0, sigma_v_decay=-4.0),
-    )
-    elapsed = time.perf_counter() - start
-    _criterion(
-        "trace-hs-diagnostics",
-        ratio_decaying < 0.05
-        and report.qv_trace_summable is True
-        and ratio_flat > 0.5
-        and report_flat.qv_trace_summable is False,
-        elapsed,
-        2.0,
-        f"tail ratios: decaying {ratio_decaying:.2e}, flat {ratio_flat:.2f}",
     )

@@ -313,7 +313,8 @@ class TestSmootherMemo:
                 assert main([command, *args, "--out", str(out)]) == 0
                 outs.append(out)
             if run == 0:
-                assert calls["eigvalsh"] and composes
+                # The smoother's inverse of sigma_v and the positivity verdict.
+                assert calls["eigh"] and calls["eigvalsh"]
                 for count in calls:
                     calls[count] = 0
                 composes.clear()
@@ -482,7 +483,8 @@ class TestTextMemo:
             outs.append(tmp_path / f"out-{run}")
             assert main([*argv, "--out", str(outs[-1])]) == 0
             if run == 0:
-                assert calls["eigvalsh"] and composes
+                # The smoother's inverse of sigma_v and the positivity verdict.
+                assert calls["eigh"] and calls["eigvalsh"]
                 for count in calls:
                     calls[count] = 0
                 composes.clear()

@@ -11,10 +11,9 @@ from ophp import (
     conditional_mean,
     dense_operator,
     diagonal_operator,
-    hs_diagnostics,
     qv,
 )
-from ophp.gaussian import DEFAULT_CHUNK, DecayDeclaration, regression_slope
+from ophp.gaussian import DEFAULT_CHUNK, regression_slope
 from ophp.validate import commutation_check
 
 from oracles import (
@@ -215,51 +214,6 @@ class TestConditionalMean:
         sigma2 = (resid**2).sum(axis=0) / (count - dim)
         stderr = np.sqrt(np.outer(sigma2, np.diag(gram_inv)))
         assert np.all(np.abs(slope_hat - target) <= 3.0 * stderr + 1e-12)
-
-
-class TestHsDiagnostics:
-    def test_closed_form_diagonal(self):
-        model = GaussianModel.build(
-            identity(2), identity(2), diagonal_operator([1.0, 1.0])
-        )
-        report = hs_diagnostics(model)
-        assert report.trace_qv == pytest.approx(2.0)
-        assert report.trace_sigma_u == pytest.approx(2.0)
-        assert report.hs_norm**2 == pytest.approx(1.0)
-        assert report.injective
-
-    def test_laplacian_partial_trace(self):
-        # Partial-sum oracle: trace of Q_v at truncation N is sum of
-        # 1/(n^6 pi^4) for sigma_v_n = n^-2.
-        dim = 16
-        n = np.arange(1, dim + 1, dtype=float)
-        model = laplacian_model(dim, 1.0, n**-2.0)
-        report = hs_diagnostics(
-            model, DecayDeclaration(kappa_decay=4.0, sigma_u_decay=0.0, sigma_v_decay=2.0)
-        )
-        assert report.trace_qv == pytest.approx(float((1.0 / (n**6 * np.pi**4)).sum()))
-        assert report.qv_trace_summable is True
-        assert report.hs_summable is True
-
-    def test_flat_qv_spectrum_diverges(self):
-        # sigma_v = (n pi)^4 makes Q_v flat, so the partial trace grows
-        # linearly and the declared-exponent verdict is FAIL.
-        traces = []
-        for dim in (8, 16):
-            n = np.arange(1, dim + 1, dtype=float)
-            model = laplacian_model(dim, 1.0, (n * np.pi) ** 4)
-            report = hs_diagnostics(
-                model,
-                DecayDeclaration(kappa_decay=4.0, sigma_u_decay=0.0, sigma_v_decay=-4.0),
-            )
-            traces.append(report.trace_qv)
-            assert report.qv_trace_summable is False
-        assert traces[1] == pytest.approx(2.0 * traces[0], rel=1e-10)
-
-    def test_non_injective_flagged(self):
-        model = ramp_model(3, np.array([0.0, 1.0, 1.0]), 1.0)
-        report = hs_diagnostics(model)
-        assert not report.injective
 
 
 class TestSampleJoint:

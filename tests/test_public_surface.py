@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "conditional_mean",
     "dense_operator",
     "diagonal_operator",
-    "hs_diagnostics",
     "kernel_operator",
     "optimal_b",
     "pinv",
@@ -94,6 +93,21 @@ def test_operator_representation_is_pinned():
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute) and node.attr in retired
+    )
+    assert readers == []
+
+
+def test_storage_kind_is_decided_in_operators():
+    # The smoother and the trend system are written in the singular frame
+    # of A, whose cores are 1-d or 2-d by the storage of the operators they
+    # come from; operators.py alone reads which.
+    kind_reads = {"is_diagonal", "kind", "ndim"}
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name in ("filter.py", "smoothing.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in kind_reads
     )
     assert readers == []
 
