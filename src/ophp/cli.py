@@ -17,6 +17,7 @@ import shutil
 import sys
 import weakref
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -160,50 +161,71 @@ def _cells(column: np.ndarray, width: int | None):
     return [cell for row in column.tolist() for cell in (*map(repr, row), *pad)]
 
 
-def write_series_csv(path: Path, t: np.ndarray, values: np.ndarray) -> None:
-    keys = map(str, range(len(values)))
-    path.write_text("index,t,value\n" + _csv_rows(keys, (t, values)))
+def _grid_keys(t: np.ndarray) -> list[str]:
+    """The ``index,t`` fields of each row of a series CSV on grid ``t``,
+    rendered once for every file written on that grid."""
+    return [f"{i},{node!r}" for i, node in enumerate(t.tolist())]
+
+
+def write_series_csv(path: Path, t: np.ndarray | list[str], values: np.ndarray) -> None:
+    """Write ``index,t,value`` rows; ``t`` is the grid or its :func:`_grid_keys`."""
+    keys = _grid_keys(t) if isinstance(t, np.ndarray) else t
+    path.write_text("index,t,value\n" + _csv_rows(keys, (values,)))
 
 
 def read_series_csv(path: Path) -> tuple[np.ndarray | None, np.ndarray]:
     """Parse a numeric series; returns (t or None, values).
 
     Accepts one value per line, ``t,value`` rows, or ``index,t,value`` rows,
-    with an optional header line.
+    all of one width, and blank lines.  The first non-blank line is a header
+    if it is not numeric.  Every field is parsed by ``float`` in one pass.
     """
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read input series {path}: {exc}") from exc
-    ts, values = [], []
-    for lineno, raw in enumerate(text.splitlines()):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        try:
-            numbers = [float(f) for f in fields]
-        except ValueError:
-            if lineno == 0:
-                continue  # header row
-            raise InputError(f"line {lineno + 1} of {path} is not numeric") from None
-        if len(numbers) == 1:
-            values.append(numbers[0])
-        elif len(numbers) == 2:
-            ts.append(numbers[0])
-            values.append(numbers[1])
-        elif len(numbers) == 3:
-            ts.append(numbers[1])
-            values.append(numbers[2])
-        else:
-            raise InputError(f"line {lineno + 1} of {path} has too many columns")
-    if not values:
+    # float() takes the padding str.strip takes, but for U+001F.
+    text = text.replace("\x1f", " ")
+    rows = list(filter(None, map(str.strip, text.splitlines())))
+    if rows and not _numeric(rows[0]):
+        del rows[0]  # header row
+    if not rows:
         raise InputError(f"input series {path} is empty")
-    if ts and len(ts) != len(values):
-        raise InputError(f"input series {path} mixes row formats")
-    if not np.all(np.isfinite([*ts, *values])):
+    fields = ",".join(rows).split(",")
+    try:
+        numbers = np.fromiter(map(float, fields), float, len(fields))
+    except ValueError:
+        raise InputError(_row_fault(text, path)) from None
+    commas = set(map(str.count, rows, repeat(",")))
+    if len(commas) > 1 or max(commas) > 2:
+        raise InputError(_row_fault(text, path))
+    # The index column of index,t,value rows is checked numeric, not read.
+    table = numbers.reshape(len(rows), -1)[:, -2:]
+    if not np.isfinite(table).all():
         raise InputError(f"input series {path} has non-finite values")
-    return (np.asarray(ts) if ts else None, np.asarray(values))
+    t = table[:, 0].copy() if table.shape[1] == 2 else None
+    return t, table[:, -1].copy()
+
+
+def _numeric(line: str) -> bool:
+    try:
+        list(map(float, line.split(",")))
+    except ValueError:
+        return False
+    return True
+
+
+def _row_fault(text: str, path) -> str:
+    """Why a series is refused: its first non-numeric row or row of more
+    than three fields, in line order, or else its mixed row widths."""
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    for k, (n, line) in enumerate(lines):
+        if not _numeric(line):
+            if k:  # the first is a header
+                return f"line {n} of {path} is not numeric"
+        elif line.count(",") > 2:
+            return f"line {n} of {path} has too many columns"
+    return f"input series {path} mixes row formats"
 
 
 def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
@@ -323,8 +345,9 @@ def cmd_filter(args) -> int:
         "estimated_y0": bool(args.estimate_y0),
     }
     out = _out_dir(args, cfg)
-    write_series_csv(out / "trend.csv", grid, trend_values)
-    write_series_csv(out / "residual.csv", grid, residual_values)
+    keys = _grid_keys(grid)
+    write_series_csv(out / "trend.csv", keys, trend_values)
+    write_series_csv(out / "residual.csv", keys, residual_values)
     write_json(out / "filter_summary.json", summary)
     return 0
 

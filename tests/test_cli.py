@@ -255,6 +255,29 @@ class TestFilterCommand:
         series.write_text("value\n1.0\nnot-a-number\n")
         assert _run("filter", "--config", cfg_path, "--input", series) == 1
 
+    def test_series_of_two_row_widths_rejected(self, ramp_config, tmp_path, capsys):
+        # It was read as the two points (0.1, 1) and (0.2, 2).
+        cfg_path, _ = ramp_config
+        series = tmp_path / "x.csv"
+        series.write_text("0,0.1,1\n0.2,2\n")
+        assert _run("filter", "--config", cfg_path, "--input", series) == 1
+        assert capsys.readouterr().err == f"error: input series {series} mixes row formats\n"
+
+    def test_header_after_blank_lines(self, ramp_config, tmp_path):
+        # It was refused as a non-numeric line.
+        cfg_path, dim = ramp_config
+        rows = "".join(f"{j},{j}.0,{0.5 * j!r}\n" for j in range(dim))
+        outs = []
+        for name, text in (("plain", "index,t,value\n" + rows),
+                           ("blank", "\n  \nindex,t,value\n" + rows)):
+            series = tmp_path / f"{name}.csv"
+            series.write_text(text)
+            outs.append(tmp_path / name)
+            assert _run("filter", "--config", cfg_path, "--input", series,
+                        "--out", outs[-1]) == 0
+        for name in ("trend.csv", "residual.csv", "filter_summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_missing_input_rejected(self, ramp_config):
         cfg_path, _ = ramp_config
         assert _run("filter", "--config", cfg_path) == 1

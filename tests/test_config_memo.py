@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ophp import cli, gaussian, operators, scales, smoothing, specs, validate
+from ophp import cli, gaussian, operators, scales, smoothing, specs
 from ophp.cli import main
 from ophp.operators import CoeffVector, apply, dense_operator, diagonal_operator
 from ophp.smoothing import optimal_b
@@ -60,6 +60,24 @@ def _commuting_doc(dim, seed):
     }
 
 
+def _diagonal_frame_doc(dim, seed):
+    """A dense model whose smoother needs no eigensolver: diagonal ``A`` and
+    ``sigma_v``, constant on the pairs of components that a dense
+    block-diagonal ``sigma_u`` couples, so that the smoother is PSD."""
+    rng = np.random.default_rng(seed)
+    pairs = np.repeat(np.arange(1.0, dim // 2 + 1.0), 2)
+    sigma_u = np.zeros((dim, dim))
+    for j in range(0, dim, 2):
+        half = rng.standard_normal((2, 2))
+        sigma_u[j:j + 2, j:j + 2] = half @ half.T + np.eye(2)
+    return {
+        "operator": {"kind": "diagonal", "multipliers": pairs.tolist()},
+        "sigma_u": {"kind": "dense", "rows": sigma_u.tolist()},
+        "sigma_v": {"kind": "diagonal", "values": (1.0 + pairs).tolist()},
+        "truncation_dim": dim,
+    }
+
+
 def _stored_bytes(cfg):
     model = cfg.model
     return sum(op.stored.nbytes for op in (model.a, model.sigma_u, model.sigma_v))
@@ -86,18 +104,17 @@ def json_loads(monkeypatch):
 
 
 @pytest.fixture
-def composes(monkeypatch):
-    """Calls to ``operators.compose`` from any module of the package."""
+def products(monkeypatch):
+    """Calls to ``operators.core_product`` that assemble a smoother: the
+    product ``optimal_b`` forms for every storage kind."""
     counted = []
-    original = operators.compose
+    original = operators.core_product
 
-    def compose(*args, **kwargs):
+    def core_product(*args):
         counted.append(1)
-        return original(*args, **kwargs)
+        return original(*args)
 
-    for module in (operators, gaussian, scales, smoothing, validate):
-        if getattr(module, "compose", None) is original:
-            monkeypatch.setattr(module, "compose", compose)
+    monkeypatch.setattr(smoothing, "core_product", core_product)
     return counted
 
 
@@ -296,11 +313,13 @@ class TestSmootherMemo:
         assert optimal_b(model) is bhat
         assert not bhat.stored.flags.writeable
 
+    @pytest.mark.parametrize("doc", ["commuting", "diagonal_frame_core"])
     def test_requests_on_a_kept_config_repeat_no_work(
-        self, tmp_path, calls, composes, cold_config_memo
+        self, tmp_path, calls, products, cold_config_memo, doc
     ):
         dim = 16
-        path = _write(tmp_path / "c.json", _commuting_doc(dim, 51))
+        doc = _commuting_doc(dim, 51) if doc == "commuting" else _diagonal_frame_doc(dim, 51)
+        path = _write(tmp_path / "c.json", doc)
         (tmp_path / "x.csv").write_text(
             "".join(f"{v!r}\n" for v in np.random.default_rng(52).standard_normal(dim).tolist())
         )
@@ -313,14 +332,14 @@ class TestSmootherMemo:
                 assert main([command, *args, "--out", str(out)]) == 0
                 outs.append(out)
             if run == 0:
-                # The smoother's inverse of sigma_v and the positivity verdict.
-                assert calls["eigh"] and calls["eigvalsh"]
+                # The smoother's product and the positivity verdict.
+                assert products and calls["eigvalsh"]
                 for count in calls:
                     calls[count] = 0
-                composes.clear()
+                products.clear()
         # The second pass reuses the smoother and its positivity verdict.
         assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}
-        assert composes == []
+        assert products == []
         for first, second in zip(outs[:2], outs[2:]):
             for name in sorted(p.name for p in first.iterdir()):
                 assert (first / name).read_bytes() == (second / name).read_bytes()
@@ -471,7 +490,7 @@ class TestTextMemo:
         assert len(cli._OPERATOR_TEXTS) == kept - 1
 
     def test_an_estimated_y0_request_repeats_no_work(
-        self, tmp_path, calls, composes, cold_config_memo
+        self, tmp_path, calls, products, cold_config_memo
     ):
         dim = 16
         path = _write(tmp_path / "c.json", _commuting_doc(dim, 63))
@@ -484,13 +503,13 @@ class TestTextMemo:
             assert main([*argv, "--out", str(outs[-1])]) == 0
             if run == 0:
                 # The smoother's inverse of sigma_v and the positivity verdict.
-                assert calls["eigh"] and calls["eigvalsh"]
+                assert products and calls["eigh"] and calls["eigvalsh"]
                 for count in calls:
                     calls[count] = 0
-                composes.clear()
+                products.clear()
         # The with_y0 model shares the kept model's smoother and its verdict.
         assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}
-        assert composes == []
+        assert products == []
         for name in ("filter_summary.json", "residual.csv", "trend.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
