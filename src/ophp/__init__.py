@@ -22,9 +22,7 @@ from .filter import (
 from .gaussian import (
     GaussianModel,
     ModelError,
-    RankDeficiencyWarning,
     conditional_mean,
-    qv,
 )
 from .operators import (
     BasisMismatchError,

@@ -199,11 +199,11 @@ def read_series_csv(path: Path) -> tuple[np.ndarray | None, np.ndarray]:
     commas = set(map(str.count, rows, repeat(",")))
     if len(commas) > 1 or max(commas) > 2:
         raise InputError(_row_fault(text, path))
-    # The index column of index,t,value rows is checked numeric, not read.
-    table = numbers.reshape(len(rows), -1)[:, -2:]
-    if not np.isfinite(table).all():
+    # The index column of index,t,value rows is checked finite, not read.
+    if not np.isfinite(numbers).all():
         raise InputError(f"input series {path} has non-finite values")
-    t = table[:, 0].copy() if table.shape[1] == 2 else None
+    table = numbers.reshape(len(rows), -1)
+    t = table[:, -2].copy() if table.shape[1] > 1 else None
     return t, table[:, -1].copy()
 
 

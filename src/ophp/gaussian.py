@@ -3,13 +3,14 @@
 The model is ``x = y + u`` with ``A y = v``, where ``u`` and ``v`` are
 independent zero-mean Gaussians with covariances ``sigma_u`` and ``sigma_v``
 and the deterministic component ``y0`` of the signal lies in the null space
-of ``A``.  This module builds the signal covariance ``Q_v``, the conditional
-mean of the signal given the data, and a reproducible block-wise sampler.
+of ``A``.  This module builds the conditional mean of the signal given the
+data and the whitening operators that test it, in the singular frame of
+``A`` with no ambient covariance, and a reproducible block-wise sampler.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -23,27 +24,22 @@ from .operators import (
     OperatorRep,
     PinvBundle,
     above_psd_floor,
-    add,
-    adjoint,
     apply,
     apply_rows,
-    compose,
+    core_eig,
+    core_product,
+    core_sum,
     euclidean_norm,
     operator_power,
     pinv,
     psd_inverse,
     rounding_bound,
-    symmetric_eig,
-    symmetrize,
+    shifted_inverse,
 )
 
 
 class ModelError(ValueError):
     """The model violates a structural requirement."""
-
-
-class RankDeficiencyWarning(UserWarning):
-    """A covariance inversion fell back to the generalized inverse."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,7 @@ def _check_covariance(op: OperatorRep, dim: int, basis_id: str, label: str) -> N
         raise ModelError(f"{label} has a non-finite entry")
     if float(np.abs(stored - stored.T).max(initial=0.0)) > rounding_bound(scale):
         raise ModelError(f"{label} is not symmetric to rounding")
-    eigvals = symmetric_eig(op, vectors=False)[0]
+    eigvals = core_eig(stored, vectors=False)[0]
     if not np.isfinite(eigvals).all():
         raise ModelError(f"{label} has an eigenvalue beyond the float range")
     if not above_psd_floor(eigvals):
@@ -86,8 +82,8 @@ class GaussianModel:
     """Operator, noise covariances, and deterministic signal component.
 
     The model is immutable, so what depends on nothing else is computed on
-    first use and kept: ``Q_v``, the regression slope, and the covariance
-    square roots used by the sampler.
+    first use and kept: the regression slope, built in the frame of ``A``,
+    and the covariance square roots used by the sampler.
     """
 
     a: OperatorRep
@@ -109,14 +105,9 @@ class GaussianModel:
         return all(op.is_diagonal for op in (self.a, self.sigma_u, self.sigma_v))
 
     @cached_property
-    def _q_v(self) -> OperatorRep:
-        p = self.pinv_bundle.pinv
-        return symmetrize(compose(compose(p, self.sigma_v), adjoint(p)))
-
-    @cached_property
-    def _slope(self) -> tuple[OperatorRep, bool]:
-        inv, rank = psd_inverse(add(self.sigma_u, self._q_v))
-        return compose(self._q_v, inv), rank == self.dim
+    def _slope(self) -> OperatorRep:
+        scale, _, gain, _, _, system = _frame_cores(self)
+        return self.pinv_bundle.block_operator(system / scale, gain, back=True)
 
     @cached_property
     def _roots(self) -> tuple[OperatorRep, OperatorRep]:
@@ -164,35 +155,71 @@ def _check_y0(a: OperatorRep, bundle: PinvBundle, y0: CoeffVector, scale=None) -
 
 
 # ---------------------------------------------------------------------------
-# Covariance algebra
+# Conditioning in the singular frame of A
 # ---------------------------------------------------------------------------
 
 
-def qv(model: GaussianModel) -> OperatorRep:
-    """Covariance ``pinv(A) sigma_v pinv(A)*`` of the signal component."""
-    return model._q_v
+def _frame_cores(model: GaussianModel) -> tuple:
+    """``(scale, C_u', G, C_n^(-1/2), rank C_n, (I / scale + C_u' S C_v^-1 S)^-1)``,
+    ``sigma_u`` divided by a power of two that keeps ``S C_u' S`` finite."""
+    frame = model.pinv_bundle
+    peak = float(np.abs(model.sigma_u.stored).max())
+    scale = max(1.0, math.ldexp(1.0, math.frexp(peak)[1] - 1))
+    cu, gain, root_n, rank_n = frame.condition_on_null(model.sigma_u, scale)
+    s = frame.scales
+    try:
+        with np.errstate(all="ignore"):
+            cv_inverse, singular = frame.range_inverse(model.sigma_v)
+            if singular is not None:
+                raise ModelError(f"sigma_v is singular on {singular}")
+            system = shifted_inverse(core_product(cu, s, cv_inverse, s), 1.0 / scale)
+    except np.linalg.LinAlgError as exc:
+        raise ModelError(f"the conditioning system {exc}") from None
+    return scale, cu, gain, root_n, rank_n, system
 
 
 def regression_slope(model: GaussianModel) -> OperatorRep:
-    """Best-predictor slope ``Q_v (sigma_u + Q_v)^{-1}``.
-
-    When ``sigma_u + Q_v`` is rank deficient at working precision the
-    generalized inverse is used and a :class:`RankDeficiencyWarning` is
-    emitted on every call.
-    """
-    slope, full_rank = model._slope
-    if not full_rank:
-        warnings.warn(
-            "sigma_u + Q_v is rank deficient; using the generalized inverse",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
-    return slope
+    """Best-predictor slope ``V_r K (V_r* - G V_n*)`` in the frame
+    ``A = U_r S V_r*``, ``V = [V_r V_n]``: with ``Sigma = V* sigma_u V``, the
+    range noise is conditioned on the null coordinates, ``G = Sigma_rn C_n^+``
+    (0 where ``sigma_u`` commutes with the projector), ``C_u' = Sigma_rr -
+    G Sigma_nr``, then ``K = (I + C_u' S C_v^-1 S)^-1``, ``C_v = U_r* sigma_v
+    U_r``: ``Q_v (sigma_u + Q_v)^-1`` without the ambient ``Q_v``, whose
+    spectrum spans ``cond(A)^2`` (Stuart 2010, Acta Numerica 19).  Raises
+    :class:`ModelError` where ``sigma_v`` is singular on the range of ``A``."""
+    return model._slope
 
 
 def conditional_mean(model: GaussianModel, x: CoeffVector) -> CoeffVector:
-    """Best predictor ``y0 + Q_v (sigma_u + Q_v)^{-1} (x - y0)`` of the signal."""
+    """Best predictor ``y0 + K (x - y0)`` of the signal, ``K`` the regression slope."""
     return model.y0 + apply(regression_slope(model), x - model.y0)
+
+
+def conditional_whitening(model: GaussianModel) -> tuple:
+    """``(white_x, k_x, white_r, k_r)``: whitening operators of the data and
+    of the residual ``(y - y0) - K (x - y0)`` into frame coordinates, and
+    their ranks.  ``V_r* x - G V_n* x`` is whitened by
+    ``(S C_u' S + C_v)^(-1/2) S``, ``V_n* x`` by ``C_n^(-1/2)`` and the
+    residual by ``(K C_u')^(-1/2)``, each on its numerical range.  The
+    residual is formed in floats from ``y``, so its standard deviations
+    below the rounding bound of the largest one of ``y`` count as zero."""
+    frame = model.pinv_bundle
+    scale, cu, gain, root_n, rank_n, system = _frame_cores(model)
+    s = frame.scales
+    cv = frame.codomain_core(model.sigma_v)
+    with np.errstate(all="ignore"):
+        h = core_sum(core_product(s, cu, s), cv / scale)
+        sigma_r = core_product(system, cu)
+        signal = float(np.abs(core_product(1.0 / s, cv, 1.0 / s)).max(initial=0.0))
+    if not (np.isfinite(h).all() and np.isfinite(sigma_r).all()):
+        raise ModelError("the whitening cores overflow the float range")
+    root_h, rank_h = psd_inverse(h, 0.5)
+    floor = rounding_bound(math.sqrt(signal)) ** 2
+    root_r, rank_r = psd_inverse(sigma_r, 0.5, floor=floor)
+    norm = 1.0 / math.sqrt(scale)
+    white_x = frame.block_operator(core_product(root_h, s) * norm, gain, root_n * norm)
+    white_r = frame.block_operator(root_r, None)
+    return white_x, rank_h + rank_n, white_r, rank_r
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ dense (2-d)
 Range bases and spectra are computed in this module; other modules read
 ``stored`` only for a diagonal closed form, to write an operator out, or to
 check a covariance's entries.  Besides the operator algebra it provides the
-Moore-Penrose inverse on the singular frame of ``A``, in which the smoother
-and the trend system are written, the symmetric spectral primitives the
-covariance algebra is written in, and the one rounding policy.
+Moore-Penrose inverse on the singular frame of ``A``, in which the smoother,
+the trend system and the Gaussian conditioning are written, symmetric
+spectral primitives, and the one rounding policy.
 """
 
 from __future__ import annotations
@@ -393,24 +393,6 @@ def compose(s: OperatorRep, t: OperatorRep) -> OperatorRep:
     return OperatorRep(product, t.domain_basis, s.codomain_basis)
 
 
-def add(s: OperatorRep, t: OperatorRep) -> OperatorRep:
-    """Operator sum; diagonal plus diagonal stays diagonal."""
-    if (s.domain_basis, s.codomain_basis) != (t.domain_basis, t.codomain_basis):
-        raise BasisMismatchError("cannot add operators with different bases")
-    if (s.dim_in, s.dim_out) != (t.dim_in, t.dim_out):
-        raise DimensionMismatchError("cannot add operators with different shapes")
-    if s.is_diagonal and t.is_diagonal:
-        return diagonal_operator(s.stored + t.stored, s.domain_basis, s.codomain_basis)
-    return dense_operator(
-        s.as_matrix() + t.as_matrix(), s.domain_basis, s.codomain_basis
-    )
-
-
-def scalar_multiple(op: OperatorRep, c: float) -> OperatorRep:
-    """Scale an operator by a real constant, preserving its representation."""
-    return OperatorRep(op.stored * float(c), op.domain_basis, op.codomain_basis)
-
-
 # ---------------------------------------------------------------------------
 # Symmetric spectral primitives
 # ---------------------------------------------------------------------------
@@ -431,21 +413,6 @@ def _symmetric_part(mat: np.ndarray) -> np.ndarray:
     return 0.5 * mat + 0.5 * mat.T
 
 
-def symmetric_eig(
-    op: OperatorRep, vectors: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenvalues and eigenvectors of the symmetric part of a square operator.
-
-    Diagonal operators return their multipliers (in storage order) and no
-    eigenvectors; dense operators return ascending eigenvalues and the
-    matching orthonormal eigenvector columns, or ``None`` in their place
-    when ``vectors`` is false.
-    """
-    if op.is_diagonal:
-        return op.stored, None
-    return core_eig(op.stored, vectors)
-
-
 def core_eig(
     core: np.ndarray, vectors: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -460,24 +427,25 @@ def core_eig(
     return np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
 
 
-def psd_inverse(op: OperatorRep, power: float = 1.0) -> tuple[OperatorRep, int]:
-    """Thresholded inverse power ``op^(-power)`` of a symmetric PSD operator.
-
-    Eigenvalues at or below ``EIG_RTOL`` times the largest one count as zero
-    and stay zero in the result, which is then the generalized inverse on the
-    numerical range.  Returns the result, stored like ``op``, and the number
-    of eigenvalues kept (the numerical rank of ``op``).
-    """
-    vals, vecs = symmetric_eig(op)
-    largest = float(vals.max(initial=0.0))
-    keep = vals > EIG_RTOL * largest if largest > 0.0 else np.zeros(vals.shape, bool)
+def psd_inverse(
+    core: np.ndarray, power: float = 1.0, top: float | None = None, floor: float = 0.0
+) -> tuple[np.ndarray, int]:
+    """Thresholded inverse power ``core^(-power)`` of a symmetric PSD core,
+    1-d for a 1-d one, and the number of eigenvalues kept: those above
+    ``floor`` and ``EIG_RTOL`` times ``top`` (the largest one by default).
+    Dropped ones stay zero, so the result is the generalized inverse on
+    that range."""
+    if not core.size:
+        return core, 0
+    vals, vecs = core_eig(core) if core.ndim == 2 else (core, None)
+    largest = float(vals.max(initial=0.0)) if top is None else top
+    keep = vals > max(EIG_RTOL * largest, floor)
     rank = int(np.count_nonzero(keep))
     if vecs is None:
         inv = np.zeros_like(vals)
         inv[keep] = 1.0 / vals[keep] ** power
-        return diagonal_operator(inv, op.domain_basis, op.codomain_basis), rank
-    inv = (vecs[:, keep] / vals[keep] ** power) @ vecs[:, keep].T
-    return dense_operator(inv, op.domain_basis, op.codomain_basis), rank
+        return inv, rank
+    return (vecs[:, keep] / vals[keep] ** power) @ vecs[:, keep].T, rank
 
 
 def operator_power(op: OperatorRep, power: float) -> OperatorRep:
@@ -485,7 +453,7 @@ def operator_power(op: OperatorRep, power: float) -> OperatorRep:
 
     Negative round-off eigenvalues are clipped at zero first.
     """
-    vals, vecs = symmetric_eig(op)
+    vals, vecs = (op.stored, None) if op.is_diagonal else core_eig(op.stored)
     vals = np.clip(vals, 0.0, None) ** power
     if vecs is None:
         return diagonal_operator(vals, op.domain_basis, op.codomain_basis)
@@ -591,10 +559,8 @@ class SingularFrame:
             if bad.size:
                 return None, f"range components {bad.tolist()}"
             return 1.0 / core, None
-        if not core.size:
-            return core, None
-        inverse, rank = psd_inverse(dense_operator(core))
-        return inverse.stored, None if rank == core.shape[0] else "the range of A"
+        inverse, rank = psd_inverse(core)
+        return inverse, None if rank == core.shape[0] else "the range of A"
 
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         """``V_r* x``, for a vector or for each column of ``x``."""
@@ -611,6 +577,48 @@ class SingularFrame:
         y = x.copy()
         y[self.retained] = w
         return y
+
+    @property
+    def null_indices(self) -> np.ndarray:
+        """The frame coordinates off ``retained``: they span the null space."""
+        return np.delete(np.arange(self.operator.dim_in), self.retained)
+
+    def condition_on_null(self, op: OperatorRep, scale: float) -> tuple:
+        """``C = V* op V / scale`` (``V = [V_r V_n]``; the identity for a
+        diagonal A) conditioned on its null coordinates: ``C_rr - G C_nr``,
+        ``G = C_rn C_nn^+`` (None where ``C`` is 1-d), ``C_nn^(-1/2)`` cut
+        off relative to the largest entry of ``C``, and the rank of ``C_nn``."""
+        stored = op.stored / scale
+        if self.svd is not None:
+            stored = core_product(self.svd[2], stored, self.svd[2].T)
+        r, n = self.retained, self.null_indices
+        top = float(np.abs(stored).max())
+        if stored.ndim == 1:
+            return (stored[r], None, *psd_inverse(stored[n], 0.5, top))
+        root, rank = psd_inverse(stored[np.ix_(n, n)], 0.5, top)
+        cross = stored[np.ix_(r, n)]
+        gain = cross @ root @ root
+        return stored[np.ix_(r, r)] - gain @ cross.T, gain, root, rank
+
+    def block_operator(self, core, gain, null=None, back=False) -> OperatorRep:
+        """``F = [core, -core G; 0, null]`` on frame coordinates (None
+        blocks are zero) as the operator ``F V*``, or ``V F V*`` with
+        ``back``; diagonal where its blocks are."""
+        r, n = self.retained, self.null_indices
+        null = np.zeros(n.size) if null is None else null
+        if gain is None and core.ndim == null.ndim == 1:
+            full = np.zeros(self.operator.dim_in)
+            full[r], full[n] = core, null
+        else:
+            core, null = (np.diag(c) if c.ndim == 1 else c for c in (core, null))
+            full = np.zeros((self.operator.dim_in,) * 2)
+            full[np.ix_(r, r)], full[np.ix_(n, n)] = core, null
+            if gain is not None:
+                full[np.ix_(r, n)] = -core @ gain
+        if self.svd is not None:
+            vt = self.svd[2]
+            full = core_product(vt.T, full, vt) if back else full @ vt
+        return OperatorRep(full, self.operator.domain_basis, self.operator.domain_basis)
 
     @cached_property
     def projector_pi(self) -> OperatorRep:
@@ -689,21 +697,21 @@ def core_product(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def shifted_solve(core: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``(I + core)^-1 rhs`` for a square core and each column of ``rhs``.
+def shifted_solve(core: np.ndarray, rhs: np.ndarray, shift: float = 1.0) -> np.ndarray:
+    """``(shift I + core)^-1 rhs`` for a square core and each column of ``rhs``.
 
-    A 1-d core takes the closed form ``rhs * (1 / (1 + m))``, whose limit is
-    0 where ``m`` overflowed.  A 2-d core must be finite and is LU-factorized
-    once; each column's residual must stay within the rounding bound of
-    ``|I + core|_F |w| + |rhs|``, a normwise backward error LU attains at
-    any condition number (Higham 2002, ch. 7).  A failure raises
+    A 1-d core takes the closed form ``rhs / (shift + m)``, 0 where ``m``
+    overflowed.  A 2-d core must be finite and is LU-factorized once; each
+    column's residual must stay within the rounding bound of
+    ``|shift I + core|_F |w| + |rhs|``, a normwise backward error LU attains
+    at any condition number (Higham 2002, ch. 7).  A failure raises
     :class:`numpy.linalg.LinAlgError`, its message a predicate.
     """
     if core.ndim == 1:
-        return rhs * (1.0 / (1.0 + core))[:, None]
+        return rhs * (1.0 / (shift + core))[:, None]
     if not np.isfinite(core).all():
         raise np.linalg.LinAlgError("is not finite: it overflows the float range")
-    system = np.eye(core.shape[0])
+    system = np.diag(np.full(core.shape[0], float(shift)))
     system += core
     try:
         w = np.linalg.solve(system, rhs)
@@ -721,6 +729,20 @@ def shifted_solve(core: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             f"(cond={np.linalg.cond(system):.3e})"
         )
     return w
+
+
+def shifted_inverse(core: np.ndarray, shift: float) -> np.ndarray:
+    """``(shift I + core)^-1``, 1-d for a 1-d core, else by :func:`shifted_solve`."""
+    if core.ndim == 1:
+        return 1.0 / (shift + core)
+    return shifted_solve(core, np.eye(core.shape[0]), shift)
+
+
+def core_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b``, where a 1-d core stands for its diagonal matrix unless both are."""
+    if a.ndim != b.ndim:
+        a, b = (np.diag(c) if c.ndim == 1 else c for c in (a, b))
+    return a + b
 
 
 def nonnegative_diagonal(op: OperatorRep) -> bool:

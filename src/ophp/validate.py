@@ -8,7 +8,6 @@ not exceptions; the CLI maps an overall FAIL to exit code 2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,21 +16,11 @@ from .filter import filter_multipliers
 from .gaussian import (
     DecayDeclaration,
     GaussianModel,
-    RankDeficiencyWarning,
-    qv,
+    conditional_whitening,
     regression_slope,
     sample_joint_blocks,
 )
-from .operators import (
-    OperatorRep,
-    add,
-    apply_rows,
-    compose,
-    moore_penrose_residuals,
-    psd_inverse,
-    rounding_bound,
-    scalar_multiple,
-)
+from .operators import OperatorRep, apply_rows, moore_penrose_residuals, rounding_bound
 from .scales import scale_index, scaled_optimal_b
 from .smoothing import optimal_b
 
@@ -159,51 +148,23 @@ def _whitened_z(
 def conditional_mean_check(
     model: GaussianModel, draws: int = CM_DRAWS, seed: int = 1
 ) -> CheckResult:
-    """Monte-Carlo test that ``y0 + S (x - y0)``, with the model's slope
-    ``S = Q_v (sigma_u + Q_v)^{-1}``, is the conditional mean of the signal.
+    """Monte-Carlo test that ``y0 + K (x - y0)``, ``K`` the model's
+    :func:`~ophp.gaussian.regression_slope`, is the conditional mean.
 
-    On one sample of ``n = draws`` joint draws, the residual
-    ``r = (y - y0) - S (x - y0)`` is independent of ``x`` under the model,
-    with covariance ``Sigma_r = Q_v - S Q_v``.  Whitening ``x`` by
-    ``(sigma_u + Q_v)^{-1/2}`` and ``r`` by ``Sigma_r^{-1/2}``, each on its
-    numerical range (of ranks ``k_x`` and ``k_r``), makes the entries of
-    ``Z = x~^T r~ / sqrt(n)`` about iid N(0, 1) on those ranges.  The check
-    FAILs at the family-wise level ``CM_ALPHA``, split evenly between these
-    tests:
-
-    * ``T = |Z|_F^2`` against chi-square with ``k_x k_r`` degrees of freedom:
-      its Wilson-Hilferty deviate ``wh_z`` against the two-sided N(0, 1)
-      threshold ``z_threshold``, since covariances that are too large make
-      ``T`` fall below its mean;
-    * ``max |Z|`` against its Sidak threshold over all entries, which names
-      the entry that is off;
-    * ``trace_z = tr Z / sqrt(k_r)`` against ``z_threshold`` (the range of
-      ``Sigma_r`` lies in that of ``sigma_u + Q_v``, so ``tr Z`` has variance
-      ``k_r``): a slope off in the same direction in every mode, as a wrong
-      noise or signal scale makes it, shifts every ``Z_jj`` alike in any
-      basis;
-    * on diagonal models, the structural entries ``Z_jj`` against the Sidak
-      threshold of ``dim`` entries.
-
-    ``T`` has mean ``k_x k_r`` and variance
-    ``2 k_x k_r (1 + (k_x + k_r + 1) / n)``: the inflation over chi-square
-    comes from the sample Gram matrices and is about ``1 + 2 dim / n`` at
-    full rank; ``wh_z`` is divided by its square root.
-
-    The sample is the one ``simulate`` draws at ``seed``, made and whitened
-    a block of rows at a time, with ``Z`` summed over the blocks: besides
-    the whitening operators and two ``dim x dim`` arrays, the check holds
-    one sampling chunk of normals and scratch of a few blocks, whatever
-    ``draws`` is.
+    On the ``draws`` joint draws ``simulate`` makes at ``seed``, the residual
+    ``r = (y - y0) - K (x - y0)`` is independent of ``x``; whitened into the
+    frame coordinates of ``A`` (:func:`~ophp.gaussian.conditional_whitening`,
+    ranks ``k_x`` and ``k_r``), the entries of ``Z = x~^T r~ / sqrt(draws)``
+    are about iid N(0, 1).  At the family-wise level ``CM_ALPHA``, split
+    evenly, it FAILs when ``trace_z = tr Z / sqrt(k_r)`` (a wrong noise or
+    signal scale shifts it) or the Wilson-Hilferty deviate ``wh_z`` of
+    ``|Z|_F^2`` against chi-square with ``k_x k_r`` degrees of freedom, over
+    the root of its inflation ``1 + (k_x + k_r + 1) / draws``, leaves
+    ``z_threshold``, or ``max |Z|`` or the largest of the ``r`` structural
+    ``Z_jj`` of the range coordinates exceeds its Sidak threshold.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        slope = regression_slope(model)
-    q = qv(model)
-    cov_x = add(model.sigma_u, q)
-    cov_r = add(q, scalar_multiple(compose(slope, q), -1.0))
-    white_x, rank_x = psd_inverse(cov_x, 0.5)
-    white_r, rank_r = psd_inverse(cov_r, 0.5)
+    slope = regression_slope(model)
+    white_x, rank_x, white_r, rank_r = conditional_whitening(model)
 
     z = _whitened_z(model, draws, seed, slope, white_x, white_r)
 
@@ -215,15 +176,14 @@ def conditional_mean_check(
         wh_z = _wilson_hilferty(chi2, df) / math.sqrt(inflation)
         trace_z = float(np.trace(z)) / math.sqrt(rank_r)
     max_abs_z = float(np.abs(z).max())
-    alpha = CM_ALPHA / (4 if model.is_diagonal else 3)
+    alpha = CM_ALPHA / 4
     z_threshold = _sidak_threshold(alpha, 1)
     threshold = _sidak_threshold(alpha, z.size)
+    kept = model.pinv_bundle.retained
+    structural = float(np.abs(np.diagonal(z)[kept]).max(initial=0.0))
+    structural_threshold = _sidak_threshold(alpha, max(kept.size, 1))
     passed = max(abs(wh_z), abs(trace_z)) <= z_threshold and max_abs_z <= threshold
-    structural = structural_threshold = None
-    if model.is_diagonal:
-        structural = float(np.abs(np.diagonal(z)).max())
-        structural_threshold = _sidak_threshold(alpha, model.dim)
-        passed = passed and structural <= structural_threshold
+    passed = passed and structural <= structural_threshold
     return CheckResult(
         "conditional-mean-regression",
         PASS if passed else FAIL,
@@ -266,9 +226,7 @@ def gap_check(
             "optimal-smoother-gap", SKIP, {"reason": "model is not diagonal"}
         )
     bhat = optimal_b(model)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        slope = regression_slope(model)
+    slope = regression_slope(model)
     pi = model.pinv_bundle.projector_pi.stored
     y0 = model.y0.coeffs
     xs = np.random.default_rng(seed).standard_normal((count, model.dim))

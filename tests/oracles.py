@@ -19,7 +19,6 @@ from ophp import (
     GaussianModel,
     conditional_mean,
     diagonal_operator,
-    qv,
     solve_filter,
 )
 from ophp.gaussian import BLOCK_ROWS, DEFAULT_CHUNK, sample_joint_blocks
@@ -34,6 +33,11 @@ def identity(dim: int, basis_id: str = BASIS_EUCLIDEAN):
 
 def zero(dim: int, basis_id: str = BASIS_EUCLIDEAN):
     return diagonal_operator(np.zeros(dim), basis_id)
+
+
+def scaled(op: OperatorRep, factor: float) -> OperatorRep:
+    """``factor`` times ``op``, stored like ``op``."""
+    return OperatorRep(op.stored * float(factor), op.domain_basis, op.codomain_basis)
 
 
 def ramp_operator(dim: int) -> OperatorRep:
@@ -114,11 +118,65 @@ def gap(model, b, x) -> float:
     return (mean - trend).norm()
 
 
+def qv(model) -> np.ndarray:
+    """Covariance ``Q_v = pinv(A) sigma_v pinv(A)*`` of the signal, as a
+    matrix, from the model's generalized inverse."""
+    p = model.pinv_bundle.pinv.as_matrix()
+    return p @ model.sigma_v.as_matrix() @ p.T
+
+
+def ambient_slope(model) -> np.ndarray:
+    """The regression slope in its ambient form ``Q_v (sigma_u + Q_v)^+``."""
+    q = qv(model)
+    return q @ np.linalg.pinv(model.sigma_u.as_matrix() + q, hermitian=True)
+
+
 def joint_covariance(model) -> np.ndarray:
     """Covariance of the data and the signal, ``(x, y)``: the blocks
     ``((sigma_u + Q_v, Q_v), (Q_v, Q_v))``."""
-    q = qv(model).as_matrix()
+    q = qv(model)
     return np.block([[model.sigma_u.as_matrix() + q, q], [q, q]])
+
+
+def _cosine_moments(weight: str, m: np.ndarray) -> np.ndarray:
+    """``int_0^1 w(t) cos(m pi t) dt`` in closed form at integer ``m``, for
+    ``w = chi[0, 1/2]`` ("chi") or ``w = 1 + t`` ("one-plus-t")."""
+    m = np.asarray(m, dtype=float)
+    safe = np.where(m == 0.0, 1.0, m) * np.pi
+    if weight == "chi":
+        return np.where(m == 0.0, 0.5, np.sin(safe / 2.0) / safe)
+    if weight == "one-plus-t":
+        return np.where(m == 0.0, 1.5, (np.cos(safe) - 1.0) / safe**2)
+    raise ValueError(f"unknown weight {weight!r}")
+
+
+def multiplication_compression(weight: str, dim: int) -> OperatorRep:
+    """Sine-basis compression of multiplication by ``w`` on L2(0, 1): the
+    entries ``2 int_0^1 w(t) sin(j pi t) sin(k pi t) dt``, ``j, k = 1..dim``,
+    which are ``c(j - k) - c(j + k)`` with ``c`` the cosine moments of ``w``.
+
+    Multiplication by ``1 + t`` is bounded below, with spectrum [1, 2];
+    multiplication by ``chi[0, 1/2]`` is an orthogonal projection whose range
+    and null space are both infinite-dimensional, so it is bounded with a
+    closed range and not compact, and its compressions have singular values
+    spread from rounding to 1 with no gap."""
+    j = np.arange(1, dim + 1)
+    entries = _cosine_moments(weight, j[:, None] - j) - _cosine_moments(
+        weight, j[:, None] + j
+    )
+    return OperatorRep(entries, BASIS_SINE, BASIS_SINE)
+
+
+def multiplication_model(weight: str, dim: int, sigma_v_scale: float = 1.0):
+    """``multiplication_compression`` with ``sigma_u = I`` and
+    ``sigma_v = 0.5 sigma_v_scale I``, so that the optimal smoother is 2 on
+    the range where the operator is a projection."""
+    ones = np.ones(dim)
+    return GaussianModel.build(
+        multiplication_compression(weight, dim),
+        diagonal_operator(ones, BASIS_SINE),
+        diagonal_operator(0.5 * sigma_v_scale * ones, BASIS_SINE),
+    )
 
 
 def tail_ratio(values) -> float:

@@ -165,7 +165,6 @@ def test_conditional_mean_formula():
     )
 
 
-@pytest.mark.filterwarnings("ignore::ophp.RankDeficiencyWarning")
 def test_optimal_smoother():
     """Gap identity on on-model instances."""
     start = time.perf_counter()

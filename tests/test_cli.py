@@ -263,6 +263,14 @@ class TestFilterCommand:
         assert _run("filter", "--config", cfg_path, "--input", series) == 1
         assert capsys.readouterr().err == f"error: input series {series} mixes row formats\n"
 
+    def test_non_finite_index_rejected(self, ramp_config, tmp_path, capsys):
+        # It was checked numeric only, and read without a message.
+        cfg_path, _ = ramp_config
+        series = tmp_path / "x.csv"
+        series.write_text("index,t,value\nnan,0.5,1\n")
+        assert _run("filter", "--config", cfg_path, "--input", series) == 1
+        assert capsys.readouterr().err == f"error: input series {series} has non-finite values\n"
+
     def test_header_after_blank_lines(self, ramp_config, tmp_path):
         # It was refused as a non-numeric line.
         cfg_path, dim = ramp_config
@@ -436,6 +444,44 @@ class TestValidateCommand:
         statuses = {c["name"]: c["status"] for c in report["checks"]}
         assert statuses["noise-projector-commutation"] == "FAIL"
         assert statuses["moore-penrose"] == "PASS"
+
+    def test_multiplication_by_an_indicator_passes(self, tmp_path, capsys):
+        # The sine-basis compression of multiplication by chi[0, 1/2] at dim
+        # 64: bounded, closed range, not compact, cond(A) 7.3e12.  Its
+        # ambient covariances spanned cond(A)^2 and the check FAILed it
+        # (exit 2).
+        a = oracles.multiplication_compression("chi", 64).stored
+        doc = {
+            "operator": {"kind": "dense", "rows": a.tolist(), "basis": BASIS_SINE},
+            "sigma_u": {"kind": "diagonal", "values": [1.0] * 64},
+            "sigma_v": {"kind": "diagonal", "values": [0.5] * 64},
+            "truncation_dim": 64,
+            "seed": 2,
+        }
+        cfg = _write_config(tmp_path / "config.json", doc)
+        out = tmp_path / "val"
+        assert _run("validate", "--config", cfg, "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "validation.json").read_text())
+        details = report["checks"][2]["details"]
+        assert report["checks"][2]["status"] == "PASS"
+        assert details["df"] == 64 * 40
+
+    def test_observation_noise_near_the_float_limit_passes(self, tmp_path, capsys):
+        # S C_u S overflows at sigma_u = 1e307 on the ramp, where the
+        # ambient sigma_u + Q_v did not; the frame cores are scaled by a
+        # power of two, so the check runs at full rank as before.
+        ex = tmp_path / "ex"
+        assert _run("example", "--which", 1, "--dim", 8, "--seed", 3, "--out", ex) == 0
+        doc = json.loads((ex / "config.json").read_text())
+        doc["sigma_u"]["values"] = [1e307] * 8
+        cfg = _write_config(ex / "config.json", doc)
+        out = tmp_path / "val"
+        assert _run("validate", "--config", cfg, "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "validation.json").read_text())
+        assert report["overall"] == "PASS"
+        assert report["checks"][2]["details"]["df"] == 8 * 7
 
     def test_covariance_near_the_float_limit_is_judged(self, tmp_path, capsys):
         # Its symmetric part overflowed, and the eigensolver refused it with

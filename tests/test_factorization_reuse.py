@@ -22,24 +22,21 @@ from ophp import (
     GaussianModel,
     ModelError,
     PositivityError,
-    RankDeficiencyWarning,
-    compose,
     conditional_mean,
     dense_operator,
     diagonal_operator,
     kernel_operator,
     pinv,
     positivity_check,
-    qv,
     solve_filter,
 )
 from ophp.filter import _VERDICTS
 from ophp import operators
 from ophp.gaussian import regression_slope
-from ophp.operators import BASIS_SINE, add, psd_inverse
+from ophp.operators import BASIS_SINE
 from ophp.validate import conditional_mean_check, mp_residual_suite
 
-from oracles import ramp_model, sample_joint
+from oracles import ambient_slope, ramp_model, sample_joint
 
 
 def _spd(dim, rng, low=0.5, high=2.0):
@@ -135,12 +132,11 @@ class TestModelCache:
         assert calls == before
         np.testing.assert_array_equal(first.coeffs, second.coeffs)
 
-    def test_cached_slope_is_bitwise_the_formula(self):
+    def test_cached_slope_is_the_ambient_formula(self):
         model = _dense_model(seed=1)
-        q = qv(model)
-        expected = compose(q, psd_inverse(add(model.sigma_u, q))[0])
-        np.testing.assert_array_equal(regression_slope(model).stored, expected.stored)
-        assert qv(model) is q
+        slope = regression_slope(model)
+        assert regression_slope(model) is slope
+        np.testing.assert_allclose(slope.stored, ambient_slope(model), rtol=0, atol=1e-13)
 
     def test_with_y0_keeps_the_factorization(self, calls):
         rng = np.random.default_rng(10)
@@ -166,21 +162,21 @@ class TestModelCache:
         assert calls["eigh"] == 2
         np.testing.assert_array_equal(first.x, second.x)
 
-    def test_conditional_mean_check_factorizes_five_times(self, calls):
+    def test_conditional_mean_check_factorizes_six_times(self, calls):
         model = _dense_model(seed=6)
         conditional_mean_check(model, draws=200)
-        # The slope's sigma_u + Q_v, the sampler's roots of sigma_u and
-        # sigma_v, and the whitening roots of sigma_u + Q_v and Sigma_r.
-        assert calls["eigh"] == 5
+        # C_v for the slope and again for the whitening, which the model
+        # does not keep; the sampler's roots of sigma_u and sigma_v; and the
+        # whitening roots of S C_u S + C_v and Sigma_r.  A has full rank, so
+        # C_n is empty and needs no eigensolver.
+        assert calls["eigh"] == 6
 
-    def test_rank_deficiency_warns_on_every_call(self):
+    def test_noise_singular_on_the_null_space_warns_nothing(self):
         model = ramp_model(3, np.array([0.0, 1.0, 1.0]), 1.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            regression_slope(model)
-            regression_slope(model)
-        hits = [w for w in caught if issubclass(w.category, RankDeficiencyWarning)]
-        assert len(hits) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope = regression_slope(model)
+        np.testing.assert_allclose(slope.as_matrix(), ambient_slope(model), atol=1e-15)
 
 
 class TestTrendSystem:

@@ -15,7 +15,6 @@ from ophp import (
     solve_filter,
 )
 from ophp.instances import laplacian_multipliers
-from ophp.operators import scalar_multiple
 from ophp.smoothing import optimal_b
 
 from oracles import (
@@ -25,6 +24,7 @@ from oracles import (
     objective_gradient,
     ramp_model,
     ramp_operator,
+    scaled,
     zero,
 )
 
@@ -74,7 +74,7 @@ class TestPositivityCheck:
 
     def test_negative_identity_fails(self):
         a = identity(4)
-        report = positivity_check(a, scalar_multiple(identity(4), -1.0))
+        report = positivity_check(a, scaled(identity(4), -1.0))
         assert not report.passed
         assert report.min_value < 0
         assert report.witness is not None
@@ -146,7 +146,7 @@ class TestSolveFilter:
     def test_dense_solution_beats_random_perturbations(self):
         rng = np.random.default_rng(9)
         a = dense_operator(rng.standard_normal((4, 4)))
-        b = scalar_multiple(identity(4), 0.7)
+        b = scaled(identity(4), 0.7)
         x = CoeffVector(rng.standard_normal(4))
         problem = FilterProblem(a, x, b)
         y = solve_filter(problem)
@@ -160,7 +160,7 @@ class TestSolveFilter:
     def test_positivity_gate(self):
         a = identity(3)
         x = CoeffVector(np.ones(3))
-        bad = scalar_multiple(identity(3), -2.0)
+        bad = scaled(identity(3), -2.0)
         with pytest.raises(PositivityError):
             solve_filter(FilterProblem(a, x, bad))
 

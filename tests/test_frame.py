@@ -7,16 +7,20 @@ with plain numpy on the full matrices: ``pinv(A)* sigma_u A* sigma_v^+`` with
 The models are dense, rank-deficient dense, rectangular (tall and wide),
 mixed-storage (diagonal ``A`` with a dense covariance) and kernel-built, at
 dims 2 to 12, and a failing positivity verdict against its own witness.
+The conditional mean, built in the same frame, is checked against
+``Q_v (sigma_u + Q_v)^+`` on commuting and non-commuting models and on
+models whose ``sigma_u`` is singular on the null space of ``A``.
 """
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ophp import (
     CoeffVector,
     FilterProblem,
     GaussianModel,
+    conditional_mean,
     dense_operator,
     diagonal_operator,
     kernel_operator,
@@ -25,7 +29,10 @@ from ophp import (
     solve_filter,
 )
 from ophp import operators
-from ophp.operators import rounding_bound, scalar_multiple
+from ophp.gaussian import conditional_whitening
+from ophp.operators import rounding_bound
+
+from oracles import qv, scaled
 
 KINDS = ["dense", "rank-deficient", "tall", "wide", "mixed", "kernel"]
 
@@ -135,7 +142,7 @@ def test_smoother_matches_its_numpy_reference(case):
 
 def _trends(case, factor=1.0):
     _, model, x, b = case
-    y = solve_filter(FilterProblem(model.a, x, scalar_multiple(b, factor))).coeffs
+    y = solve_filter(FilterProblem(model.a, x, scaled(b, factor))).coeffs
     system = _trend_system(model, b.as_matrix())
     return y, system, x.coeffs
 
@@ -177,3 +184,55 @@ def test_a_failing_verdict_is_witnessed_in_the_domain(case):
     value = (amat @ h) @ shifted @ (amat @ h)
     scale = np.linalg.norm(amat, 2) ** 2 * np.linalg.norm(shifted, 2)
     assert abs(value - report.min_value) <= rounding_bound(scale)
+
+
+NOISE_CASES = ["commuting", "non-commuting", "singular-on-null"]
+
+
+@st.composite
+def conditioning_models(draw):
+    """A model at dims 2 to 8 with singular values of ``A`` in [0.5, 3] and
+    its rank at least 1, an observation, and the ranks the whitening must
+    find.  ``sigma_u`` is ``V L L* V*`` in the frame ``V`` of ``A``: ``L``
+    block-diagonal on the range and null coordinates where it commutes
+    with the projector, full otherwise, and with rows of null coordinates
+    zeroed where it is singular on the null space."""
+    case = draw(st.sampled_from(NOISE_CASES))
+    n = draw(st.integers(2, 8))
+    rank = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = rng.uniform(0.5, 3.0, rank)
+    if draw(st.booleans()):
+        mult = np.zeros(n)
+        mult[:rank] = s * rng.choice([-1.0, 1.0], rank)
+        a = diagonal_operator(rng.permutation(mult))
+    else:
+        left, right = _orthogonal(rng, n)[:, :rank], _orthogonal(rng, n)[:, :rank]
+        a = dense_operator((left * s) @ right.T)
+    vt = np.linalg.svd(a.as_matrix())[2]
+    factor = rng.uniform(-1.0, 1.0, (n, n)) + 2.0 * np.eye(n)
+    if case != "non-commuting":
+        factor[:rank, rank:] = factor[rank:, :rank] = 0.0
+    zeroed = draw(st.integers(1, n - rank)) if case == "singular-on-null" and rank < n else 0
+    factor[n - zeroed :] = 0.0
+    sigma_u = vt.T @ factor @ factor.T @ vt
+    sigma_v = _covariance(rng, a, 0, False, draw(st.booleans()))
+    model = GaussianModel.build(a, dense_operator(0.5 * sigma_u + 0.5 * sigma_u.T), sigma_v)
+    x = CoeffVector(rng.standard_normal(n), a.domain_basis)
+    return model, x, (n - zeroed, rank)
+
+
+@settings(max_examples=settings.default.max_examples * 2)
+@given(conditioning_models())
+def test_conditional_mean_matches_the_ambient_formula(case):
+    model, x, ranks = case
+    q = qv(model)
+    total = model.sigma_u.as_matrix() + q
+    vals = np.linalg.eigvalsh(total)
+    kept = vals > 1e-10 * vals.max()
+    expected = q @ np.linalg.pinv(total, rcond=1e-10, hermitian=True) @ x.coeffs
+    mean = conditional_mean(model, x).coeffs
+    cond = vals[kept].max() / vals[kept].min()
+    assert np.linalg.norm(mean - expected) <= rounding_bound(1.0 + x.norm(), cond)
+    _, rank_x, _, rank_r = conditional_whitening(model)
+    assert (rank_x, rank_r) == ranks

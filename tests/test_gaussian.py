@@ -7,19 +7,23 @@ from ophp import (
     CoeffVector,
     GaussianModel,
     ModelError,
-    RankDeficiencyWarning,
     conditional_mean,
     dense_operator,
     diagonal_operator,
-    qv,
+    kernel_operator,
 )
 from ophp.gaussian import DEFAULT_CHUNK, regression_slope
+from ophp.instances import seeded_sigmas
+from ophp.operators import BASIS_SINE
 from ophp.validate import commutation_check
 
 from oracles import (
+    ambient_slope,
+    green_kernel_matrix,
     identity,
     joint_covariance,
     laplacian_model,
+    qv,
     ramp_model,
     sample_joint,
     zero,
@@ -116,11 +120,14 @@ class TestModelValidation:
 
 
 class TestQv:
+    # Q_v = pinv(A) sigma_v pinv(A)* enters the slope as q / (sigma_u + q)
+    # componentwise on a diagonal model, which the frame-built slope meets.
     def test_identity_operator(self):
         model = GaussianModel.build(
             identity(2), zero(2), diagonal_operator([1.0, 2.0])
         )
-        np.testing.assert_allclose(qv(model).stored, [1.0, 2.0])
+        np.testing.assert_allclose(np.diag(qv(model)), [1.0, 2.0])
+        np.testing.assert_array_equal(regression_slope(model).stored, [1.0, 1.0])
 
     def test_laplacian_spectral_oracle(self):
         # Independent spectral arithmetic: q_n = sigma_v_n / (n pi)^4.
@@ -129,19 +136,23 @@ class TestQv:
         sv = rng.uniform(0.5, 2.0, dim)
         model = laplacian_model(dim, 1.0, sv)
         n = np.arange(1, dim + 1, dtype=float)
+        q = sv / (n * np.pi) ** 4
+        np.testing.assert_allclose(np.diag(qv(model)), q, rtol=1e-12)
         np.testing.assert_allclose(
-            qv(model).stored, sv / (n * np.pi) ** 4, rtol=1e-12
+            regression_slope(model).stored, q / (1.0 + q), rtol=1e-12
         )
 
     def test_ramp_component_oracle(self):
         model = ramp_model(4, 1.0, 1.0)
+        q = np.array([0.0, 0.25, 1.0 / 9.0, 0.0625])
+        np.testing.assert_allclose(np.diag(qv(model)), q, rtol=1e-14)
         np.testing.assert_allclose(
-            qv(model).stored, [0.0, 0.25, 1.0 / 9.0, 0.0625], rtol=1e-14
+            regression_slope(model).stored, q / (1.0 + q), rtol=1e-14
         )
 
     def test_joint_covariance_blocks(self):
         model = ramp_model(4, 1.0, 1.0)
-        q = qv(model).as_matrix()
+        q = qv(model)
         block = joint_covariance(model)
         # The covariance of (x, y) = (y + u, pinv(A) A pinv(A) v) from the
         # generative map, with unit noise covariances.
@@ -191,10 +202,34 @@ class TestConditionalMean:
         )
         np.testing.assert_allclose(mixed.coeffs, combo, atol=1e-13)
 
-    def test_rank_deficiency_warns(self):
+    def test_noise_singular_on_the_null_space_is_served(self):
+        # C_n = 0: the null coordinate is observed exactly and carries no
+        # signal, so its gain is zero and its mean is y0's component.
         model = ramp_model(3, np.array([0.0, 1.0, 1.0]), 1.0)
-        with pytest.warns(RankDeficiencyWarning):
-            conditional_mean(model, CoeffVector([1.0, 1.0, 1.0]))
+        x = CoeffVector([1.0, 1.0, 1.0])
+        mean = conditional_mean(model, x).coeffs
+        np.testing.assert_allclose(mean, ambient_slope(model) @ x.coeffs, atol=1e-15)
+        assert mean[0] == 0.0
+
+    def test_green_kernel_mean_matches_the_inverse_of_the_trend_system(self):
+        # The benchmark's Green-256 model (grid 512): for invertible A the
+        # slope is inv(I + sigma_u A* sigma_v^-1 A).  Its ambient form
+        # Q_v (sigma_u + Q_v)^-1, whose spectrum spans cond(A)^2 = 4e9,
+        # was off by 9.5e-9 of 1 + |x|; the frame reads 7.0e-16.
+        dim, seed = 256, 301
+        su, sv = seeded_sigmas(dim, [seed, 1])
+        model = GaussianModel.build(
+            kernel_operator("dirichlet_green", dim, 512),
+            diagonal_operator(su, BASIS_SINE),
+            diagonal_operator(sv, BASIS_SINE),
+        )
+        a = green_kernel_matrix(dim, 512)
+        inverse = np.linalg.inv(np.eye(dim) + (su[:, None] * a.T) @ (a / sv[:, None]))
+        for k in range(50):
+            x = np.random.default_rng([seed, 4, k]).standard_normal(dim)
+            mean = conditional_mean(model, CoeffVector(x, BASIS_SINE)).coeffs
+            error = np.abs(mean - inverse @ x).max()
+            assert error <= 1e-12 * (1.0 + np.linalg.norm(x)), (k, error)
 
     def test_monte_carlo_regression(self):
         # Least-squares slope of sampled signal on sampled data vs the model
@@ -241,7 +276,7 @@ class TestSampleJoint:
             4, np.array([0.7, 1.1, 0.9, 1.3]), np.array([1.2, 0.8, 1.0, 0.6])
         )
         data = sample_joint(model, count, seed=77)
-        target = model.sigma_u.as_matrix() + qv(model).as_matrix()
+        target = model.sigma_u.as_matrix() + qv(model)
         sample_cov = np.cov(data.x.T, bias=True)
         assert np.all(
             np.abs(sample_cov - target) <= 3.0 * _cov_se(target, count) + 1e-12
@@ -253,7 +288,7 @@ class TestSampleJoint:
             4, np.array([0.7, 1.1, 0.9, 1.3]), np.array([1.2, 0.8, 1.0, 0.6])
         )
         data = sample_joint(model, count, seed=78)
-        q = qv(model).as_matrix()
+        q = qv(model)
         xx = model.sigma_u.as_matrix() + q
         cross = data.x.T @ data.y / count
         se = np.sqrt((np.outer(np.diag(xx), np.diag(q)) + q**2) / count)
@@ -294,7 +329,7 @@ class TestSampleJoint:
             dense_operator(np.diag(rng.uniform(0.1, 1.0, 4))),
         )
         block = joint_covariance(model)
-        for cov in (qv(model).as_matrix(), block[:4, :4]):
+        for cov in (qv(model), block[:4, :4]):
             eigvals = np.linalg.eigvalsh(cov)
             assert eigvals.min() >= -1e-10
         assert np.linalg.eigvalsh(block).min() >= -1e-10

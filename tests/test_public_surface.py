@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "GaussianModel",
     "ModelError",
     "PositivityError",
-    "RankDeficiencyWarning",
     "SingularCovarianceError",
     "adjoint",
     "apply",
@@ -38,7 +37,6 @@ PUBLIC_NAMES = [
     "optimal_b",
     "pinv",
     "positivity_check",
-    "qv",
     "rescaled_covariances",
     "scaled_optimal_b",
     "solve_filter",
@@ -97,19 +95,46 @@ def test_operator_representation_is_pinned():
     assert readers == []
 
 
+def _function(tree, *path):
+    """The definition at ``path`` (class, then method, or a function name)."""
+    node = tree
+    for name in path:
+        node = next(n for n in node.body if getattr(n, "name", None) == name)
+    return node
+
+
 def test_storage_kind_is_decided_in_operators():
-    # The smoother and the trend system are written in the singular frame
-    # of A, whose cores are 1-d or 2-d by the storage of the operators they
-    # come from; operators.py alone reads which.
+    # The smoother, the trend system and the Gaussian conditioning are
+    # written in the singular frame of A, whose cores are 1-d or 2-d by the
+    # storage of the operators they come from; operators.py alone reads
+    # which.  GaussianModel.is_diagonal itself is the one read in gaussian.py.
     kind_reads = {"is_diagonal", "kind", "ndim"}
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    gaussian = trees["gaussian.py"]
+    allowed = {id(n) for n in ast.walk(_function(gaussian, "GaussianModel", "is_diagonal"))}
+    scopes = [
+        ("filter.py", trees["filter.py"]),
+        ("smoothing.py", trees["smoothing.py"]),
+        ("gaussian.py", gaussian),
+        ("validate.py", _function(trees["validate.py"], "conditional_mean_check")),
+    ]
     readers = sorted(
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        if path.name in ("filter.py", "smoothing.py")
-        for node in ast.walk(ast.parse(path.read_text()))
+        f"{name}:{node.lineno}"
+        for name, scope in scopes
+        for node in ast.walk(scope)
         if isinstance(node, ast.Attribute) and node.attr in kind_reads
+        and id(node) not in allowed
     )
     assert readers == []
+    # Outside operators.py, 7 lines read the kind: GaussianModel.is_diagonal
+    # (2), the two SKIPs of validate.py, and output formatting in cli.py (2)
+    # and specs.py.
+    lines = [
+        line for path in SOURCES if path.name != "operators.py"
+        for line in path.read_text().splitlines()
+        if re.search(r"is_diagonal|\.kind\b", line)
+    ]
+    assert len(lines) == 7
 
 
 def _names_read(node) -> set:

@@ -22,7 +22,7 @@ from ophp import (
     trace_class_threshold,
 )
 from ophp.cli import main
-from ophp.gaussian import DecayDeclaration, qv
+from ophp.gaussian import DecayDeclaration
 from ophp.scales import scale_index
 from ophp.specs import load_config, operator_to_json
 
@@ -30,6 +30,7 @@ from oracles import (
     dual_norm,
     laplacian_model,
     laplacian_operator,
+    qv,
     ramp_model,
     ramp_operator,
     scale_norm,
@@ -354,4 +355,4 @@ class TestScaledModelDiagnostics:
         model = ramp_model(6, 1.0, 1.0)
         su, sv = rescaled_covariances(model, 1)
         scaled_model = GaussianModel.build(model.a, su, sv)
-        assert np.trace(qv(scaled_model).as_matrix()) <= np.trace(su.as_matrix())
+        assert np.trace(qv(scaled_model)) <= np.trace(su.as_matrix())

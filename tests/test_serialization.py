@@ -248,9 +248,9 @@ def _read(reader, path):
 
 
 def _old_read_with_fixes(path, text):
-    """The line-by-line reader's outcome on ``text``, with the two fixes:
-    the first non-blank line is the header candidate, and rows of more than
-    one width are refused."""
+    """The line-by-line reader's outcome on ``text``, with the three fixes:
+    the first non-blank line is the header candidate, rows of more than
+    one width are refused, and so is a non-finite index column."""
     lines = text.splitlines()
     first = next((k for k, line in enumerate(lines) if line.strip()), 0)
     if first and not _old_numeric(lines[first]):
@@ -266,6 +266,9 @@ def _old_read_with_fixes(path, text):
         not isinstance(outcome, str) or outcome.endswith("has non-finite values")
     ):
         return f"input series {path} mixes row formats"
+    indices = [row.split(",")[0].replace("\x1f", " ") for row in rows if row.count(",") == 2]
+    if not isinstance(outcome, str) and not all(map(math.isfinite, map(float, indices))):
+        return f"input series {path} has non-finite values"
     return outcome
 
 
@@ -276,7 +279,7 @@ def series_path(tmp_path_factory):
 
 class TestSeriesReader:
     @given(series_texts())
-    # The index column is checked numeric, not finite.
+    # A non-finite index column is refused.
     @example("index,t,value\nnan,0.5,1\n")
     @example("0,0.5,1\n1,0.75,2,3\n")
     @example("0,0.5,1,3\n1,0.75,2,3\n")

@@ -7,17 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ophp import GaussianModel, dense_operator, diagonal_operator, kernel_operator, qv
+from ophp import GaussianModel, dense_operator, diagonal_operator, kernel_operator
 from ophp import validate
-from ophp.gaussian import DecayDeclaration, regression_slope, sample_joint_blocks
-from ophp.instances import laplacian_multipliers, ramp_multipliers, seeded_sigmas
-from ophp.operators import (
-    BASIS_SINE,
-    operator_power,
-    psd_inverse,
-    rounding_bound,
-    scalar_multiple,
+from ophp.gaussian import (
+    DecayDeclaration,
+    conditional_whitening,
+    regression_slope,
+    sample_joint_blocks,
 )
+from ophp.instances import laplacian_multipliers, ramp_multipliers, seeded_sigmas
+from ophp.operators import BASIS_SINE, rounding_bound
 from ophp.scales import scale_index
 from ophp.validate import (
     CM_ALPHA,
@@ -32,7 +31,7 @@ from ophp.validate import (
     white_noise_scale_check,
 )
 
-from oracles import laplacian_model, ramp_model
+from oracles import laplacian_model, multiplication_model, qv, ramp_model, scaled
 
 
 def _noncommuting_model(dim=3):
@@ -102,7 +101,7 @@ def test_mp_residual_suite_passes_and_fails_on_scaled_pinv(name):
     assert result.details["worst_over_bound"] < 0.2
     bundle = dataclasses.replace(
         model.pinv_bundle,
-        pinv=scalar_multiple(model.pinv_bundle.pinv, 1.0 + 1e-6),
+        pinv=scaled(model.pinv_bundle.pinv, 1.0 + 1e-6),
     )
     result = mp_residual_suite(dataclasses.replace(model, pinv_bundle=bundle))
     assert result.status == FAIL
@@ -168,7 +167,7 @@ def test_commutation_check_fails_on_tiny_noncommuting_covariance():
     # The commutator is 1.6e-12 in absolute terms but of the size of sigma_u.
     model = _noncommuting_model()
     small = GaussianModel.build(
-        model.a, scalar_multiple(model.sigma_u, 1e-12), model.sigma_v
+        model.a, scaled(model.sigma_u, 1e-12), model.sigma_v
     )
     result = commutation_check(small)
     assert result.status == FAIL
@@ -235,12 +234,23 @@ def test_conditional_mean_check_passes_on_ramp():
     assert details["structural_max_abs_z"] <= details["structural_threshold"]
 
 
-def test_conditional_mean_check_reports_no_structural_family_when_dense():
+def test_conditional_mean_check_reads_structural_entries_on_the_range_when_dense():
+    # The non-commuting model: A = diag(0, 2, 3) with a dense sigma_u.  Its
+    # Z_jj are read on the two range coordinates, as on any model.
     model = _noncommuting_model()
     details = conditional_mean_check(model, draws=2_000, seed=4).details
-    assert details["structural_max_abs_z"] is None
-    assert details["structural_threshold"] is None
+    assert 0.0 < details["structural_max_abs_z"] <= details["structural_threshold"]
+    assert details["structural_threshold"] == validate._sidak_threshold(CM_ALPHA / 4, 2)
     assert details["df"] == 3 * 2
+
+
+def test_conditional_mean_of_a_noncommuting_model_is_the_ambient_formula():
+    # G = Sigma_rn C_n^+ carries the range noise's correlation with the null
+    # coordinate; the slope is Q_v (sigma_u + Q_v)^-1 to rounding.
+    model = _noncommuting_model()
+    q = qv(model)
+    expected = q @ np.linalg.inv(model.sigma_u.stored + q)
+    np.testing.assert_allclose(regression_slope(model).stored, expected, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +275,50 @@ def _bench_validate_models(seed):
     return models
 
 
-@pytest.mark.parametrize("dim", [8, 32, 64, 128, 256, 512])
-def test_conditional_mean_check_calibrated_across_dims(dim):
+MULTIPLIERS = ("chi", "one-plus-t")
+CALIBRATION = [(None, dim) for dim in (8, 32, 64, 128, 256, 512)] + [
+    (weight, dim) for weight in MULTIPLIERS for dim in (16, 32, 64, 128, 256)
+]
+
+
+@pytest.mark.parametrize(
+    "weight, dim",
+    CALIBRATION,
+    ids=[str(d) if w is None else f"{w}-{d}" for w, d in CALIBRATION],
+)
+def test_conditional_mean_check_calibrated_across_dims(weight, dim):
     # T's variance inflation 1 + (k_x + k_r + 1) / n reaches 1.05 at dim 512.
-    model = ramp_model(dim, *seeded_sigmas(dim, 11))
+    # The multiplication models are the paper's case, bounded with a closed
+    # range and not compact; chi[0, 1/2]'s compressions have singular values
+    # from rounding to 1, cond(A) up to 1.4e13, so their covariances in the
+    # ambient basis spanned cond(A)^2 and the check FAILed them from dim 32.
+    if weight is None:
+        model = ramp_model(dim, *seeded_sigmas(dim, 11))
+    else:
+        model = multiplication_model(weight, dim)
     result = conditional_mean_check(model, draws=20_000, seed=11)
     assert result.status == PASS, result.details
-    assert result.details["df"] == dim * (dim - 1)
+    assert result.details["df"] == dim * model.pinv_bundle.numerical_rank
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+@pytest.mark.parametrize("ratio, df", [(1e-20, 8 * 7), (1e-28, 8 * 7), (1e-40, 0), (1e-200, 0)])
+def test_conditional_mean_check_noise_below_the_rounding_of_the_signal(ratio, df, dense):
+    # Where sigma_u is below about eps^2 sigma_v, x = y + u rounds u away,
+    # so the residual the check forms is rounding or exactly 0; it was
+    # whitened at its exact covariance and the check FAILed (wh_z -7.2 at
+    # 1e-200).  Residual standard deviations below the rounding bound of
+    # y's count as zero, as at 1e-40 here.
+    model = ramp_model(8, ratio, 1.0)
+    if dense:
+        model = GaussianModel.build(
+            dense_operator(model.a.as_matrix()),
+            dense_operator(model.sigma_u.as_matrix()),
+            model.sigma_v,
+        )
+    result = conditional_mean_check(model, draws=2_000, seed=3)
+    assert result.status == PASS, result.details
+    assert result.details["df"] == df
 
 
 @pytest.mark.parametrize("seed", range(301, 321))
@@ -312,7 +359,7 @@ def test_power_structural_entry_shifted_by_eight_se(monkeypatch):
     su, sv = seeded_sigmas(dim, 11)
     model = ramp_model(dim, su, sv)
     s = regression_slope(model).stored
-    q = qv(model).stored
+    q = np.diag(qv(model))
     # Standard error of the least-squares slope of y_j on x_j.
     se = np.sqrt((q[j] - s[j] * q[j]) / (n * (su[j] + q[j])))
     shifted = s.copy()
@@ -338,12 +385,12 @@ def test_power_dense_slope_rotated_off_its_eigenbasis(monkeypatch):
     givens[1:3, 1:3] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
     turn = q @ givens @ q.T
     rotated = turn @ slope @ turn.T
-    # The mean of Z moves by sqrt(n) (sigma_u + Q_v)^{1/2} dS^T Sigma_r^{-1/2}.
-    cov_x = model.sigma_u.stored + qv(model).stored
-    cov_r = qv(model).stored - slope @ qv(model).stored
-    root_x = operator_power(dense_operator(cov_x), 0.5).stored
-    white_r = psd_inverse(dense_operator(cov_r), 0.5)[0].stored
-    shift = np.sqrt(n) * np.abs(root_x @ (rotated - slope).T @ white_r).max()
+    # The mean of Z moves by sqrt(n) W_x (sigma_u + Q_v) dS^T W_r^T, with
+    # the check's whitening operators W_x and W_r.
+    white_x, _, white_r, _ = conditional_whitening(model)
+    cov_x = model.sigma_u.stored + qv(model)
+    moved = white_x.stored @ cov_x @ (rotated - slope).T @ white_r.stored.T
+    shift = np.sqrt(n) * np.abs(moved).max()
     assert shift > 6.0
     result = _check_claim(monkeypatch, model, slope=dense_operator(rotated))
     assert result.status == FAIL
@@ -359,6 +406,16 @@ def test_power_sigma_v_too_large_by_a_fifth(monkeypatch, dim):
     # Every slope is too large, so every structural entry moves down.
     assert result.details["trace_z"] < -5.0
     assert not _passes_entry_families(result.details)
+
+
+@pytest.mark.parametrize("dim", [16, 32, 64, 128, 256])
+@pytest.mark.parametrize("weight", MULTIPLIERS)
+def test_power_sigma_v_too_large_on_multiplication_models(monkeypatch, weight, dim):
+    truth = multiplication_model(weight, dim)
+    claim = multiplication_model(weight, dim, sigma_v_scale=1.1)
+    result = _check_claim(monkeypatch, claim, truth=truth)
+    assert result.status == FAIL
+    assert result.details["trace_z"] < -5.0
 
 
 def test_power_chi_square_is_two_sided(monkeypatch):
@@ -406,7 +463,7 @@ def test_power_gap_check_fails_on_scaled_smoother(monkeypatch, name, factor):
     model = make(dim, *seeded_sigmas(dim, 301))
     true_b = validate.optimal_b
     monkeypatch.setattr(
-        validate, "optimal_b", lambda m: scalar_multiple(true_b(m), factor)
+        validate, "optimal_b", lambda m: scaled(true_b(m), factor)
     )
     result = gap_check(model, seed=304)
     assert result.status == (PASS if factor == 1.0 else FAIL)
@@ -474,7 +531,7 @@ def test_power_white_noise_check_fails_on_scaled_smoother(monkeypatch):
     monkeypatch.setattr(
         validate,
         "scaled_optimal_b",
-        lambda m, n: scalar_multiple(true_b(m, n), 1.0 + 1e-9),
+        lambda m, n: scaled(true_b(m, n), 1.0 + 1e-9),
     )
     result = white_noise_scale_check(model, *scale_index(None, decl))
     assert result.status == FAIL
