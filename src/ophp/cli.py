@@ -80,8 +80,10 @@ DOMAIN_ERRORS = (
 # ---------------------------------------------------------------------------
 
 
-# Draws of ``simulate`` formatted and written per block; bounds the text held
-# in memory to one block of rows.
+# Draws of ``simulate`` whose lines are built and written at a time: the
+# byte array of one block's lines, with the scratch of the repr kernel, is
+# all the text held in memory.  At dim 64 a block's vectors are 4096 floats,
+# one pass of the kernel (``_shortest.PASS_VALUES``).
 SAMPLE_BLOCK_DRAWS = 64
 
 # How far a functional sample grid may reach outside [0, 1]: an allowance
@@ -142,23 +144,58 @@ def write_json(path: Path, obj) -> None:
     path.write_text(_json_text(obj) + "\n")
 
 
-def _csv_rows(keys, columns, width: int | None = None) -> str:
+def _csv_rows(keys, columns) -> str:
     """One CSV line per entry of ``keys``: the key, then one field per column.
 
     Floats are written as Python's shortest round-trip ``repr``, converted
-    for the whole block at C level.  Given ``width``, each column holds rows
-    of vectors, and a vector shorter than ``width`` ends in empty fields.
+    for the whole block at C level.
     """
-    cells = [_cells(np.asarray(c, dtype=float), width) for c in columns]
+    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
     text = "\n".join(map(",".join, zip(keys, *cells)))
     return text + "\n" if text else ""
 
 
-def _cells(column: np.ndarray, width: int | None):
-    if width is None or column.shape[1] == width:
-        return map(repr, column.ravel().tolist())
-    pad = [""] * (width - column.shape[1])
-    return [cell for row in column.tolist() for cell in (*map(repr, row), *pad)]
+class _SampleRows:
+    """The lines of ``samples.csv`` for ``count`` draws of vectors of
+    ``lengths``, a block of at most ``SAMPLE_BLOCK_DRAWS`` draws at a time,
+    built in one byte array kept for the request.
+
+    A draw spans the longest vector, one line per component.  A line is
+    written at fixed columns: the draw index, the component index, then one
+    ``FIELD_BYTES`` field per vector, each after its comma, and the newline.
+    Bytes a line does not use are 0 and are dropped, so a vector shorter
+    than the draw leaves the fields past its end empty.
+    """
+
+    def __init__(self, count: int, lengths: tuple[int, ...]):
+        # Imported here, so that only ``simulate`` loads the kernel's module.
+        from ._shortest import FIELD_BYTES, ReprWriter
+
+        width = max(lengths)
+        self.lengths = lengths
+        self.draw_bytes = len(str(count - 1))
+        components = np.array([f",{j}" for j in range(width)], dtype=bytes)
+        components = components[:, None].view(np.uint8)
+        first, step = self.draw_bytes + components.shape[1] + 1, FIELD_BYTES + 1
+        self.fields = [slice(first + n * step, first + n * step + FIELD_BYTES)
+                       for n in range(len(lengths))]
+        line = first + len(lengths) * step
+        self.block = np.zeros((SAMPLE_BLOCK_DRAWS, width, line), np.uint8)
+        self.block[:, :, self.draw_bytes : first - 1] = components
+        self.block[:, :, first - 1 :: step] = ord(",")
+        self.block[:, :, -1] = ord("\n")
+        self.reprs = ReprWriter(width)
+
+    def text(self, first: int, columns) -> str:
+        """The lines of draws ``first, first + 1, ...``, one per row of
+        each of ``columns``."""
+        rows = self.block[: len(columns[0])]
+        draws = map(str, range(first, first + len(rows)))
+        keys = np.array(list(draws), dtype=f"S{self.draw_bytes}")
+        rows[:, :, : self.draw_bytes] = keys[:, None, None].view(np.uint8)
+        for column, length, field in zip(columns, self.lengths, self.fields):
+            self.reprs.write(column, rows[:, :length, field])
+        return rows[rows != 0].tobytes().decode()
 
 
 def _grid_keys(t: np.ndarray) -> list[str]:
@@ -428,9 +465,8 @@ def cmd_simulate(args) -> int:
         raise InputError("--count must be at least 1")
     cfg = _request(args)
     model = cfg.model
-    # v lives on the codomain: a draw spans the longer of the two lengths.
-    width = max(model.dim, model.codim)
-    components = [f",{j}" for j in range(width)]
+    # v lives on the codomain, u, y and x on the domain.
+    sample_rows = _SampleRows(count, (model.dim, model.codim, model.dim, model.dim))
     sum_u, sum_x = np.zeros(model.dim), np.zeros(model.dim)
     out = _out_path(args, cfg)
     # The topmost directory the request creates, if any.
@@ -440,16 +476,17 @@ def cmd_simulate(args) -> int:
         with open(out / "samples.csv", "w") as fh:
             fh.write("draw,component,u,v,y,x\n")
             for rows, *block in sample_joint_blocks(model, count, cfg.seed):
-                for start in range(rows.start, rows.stop, SAMPLE_BLOCK_DRAWS):
-                    draws = range(start, min(start + SAMPLE_BLOCK_DRAWS, rows.stop))
-                    keys = [f"{i}{c}" for i in draws for c in components]
-                    part = slice(start - rows.start, draws.stop - rows.start)
-                    fh.write(_csv_rows(keys, [column[part] for column in block], width))
-                # One row at a time, in draw order: the sums of ``mean(axis=0)``.
+                for lo in range(0, rows.stop - rows.start, SAMPLE_BLOCK_DRAWS):
+                    part = [column[lo : lo + SAMPLE_BLOCK_DRAWS] for column in block]
+                    fh.write(sample_rows.text(rows.start + lo, part))
+                # The sums of ``mean(axis=0)``, row by row in draw order: with
+                # the running sum added to its first row, numpy adds a block
+                # of two or more columns (truncation_dim >= 2) one row at a
+                # time.  The block is scratch the sampler writes again.
                 u, _, _, x = block
-                for row_u, row_x in zip(u, x):
-                    sum_u += row_u
-                    sum_x += row_x
+                u[0] += sum_u
+                x[0] += sum_x
+                sum_u, sum_x = np.add.reduce(u, axis=0), np.add.reduce(x, axis=0)
         summary = {
             "count": count,
             "seed": cfg.seed,

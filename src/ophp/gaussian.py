@@ -106,8 +106,7 @@ class GaussianModel:
 
     @cached_property
     def _slope(self) -> OperatorRep:
-        scale, _, gain, _, _, system = _frame_cores(self)
-        return self.pinv_bundle.block_operator(system / scale, gain, back=True)
+        return _slope_of(self, _frame_cores(self))
 
     @cached_property
     def _roots(self) -> tuple[OperatorRep, OperatorRep]:
@@ -178,6 +177,11 @@ def _frame_cores(model: GaussianModel) -> tuple:
     return scale, cu, gain, root_n, rank_n, system
 
 
+def _slope_of(model: GaussianModel, cores: tuple) -> OperatorRep:
+    scale, _, gain, _, _, system = cores
+    return model.pinv_bundle.block_operator(system / scale, gain, back=True)
+
+
 def regression_slope(model: GaussianModel) -> OperatorRep:
     """Best-predictor slope ``V_r K (V_r* - G V_n*)`` in the frame
     ``A = U_r S V_r*``, ``V = [V_r V_n]``: with ``Sigma = V* sigma_u V``, the
@@ -202,9 +206,14 @@ def conditional_whitening(model: GaussianModel) -> tuple:
     ``(S C_u' S + C_v)^(-1/2) S``, ``V_n* x`` by ``C_n^(-1/2)`` and the
     residual by ``(K C_u')^(-1/2)``, each on its numerical range.  The
     residual is formed in floats from ``y``, so its standard deviations
-    below the rounding bound of the largest one of ``y`` count as zero."""
+    below the rounding bound of the largest one of ``y`` count as zero.
+    The model's regression slope, if not yet kept, is kept from the same
+    cores, so a check that reads both eigendecomposes ``C_v`` once."""
     frame = model.pinv_bundle
-    scale, cu, gain, root_n, rank_n, system = _frame_cores(model)
+    cores = _frame_cores(model)
+    if "_slope" not in vars(model):
+        vars(model)["_slope"] = _slope_of(model, cores)
+    scale, cu, gain, root_n, rank_n, system = cores
     s = frame.scales
     cv = frame.codomain_core(model.sigma_v)
     with np.errstate(all="ignore"):

@@ -163,8 +163,8 @@ def conditional_mean_check(
     ``z_threshold``, or ``max |Z|`` or the largest of the ``r`` structural
     ``Z_jj`` of the range coordinates exceeds its Sidak threshold.
     """
-    slope = regression_slope(model)
     white_x, rank_x, white_r, rank_r = conditional_whitening(model)
+    slope = regression_slope(model)
 
     z = _whitened_z(model, draws, seed, slope, white_x, white_r)
 

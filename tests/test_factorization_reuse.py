@@ -162,14 +162,14 @@ class TestModelCache:
         assert calls["eigh"] == 2
         np.testing.assert_array_equal(first.x, second.x)
 
-    def test_conditional_mean_check_factorizes_six_times(self, calls):
+    def test_conditional_mean_check_factorizes_five_times(self, calls):
         model = _dense_model(seed=6)
         conditional_mean_check(model, draws=200)
-        # C_v for the slope and again for the whitening, which the model
-        # does not keep; the sampler's roots of sigma_u and sigma_v; and the
-        # whitening roots of S C_u S + C_v and Sigma_r.  A has full rank, so
-        # C_n is empty and needs no eigensolver.
-        assert calls["eigh"] == 6
+        # C_v once, for the whitening and the slope it keeps on the model;
+        # the sampler's roots of sigma_u and sigma_v; and the whitening roots
+        # of S C_u S + C_v and Sigma_r.  A has full rank, so C_n is empty and
+        # needs no eigensolver.
+        assert calls["eigh"] == 5
 
     def test_noise_singular_on_the_null_space_warns_nothing(self):
         model = ramp_model(3, np.array([0.0, 1.0, 1.0]), 1.0)

@@ -1,14 +1,17 @@
 """The CLI's bulk readers and writers agree with the per-line code they replaced.
 
-``simulate`` and the series CSVs format whole blocks of floats at C level,
-and ``write_json`` hands scalar-only containers to the C ``json`` encoder.
-Each is compared byte for byte with the old code, kept here as the
-reference.  ``read_series_csv`` parses every field of a series in one pass;
-it returns the line-by-line reader's bits or its message, but for the two
-fixes it declares.  ``simulate`` streams the sampler's blocks to its file,
-and its peak allocation is bounded independently of the draw count, so that
-holding the whole sample or the whole file's text cannot come back
-unnoticed.
+The series CSVs format whole blocks of floats at C level with ``repr``;
+``simulate`` builds a block of draws' lines in one byte array, its floats
+written by the repr kernel of ``ophp._shortest`` (``tests/test_shortest.py``
+compares that kernel with ``repr`` float by float); and ``write_json`` hands
+scalar-only containers to the C ``json`` encoder.  Each is compared byte for
+byte with the old code, kept here as the reference, on square, tall and wide
+operators for ``simulate``.  ``read_series_csv`` parses every field of a
+series in one pass; it returns the line-by-line reader's bits or its
+message, but for the two fixes it declares.  ``simulate`` streams the
+sampler's blocks to its file, and its peak allocation is bounded
+independently of the draw count, so that holding the whole sample or the
+whole file's text cannot come back unnoticed.
 """
 
 import json
@@ -82,14 +85,15 @@ def _old_read_series_csv(path):
     return (np.asarray(ts) if ts else None, np.asarray(values))
 
 
-def _old_samples_csv(data, dim) -> str:
+def _old_samples_csv(data) -> str:
+    """One line per draw and component of the longer of u and v; a vector
+    shorter than that has empty fields past its length."""
     lines = ["draw,component,u,v,y,x"]
+    columns = (data.u, data.v, data.y, data.x)
     for i in range(data.count):
-        for j in range(dim):
-            lines.append(
-                f"{i},{j},{repr(float(data.u[i, j]))},{repr(float(data.v[i, j]))},"
-                f"{repr(float(data.y[i, j]))},{repr(float(data.x[i, j]))}"
-            )
+        for j in range(max(data.u.shape[1], data.v.shape[1])):
+            cells = [repr(float(c[i, j])) if j < c.shape[1] else "" for c in columns]
+            lines.append(f"{i},{j}," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -106,11 +110,12 @@ def _config(tmp_path, kind, dim):
             "sigma_u": {"kind": "diagonal", "values": rng.uniform(0.5, 2.0, dim).tolist()},
             "sigma_v": {"kind": "diagonal", "values": rng.uniform(0.5, 2.0, dim).tolist()},
         }
-    else:
+    else:  # a dense operator: square, tall (more rows) or wide
+        rows = dim + {"dense": 0, "tall": 2, "wide": -1}[kind]
         doc = {
-            "operator": {"kind": "dense", "rows": rng.standard_normal((dim, dim)).tolist()},
+            "operator": {"kind": "dense", "rows": rng.standard_normal((rows, dim)).tolist()},
             "sigma_u": {"kind": "dense", "rows": _spd(dim, rng).tolist()},
-            "sigma_v": {"kind": "dense", "rows": _spd(dim, rng).tolist()},
+            "sigma_v": {"kind": "dense", "rows": _spd(rows, rng).tolist()},
         }
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps({**doc, "truncation_dim": dim, "seed": 17}))
@@ -118,7 +123,7 @@ def _config(tmp_path, kind, dim):
 
 
 class TestCsv:
-    @pytest.mark.parametrize("kind", ["diagonal", "dense"])
+    @pytest.mark.parametrize("kind", ["diagonal", "dense", "tall", "wide"])
     @pytest.mark.parametrize(
         "count", [1, B - 1, B, B + 1, 2 * B + 3, BLOCK_ROWS + 1, DEFAULT_CHUNK + B + 1]
     )
@@ -128,7 +133,7 @@ class TestCsv:
         assert main(["simulate", "--config", str(config), "--count", str(count),
                      "--out", str(out)]) == 0
         model = load_config(config).model
-        expected = _old_samples_csv(sample_joint(model, count, 17), model.dim)
+        expected = _old_samples_csv(sample_joint(model, count, 17))
         assert (out / "samples.csv").read_text() == expected
 
     @pytest.mark.parametrize(
