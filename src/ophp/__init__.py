@@ -16,7 +16,6 @@ from .filter import (
     FilterProblem,
     FilterSolveError,
     PositivityError,
-    positivity_check,
     solve_filter,
 )
 from .gaussian import (
@@ -28,16 +27,13 @@ from .operators import (
     BasisMismatchError,
     CoeffVector,
     DimensionMismatchError,
-    adjoint,
     apply,
-    compose,
     dense_operator,
     diagonal_operator,
     kernel_operator,
     pinv,
 )
 from .scales import (
-    rescaled_covariances,
     scaled_optimal_b,
     trace_class_threshold,
 )

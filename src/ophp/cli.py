@@ -43,7 +43,7 @@ from .operators import (
     euclidean_norm,
     sine_basis_matrix,
 )
-from .scales import MAX_SCALE_N, rescaled_covariances, scale_index
+from .scales import MAX_SCALE_N, rescaled_cores, scale_index, scaled_optimal_b
 from .smoothing import SingularCovarianceError, optimal_b
 from .specs import (
     RunConfig,
@@ -521,6 +521,19 @@ def _multipliers(op) -> list | None:
     return op.stored.tolist() if op.is_diagonal else None
 
 
+def _rescaled_multipliers(model, n: int) -> list:
+    """``sigma_u`` and ``sigma_v`` rescaled at index ``n`` as multipliers,
+    or ``None`` where they are not diagonal: the model's own at n = 0, else
+    the 1-d frame cores placed on the retained components."""
+    if n == 0:
+        return [_multipliers(model.sigma_u), _multipliers(model.sigma_v)]
+    extend = model.pinv_bundle.extend
+    return [
+        _multipliers(extend(core)) if core.ndim == 1 else None
+        for core in rescaled_cores(model, n)
+    ]
+
+
 def cmd_scale(args) -> int:
     cfg = _request(args)
     model = cfg.model
@@ -536,8 +549,8 @@ def cmd_scale(args) -> int:
         )
     kappa = model.pinv_bundle.singular_values**2
     weights = kappa ** float(n)
-    su, sv = rescaled_covariances(model, n)
-    scaled = optimal_b(replace(model, sigma_u=su, sigma_v=sv))
+    scaled = scaled_optimal_b(model, n)
+    su, sv = _rescaled_multipliers(model, n)
     white = white_noise_scale_check(model, n, n0)
     doc = {
         "n": int(n),
@@ -545,8 +558,8 @@ def cmd_scale(args) -> int:
         "indices": model.pinv_bundle.retained.tolist(),
         "kappa": kappa.tolist(),
         "weights": weights.tolist(),
-        "sigma_u_rescaled": _multipliers(su),
-        "sigma_v_rescaled": _multipliers(sv),
+        "sigma_u_rescaled": su,
+        "sigma_v_rescaled": sv,
         "scaled_bhat_multipliers": _multipliers(scaled),
         "white_noise_check": white.to_json(),
     }

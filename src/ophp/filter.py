@@ -15,7 +15,7 @@ requests on a config that ``specs.load_config`` keeps share one verdict.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +44,8 @@ class FilterSolveError(RuntimeError):
 class FilterProblem:
     """Observations ``x`` with operator ``a`` and smoothing operator ``b``.
 
-    ``b`` acts on the codomain of ``a`` and must pass ``positivity_check``
-    before ``solve_filter`` is permitted.
+    ``b`` acts on the codomain of ``a`` and must keep the penalty
+    nonnegative, which ``solve_filter`` checks before it solves.
     """
 
     a: OperatorRep
@@ -68,44 +68,22 @@ class FilterProblem:
 
 @dataclass(frozen=True, eq=False)
 class PositivityReport:
-    """Outcome of the penalty nonnegativity check.
-
-    ``witness`` is a unit vector realizing ``min_value``, present only on
-    a FAIL from ``positivity_check``.  ``trials`` is always 0: the check
-    samples no vectors.
-    """
+    """Outcome of the penalty nonnegativity check."""
 
     passed: bool
-    method: str
     min_value: float
-    witness: np.ndarray | None
-    trials: int = 0
-
-    def __repr__(self):
-        status = "PASS" if self.passed else "FAIL"
-        return f"PositivityReport({status}, method={self.method}, min={self.min_value:.3e})"
-
-
-def positivity_check(a: OperatorRep, b: OperatorRep) -> PositivityReport:
-    """Certify or falsify nonnegativity of the penalty quadratic form.
-
-    A diagonal ``b`` with nonnegative multipliers passes analytically.
-    Otherwise the verdict is the least eigenvalue of the symmetric part of
-    ``M``, the core of ``A* B A`` in the frame, or 0 where ``A`` has a null
-    space: the minimum of ``<A h, B A h>`` over unit vectors ``h``.  Its
-    eigenvector, lifted to the domain, is computed as the witness only when
-    the check fails.  FAIL is a report outcome, not an exception; an ``M``
-    that overflows the float range raises :class:`FilterSolveError`.
-    """
-    frame = singular_frame(a)
-    return _positivity(frame, b, frame.penalty_core(b), witness=True)
 
 
 def _positivity(
-    frame: SingularFrame, b: OperatorRep, penalty: np.ndarray, witness: bool
+    frame: SingularFrame, b: OperatorRep, penalty: np.ndarray
 ) -> PositivityReport:
+    """A diagonal ``b`` with nonnegative multipliers passes analytically.
+    Otherwise the verdict is the least eigenvalue of the symmetric part of
+    ``M``, the core of ``A* B A`` in the frame, or 0 where ``A`` has a null
+    space: the minimum of ``<A h, B A h>`` over unit vectors ``h``.  An
+    ``M`` that overflows the float range raises :class:`FilterSolveError`."""
     if nonnegative_diagonal(b):
-        return PositivityReport(True, "analytic", 0.0, witness=None)
+        return PositivityReport(True, 0.0)
     if not np.isfinite(penalty).all():
         raise FilterSolveError(
             "trend system is not finite: it overflows the float range"
@@ -113,12 +91,7 @@ def _positivity(
     eigvals = core_eig(penalty, vectors=False)[0]
     null = 0.0 if frame.numerical_rank < frame.operator.dim_in else np.inf
     least = float(eigvals.min(initial=null))
-    report = PositivityReport(above_psd_floor(eigvals), "spectral", least, None)
-    if report.passed or not witness:
-        return report
-    vector, rank = core_eig(penalty)[1][:, 0], frame.numerical_rank
-    lifted = frame.lift(vector, np.zeros(frame.operator.dim_in), np.zeros(rank))
-    return replace(report, witness=lifted)
+    return PositivityReport(above_psd_floor(eigvals), least)
 
 
 # Verdicts of ``solve_filter``, keyed on ``b`` and then on ``a``.  Operators
@@ -154,8 +127,9 @@ def solve_filter(problem: FilterProblem) -> CoeffVector:
     closed form where ``M`` is 1-d (diagonal ``a`` and ``b``), otherwise by
     LU with a backward-error check.  The verdict is computed once per
     ``(A, B)`` pair, from the ``M`` the solve uses; ``M`` and the solve run
-    on every call.  A failing verdict raises without a witness, so it costs
-    one symmetric eigenvalue solve.
+    on every call.  A verdict costs at most one symmetric eigenvalue solve;
+    a failing one raises :class:`PositivityError` with the least value of
+    the quadratic form.
     """
     a, b, x = problem.a, problem.b, problem.x
     frame = singular_frame(a)
@@ -163,7 +137,7 @@ def solve_filter(problem: FilterProblem) -> CoeffVector:
     by_a = _VERDICTS.setdefault(b, weakref.WeakKeyDictionary())
     report = by_a.get(a)
     if report is None:
-        report = by_a[a] = _positivity(frame, b, penalty, witness=False)
+        report = by_a[a] = _positivity(frame, b, penalty)
     if not report.passed:
         raise PositivityError(
             "smoothing operator fails nonnegativity "

@@ -168,7 +168,7 @@ def _frame_cores(model: GaussianModel) -> tuple:
     s = frame.scales
     try:
         with np.errstate(all="ignore"):
-            cv_inverse, singular = frame.range_inverse(model.sigma_v)
+            cv_inverse, singular = frame.range_inverse(frame.codomain_core(model.sigma_v))
             if singular is not None:
                 raise ModelError(f"sigma_v is singular on {singular}")
             system = shifted_inverse(core_product(cu, s, cv_inverse, s), 1.0 / scale)

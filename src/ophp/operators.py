@@ -15,7 +15,7 @@ dense (2-d)
 
 Range bases and spectra are computed in this module; other modules read
 ``stored`` only for a diagonal closed form, to write an operator out, or to
-check a covariance's entries.  Besides the operator algebra it provides the
+check a covariance's entries.  Besides applying operators it provides the
 Moore-Penrose inverse on the singular frame of ``A``, in which the smoother,
 the trend system and the Gaussian conditioning are written, symmetric
 spectral primitives, and the one rounding policy.
@@ -328,7 +328,7 @@ def kernel_operator(
 
 
 # ---------------------------------------------------------------------------
-# Operator algebra
+# Operator application
 # ---------------------------------------------------------------------------
 
 
@@ -363,47 +363,9 @@ def apply_rows(
     return np.matmul(rows, op.stored.T, out=out)
 
 
-def adjoint(op: OperatorRep) -> OperatorRep:
-    """Adjoint with respect to the orthonormal bases.
-
-    The stored array transposes (a 1-d array is its own transpose); a
-    symmetric operator on one basis, diagonal ones included, returns itself.
-    """
-    if op.domain_basis == op.codomain_basis and np.array_equal(op.stored, op.stored.T):
-        return op
-    return OperatorRep(op.stored.T, op.codomain_basis, op.domain_basis)
-
-
-def compose(s: OperatorRep, t: OperatorRep) -> OperatorRep:
-    """Composition ``s o t`` (apply ``t`` first).
-
-    Diagonal composed with diagonal stays diagonal; any other combination
-    materializes as a dense operator.
-    """
-    if t.codomain_basis != s.domain_basis:
-        raise BasisMismatchError(
-            f"cannot compose: inner bases {t.codomain_basis!r} and "
-            f"{s.domain_basis!r} differ"
-        )
-    if t.dim_out != s.dim_in:
-        raise DimensionMismatchError(
-            f"cannot compose: inner dimensions {t.dim_out} and {s.dim_in} differ"
-        )
-    product = core_product(s.stored, t.stored)
-    return OperatorRep(product, t.domain_basis, s.codomain_basis)
-
-
 # ---------------------------------------------------------------------------
 # Symmetric spectral primitives
 # ---------------------------------------------------------------------------
-
-
-def symmetrize(op: OperatorRep) -> OperatorRep:
-    """Symmetric part ``(op + op*) / 2`` of a square operator."""
-    if op.is_diagonal:
-        return op
-    sym = _symmetric_part(op.stored)
-    return dense_operator(sym, op.domain_basis, op.codomain_basis)
 
 
 def _symmetric_part(mat: np.ndarray) -> np.ndarray:
@@ -547,13 +509,12 @@ class SingularFrame:
             np.multiply(core, s**2, out=penalty, where=core != 0.0)
         return penalty
 
-    def range_inverse(self, op: OperatorRep) -> tuple[np.ndarray | None, str | None]:
-        """``(U_r* op U_r)^-1`` for a PSD ``op`` on the codomain, or ``None``,
-        and where that core is singular, if it is.  A 1-d core is inverted
+    def range_inverse(self, core: np.ndarray) -> tuple[np.ndarray | None, str | None]:
+        """``core^-1`` of a PSD codomain core (``U_r* op U_r``), or ``None``,
+        and where the core is singular, if it is.  A 1-d core is inverted
         componentwise, exactly at any dynamic range, so only entries not
         above the least normal float are singular; they are named.  A 2-d
         core is singular where :func:`psd_inverse` finds it rank-deficient."""
-        core = self.codomain_core(op)
         if core.ndim == 1:
             bad = self.retained[~(core > np.finfo(float).tiny)]
             if bad.size:

@@ -11,51 +11,41 @@ optimal smoother in the rescaled space collapses to the scalar
 noise-to-signal ratio on the range components.
 
 Scales are realized purely as weight sequences on spectral components; no
-abstract completion is constructed.  ``ophp scale`` writes the weights from
-the pinv bundle; they are not a library object.
+abstract completion is constructed, and the rescaled covariances exist only
+as their cores in the singular frame of ``A``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from functools import reduce
+
+import numpy as np
 
 from .gaussian import DecayDeclaration, GaussianModel
-from .operators import OperatorRep, adjoint, compose, symmetrize
-from .smoothing import optimal_b
+from .operators import OperatorRep, core_product
+from .smoothing import frame_smoother, optimal_b
 
 
 # The largest scale index served, a practical ceiling rather than an exact
 # criterion: at n = 64, singular values a factor of 16 apart give weights
-# kappa_j**(2n) a factor 2**1024 apart, the largest float measured from 1,
-# and a dense model composes 2n matrices per covariance.
+# kappa_j**n a factor 2**512 apart and rescaled covariance entries, s_j**(-4n),
+# a factor 2**1024 apart, the largest float measured from 1.
 MAX_SCALE_N = 64
 
 
-def rescaled_covariances(
-    model: GaussianModel, n: int
-) -> tuple[OperatorRep, OperatorRep]:
-    """Covariances conjugated by the n-th power of the inverse scale operator.
-
-    Each covariance becomes ``W sigma W``, with ``W = (pinv(A) pinv(A)*)^n``
-    on the domain and ``(pinv(A)* pinv(A))^n`` on the codomain.  Spectral
-    models stay diagonal with entries sigma_j / kappa_j**(2n) on the range
-    components; for n >= 1 the null-space components are zeroed.  At n = 0
-    the inputs are returned unchanged.
-    """
-    if n < 0:
-        raise ValueError("scale index n must be nonnegative")
-    if n == 0:
-        return model.sigma_u, model.sigma_v
-    p = model.pinv_bundle.pinv
-    # Powers by repeated composition: no factorization beyond the pinv's.
-    w_domain = reduce(compose, [compose(p, adjoint(p))] * n)
-    w_codomain = reduce(compose, [compose(adjoint(p), p)] * n)
-    return (
-        symmetrize(compose(w_domain, compose(model.sigma_u, w_domain))),
-        symmetrize(compose(w_codomain, compose(model.sigma_v, w_codomain))),
-    )
+def rescaled_cores(model: GaussianModel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frame cores ``(w C_u w, w C_v w)`` of the covariances rescaled at
+    index ``n >= 1``: ``C_u = V_r* sigma_u V_r``, ``C_v = U_r* sigma_v U_r``
+    and ``w = S^(-2n)``, the cores of ``W sigma_u W`` with
+    ``W = (pinv(A) pinv(A)*)^n`` and of ``W' sigma_v W'`` with
+    ``W' = (pinv(A)* pinv(A))^n``, which vanish off the range of ``A``."""
+    frame = model.pinv_bundle
+    inverse = 1.0 / frame.scales
+    step = w = inverse * inverse
+    for _ in range(n - 1):
+        w = w * step
+    cores = frame.domain_core(model.sigma_u), frame.codomain_core(model.sigma_v)
+    return tuple(core_product(w, core_product(core, w)) for core in cores)
 
 
 def trace_class_threshold(decay: DecayDeclaration) -> int | None:
@@ -93,12 +83,12 @@ def scale_index(
 
 
 def scaled_optimal_b(model: GaussianModel, n: int) -> OperatorRep:
-    """Optimal smoother of the model with the rescaled covariances; it keeps
-    the model's pinv bundle, so ``A`` is not factorized again.
-
-    At n = 0 this coincides with the unscaled optimal smoother; for white
-    noise it equals the noise-to-signal ratio times the identity on the
-    range components, for every admissible n.
-    """
-    sigma_u, sigma_v = rescaled_covariances(model, n)
-    return optimal_b(replace(model, sigma_u=sigma_u, sigma_v=sigma_v))
+    """Optimal smoother of the :func:`rescaled_cores` in the frame the model
+    keeps, with the errors of ``optimal_b``; at n = 0 it is
+    ``optimal_b(model)``, the same object.  For white noise it equals the
+    noise-to-signal ratio times the identity on the range components."""
+    if n < 0:
+        raise ValueError("scale index n must be nonnegative")
+    if n == 0:
+        return optimal_b(model)
+    return frame_smoother(model.pinv_bundle, *rescaled_cores(model, n))

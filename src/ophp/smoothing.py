@@ -6,11 +6,11 @@ trend closest to the conditional mean of the signal is
 the range of ``A``.  In the singular frame of ``A`` (``A = U_r S V_r*``,
 see :class:`~ophp.operators.SingularFrame`) it is
 ``U_r S^-1 (V_r* sigma_u V_r) S (U_r* sigma_v U_r)^-1 U_r*``, for every
-storage kind.  :func:`optimal_b` assembles it once per operator and
-covariances, also for rescaled covariances
-(:func:`~ophp.scales.scaled_optimal_b`); the filter's distance to the
-conditional mean vanishes on the range of ``A``
-(:func:`~ophp.validate.gap_check` checks it).
+storage kind.  :func:`frame_smoother` assembles it from the two frame
+cores, which :func:`optimal_b` restricts from the covariances once per
+operator and covariances and :func:`~ophp.scales.scaled_optimal_b`
+rescales; the filter's distance to the conditional mean vanishes on the
+range of ``A`` (:func:`~ophp.validate.gap_check` checks it).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import weakref
 import numpy as np
 
 from .gaussian import GaussianModel, ModelError
-from .operators import OperatorRep, core_product
+from .operators import OperatorRep, SingularFrame, core_product
 
 
 class SingularCovarianceError(ValueError):
@@ -56,17 +56,28 @@ def optimal_b(model: GaussianModel) -> OperatorRep:
     if bhat is not None:
         return bhat
     frame = model.pinv_bundle
-    sigma_v_inverse, singular = frame.range_inverse(model.sigma_v)
+    sigma_v = frame.codomain_core(model.sigma_v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma_u = frame.domain_core(model.sigma_u)
+    bhat = by_sigma_v[model.sigma_v] = frame_smoother(frame, sigma_u, sigma_v)
+    return bhat
+
+
+def frame_smoother(
+    frame: SingularFrame, sigma_u: np.ndarray, sigma_v: np.ndarray
+) -> OperatorRep:
+    """``U_r S^-1 sigma_u S sigma_v^-1 U_r*`` of a domain core ``sigma_u``
+    and a codomain core ``sigma_v`` in ``frame``, with the errors of
+    :func:`optimal_b`."""
+    sigma_v_inverse, singular = frame.range_inverse(sigma_v)
     if singular is not None:
         raise SingularCovarianceError(f"sigma_v is singular on {singular}")
     s = frame.scales
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma_u = frame.domain_core(model.sigma_u)
         bhat = frame.extend(core_product(1.0 / s, sigma_u, s, sigma_v_inverse))
     if not np.isfinite(bhat.stored).all():
         raise ModelError(
             "the optimal smoother pinv(A)* sigma_u A* sigma_v^-1 is not finite: "
             "it overflows the float range"
         )
-    by_sigma_v[model.sigma_v] = bhat
     return bhat

@@ -162,6 +162,9 @@ def conditional_mean_check(
     the root of its inflation ``1 + (k_x + k_r + 1) / draws``, leaves
     ``z_threshold``, or ``max |Z|`` or the largest of the ``r`` structural
     ``Z_jj`` of the range coordinates exceeds its Sidak threshold.
+    ``residual_dropped`` is ``r - k_r``: the range directions whose residual
+    variance is not above the rounding floor of the signal (or the rank
+    cutoff), so they are not tested; at ``df`` 0 that is why it passes.
     """
     white_x, rank_x, white_r, rank_r = conditional_whitening(model)
     slope = regression_slope(model)
@@ -199,6 +202,7 @@ def conditional_mean_check(
             "z_threshold": z_threshold,
             "structural_max_abs_z": structural,
             "structural_threshold": structural_threshold,
+            "residual_dropped": int(kept.size - rank_r),
         },
     )
 

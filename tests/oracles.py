@@ -10,6 +10,7 @@ sampler's blocks into whole arrays.
 """
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,13 +18,14 @@ import numpy as np
 from ophp import (
     FilterProblem,
     GaussianModel,
+    PositivityError,
     conditional_mean,
     diagonal_operator,
     solve_filter,
 )
 from ophp.gaussian import BLOCK_ROWS, DEFAULT_CHUNK, sample_joint_blocks
 from ophp.instances import laplacian_multipliers, ramp_multipliers
-from ophp.operators import BASIS_EUCLIDEAN, BASIS_SINE, CoeffVector, OperatorRep
+from ophp.operators import BASIS_EUCLIDEAN, BASIS_SINE, EIG_RTOL, CoeffVector, OperatorRep
 from ophp.scales import MAX_SCALE_N
 
 
@@ -111,6 +113,26 @@ def objective_gradient(problem, y) -> np.ndarray:
     return 2.0 * (y.coeffs - problem.x.coeffs) + 2.0 * back
 
 
+def least_penalty_eigenvalue(a, b) -> float:
+    """Least eigenvalue of the symmetric part of ``A* B A``: the minimum of
+    the penalty ``<A h, B A h>`` over unit vectors ``h``."""
+    amat = a.as_matrix()
+    penalty = amat.T @ b.as_matrix() @ amat
+    return float(np.linalg.eigvalsh(0.5 * (penalty + penalty.T))[0])
+
+
+def refused_minimum(a, b) -> float | None:
+    """``None`` where ``solve_filter`` accepts the smoother ``b``, else the
+    minimum quadratic form its :class:`~ophp.PositivityError` quotes (four
+    significant digits)."""
+    x = CoeffVector(np.zeros(a.dim_in), a.domain_basis)
+    try:
+        solve_filter(FilterProblem(a, x, b))
+    except PositivityError as exc:
+        return float(re.fullmatch(r".*\(minimum quadratic form (\S+)\)", str(exc))[1])
+    return None
+
+
 def gap(model, b, x) -> float:
     """Distance between the conditional mean and the filtered trend at ``x``."""
     mean = conditional_mean(model, x)
@@ -177,6 +199,32 @@ def multiplication_model(weight: str, dim: int, sigma_v_scale: float = 1.0):
         diagonal_operator(ones, BASIS_SINE),
         diagonal_operator(0.5 * sigma_v_scale * ones, BASIS_SINE),
     )
+
+
+def scaled_smoother_reference(model, n: int) -> np.ndarray | None:
+    """The smoother of the covariances rescaled at index ``n >= 1`` by the
+    frame formula ``U_r S^-1 (w C_u w) S (w C_v w)^-1 U_r*`` in numpy:
+    ``w = S^(-2n)``, ``C_u = V_r* sigma_u V_r`` and ``C_v = U_r* sigma_v U_r``
+    on the leading ``r`` (``numerical_rank``) singular triplets of ``A``.
+    ``None`` where the package refuses it: where ``eigvalsh`` of
+    ``w C_v w`` keeps fewer than ``r`` eigenvalues above ``EIG_RTOL`` times
+    the largest, or, where ``A`` and ``sigma_v`` are diagonal and the core
+    is inverted componentwise, where an eigenvalue is not above the least normal float."""
+    u, s, vt = np.linalg.svd(model.a.as_matrix())
+    r = model.pinv_bundle.numerical_rank
+    u, s, v = u[:, :r], s[:r], vt[:r].T
+    w = s ** (-2.0 * n)
+    cu = w[:, None] * (v.T @ model.sigma_u.as_matrix() @ v) * w
+    cv = w[:, None] * (u.T @ model.sigma_v.as_matrix() @ u) * w
+    vals = np.linalg.eigvalsh(cv)
+    if model.a.is_diagonal and model.sigma_v.is_diagonal:
+        refused = vals.min(initial=np.inf) <= np.finfo(float).tiny
+    else:
+        refused = np.count_nonzero(vals > EIG_RTOL * vals.max(initial=0.0)) < r
+    if refused:
+        return None
+    core = (cu / s[:, None] * s) @ np.linalg.inv(cv)
+    return u @ core @ u.T
 
 
 def tail_ratio(values) -> float:

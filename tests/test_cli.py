@@ -963,8 +963,9 @@ class TestErrorExits:
         "scale, flags, message",
         [
             # The least trace-class index overflowed math.floor (5e-324) or
-            # the list of compositions (1e-300), and so did scale.n = 1e300:
-            # OverflowError tracebacks.
+            # a list length (1e-300), and so did scale.n = 1e300: OverflowError
+            # tracebacks.  An index above MAX_SCALE_N is refused before any
+            # weight is formed.
             ({"kappa_decay": 5e-324, "sigma_u_decay": 0.0, "sigma_v_decay": 0.0},
              [], "no scale index"),
             ({"kappa_decay": 1e-300, "sigma_u_decay": 0.0, "sigma_v_decay": 0.0},

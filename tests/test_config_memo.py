@@ -348,11 +348,17 @@ class TestSmootherMemo:
         dim = 8
         model = load_config(_write(tmp_path / "c.json", _commuting_doc(dim, 53))).model
         bhat = optimal_b(model)
-        # As ``scale`` does: the model with its rescaled covariances.
-        su, sv = scales.rescaled_covariances(model, 1)
-        scaled = optimal_b(replace(model, sigma_u=su, sigma_v=sv))
-        assert scaled is not bhat
-        assert not np.array_equal(scaled.stored, bhat.stored)
+        # The model with other covariances, made with ``replace``.
+        su = dense_operator(2.0 * model.sigma_u.as_matrix())
+        other = optimal_b(replace(model, sigma_u=su))
+        assert other is not bhat
+        assert not np.array_equal(other.stored, bhat.stored)
+        # As ``scale`` does: index 0 is the model's own smoother, index 1 the
+        # smoother of its rescaled frame cores, which is not kept.
+        assert scales.scaled_optimal_b(model, 0) is bhat
+        rescaled = scales.scaled_optimal_b(model, 1)
+        assert rescaled is not bhat and scales.scaled_optimal_b(model, 1) is not rescaled
+        assert not np.array_equal(rescaled.stored, bhat.stored)
         # As ``filter --estimate-y0`` does: the model with a new y0, which
         # the smoother does not read, so it shares the model's.
         x = CoeffVector(np.random.default_rng(54).standard_normal(dim))

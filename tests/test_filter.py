@@ -11,7 +11,6 @@ from ophp import (
     PositivityError,
     dense_operator,
     diagonal_operator,
-    positivity_check,
     solve_filter,
 )
 from ophp.instances import laplacian_multipliers
@@ -20,10 +19,12 @@ from ophp.smoothing import optimal_b
 from oracles import (
     identity,
     laplacian_model,
+    least_penalty_eigenvalue,
     objective,
     objective_gradient,
     ramp_model,
     ramp_operator,
+    refused_minimum,
     scaled,
     zero,
 )
@@ -68,19 +69,14 @@ class TestObjective:
 
 
 class TestPositivityCheck:
+    # solve_filter certifies the penalty before it solves; a refusal quotes
+    # the least eigenvalue of the symmetric part of A* B A.
     def test_nonnegative_diagonal_passes_analytically(self):
-        report = positivity_check(ramp_operator(3), diagonal_operator([0.0, 1.0, 4.0]))
-        assert report.passed and report.method == "analytic"
+        assert refused_minimum(ramp_operator(3), diagonal_operator([0.0, 1.0, 4.0])) is None
 
     def test_negative_identity_fails(self):
-        a = identity(4)
-        report = positivity_check(a, scaled(identity(4), -1.0))
-        assert not report.passed
-        assert report.min_value < 0
-        assert report.witness is not None
-        # The witness realizes the negative quadratic form.
-        h = report.witness
-        assert float(h @ (-np.eye(4)) @ h) == pytest.approx(report.min_value, rel=1e-9)
+        a, b = identity(4), scaled(identity(4), -1.0)
+        assert refused_minimum(a, b) == least_penalty_eigenvalue(a, b) == -1.0
 
     def test_constructed_indefinite_dense_smoother(self):
         # Eigen-decomposition oracle: with a = identity the symmetric part of
@@ -88,10 +84,8 @@ class TestPositivityCheck:
         rng = np.random.default_rng(5)
         q = _random_orthogonal(4, rng)
         b = dense_operator(q @ np.diag([-0.1, 0.3, 0.5, 1.0]) @ q.T)
-        report = positivity_check(identity(4), b)
-        assert not report.passed
-        assert report.min_value == pytest.approx(-0.1, abs=1e-9)
-
+        assert refused_minimum(identity(4), b) == pytest.approx(-0.1, rel=1e-3)
+        assert least_penalty_eigenvalue(identity(4), b) == pytest.approx(-0.1, abs=1e-9)
 
     def test_floor_is_the_rounding_bound_of_the_spectrum(self):
         # A* B A = q diag(a^2 b) q^T on a rotated ramp: the optimal smoother's
@@ -102,10 +96,10 @@ class TestPositivityCheck:
         a_mult = np.arange(dim, dtype=float)
         a = dense_operator((q * a_mult) @ q.T)
         b = np.full(dim, 2.0)
-        assert positivity_check(a, dense_operator((q * b) @ q.T)).passed
+        assert refused_minimum(a, dense_operator((q * b) @ q.T)) is None
         b[1] = -1e-12 * (1.0 + 2.0 * a_mult.max() ** 2)
-        report = positivity_check(a, dense_operator((q * b) @ q.T))
-        assert not report.passed
+        refused = refused_minimum(a, dense_operator((q * b) @ q.T))
+        assert refused == pytest.approx(b[1] * a_mult[1] ** 2, rel=1e-2)
 
 
 class TestSolveFilter:
@@ -240,11 +234,6 @@ class TestTrendSystemOverflow:
     def test_solve_filter_raises(self, b):
         with pytest.raises(FilterSolveError, match="overflows the float range"):
             solve_filter(self._problem(b))
-
-    def test_positivity_check_raises(self):
-        problem = self._problem()
-        with pytest.raises(FilterSolveError, match="overflows the float range"):
-            positivity_check(problem.a, problem.b)
 
 
 class TestFilterProperties:

@@ -51,6 +51,26 @@ CASES = {
             "bhat.json": "7bd36ef62c6b859a53fde34b66ad508c6a9f2232aee383bb4ec582b2480e198a",
         },
     ),
+    # n = 1 from the config's decay exponents, then the explicit index 0
+    # (the model's own covariances, null component included) and 2.
+    "scale": (
+        ["scale", "--config", "{ramp}/config.json"],
+        {
+            "scale.json": "50739c7fb303011f0dcfbde31307b7d6cf2f70e198534ab69790088613b8562a",
+        },
+    ),
+    "scale-n0": (
+        ["scale", "--config", "{ramp}/config.json", "--scale-n", "0"],
+        {
+            "scale.json": "f226cd64e640fb79b540279ca364a2b58decaeac7ab8c73274f6ce77bb288634",
+        },
+    ),
+    "scale-n2": (
+        ["scale", "--config", "{ramp}/config.json", "--scale-n", "2"],
+        {
+            "scale.json": "03a6c7f909a864bb94cf2a1cf4ebe238ffa6e9076638d7648105d92257cf3d50",
+        },
+    ),
     "simulate": (
         ["simulate", "--config", "{ramp}/config.json", "--count", "300", "--seed", "5"],
         {

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ophp import apply, compose, kernel_operator, optimal_b
+from ophp import apply, kernel_operator, optimal_b
 from ophp.filter import filter_multipliers
 from ophp.instances import (
     expected_filter_multipliers,
@@ -96,8 +96,8 @@ def test_green_operator_inverts_laplacian_spectrally():
     dim = 6
     green = kernel_operator("dirichlet_green", dim, grid_points=512)
     lam = laplacian_operator(dim)
-    composed = compose(lam, green)  # promotes to dense; near identity
-    np.testing.assert_allclose(composed.stored, np.eye(dim), atol=2e-3)
+    composed = lam.stored[:, None] * green.stored  # near the identity
+    np.testing.assert_allclose(composed, np.eye(dim), atol=2e-3)
     e_2 = np.zeros(dim)
     e_2[1] = 1.0
     out = apply(green, CoeffVector(e_2, BASIS_SINE))

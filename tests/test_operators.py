@@ -1,4 +1,4 @@
-"""Operator representations, adjoints, compositions, generalized inverses."""
+"""Operator representations, application, generalized inverses."""
 
 import warnings
 
@@ -9,9 +9,7 @@ from ophp import (
     BasisMismatchError,
     CoeffVector,
     DimensionMismatchError,
-    adjoint,
     apply,
-    compose,
     dense_operator,
     diagonal_operator,
     kernel_operator,
@@ -25,7 +23,6 @@ from ophp.operators import (
     euclidean_norm,
     moore_penrose_residuals,
     sine_basis_matrix,
-    symmetrize,
 )
 
 from oracles import identity, operator_norm, zero
@@ -164,6 +161,10 @@ class TestApply:
             )
             assert got == pytest.approx(oracle, abs=1e-4 * abs(oracle) + 1e-8)
 
+    def test_symmetric_kernel_gives_an_exactly_symmetric_matrix(self):
+        op = kernel_operator("dirichlet_green", dim=4, grid_points=64)
+        assert np.array_equal(op.stored, op.stored.T)
+
     def test_kernel_requires_enough_grid_points(self, cold_kernel_memo):
         # The rule of every sine projection: p samples resolve p - 2 modes.
         with pytest.raises(DimensionMismatchError, match="^64 samples cannot resolve 100"):
@@ -171,41 +172,6 @@ class TestApply:
         with pytest.raises(DimensionMismatchError, match="^9 samples cannot resolve 8"):
             kernel_operator("dirichlet_green", dim=8, grid_points=9)
         assert kernel_operator("dirichlet_green", dim=8, grid_points=10).dim_in == 8
-
-
-class TestAdjoint:
-    def test_dense_transpose(self):
-        op = dense_operator([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(adjoint(op).stored, [[1.0, 3.0], [2.0, 4.0]])
-
-    def test_diagonal_self_adjoint(self):
-        op = diagonal_operator([0.0, 2.0, 3.0])
-        assert adjoint(op) is op
-
-    def test_inner_product_identity(self):
-        rng = np.random.default_rng(7)
-        mat = rng.standard_normal((5, 3))
-        op = dense_operator(mat)
-        star = adjoint(op)
-        for _ in range(100):
-            x = CoeffVector(rng.standard_normal(3))
-            y = CoeffVector(rng.standard_normal(5))
-            lhs = float(apply(op, x).coeffs @ y.coeffs)
-            rhs = float(x.coeffs @ apply(star, y).coeffs)
-            assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(lhs)))
-
-    def test_double_adjoint(self):
-        rng = np.random.default_rng(8)
-        op = dense_operator(rng.standard_normal((4, 6)))
-        back = adjoint(adjoint(op))
-        assert np.linalg.norm(back.stored - op.stored) <= 1e-12
-        diag = diagonal_operator([1.0, -2.0])
-        assert adjoint(adjoint(diag)) is diag
-
-    def test_symmetric_kernel_self_adjoint(self):
-        op = kernel_operator("dirichlet_green", dim=4, grid_points=64)
-        assert adjoint(op) is op
-        assert np.array_equal(op.stored, op.stored.T)
 
 
 class TestPinv:
@@ -318,50 +284,6 @@ class TestPinv:
         assert "range_projector" not in vars(bundle)
 
 
-class TestCompose:
-    def test_diagonal_stays_diagonal(self):
-        out = compose(diagonal_operator([1.0, 2.0]), diagonal_operator([3.0, 4.0]))
-        assert out.is_diagonal
-        np.testing.assert_array_equal(out.stored, [3.0, 8.0])
-
-    def test_projector_absorbs_pinv(self):
-        mult = np.array([0.0, 2.0, 3.0, 4.0])
-        bundle = pinv(diagonal_operator(mult))
-        out = compose(bundle.projector_pi, bundle.pinv)
-        assert np.abs(out.stored - bundle.pinv.stored).max() <= 1e-12
-
-    def test_dense_against_triple_loop(self):
-        rng = np.random.default_rng(13)
-        left = rng.standard_normal((3, 4))
-        right = rng.standard_normal((4, 2))
-        out = compose(dense_operator(left), dense_operator(right))
-        oracle = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(2):
-                for k in range(4):
-                    oracle[i, j] += left[i, k] * right[k, j]
-        assert np.abs(out.stored - oracle).max() <= 1e-13
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            compose(dense_operator(np.ones((2, 3))), dense_operator(np.ones((2, 3))))
-        with pytest.raises(BasisMismatchError):
-            compose(
-                diagonal_operator([1.0, 2.0], BASIS_SINE),
-                diagonal_operator([1.0, 2.0]),
-            )
-
-    def test_apply_composition_consistency(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            s = dense_operator(rng.standard_normal((4, 5)))
-            t = dense_operator(rng.standard_normal((5, 3)))
-            x = CoeffVector(rng.standard_normal(3))
-            direct = apply(compose(s, t), x).coeffs
-            nested = apply(s, apply(t, x)).coeffs
-            np.testing.assert_allclose(direct, nested, rtol=1e-12, atol=1e-12)
-
-
 class TestAsMatrix:
     def test_dense_returns_its_read_only_matrix(self):
         op = dense_operator(np.arange(6.0).reshape(2, 3))
@@ -385,14 +307,11 @@ class TestSymmetricPart:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vals, _ = core_eig(op.stored)
-            sym = symmetrize(op).stored
         np.testing.assert_array_equal(vals, [1e308] * 3)
-        np.testing.assert_array_equal(sym, op.stored)
 
     def test_bits_of_the_halved_sum(self):
         mat = np.random.default_rng(12).standard_normal((6, 6))
         expected = 0.5 * (mat + mat.T)
-        assert symmetrize(dense_operator(mat)).stored.tobytes() == expected.tobytes()
         assert core_eig(mat, vectors=False)[0].tobytes() == (
             np.linalg.eigvalsh(expected).tobytes()
         )

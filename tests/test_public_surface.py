@@ -27,17 +27,13 @@ PUBLIC_NAMES = [
     "ModelError",
     "PositivityError",
     "SingularCovarianceError",
-    "adjoint",
     "apply",
-    "compose",
     "conditional_mean",
     "dense_operator",
     "diagonal_operator",
     "kernel_operator",
     "optimal_b",
     "pinv",
-    "positivity_check",
-    "rescaled_covariances",
     "scaled_optimal_b",
     "solve_filter",
     "trace_class_threshold",

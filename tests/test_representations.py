@@ -15,11 +15,11 @@ from ophp import (
     diagonal_operator,
     kernel_operator,
     optimal_b,
-    rescaled_covariances,
     scaled_optimal_b,
     solve_filter,
 )
 from ophp.operators import BASIS_SINE
+from ophp.scales import rescaled_cores
 
 from oracles import dual_norm, scale_norm
 
@@ -28,17 +28,31 @@ RTOL = 1e-10
 SETTINGS = settings(max_examples=settings.default.max_examples // 4)
 
 
+def _ambient(bundle, core: np.ndarray, factor: int) -> np.ndarray:
+    """A frame core as the matrix ``V_r core V_r*`` (``factor`` 2) or
+    ``U_r core U_r*`` (0), zero off the range: the same for every choice of
+    singular vectors where the core commutes with ``S``."""
+    core = np.diag(core) if core.ndim == 1 else core
+    if bundle.svd is None:
+        full = np.zeros((bundle.operator.dim_in,) * 2)
+        full[np.ix_(bundle.retained, bundle.retained)] = core
+        return full
+    r = bundle.numerical_rank
+    basis = bundle.svd[0][:, :r] if factor == 0 else bundle.svd[2][:r].T
+    return basis @ core @ basis.T
+
+
 def _outputs(model: GaussianModel, x, n: int = 1) -> dict:
     xv = CoeffVector(x, model.a.domain_basis)
     bhat = optimal_b(model)
-    su, sv = rescaled_covariances(model, n)
+    su, sv = rescaled_cores(model, n)
     bundle = model.pinv_bundle
     return {
         "optimal_b": bhat.as_matrix(),
         "trend": solve_filter(FilterProblem(model.a, xv, bhat)).coeffs,
         "conditional_mean": conditional_mean(model, xv).coeffs,
-        "sigma_u_rescaled": su.as_matrix(),
-        "sigma_v_rescaled": sv.as_matrix(),
+        "sigma_u_rescaled": _ambient(bundle, su, 2),
+        "sigma_v_rescaled": _ambient(bundle, sv, 0),
         "scaled_optimal_b": scaled_optimal_b(model, n).as_matrix(),
         "scale_norms": np.array(
             [dual_norm(n, bundle, xv), scale_norm(n, bundle, xv)]

@@ -1,4 +1,9 @@
-"""Spectral weight scales, rescaled covariances, and the white-noise limit."""
+"""Spectral weight scales, rescaled covariances, and the white-noise limit.
+
+The rescaled covariances exist as frame cores (``scales.rescaled_cores``);
+the scaled smoother built from them is checked against a numpy frame
+formula, refusals included, on a grid of spectral, rotated, rectangular,
+kernel and multiplication models."""
 
 import dataclasses
 import itertools
@@ -13,40 +18,46 @@ from hypothesis import strategies as st
 from ophp import (
     CoeffVector,
     GaussianModel,
+    SingularCovarianceError,
     dense_operator,
     diagonal_operator,
+    kernel_operator,
     optimal_b,
     pinv,
-    rescaled_covariances,
     scaled_optimal_b,
     trace_class_threshold,
 )
 from ophp.cli import main
 from ophp.gaussian import DecayDeclaration
-from ophp.scales import scale_index
+from ophp.instances import laplacian_multipliers, ramp_multipliers, seeded_sigmas
+from ophp.operators import BASIS_SINE, rounding_bound
+from ophp.scales import rescaled_cores, scale_index
 from ophp.specs import load_config, operator_to_json
 
 from oracles import (
     dual_norm,
     laplacian_model,
     laplacian_operator,
+    multiplication_model,
     qv,
     ramp_model,
     ramp_operator,
     scale_norm,
+    scaled_smoother_reference,
     tail_ratio,
     two_requirement_threshold,
 )
 
 
-def _scale_json(tmp_path, op, n: int) -> dict:
-    """What ``ophp scale`` writes for ``op`` with unit covariances at index n."""
+def _scale_json(tmp_path, op, n: int, sigma_u=1.0, sigma_v=1.0) -> dict:
+    """What ``ophp scale`` writes for ``op`` at index n, with diagonal
+    covariances (unit ones by default)."""
     dim = op.stored.shape[-1]
     config = tmp_path / f"config-{n}.json"
     config.write_text(json.dumps({
         "operator": operator_to_json(op),
-        "sigma_u": {"kind": "diagonal", "values": [1.0] * dim},
-        "sigma_v": {"kind": "diagonal", "values": [1.0] * dim},
+        "sigma_u": {"kind": "diagonal", "values": np.broadcast_to(sigma_u, dim).tolist()},
+        "sigma_v": {"kind": "diagonal", "values": np.broadcast_to(sigma_v, dim).tolist()},
         "truncation_dim": dim,
         "seed": 0,
         "scale": {"n": n},
@@ -154,35 +165,40 @@ class TestScaleWeights:
 
 
 class TestRescaledCovariances:
+    """The rescaled covariances as frame cores ``w C w``, ``w = S^(-2n)``,
+    and as ``scale`` writes them for a diagonal model: the cores placed on
+    the retained components, or the model's own covariances at n = 0."""
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            rescaled_covariances(ramp_model(3, 1.0, 1.0), -1)
+            scaled_optimal_b(ramp_model(3, 1.0, 1.0), -1)
 
-    def test_zero_index_is_bit_identical(self):
+    def test_zero_index_is_bit_identical(self, tmp_path):
         model = ramp_model(4, 1.0, 2.0)
-        su, sv = rescaled_covariances(model, 0)
-        assert su is model.sigma_u
-        assert sv is model.sigma_v
+        assert scaled_optimal_b(model, 0) is optimal_b(model)
+        written = _scale_json(tmp_path, ramp_operator(4), 0, 1.0, 2.0)
+        # The null component of sigma_u included.
+        assert written["sigma_u_rescaled"] == [1.0] * 4
+        assert written["sigma_v_rescaled"] == [2.0] * 4
 
-    def test_white_noise_ramp(self):
+    def test_white_noise_ramp(self, tmp_path):
         sigma_u = 0.8
         model = ramp_model(5, sigma_u, 1.0)
-        su, _ = rescaled_covariances(model, 1)
+        su, _ = rescaled_cores(model, 1)
         j = np.arange(2, 6, dtype=float)
-        np.testing.assert_allclose(su.stored[1:], sigma_u / j**4, rtol=1e-12)
-        assert su.stored[0] == 0.0
+        np.testing.assert_allclose(su, sigma_u / j**4, rtol=1e-12)
+        written = _scale_json(tmp_path, ramp_operator(5), 1, sigma_u)
+        assert written["sigma_u_rescaled"] == [0.0, *su.tolist()]
 
     def test_laplacian_entries(self):
         sigma_v = 0.6
         dim = 4
         model = laplacian_model(dim, 1.0, sigma_v)
-        _, sv = rescaled_covariances(model, 1)
+        _, sv = rescaled_cores(model, 1)
         n = np.arange(1, dim + 1, dtype=float)
-        np.testing.assert_allclose(
-            sv.stored, sigma_v / (n * np.pi) ** 8, rtol=1e-12
-        )
+        np.testing.assert_allclose(sv, sigma_v / (n * np.pi) ** 8, rtol=1e-12)
 
-    def test_dense_agrees_with_diagonal(self):
+    def test_dense_agrees_with_diagonal(self, tmp_path):
         dim = 4
         rng = np.random.default_rng(1)
         su = rng.uniform(0.5, 2.0, dim)
@@ -193,13 +209,21 @@ class TestRescaledCovariances:
             dense_operator(np.diag(su)),
             dense_operator(np.diag(sv)),
         )
-        su_d, sv_d = rescaled_covariances(dense_model, 1)
-        su_ref, sv_ref = rescaled_covariances(diag_model, 1)
+        # The dense cores, in singular-value order, back in the ambient basis.
+        u, _, vt = dense_model.pinv_bundle.svd
+        r = dense_model.pinv_bundle.numerical_rank
+        su_d, sv_d = rescaled_cores(dense_model, 1)
+        written = _scale_json(tmp_path, diag_model.a, 1, su, sv)
         np.testing.assert_allclose(
-            su_d.as_matrix(), np.diag(su_ref.stored), atol=1e-12
+            vt[:r].T @ su_d @ vt[:r], np.diag(written["sigma_u_rescaled"]), atol=1e-12
         )
         np.testing.assert_allclose(
-            sv_d.as_matrix(), np.diag(sv_ref.stored), atol=1e-12
+            u[:, :r] @ sv_d @ u[:, :r].T, np.diag(written["sigma_v_rescaled"]), atol=1e-12
+        )
+        np.testing.assert_allclose(
+            scaled_optimal_b(dense_model, 1).as_matrix(),
+            np.diag(written["scaled_bhat_multipliers"]),
+            atol=1e-12,
         )
 
 
@@ -305,7 +329,8 @@ class TestScaledOptimalB:
 
     def test_smoother_has_one_route(self, tmp_path):
         # The scaled smoother is optimal_b of the model with the rescaled
-        # covariances, bit for bit, in the library and in what `scale` writes.
+        # covariances that `scale` writes, bit for bit, in the library and
+        # in what `scale` writes.
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "operator": {"kind": "diagonal", "multipliers": [0.0, 2.0, 3.0, 4.0]},
@@ -316,12 +341,91 @@ class TestScaledOptimalB:
             "scale": {"n": 1},
         }))
         model = load_config(config).model
-        su, sv = rescaled_covariances(model, 1)
-        direct = optimal_b(dataclasses.replace(model, sigma_u=su, sigma_v=sv)).stored
-        assert np.array_equal(scaled_optimal_b(model, 1).stored, direct)
         assert main(["scale", "--config", str(config), "--out", str(tmp_path)]) == 0
         written = json.loads((tmp_path / "scale.json").read_text())
+        su, sv = (
+            diagonal_operator(written[f"sigma_{c}_rescaled"]) for c in ("u", "v")
+        )
+        direct = optimal_b(dataclasses.replace(model, sigma_u=su, sigma_v=sv)).stored
+        assert np.array_equal(scaled_optimal_b(model, 1).stored, direct)
         assert np.array_equal(written["scaled_bhat_multipliers"], direct)
+
+
+def _spectral(family: str, dim: int, noise: str, storage: str) -> GaussianModel:
+    """The ramp or Laplacian spectrum with white (1.5, 0.5) or coloured
+    covariances, as diagonal operators or rotated by one orthogonal matrix."""
+    mult = ramp_multipliers(dim) if family == "ramp" else laplacian_multipliers(dim)
+    if noise == "white":
+        su, sv = np.full(dim, 1.5), np.full(dim, 0.5)
+    else:
+        su, sv = seeded_sigmas(dim, dim)
+    if storage == "diagonal":
+        return GaussianModel.build(
+            *(diagonal_operator(m, BASIS_SINE) for m in (mult, su, sv))
+        )
+    q, _ = np.linalg.qr(np.random.default_rng(dim + 1).standard_normal((dim, dim)))
+    return GaussianModel.build(
+        *(dense_operator((q * m) @ q.T, BASIS_SINE) for m in (mult, su, sv))
+    )
+
+
+def _second_difference(n: int) -> GaussianModel:
+    """The (n - 2) x n second difference with sigma_u = 1600 I, sigma_v = I."""
+    d = np.zeros((n - 2, n))
+    for i in range(n - 2):
+        d[i, i : i + 3] = (1.0, -2.0, 1.0)
+    return GaussianModel.build(
+        dense_operator(d),
+        diagonal_operator(np.full(n, 1600.0)),
+        diagonal_operator(np.ones(n - 2)),
+    )
+
+
+def _green(dim: int) -> GaussianModel:
+    su, sv = seeded_sigmas(dim, dim + 2)
+    return GaussianModel.build(
+        kernel_operator("dirichlet_green", dim, grid_points=512),
+        diagonal_operator(su, BASIS_SINE),
+        diagonal_operator(sv, BASIS_SINE),
+    )
+
+
+SWEEP = {
+    **{
+        f"{family}-{storage}-{noise}-{dim}": (
+            lambda f=family, d=dim, c=noise, s=storage: _spectral(f, d, c, s)
+        )
+        for family in ("ramp", "laplacian")
+        for dim in (16, 64, 256)
+        for noise in ("white", "coloured")
+        for storage in ("rotated", "diagonal")
+    },
+    **{f"second-difference-{n}": (lambda n=n: _second_difference(n)) for n in (100, 256)},
+    **{f"green-{dim}": (lambda d=dim: _green(d)) for dim in (64, 128, 256)},
+    **{f"chi-{dim}": (lambda d=dim: multiplication_model("chi", d)) for dim in (16, 64)},
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", list(SWEEP))
+def test_scaled_smoother_matches_the_numpy_frame_formula(name, n):
+    # The smoother refuses exactly where numpy's eigvalsh of the rescaled
+    # sigma_v core w C_v w keeps fewer than r eigenvalues above EIG_RTOL
+    # times the largest (where the core is 1-d: an entry at or below the
+    # least normal float); elsewhere it matches the numpy frame formula.
+    # Measured on this grid: errors up to 0.9 eps (s_max / s_min)^(4n) of
+    # the largest entry, the spread of w^2; 4e-16 for the diagonal models.
+    model = SWEEP[name]()
+    reference = scaled_smoother_reference(model, n)
+    if reference is None:
+        with pytest.raises(SingularCovarianceError, match="sigma_v is singular on"):
+            scaled_optimal_b(model, n)
+        return
+    s = model.pinv_bundle.singular_values
+    spread = (s.max() / s.min()) ** (4 * n)
+    got = scaled_optimal_b(model, n).as_matrix()
+    top = np.abs(reference).max()
+    assert np.abs(got - reference).max() <= rounding_bound(top, spread)
 
 
 class TestTailRatio:
@@ -353,6 +457,6 @@ class TestScaledModelDiagnostics:
         # The rescaled covariances define a legitimate model with zero mean,
         # whose Q_v has no more trace than its sigma_u.
         model = ramp_model(6, 1.0, 1.0)
-        su, sv = rescaled_covariances(model, 1)
+        su, sv = map(model.pinv_bundle.extend, rescaled_cores(model, 1))
         scaled_model = GaussianModel.build(model.a, su, sv)
         assert np.trace(qv(scaled_model)) <= np.trace(su.as_matrix())

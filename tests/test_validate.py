@@ -1,6 +1,7 @@
 """Validation-suite checks and report structure."""
 
 import dataclasses
+import json
 import warnings
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from ophp import GaussianModel, dense_operator, diagonal_operator, kernel_operator
 from ophp import validate
+from ophp.cli import main
 from ophp.gaussian import (
     DecayDeclaration,
     conditional_whitening,
@@ -319,6 +321,28 @@ def test_conditional_mean_check_noise_below_the_rounding_of_the_signal(ratio, df
     result = conditional_mean_check(model, draws=2_000, seed=3)
     assert result.status == PASS, result.details
     assert result.details["df"] == df
+    # df = k_x k_r with k_x = 8: the report names the r - k_r range
+    # directions the floor dropped.
+    assert result.details["residual_dropped"] == 7 - df // 8
+
+
+def test_a_pass_at_no_degrees_of_freedom_states_its_cause(tmp_path):
+    # At sigma_u / sigma_v = 1e-200 the residual of every range direction is
+    # below the rounding of the signal: the check tests nothing and PASSes,
+    # and validation.json says that all r = 7 directions were dropped.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "operator": {"kind": "diagonal", "multipliers": ramp_multipliers(8).tolist()},
+        "sigma_u": {"kind": "diagonal", "values": [1e-200] * 8},
+        "sigma_v": {"kind": "diagonal", "values": [1.0] * 8},
+        "truncation_dim": 8,
+        "seed": 3,
+    }))
+    assert main(["validate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    checks = json.loads((tmp_path / "validation.json").read_text())["checks"]
+    check = next(c for c in checks if c["name"] == "conditional-mean-regression")
+    assert check["status"] == "PASS"
+    assert (check["details"]["df"], check["details"]["residual_dropped"]) == (0, 7)
 
 
 @pytest.mark.parametrize("seed", range(301, 321))
