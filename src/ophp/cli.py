@@ -43,7 +43,7 @@ from .operators import (
     euclidean_norm,
     sine_basis_matrix,
 )
-from .scales import MAX_SCALE_N, rescaled_cores, scale_index, scaled_optimal_b
+from .scales import MAX_SCALE_N, scale_index, scaled_smoother
 from .smoothing import SingularCovarianceError, optimal_b
 from .specs import (
     RunConfig,
@@ -81,9 +81,10 @@ DOMAIN_ERRORS = (
 
 
 # Draws of ``simulate`` whose lines are built and written at a time: the
-# byte array of one block's lines, with the scratch of the repr kernel, is
-# all the text held in memory.  At dim 64 a block's vectors are 4096 floats,
-# one pass of the kernel (``_shortest.PASS_VALUES``).
+# byte array of one block's lines and its compacted bytes, with the digits
+# and scratch of the repr kernel, are all the text held in memory.  At dim
+# 64 each vector of a block is 4096 floats, one pass of the kernel
+# (``_shortest.PASS_VALUES``).
 SAMPLE_BLOCK_DRAWS = 64
 
 # How far a functional sample grid may reach outside [0, 1]: an allowance
@@ -160,11 +161,15 @@ class _SampleRows:
     ``lengths``, a block of at most ``SAMPLE_BLOCK_DRAWS`` draws at a time,
     built in one byte array kept for the request.
 
-    A draw spans the longest vector, one line per component.  A line is
-    written at fixed columns: the draw index, the component index, then one
-    ``FIELD_BYTES`` field per vector, each after its comma, and the newline.
-    Bytes a line does not use are 0 and are dropped, so a vector shorter
-    than the draw leaves the fields past its end empty.
+    A draw spans the longest vector, one line per component.  A block's
+    lines are written at fixed columns: the draw index, the component
+    index, then one field per vector, each after its comma, and the
+    newline.  Each vector's field is as wide as the repr kernel found that
+    vector's floats in the block to need, so the widths, and with them the
+    line, change from block to block.  Every byte of a line is written;
+    those it does not use are 0 and are dropped in one ``bytes.translate``
+    of the block's lines, so a vector shorter than the draw leaves the
+    fields past its end empty.
     """
 
     def __init__(self, count: int, lengths: tuple[int, ...]):
@@ -175,27 +180,32 @@ class _SampleRows:
         self.lengths = lengths
         self.draw_bytes = len(str(count - 1))
         components = np.array([f",{j}" for j in range(width)], dtype=bytes)
-        components = components[:, None].view(np.uint8)
-        first, step = self.draw_bytes + components.shape[1] + 1, FIELD_BYTES + 1
-        self.fields = [slice(first + n * step, first + n * step + FIELD_BYTES)
-                       for n in range(len(lengths))]
-        line = first + len(lengths) * step
-        self.block = np.zeros((SAMPLE_BLOCK_DRAWS, width, line), np.uint8)
-        self.block[:, :, self.draw_bytes : first - 1] = components
-        self.block[:, :, first - 1 :: step] = ord(",")
-        self.block[:, :, -1] = ord("\n")
-        self.reprs = ReprWriter(width)
+        self.components = components[:, None].view(np.uint8)
+        self.head = self.draw_bytes + self.components.shape[1]
+        line = self.head + len(lengths) * (FIELD_BYTES + 1) + 1
+        self.block = np.empty(SAMPLE_BLOCK_DRAWS * width * line, np.uint8)
+        self.reprs = ReprWriter(SAMPLE_BLOCK_DRAWS * sum(lengths), width)
 
-    def text(self, first: int, columns) -> str:
+    def lines(self, first: int, columns) -> bytes:
         """The lines of draws ``first, first + 1, ...``, one per row of
         each of ``columns``."""
-        rows = self.block[: len(columns[0])]
-        draws = map(str, range(first, first + len(rows)))
-        keys = np.array(list(draws), dtype=f"S{self.draw_bytes}")
+        widths = self.reprs.convert(columns)
+        draws, width = len(columns[0]), self.components.shape[0]
+        line = self.head + sum(widths) + len(widths) + 1
+        rows = self.block[: draws * width * line].reshape(draws, width, line)
+        keys = np.array(list(map(str, range(first, first + draws))), dtype=f"S{self.draw_bytes}")
         rows[:, :, : self.draw_bytes] = keys[:, None, None].view(np.uint8)
-        for column, length, field in zip(columns, self.lengths, self.fields):
-            self.reprs.write(column, rows[:, :length, field])
-        return rows[rows != 0].tobytes().decode()
+        rows[:, :, self.draw_bytes : self.head] = self.components
+        fields, at = [], self.head
+        for length, field_bytes in zip(self.lengths, widths):
+            rows[:, :, at] = ord(",")
+            field = rows[:, :, at + 1 : at + 1 + field_bytes]
+            field[:, length:] = 0
+            fields.append(field[:, :length])
+            at += 1 + field_bytes
+        rows[:, :, at] = ord("\n")
+        self.reprs.write(fields)
+        return rows.tobytes().translate(None, b"\0")
 
 
 def _grid_keys(t: np.ndarray) -> list[str]:
@@ -473,12 +483,12 @@ def cmd_simulate(args) -> int:
     made = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        with open(out / "samples.csv", "w") as fh:
-            fh.write("draw,component,u,v,y,x\n")
+        with open(out / "samples.csv", "wb") as fh:
+            fh.write(b"draw,component,u,v,y,x\n")
             for rows, *block in sample_joint_blocks(model, count, cfg.seed):
                 for lo in range(0, rows.stop - rows.start, SAMPLE_BLOCK_DRAWS):
                     part = [column[lo : lo + SAMPLE_BLOCK_DRAWS] for column in block]
-                    fh.write(sample_rows.text(rows.start + lo, part))
+                    fh.write(sample_rows.lines(rows.start + lo, part))
                 # The sums of ``mean(axis=0)``, row by row in draw order: with
                 # the running sum added to its first row, numpy adds a block
                 # of two or more columns (truncation_dim >= 2) one row at a
@@ -521,17 +531,15 @@ def _multipliers(op) -> list | None:
     return op.stored.tolist() if op.is_diagonal else None
 
 
-def _rescaled_multipliers(model, n: int) -> list:
-    """``sigma_u`` and ``sigma_v`` rescaled at index ``n`` as multipliers,
-    or ``None`` where they are not diagonal: the model's own at n = 0, else
-    the 1-d frame cores placed on the retained components."""
-    if n == 0:
+def _rescaled_multipliers(model, cores) -> list:
+    """``sigma_u`` and ``sigma_v`` rescaled to their frame ``cores`` as
+    multipliers, or ``None`` where they are not diagonal: the model's own
+    when there are no cores (n = 0), else the 1-d cores placed on the
+    retained components."""
+    if cores is None:
         return [_multipliers(model.sigma_u), _multipliers(model.sigma_v)]
     extend = model.pinv_bundle.extend
-    return [
-        _multipliers(extend(core)) if core.ndim == 1 else None
-        for core in rescaled_cores(model, n)
-    ]
+    return [_multipliers(extend(core)) if core.ndim == 1 else None for core in cores]
 
 
 def cmd_scale(args) -> int:
@@ -549,9 +557,9 @@ def cmd_scale(args) -> int:
         )
     kappa = model.pinv_bundle.singular_values**2
     weights = kappa ** float(n)
-    scaled = scaled_optimal_b(model, n)
-    su, sv = _rescaled_multipliers(model, n)
-    white = white_noise_scale_check(model, n, n0)
+    scaled, cores = scaled_smoother(model, n)
+    su, sv = _rescaled_multipliers(model, cores)
+    white = white_noise_scale_check(model, n, n0, scaled)
     doc = {
         "n": int(n),
         "threshold_n0": n0,

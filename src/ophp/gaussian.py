@@ -159,8 +159,9 @@ def _check_y0(a: OperatorRep, bundle: PinvBundle, y0: CoeffVector, scale=None) -
 
 
 def _frame_cores(model: GaussianModel) -> tuple:
-    """``(scale, C_u', G, C_n^(-1/2), rank C_n, (I / scale + C_u' S C_v^-1 S)^-1)``,
-    ``sigma_u`` divided by a power of two that keeps ``S C_u' S`` finite."""
+    """``(scale, C_u', G, C_n^(-1/2), rank C_n, (I / scale + C_u' S C_v^-1 S)^-1,
+    C_v)``, ``sigma_u`` divided by a power of two that keeps ``S C_u' S``
+    finite."""
     frame = model.pinv_bundle
     peak = float(np.abs(model.sigma_u.stored).max())
     scale = max(1.0, math.ldexp(1.0, math.frexp(peak)[1] - 1))
@@ -168,17 +169,18 @@ def _frame_cores(model: GaussianModel) -> tuple:
     s = frame.scales
     try:
         with np.errstate(all="ignore"):
-            cv_inverse, singular = frame.range_inverse(frame.codomain_core(model.sigma_v))
+            cv = frame.codomain_core(model.sigma_v)
+            cv_inverse, singular = frame.range_inverse(cv)
             if singular is not None:
                 raise ModelError(f"sigma_v is singular on {singular}")
             system = shifted_inverse(core_product(cu, s, cv_inverse, s), 1.0 / scale)
     except np.linalg.LinAlgError as exc:
         raise ModelError(f"the conditioning system {exc}") from None
-    return scale, cu, gain, root_n, rank_n, system
+    return scale, cu, gain, root_n, rank_n, system, cv
 
 
 def _slope_of(model: GaussianModel, cores: tuple) -> OperatorRep:
-    scale, _, gain, _, _, system = cores
+    scale, _, gain, _, _, system, _ = cores
     return model.pinv_bundle.block_operator(system / scale, gain, back=True)
 
 
@@ -213,9 +215,8 @@ def conditional_whitening(model: GaussianModel) -> tuple:
     cores = _frame_cores(model)
     if "_slope" not in vars(model):
         vars(model)["_slope"] = _slope_of(model, cores)
-    scale, cu, gain, root_n, rank_n, system = cores
+    scale, cu, gain, root_n, rank_n, system, cv = cores
     s = frame.scales
-    cv = frame.codomain_core(model.sigma_v)
     with np.errstate(all="ignore"):
         h = core_sum(core_product(s, cu, s), cv / scale)
         sigma_r = core_product(system, cu)

@@ -82,13 +82,23 @@ def scale_index(
     return (n0 if scale_n is None else scale_n), n0
 
 
+def scaled_smoother(
+    model: GaussianModel, n: int
+) -> tuple[OperatorRep, tuple[np.ndarray, np.ndarray] | None]:
+    """:func:`scaled_optimal_b` and the :func:`rescaled_cores` it is formed
+    from, ``None`` at n = 0, so that a caller that writes both forms them
+    once."""
+    if n < 0:
+        raise ValueError("scale index n must be nonnegative")
+    if n == 0:
+        return optimal_b(model), None
+    cores = rescaled_cores(model, n)
+    return frame_smoother(model.pinv_bundle, *cores), cores
+
+
 def scaled_optimal_b(model: GaussianModel, n: int) -> OperatorRep:
     """Optimal smoother of the :func:`rescaled_cores` in the frame the model
     keeps, with the errors of ``optimal_b``; at n = 0 it is
     ``optimal_b(model)``, the same object.  For white noise it equals the
     noise-to-signal ratio times the identity on the range components."""
-    if n < 0:
-        raise ValueError("scale index n must be nonnegative")
-    if n == 0:
-        return optimal_b(model)
-    return frame_smoother(model.pinv_bundle, *rescaled_cores(model, n))
+    return scaled_smoother(model, n)[0]

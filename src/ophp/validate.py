@@ -285,7 +285,10 @@ def commutation_check(model: GaussianModel) -> CheckResult:
 
 
 def white_noise_scale_check(
-    model: GaussianModel, n: int | None, threshold: int | None
+    model: GaussianModel,
+    n: int | None,
+    threshold: int | None,
+    scaled: OperatorRep | None = None,
 ) -> CheckResult:
     """Optimal smoother rescaled at index ``n`` reduces to the
     noise-to-signal ratio.
@@ -295,7 +298,8 @@ def white_noise_scale_check(
     index; otherwise SKIP.  The spread of the rescaled multipliers and
     their deviation from the ratio must each stay within the rounding bound
     of the ratio.  ``threshold``, the least trace-class index (see
-    :func:`~ophp.scales.scale_index`), is reported.
+    :func:`~ophp.scales.scale_index`), is reported.  ``scaled`` is
+    ``scaled_optimal_b(model, n)`` where the caller has formed it already.
     """
     if not model.is_diagonal:
         return CheckResult(
@@ -318,7 +322,8 @@ def white_noise_scale_check(
             SKIP,
             {"reason": "no scale index available", "threshold": threshold},
         )
-    scaled = scaled_optimal_b(model, n)
+    if scaled is None:
+        scaled = scaled_optimal_b(model, n)
     mult = scaled.stored[kept]
     spread = float(np.ptp(mult))
     ratio = float(su[0] / sv[0])

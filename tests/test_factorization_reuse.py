@@ -31,7 +31,7 @@ from ophp import (
 )
 from ophp.filter import _VERDICTS
 from ophp import operators
-from ophp.gaussian import regression_slope
+from ophp.gaussian import conditional_whitening, regression_slope
 from ophp.operators import BASIS_SINE
 from ophp.validate import conditional_mean_check, mp_residual_suite
 
@@ -175,6 +175,23 @@ class TestModelCache:
         # of S C_u S + C_v and Sigma_r.  A has full rank, so C_n is empty and
         # needs no eigensolver.
         assert calls["eigh"] == 5
+
+    def test_whitening_restricts_sigma_v_to_its_core_once(self, monkeypatch):
+        # The C_v = U_r* sigma_v U_r that range_inverse inverts is the one
+        # the whitening reads.
+        model = _dense_model(seed=7)
+        cores = []
+        original = operators.SingularFrame.codomain_core
+
+        def counted(frame, sigma):
+            cores.append(sigma)
+            return original(frame, sigma)
+
+        monkeypatch.setattr(operators.SingularFrame, "codomain_core", counted)
+        conditional_whitening(model)
+        assert cores == [model.sigma_v]
+        conditional_whitening(model)
+        assert cores == [model.sigma_v] * 2
 
     def test_noise_singular_on_the_null_space_warns_nothing(self):
         model = ramp_model(3, np.array([0.0, 1.0, 1.0]), 1.0)

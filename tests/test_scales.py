@@ -9,6 +9,7 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from ophp.cli import main
 from ophp.gaussian import DecayDeclaration
 from ophp.instances import laplacian_multipliers, ramp_multipliers, seeded_sigmas
 from ophp.operators import BASIS_SINE, rounding_bound
+from ophp import scales
 from ophp.scales import rescaled_cores, scale_index
 from ophp.specs import load_config, operator_to_json
 
@@ -296,6 +298,33 @@ class TestScaledOptimalB:
                 mult = scaled.stored[mask]
                 assert np.ptp(mult) < 1e-12
                 np.testing.assert_allclose(mult, sigma_u / sigma_v, rtol=1e-12)
+
+    @pytest.mark.parametrize("white", [False, True])
+    def test_a_scale_request_forms_the_rescaled_cores_once(self, tmp_path, monkeypatch, white):
+        # The dim-64 ramp example at its least trace-class index, n = 1; and
+        # a white-noise ramp, whose white-noise check reads the same smoother.
+        calls = []
+        original = scales.rescaled_cores
+
+        def counted(model, n):
+            calls.append(n)
+            return original(model, n)
+
+        # Every module that holds the function, so an import of it counts too.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ophp") and getattr(module, "rescaled_cores", None) is original:
+                monkeypatch.setattr(module, "rescaled_cores", counted)
+        if white:
+            doc = _scale_json(tmp_path, diagonal_operator(ramp_multipliers(64)), 1)
+            assert doc["white_noise_check"]["status"] == "PASS"
+        else:
+            example = tmp_path / "example"
+            assert main(["example", "--which", "1", "--dim", "64", "--out", str(example)]) == 0
+            out = tmp_path / "out"
+            assert main(["scale", "--config", str(example / "config.json"),
+                         "--out", str(out)]) == 0
+            assert json.loads((out / "scale.json").read_text())["n"] == 1
+        assert calls == [1]
 
     def test_zero_index_matches_unscaled(self):
         dim = 5

@@ -17,6 +17,7 @@ whole file's text cannot come back unnoticed.
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ophp.cli import (
     SAMPLE_BLOCK_DRAWS,
     InputError,
     _json_text,
+    _SampleRows,
     main,
     read_series_csv,
     write_series_csv,
@@ -135,6 +137,42 @@ class TestCsv:
         model = load_config(config).model
         expected = _old_samples_csv(sample_joint(model, count, 17))
         assert (out / "samples.csv").read_text() == expected
+
+    @pytest.mark.parametrize("count", [10, 11, 1000, 1001])
+    def test_samples_match_where_the_draw_index_widens(self, tmp_path, count):
+        config = _config(tmp_path, "wide", 3)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--count", str(count),
+                     "--out", str(out)]) == 0
+        model = load_config(config).model
+        expected = _old_samples_csv(sample_joint(model, count, 17))
+        assert (out / "samples.csv").read_text() == expected
+
+    def test_block_lines_match_per_cell_loop_as_widths_change(self):
+        # One kept block for blocks of fields that widen and narrow: integer
+        # parts near 1e16 with fractions near 1e-4, repr texts wider than
+        # their vector's other fields, all-zero vectors, and a wide vector
+        # whose rows past the others' lengths stay empty.
+        lengths = (3, 5, 3, 3)
+        rng = np.random.default_rng(12)
+        rows = _SampleRows(1001, lengths)
+        wide = [1e300, -5e-324, 2.0**40, 2.0**40 + 1 / 32, -math.inf]
+        first = 0
+        for scale, draws in [(1.0, B), (9e15, 7), (1e-4, B), (0.0, 2), (1.0, 1)]:
+            columns = [rng.standard_normal((draws, n)) * scale for n in lengths]
+            if scale == 1.0:
+                columns[1][0, :] = wide
+                columns[3][:] = -0.0
+            if scale == 9e15:
+                columns[0][:, 0] = 1e-4 * 1.5
+            data = SimpleNamespace(count=draws, u=columns[0], v=columns[1], y=columns[2],
+                                   x=columns[3])
+            expected = _old_samples_csv(data).split("\n", 1)[1].splitlines()
+            keys = [f"{first + int(line.split(',', 1)[0])}," for line in expected]
+            expected = [k + line.split(",", 1)[1] for k, line in zip(keys, expected)]
+            text = rows.lines(first, columns).decode()
+            assert text.splitlines() == expected and text.endswith("\n")
+            first += draws
 
     @pytest.mark.parametrize(
         "kind,dim,count",

@@ -2,13 +2,17 @@
 
 ``ReprWriter`` finds the shortest round-trip digits of floats in fixed
 notation with integer arithmetic and hands every other float to ``repr``
-itself; each test compares its fields, with their 0 bytes dropped, to
-``repr`` of the same floats.  The edges are where its arithmetic or its
-choice of path changes: the ends of the fixed-notation range, powers of two
-and of ten, floats next to short decimals, integers next to 2^53 and floats
-halfway between two shortest candidates.  Every test runs under the
-floating-point error settings of ``cli.main``, so the kernel raises nothing
-there.
+itself, and writes each array's fields at the width its passes need; each
+test compares its fields, with their 0 bytes dropped, to ``repr`` of the
+same floats.  The fields are written into arrays filled with another byte
+first, so a byte the writer leaves unwritten shows.  The edges are where
+its arithmetic or its choice of path changes: the ends of the fixed-notation
+range, powers of two and of ten, floats next to short decimals, integers
+next to 2^53 and floats halfway between two shortest candidates; and where
+the width of a pass changes: integer parts of 1 and 16 digits, fraction
+parts of 1 and 20, ``repr`` texts wider than the pass's other fields, no
+sign, all zeros.  Every test runs under the floating-point error settings
+of ``cli.main``, so the kernel raises nothing there.
 """
 
 import math
@@ -32,11 +36,30 @@ def _main_errstate():
         yield
 
 
+# A byte that no field holds, so an unwritten one cannot pass for padding.
+UNWRITTEN = 0xFF
+
+
+def _write(arrays, row_size=None) -> list[np.ndarray]:
+    """The fields of each of ``arrays`` (2-d), each array at the width
+    ``convert`` returned for it, from one writer."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    row_size = row_size or max(a.shape[1] for a in arrays)
+    writer = ReprWriter(sum(a.size for a in arrays), row_size)
+    widths = writer.convert(arrays)
+    assert max(widths) <= FIELD_BYTES  # the widest line a block allots
+    outs = [np.full((*a.shape, w), UNWRITTEN, np.uint8) for a, w in zip(arrays, widths)]
+    writer.write(outs)
+    return outs
+
+
+def _texts(out) -> list[str]:
+    return [bytes(f[f != 0]).decode() for f in out.reshape(-1, out.shape[-1])]
+
+
 def _fields(values, row_size=1) -> list[str]:
-    values = np.asarray(values, dtype=float).reshape(-1, row_size)
-    out = np.zeros((*values.shape, FIELD_BYTES), np.uint8)
-    ReprWriter(row_size).write(values, out)
-    return [bytes(f[f != 0]).decode() for f in out.reshape(-1, FIELD_BYTES)]
+    [out] = _write([np.asarray(values, dtype=float).reshape(-1, row_size)])
+    return _texts(out)
 
 
 def _reprs(values) -> list[str]:
@@ -96,11 +119,86 @@ def test_rows_split_into_passes_and_strided_fields():
     values = np.random.default_rng(4).standard_normal((rows, 7))
     values[::5, 0] = 0.0
     values[::7, 3] = 1e-5
-    block = np.zeros((rows, 9, FIELD_BYTES + 3), np.uint8)
-    ReprWriter(9).write(values, block[:, :7, 2 : 2 + FIELD_BYTES])
-    fields = [bytes(f[f != 0]).decode() for f in block[:, :7].reshape(-1, FIELD_BYTES + 3)]
+    writer = ReprWriter(values.size, 9)
+    [width] = writer.convert([values])
+    block = np.full((rows, 9, width + 3), UNWRITTEN, np.uint8)
+    writer.write([block[:, :7, 2 : 2 + width]])
+    fields = [bytes(f[f != 0]).decode() for f in block[:, :7, 2 : 2 + width].reshape(-1, width)]
     assert fields == _reprs(values)
-    assert not block[:, 7:].any() and not block[:, :, :2].any()
+    assert (block[:, 7:] == UNWRITTEN).all() and (block[:, :, :2] == UNWRITTEN).all()
+    assert (block[:, :, 2 + width :] == UNWRITTEN).all()
+
+
+def _layout_width(texts) -> int:
+    """The width of a pass of fixed-notation texts: a sign byte if one is
+    negative, the widest integer part, the point, the longest fraction."""
+    sign = any(t.startswith("-") for t in texts)
+    ints, fracs = zip(*(t.lstrip("-").split(".") for t in texts))
+    return sign + max(map(len, ints)) + 1 + max(map(len, fracs))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # Integer parts of 16 digits and fractions of 20 in one pass.
+        [9999999999999998.0, -1234567890123456.8, 1.0000000000000002e-4,
+         -0.00012345678901234568, 0.5, 7.0],
+        [0.25, 1.5, 3.0, 12.125],  # short fields, no sign
+        [-1.5, 2.5, -0.0],
+        [123.456, 0.1, 0.2],
+    ],
+)
+def test_a_pass_is_as_wide_as_its_texts(values):
+    [out] = _write([np.array(values)[None, :]])
+    texts = _reprs(values)
+    assert _texts(out) == texts
+    assert out.shape[-1] == _layout_width(texts)
+
+
+@pytest.mark.parametrize(
+    "wide", [1e300, -5e-324, 2.0**40, 2.0**40 + 1 / 32, -2.2250738585072014e-308, math.nan,
+             -math.inf]
+)
+def test_repr_texts_wider_than_the_pass(wide):
+    # Short floats around one float that repr writes, its text the widest.
+    values = np.array([0.5, -1.25, 3.0, wide, 0.75, 2.0, 1.5])
+    [out] = _write([values.reshape(1, -1)])
+    texts = _reprs(values)
+    assert _texts(out) == texts
+    assert out.shape[-1] == max(_layout_width(texts[:3]), len(repr(wide)))
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_an_all_zero_pass(zero):
+    values = np.full((3, 5), zero)
+    [out] = _write([values])
+    assert _texts(out) == _reprs(values)
+    assert out.shape[-1] == len(repr(zero))
+
+
+def test_an_array_is_as_wide_as_its_widest_pass():
+    # Two passes of one array, and two arrays of one writer: the narrow
+    # pass's fields are padded to the wide pass's width.
+    rows = PASS_VALUES // 4
+    narrow = np.full((rows, 4), 0.5)
+    values = np.concatenate([narrow, np.full((1, 4), -1234567.0000000002)])
+    other = np.random.default_rng(8).standard_normal((3, 2))
+    outs = _write([values, other])
+    assert outs[0].shape[-1] == len("-1234567.0000000002")
+    assert _texts(outs[0]) == _reprs(values)
+    assert _texts(outs[1]) == _reprs(other)
+
+
+def test_a_writer_converts_again():
+    # Kept digits and scratch reused by the next arrays, narrower or wider.
+    rng = np.random.default_rng(9)
+    writer = ReprWriter(2 * 64, 64)
+    for scale in (1e12, 1.0, 1e-3, 1e15):
+        arrays = [rng.standard_normal((1, 64)) * scale, rng.standard_normal((1, 64))]
+        widths = writer.convert(arrays)
+        outs = [np.full((*a.shape, w), UNWRITTEN, np.uint8) for a, w in zip(arrays, widths)]
+        writer.write(outs)
+        assert [_texts(o) for o in outs] == [_reprs(a) for a in arrays]
 
 
 def test_tables_are_built_on_first_use():

@@ -17,6 +17,7 @@ from oracles import (
     gap,
     identity,
     laplacian_model,
+    multiplication_model,
     ramp_model,
     refused_minimum,
     scaled,
@@ -98,6 +99,17 @@ class TestOptimalB:
         base = optimal_b(ramp_model(dim, su, sv)).stored
         scaled = optimal_b(ramp_model(dim, 2.5 * su, sv)).stored
         np.testing.assert_allclose(scaled, 2.5 * base, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [16, 32, 64, 128, 256])
+def test_multiplication_by_one_plus_t_gives_twice_the_identity(dim):
+    # Multiplication by 1 + t on L2(0, 1) is bounded below with spectrum
+    # [1, 2], so its compressions have full rank and cond(A) < 2; with
+    # sigma_u = I and sigma_v = 0.5 I the smoother is 2 I to rounding.
+    model = multiplication_model("one-plus-t", dim)
+    bhat = optimal_b(model).as_matrix()
+    cond = np.linalg.cond(model.a.as_matrix())
+    assert np.abs(bhat - 2.0 * np.eye(dim)).max() <= rounding_bound(2.0, cond)
 
 
 class TestGap:
